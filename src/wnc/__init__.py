@@ -12,8 +12,9 @@ __version__ = "0.1.0"
 from .classify import (Classification, Decomposition, idempotents,
                        is_nil_clean_ring, is_weakly_nil_clean_ring,
                        nilpotents, weakly_nil_clean_set)
-from .coloring import (UNKNOWN, chromatic_index_exact, sum_edge_coloring,
-                       verify_proper_edge_coloring, vizing_class)
+from .coloring import (UNKNOWN, check_sum_coloring, chromatic_index_exact,
+                       sum_edge_coloring, verify_proper_edge_coloring,
+                       vizing_class)
 from .errors import (InvalidSpecError, RingExprError,
                      UnsupportedOperationError, WncError)
 from .graph import (NIL_CLEAN, WEAKLY_NIL_CLEAN, WncGraph, build_nc_graph,

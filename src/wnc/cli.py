@@ -16,22 +16,14 @@ import time
 from . import __version__
 from .bitsets import bit_list
 from .classify import weakly_nil_clean_set
-from .coloring import UNKNOWN, DEFAULT_COLOR_BUDGET
+from .coloring import DEFAULT_COLOR_BUDGET
 from .errors import WncError
 from .graph import build_wnc_graph, edges
-from .invariants import INFINITE
+from .invariants import plain
 from .rings import DEFAULT_CAP, build_ring, format_spec
 from .ringexpr import parse_ring_expr
 from .theorems import (AGREE, DISAGREE, THEOREM_IDS, compute_report,
                        theorem_suite)
-
-
-def _jsonable(value):
-    if value is INFINITE:
-        return "inf"
-    if value is UNKNOWN:
-        return "unknown"
-    return value
 
 
 def _realize(expr: str, cap: int):
@@ -68,14 +60,14 @@ def cmd_report(args) -> int:
         "is_weakly_nil_clean_ring": cls.wnc == (1 << ring.size) - 1,
         "is_nil_clean_ring": cls.nc == (1 << ring.size) - 1,
         "component_sizes": report.component_sizes,
-        "diameter": _jsonable(report.diameter),
-        "girth": _jsonable(report.girth),
+        "diameter": plain(report.diameter),
+        "girth": plain(report.girth),
         "is_bipartite": report.is_bipartite,
         "max_degree": report.max_degree,
         "clique_number": report.clique_number,
         "sum_coloring_colors": report.sum_coloring_colors,
-        "chromatic_index": _jsonable(report.chromatic_index),
-        "vizing_class": _jsonable(report.vizing_class),
+        "chromatic_index": plain(report.chromatic_index),
+        "vizing_class": plain(report.vizing_class),
         "theorem_verdicts": [
             {
                 "theorem": v.theorem,
@@ -150,6 +142,18 @@ def _export_csv(ring, graph) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _write(out: str, payload: str) -> None:
+    """Write the payload to the path `out`, or to stdout when it is '-'."""
+    if out == "-":
+        sys.stdout.write(payload)
+        return
+    try:
+        with open(out, "w", encoding="utf-8") as fh:
+            fh.write(payload)
+    except OSError as exc:
+        raise WncError(f"cannot write {out}: {exc}") from exc
+
+
 def cmd_export(args) -> int:
     ring, _, graph = _realize(args.expr, args.cap)
     if args.format == "dot":
@@ -158,14 +162,7 @@ def cmd_export(args) -> int:
         payload = _export_json(ring, graph)
     else:
         payload = _export_csv(ring, graph)
-    if args.out == "-":
-        sys.stdout.write(payload)
-    else:
-        try:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(payload)
-        except OSError as exc:
-            raise WncError(f"cannot write {args.out}: {exc}") from exc
+    _write(args.out, payload)
     return 0
 
 
@@ -219,20 +216,12 @@ def cmd_batch(args) -> int:
             str(n),
             str(cls.wnc.bit_count()),
             str(cls.wnc == (1 << n) - 1).lower(),
-            str(_jsonable(report.girth)),
-            str(_jsonable(report.diameter)),
+            str(report.girth),
+            str(report.diameter),
             str(report.clique_number),
-            str(_jsonable(report.vizing_class)),
+            str(report.vizing_class),
         ]))
-    payload = "\n".join(rows) + "\n"
-    if args.out == "-":
-        sys.stdout.write(payload)
-    else:
-        try:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(payload)
-        except OSError as exc:
-            raise WncError(f"cannot write {args.out}: {exc}") from exc
+    _write(args.out, "\n".join(rows) + "\n")
     return 0
 
 

@@ -3,39 +3,24 @@ exact chromatic index.
 
 The chromatic index of a simple graph is Delta or Delta + 1 (Vizing), so
 exactness reduces to deciding Delta-edge-colorability. The decision runs
-per component: a matching counting bound (|E| > Delta * floor(|V|/2| is
-impossible) refutes instantly, certified candidate colorings (round-robin
-constructions for complete components, plus any caller-supplied coloring,
-each verified proper before use) confirm instantly, and an MRV
-backtracking search with star symmetry fixing settles the rest under a
-node budget. Exceeding the budget yields the UNKNOWN sentinel, never a
-guess.
+per component. Textbook facts settle the easy cases: a component with
+|E| > Delta * floor(|V|/2) edges is refuted by the matching counting
+bound, and a complete component K_m needs m - 1 colors for even m (the
+round-robin construction, checked in the tests rather than at run time)
+and m for odd m. Then any caller-supplied coloring that verifies as proper
+with at most Delta colors confirms class 1, and an MRV backtracking search
+with star symmetry fixing settles the rest under a node budget. Exceeding
+the budget yields the UNKNOWN sentinel, never a guess.
 """
 
 from __future__ import annotations
 
-from .bitsets import iter_bits
+from .bitsets import bit_list, iter_bits
 from .graph import WncGraph, edge_count, edges, max_degree
+from .invariants import UNKNOWN, components
 from .rings import FiniteRing
 
 DEFAULT_COLOR_BUDGET = 10_000_000
-
-
-class _Unknown:
-    """Singleton sentinel for budget-exceeded exact searches."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "unknown"
-
-
-UNKNOWN = _Unknown()
 
 
 def sum_edge_coloring(ring: FiniteRing, graph: WncGraph) -> dict[tuple[int, int], int]:
@@ -48,6 +33,28 @@ def sum_edge_coloring(ring: FiniteRing, graph: WncGraph) -> dict[tuple[int, int]
     if graph.vertex_count != ring.size:
         raise ValueError("graph does not match the ring")
     return {(u, v): ring.add(u, v) for u, v in edges(graph)}
+
+
+def check_sum_coloring(ring: FiniteRing, graph: WncGraph) -> tuple[bool, int]:
+    """(proper, colors) for the sum coloring, in one pass per vertex.
+
+    The colors u + v of the edges at u are ORed into a bitset; they are
+    distinct iff its popcount equals deg(u). `proper` is computed, not
+    inferred from cancellation, and `colors` is the bitset of every color
+    used.
+    """
+    if graph.vertex_count != ring.size:
+        raise ValueError("graph does not match the ring")
+    add = ring.add
+    proper = True
+    colors = 0
+    for u, row in enumerate(graph.adjacency):
+        used = 0
+        for v in iter_bits(row):
+            used |= 1 << add(u, v)
+        proper = proper and used.bit_count() == row.bit_count()
+        colors |= used
+    return proper, colors
 
 
 def verify_proper_edge_coloring(graph: WncGraph, coloring) -> bool:
@@ -90,27 +97,6 @@ class _BudgetExceeded(Exception):
     pass
 
 
-def _round_robin_coloring(vertices):
-    """Optimal proper edge coloring of the complete graph on `vertices`:
-    m - 1 colors for even m (circle method), m colors for odd m."""
-    m = len(vertices)
-    coloring = {}
-    if m % 2 == 0:
-        mod = m - 1
-        for i in range(m):
-            for j in range(i + 1, m):
-                if j == m - 1:
-                    c = (2 * i) % mod
-                else:
-                    c = (i + j) % mod
-                coloring[(vertices[i], vertices[j])] = c
-    else:
-        for i in range(m):
-            for j in range(i + 1, m):
-                coloring[(vertices[i], vertices[j])] = (i + j) % m
-    return coloring
-
-
 def _component_delta_colorable(adj, comp_vertices, delta, budget: _Budget):
     """Backtracking decision: can this component's edges be colored with
     colors 0..delta-1? Returns True/False, or raises _BudgetExceeded."""
@@ -123,13 +109,6 @@ def _component_delta_colorable(adj, comp_vertices, delta, budget: _Budget):
             eid[(u, v)] = len(edge_list)
             edge_list.append((u, v))
     ecount = len(edge_list)
-    if ecount == 0:
-        return True
-    # a color class is a matching, so delta colors carry at most
-    # delta * floor(m/2) edges
-    if ecount > delta * (len(comp_vertices) // 2):
-        return False
-
     avail = {u: full for u in comp_vertices}
     udeg = {u: adj[u].bit_count() for u in comp_vertices}
     uncolored = set(range(ecount))
@@ -210,11 +189,30 @@ def chromatic_index_exact(graph: WncGraph, budget: int = DEFAULT_COLOR_BUDGET,
     hint that verifies as proper with at most Delta distinct colors proves
     class 1 without a search.
     """
-    n = graph.vertex_count
     adj = graph.adjacency
     delta = max_degree(graph)
     if delta == 0:
         return 0
+    pending = []
+    for comp in components(graph):
+        if not comp & comp - 1:
+            continue  # an isolated vertex
+        vertices = bit_list(comp)
+        m = len(vertices)
+        ecount = sum(adj[u].bit_count() for u in vertices) // 2
+        if ecount == m * (m - 1) // 2:
+            # complete component: chi'(K_m) is m - 1 for even m (round-robin
+            # construction) and m for odd m (matching counting bound)
+            if (m - 1 if m % 2 == 0 else m) > delta:
+                return delta + 1  # complete K_odd with delta = m - 1
+        elif ecount > delta * (m // 2):
+            # a color class is a matching, so delta colors carry at most
+            # delta * floor(m/2) edges
+            return delta + 1
+        else:
+            pending.append(vertices)
+    if not pending:
+        return delta
     for hint in hints:
         try:
             proper = verify_proper_edge_coloring(graph, hint)
@@ -223,29 +221,7 @@ def chromatic_index_exact(graph: WncGraph, budget: int = DEFAULT_COLOR_BUDGET,
         if proper and len(set(hint.values())) <= delta:
             return delta
 
-    # split into components; colorability is decided per component
-    from .invariants import components
-    comps = [sorted(iter_bits(comp)) for comp in components(graph)
-             if comp & comp - 1]  # skip isolated vertices
-
     tracker = _Budget(budget)
-    pending = []
-    for comp in comps:
-        ecount = sum(adj[u].bit_count() for u in comp) // 2
-        m = len(comp)
-        if ecount == m * (m - 1) // 2:
-            # complete component: chi'(K_m) is m - 1 for even m (round-robin
-            # construction) and m for odd m (matching counting bound)
-            needed = m - 1 if m % 2 == 0 else m
-            if m <= 64:  # re-derive the certificate where that is cheap
-                rr = _round_robin_coloring(comp)
-                assert len(set(rr.values())) == needed
-                assert verify_proper_edge_coloring(_subgraph(graph, comp), rr)
-            if needed <= delta:
-                continue
-            return delta + 1  # complete K_odd with delta = m - 1
-        pending.append(comp)
-
     unknown = False
     for comp in pending:
         try:
@@ -258,16 +234,6 @@ def chromatic_index_exact(graph: WncGraph, budget: int = DEFAULT_COLOR_BUDGET,
     if unknown:
         return UNKNOWN
     return delta
-
-
-def _subgraph(graph: WncGraph, comp_vertices):
-    mask = 0
-    for v in comp_vertices:
-        mask |= 1 << v
-    rows = [graph.adjacency[v] & mask if (mask >> v) & 1 else 0
-            for v in range(graph.vertex_count)]
-    return WncGraph(vertex_count=graph.vertex_count, adjacency=rows,
-                    ring_spec=graph.ring_spec, kind=graph.kind)
 
 
 def vizing_class(graph: WncGraph, budget: int = DEFAULT_COLOR_BUDGET, hints=()):

@@ -70,7 +70,8 @@ def degree(graph: WncGraph, v: int) -> int:
 
     For graphs built from a ring, deg(v) must be |S| - 1 when v + v lies in
     the defining clean set S and |S| otherwise; a mismatch means the graph
-    was built inconsistently, so it is asserted rather than assumed.
+    was built inconsistently, so it raises ValueError rather than being
+    assumed away.
     """
     if not 0 <= v < graph.vertex_count:
         raise ValueError(f"vertex {v} out of range 0..{graph.vertex_count - 1}")
@@ -80,7 +81,9 @@ def degree(graph: WncGraph, v: int) -> int:
         expected = graph.clean_set.bit_count()
         if graph.clean_set >> ring.add(v, v) & 1:
             expected -= 1
-        assert d == expected, f"degree {d} of vertex {v} contradicts prediction {expected}"
+        if d != expected:
+            raise ValueError(
+                f"degree {d} of vertex {v} contradicts prediction {expected}")
     return d
 
 

@@ -10,59 +10,70 @@ from __future__ import annotations
 
 import sys
 from collections import deque
+from enum import Enum
 
 from .bitsets import iter_bits
 from .graph import WncGraph, neighborhood
 from .rings import FiniteRing, Zn, is_prime
 
 
-class _Infinite:
-    """Singleton sentinel for infinite diameter/girth."""
+class Sentinel(Enum):
+    """A named non-numeric result, compared with `is`: INFINITE for the
+    diameter or girth of a disconnected or acyclic graph, UNKNOWN for an
+    exact search that ran out of budget."""
 
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
+    INFINITE = "inf"
+    UNKNOWN = "unknown"
 
     def __repr__(self):
-        return "inf"
+        return self.value
+
+    __str__ = __repr__
 
 
-INFINITE = _Infinite()
+INFINITE = Sentinel.INFINITE
+UNKNOWN = Sentinel.UNKNOWN
+
+
+def plain(value):
+    """The value as the JSON report holds it: a sentinel becomes its name."""
+    return value.value if isinstance(value, Sentinel) else value
 
 
 # ---------------------------------------------------------------------------
 # Connectivity and distances
 
 
+def _bfs_levels(adj, source: int, bound: int):
+    """Frontiers of a bit-parallel BFS from source, level by level, and the
+    bitset of every vertex reached. `bound` must hold every vertex the
+    search can reach; once the vertices seen cover it, the rest of a
+    frontier can only re-add known ones, so its scan stops."""
+    levels = []
+    visited = frontier = 1 << source
+    while frontier:
+        levels.append(frontier)
+        nxt = 0
+        m = frontier
+        while m:
+            low = m & -m
+            m ^= low
+            nxt |= adj[low.bit_length() - 1]
+            if nxt | visited == bound:
+                break
+        frontier = nxt & ~visited
+        visited |= frontier
+    return levels, visited
+
+
 def components(graph: WncGraph) -> list[int]:
     """Connected components as vertex bitsets, ordered by least vertex."""
-    n = graph.vertex_count
-    adj = graph.adjacency
-    full = (1 << n) - 1
-    seen = 0
+    unseen = (1 << graph.vertex_count) - 1
     out = []
-    for start in range(n):
-        if seen >> start & 1:
-            continue
-        comp = 0
-        frontier = 1 << start
-        while frontier:
-            comp |= frontier
-            nxt = 0
-            m = frontier
-            while m:
-                low = m & -m
-                m ^= low
-                nxt |= adj[low.bit_length() - 1]
-                if nxt | comp == full:
-                    # every vertex is reached or about to be: one component
-                    comp = full
-                    m = 0
-            frontier = nxt & ~comp
-        seen |= comp
+    while unseen:
+        start = (unseen & -unseen).bit_length() - 1
+        _, comp = _bfs_levels(graph.adjacency, start, unseen)
+        unseen &= ~comp
         out.append(comp)
     return out
 
@@ -70,53 +81,25 @@ def components(graph: WncGraph) -> list[int]:
 def bfs_distances(graph: WncGraph, source: int) -> list[int]:
     """Hop distances from source; -1 where unreachable."""
     n = graph.vertex_count
-    adj = graph.adjacency
     dist = [-1] * n
-    frontier = 1 << source
-    visited = 0
-    d = 0
-    while frontier:
-        for v in iter_bits(frontier):
+    levels, _ = _bfs_levels(graph.adjacency, source, (1 << n) - 1)
+    for d, level in enumerate(levels):
+        for v in iter_bits(level):
             dist[v] = d
-        visited |= frontier
-        nxt = 0
-        for v in iter_bits(frontier):
-            nxt |= adj[v]
-        frontier = nxt & ~visited
-        d += 1
     return dist
-
-
-def _eccentricity(adjacency, source: int, full: int) -> int:
-    """Levels of a bit-parallel BFS over a connected vertex set."""
-    visited = 1 << source
-    frontier = visited
-    ecc = 0
-    while True:
-        nxt = 0
-        m = frontier
-        while m:
-            low = m & -m
-            m ^= low
-            nxt |= adjacency[low.bit_length() - 1]
-            if nxt | visited == full:
-                m = 0  # the rest can only re-add known vertices
-        frontier = nxt & ~visited
-        if not frontier:
-            return ecc
-        visited |= frontier
-        ecc += 1
 
 
 def diameter(graph: WncGraph):
     """Max pairwise distance; INFINITE when the graph is disconnected."""
     n = graph.vertex_count
-    if n <= 1:
-        return 0
-    if len(components(graph)) > 1:
-        return INFINITE
     full = (1 << n) - 1
-    return max(_eccentricity(graph.adjacency, v, full) for v in range(n))
+    best = 0
+    for v in range(n):
+        levels, reached = _bfs_levels(graph.adjacency, v, full)
+        if reached != full:
+            return INFINITE
+        best = max(best, len(levels) - 1)
+    return best
 
 
 # ---------------------------------------------------------------------------

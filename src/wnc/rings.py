@@ -113,17 +113,14 @@ class FiniteRing:
         self._names = tuple(names)
         if len(self._names) != size or len(set(self._names)) != size:
             raise InvalidSpecError("element names must be one injective name per element")
+        self.add = add
+        self.mul = mul
+        self.neg = neg
         if size <= TABLE_CAP:
-            add_t = [[add(a, b) for b in range(size)] for a in range(size)]
-            mul_t = [[mul(a, b) for b in range(size)] for a in range(size)]
-            neg_t = [neg(a) for a in range(size)]
+            add_t, mul_t, neg_t = operation_tables(self)
             self.add = lambda a, b: add_t[a][b]
             self.mul = lambda a, b: mul_t[a][b]
             self.neg = lambda a: neg_t[a]
-        else:
-            self.add = add
-            self.mul = mul
-            self.neg = neg
 
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self.neg(b))
@@ -158,6 +155,11 @@ def make_zn(n: int, cap: int = DEFAULT_CAP) -> FiniteRing:
         raise InvalidSpecError(f"Z_n: n must be >= 2, got {n}")
     if n > cap:
         raise InvalidSpecError(f"Z_{n} exceeds the size cap {cap}")
+    return _integers_mod(n, Zn(n))
+
+
+def _integers_mod(n: int, spec: RingSpec) -> FiniteRing:
+    """Z_n's arithmetic and decimal names, under the given spec."""
     return FiniteRing(
         size=n, zero=0, one=1,
         add=lambda a, b: (a + b) % n,
@@ -165,7 +167,7 @@ def make_zn(n: int, cap: int = DEFAULT_CAP) -> FiniteRing:
         neg=lambda a: (-a) % n,
         names=[str(a) for a in range(n)],
         is_commutative=True,
-        spec=Zn(n),
+        spec=spec,
     )
 
 
@@ -298,15 +300,7 @@ def make_gf(p: int, k: int, cap: int = DEFAULT_CAP) -> FiniteRing:
     if size > cap:
         raise InvalidSpecError(f"GF({size}) exceeds the size cap {cap}")
     if k == 1:
-        return FiniteRing(
-            size=p, zero=0, one=1,
-            add=lambda a, b: (a + b) % p,
-            mul=lambda a, b: (a * b) % p,
-            neg=lambda a: (-a) % p,
-            names=[str(a) for a in range(p)],
-            is_commutative=True,
-            spec=GF(p, 1),
-        )
+        return _integers_mod(p, GF(p, 1))
 
     modulus = find_least_irreducible(p, k)
     mod_coeffs = modulus.coeffs

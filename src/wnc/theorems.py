@@ -14,16 +14,16 @@ number), and rings where 2x is always weakly nil clean have max degree
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .bitsets import iter_bits
 from .classify import Classification, weakly_nil_clean_set
-from .coloring import (UNKNOWN, chromatic_index_exact, sum_edge_coloring,
-                       verify_proper_edge_coloring)
+from .coloring import check_sum_coloring, chromatic_index_exact
 from .graph import (WncGraph, build_nc_graph, build_wnc_graph,
                     is_complete, max_degree)
-from .invariants import (INFINITE, components, diameter, enumerate_k_cliques,
-                         girth, is_bipartite, is_star, max_clique,
-                         neighborhood_disjointness_check)
+from .invariants import (INFINITE, UNKNOWN, components, diameter,
+                         enumerate_k_cliques, girth, is_bipartite, is_star,
+                         max_clique, neighborhood_disjointness_check)
 from .rings import (GF, FiniteRing, MatrixRing, Product, Zn, build_ring,
                     is_prime, nilradical_quotient)
 
@@ -80,14 +80,6 @@ class InvariantReport:
     theorem_verdicts: list[TheoremVerdict] = field(default_factory=list)
 
 
-def _fmt(value) -> str:
-    if value is INFINITE:
-        return "inf"
-    if value is UNKNOWN:
-        return "unknown"
-    return str(value)
-
-
 def _is_2k3l(n: int) -> bool:
     while n % 2 == 0:
         n //= 2
@@ -141,10 +133,12 @@ class _Analysis:
         self.star = is_star(graph)
         self.max_degree = max_degree(graph)
         self.clique, self.clique_number = max_clique(graph)
-        self.sum_coloring = sum_edge_coloring(ring, graph)
-        self.sum_colors = sorted(set(self.sum_coloring.values()))
-        self.chromatic_index = chromatic_index_exact(
-            graph, budget=chi_budget, hints=(self.sum_coloring,))
+        self.sum_proper, self.sum_colors = check_sum_coloring(ring, graph)
+        if self.sum_proper and self.sum_colors.bit_count() <= self.max_degree:
+            # the sum coloring itself is a proper Delta-edge-coloring
+            self.chromatic_index = self.max_degree
+        else:
+            self.chromatic_index = chromatic_index_exact(graph, budget=chi_budget)
         if self.chromatic_index is UNKNOWN:
             self.vizing_class = UNKNOWN
         else:
@@ -153,6 +147,10 @@ class _Analysis:
         # the degree-lemma premise Delta = |WNC| fails exactly here
         self.degenerate_max_degree = (
             self.max_degree == classification.wnc.bit_count() - 1)
+
+    @cached_property
+    def four_cliques(self) -> list[tuple[int, ...]]:
+        return sorted(enumerate_k_cliques(self.graph, 4))
 
 
 def _check_degree_lemma(a: _Analysis) -> bool:
@@ -244,7 +242,7 @@ def theorem_suite(ring: FiniteRing, classification: Classification,
 
     # girth 3 and its corollaries need |R| >= 3
     if n >= 3:
-        emit("girth", "3", _fmt(a.girth), a.girth == 3, known=a.char2)
+        emit("girth", "3", str(a.girth), a.girth == 3, known=a.char2)
         emit("not-bipartite", "not bipartite",
              "bipartite" if a.bipartite else "not bipartite",
              not a.bipartite, known=a.char2)
@@ -270,7 +268,7 @@ def theorem_suite(ring: FiniteRing, classification: Classification,
     if p2 is not None:
         emit("clique-z2p", "4", str(a.clique_number), a.clique_number == 4)
         expected = _expected_four_cliques(p2)
-        actual = sorted(enumerate_k_cliques(graph, 4))
+        actual = a.four_cliques
         emit("four-cliques",
              "exactly " + ", ".join("{%s}" % ",".join(map(str, c)) for c in expected),
              ", ".join("{%s}" % ",".join(map(str, c)) for c in actual) or "none",
@@ -289,24 +287,24 @@ def theorem_suite(ring: FiniteRing, classification: Classification,
 
     # diameters
     if zn is not None and _is_2k3l(zn):
-        emit("diameter-2k3l", "1", _fmt(a.diameter), a.diameter == 1)
+        emit("diameter-2k3l", "1", str(a.diameter), a.diameter == 1)
     else:
         skip("diameter-2k3l", "n is not of the form 2^k 3^l")
     if zn is not None and zn % 2 == 1 and is_prime(zn):
         want = (zn - 1) // 2
-        emit("diameter-zp", str(want), _fmt(a.diameter), a.diameter == want)
+        emit("diameter-zp", str(want), str(a.diameter), a.diameter == want)
     else:
         skip("diameter-zp", "not Z_p for an odd prime p")
     if p2 is not None:
         want = (p2 - 1) // 2
-        emit("diameter-z2p", str(want), _fmt(a.diameter), a.diameter == want)
+        emit("diameter-z2p", str(want), str(a.diameter), a.diameter == want)
     else:
         skip("diameter-z2p", "not Z_2p with p >= 5 prime")
     if isinstance(spec, GF):
         want_inf = spec.k > 1
         got_inf = a.diameter is INFINITE
         emit("diameter-field", "inf" if want_inf else "finite",
-             _fmt(a.diameter), want_inf == got_inf)
+             str(a.diameter), want_inf == got_inf)
     else:
         skip("diameter-field", "not a field spec")
     if isinstance(spec, Product):
@@ -319,7 +317,7 @@ def theorem_suite(ring: FiniteRing, classification: Classification,
         hyp = (lc.wnc == lfull and lc.nc != lfull
                and rc.wnc == rfull and rc.nc != rfull)
         if hyp:
-            emit("diameter-product", "2 or 3", _fmt(a.diameter),
+            emit("diameter-product", "2 or 3", str(a.diameter),
                  a.diameter in (2, 3))
         else:
             skip("diameter-product",
@@ -328,13 +326,11 @@ def theorem_suite(ring: FiniteRing, classification: Classification,
         skip("diameter-product", "not a product spec")
 
     # sum coloring: proper, colors inside WNC(R)
-    proper = verify_proper_edge_coloring(graph, a.sum_coloring)
-    inside = all(a.cls.wnc >> c & 1 for c in a.sum_colors)
-    ok = proper and inside
+    inside = a.sum_colors & ~a.cls.wnc == 0
     emit("sum-coloring", "proper with colors among the weakly nil clean sums",
-         ("proper" if proper else "improper") + ", "
-         + f"{len(a.sum_colors)} colors"
-         + ("" if inside else " outside the set"), ok)
+         ("proper" if a.sum_proper else "improper") + ", "
+         + f"{a.sum_colors.bit_count()} colors"
+         + ("" if inside else " outside the set"), a.sum_proper and inside)
 
     # class 1: chi' = max degree
     if a.vizing_class is UNKNOWN:
@@ -352,7 +348,6 @@ def compute_report(ring: FiniteRing, classification: Classification,
     """Full invariant report with theorem verdicts."""
     a = _Analysis(ring, classification, graph, chi_budget)
     verdicts = theorem_suite(ring, classification, graph, chi_budget, analysis=a)
-    four = sorted(enumerate_k_cliques(graph, 4)) if want_four_cliques else None
     return InvariantReport(
         component_sizes=sorted(c.bit_count() for c in a.components),
         diameter=a.diameter,
@@ -360,8 +355,8 @@ def compute_report(ring: FiniteRing, classification: Classification,
         is_bipartite=a.bipartite,
         max_degree=a.max_degree,
         clique_number=a.clique_number,
-        four_cliques=four,
-        sum_coloring_colors=len(a.sum_colors),
+        four_cliques=a.four_cliques if want_four_cliques else None,
+        sum_coloring_colors=a.sum_colors.bit_count(),
         chromatic_index=a.chromatic_index,
         vizing_class=a.vizing_class,
         theorem_verdicts=verdicts,

@@ -130,6 +130,23 @@ def cycle_is_valid(graph, cycle) -> bool:
                for i in range(k))
 
 
+def round_robin_coloring(vertices):
+    """Proper edge coloring of the complete graph on `vertices`: m - 1
+    colors for even m (circle method), m colors for odd m."""
+    m = len(vertices)
+    coloring = {}
+    for i in range(m):
+        for j in range(i + 1, m):
+            if m % 2 == 1:
+                c = (i + j) % m
+            elif j == m - 1:
+                c = (2 * i) % (m - 1)
+            else:
+                c = (i + j) % (m - 1)
+            coloring[(vertices[i], vertices[j])] = c
+    return coloring
+
+
 def ring_axiom_violations(ring):
     """Exhaustive axiom check over materialized numpy tables.
 

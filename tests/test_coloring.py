@@ -1,11 +1,15 @@
 """Sum coloring, properness verification, exact chromatic index."""
 
+import itertools
+import types
+
 import pytest
 
 import wnc
-from wnc.bitsets import bit_list
+from wnc.bitsets import bit_list, mask_of
 
 from corpus import ACCEPTANCE_CORPUS, realize
+from oracles import round_robin_coloring
 
 PETERSEN_EDGES = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0),
                   (0, 5), (1, 6), (2, 7), (3, 8), (4, 9),
@@ -36,6 +40,42 @@ def test_sum_coloring_is_proper_with_colors_in_wnc(expr):
     colors = set(coloring.values())
     assert all(cls.wnc >> c & 1 for c in colors)
     assert len(colors) <= cls.wnc.bit_count()
+
+
+@pytest.mark.parametrize("expr", ACCEPTANCE_CORPUS + ("Z12/nil", "Z2 x Z7"))
+def test_check_sum_coloring_matches_the_dict_reference(expr):
+    ring, _, graph = realize(expr)
+    coloring = wnc.sum_edge_coloring(ring, graph)
+    assert wnc.check_sum_coloring(ring, graph) == (
+        wnc.verify_proper_edge_coloring(graph, coloring),
+        mask_of(coloring.values()))
+
+
+@pytest.mark.parametrize("add", [lambda a, b: 0, lambda a, b: a * b % 6],
+                         ids=["constant", "product"])
+def test_check_sum_coloring_flags_a_non_cancellative_add(add):
+    # a stub "ring" whose add is not cancellative: edges at a shared vertex
+    # can get the same color, which only a computed check notices
+    _, _, graph = realize("Z6")
+    stub = types.SimpleNamespace(size=graph.vertex_count, add=add)
+    coloring = wnc.sum_edge_coloring(stub, graph)
+    assert not wnc.verify_proper_edge_coloring(graph, coloring)
+    assert wnc.check_sum_coloring(stub, graph) == (
+        False, mask_of(coloring.values()))
+
+
+def test_check_sum_coloring_rejects_a_mismatched_ring():
+    _, _, graph = realize("Z6")
+    with pytest.raises(ValueError):
+        wnc.check_sum_coloring(wnc.make_zn(7), graph)
+
+
+@pytest.mark.parametrize("m", range(2, 65))
+def test_round_robin_colors_k_m_optimally(m):
+    complete = wnc.make_graph(itertools.combinations(range(m), 2), m)
+    coloring = round_robin_coloring(list(range(m)))
+    assert wnc.verify_proper_edge_coloring(complete, coloring)
+    assert len(set(coloring.values())) == (m - 1 if m % 2 == 0 else m)
 
 
 def test_verify_rejects_bad_colorings():
@@ -111,6 +151,19 @@ def test_malformed_hints_are_ignored():
 
 def test_chromatic_index_empty_graph():
     assert wnc.chromatic_index_exact(wnc.make_graph([], 4)) == 0
+
+
+def test_complete_components_and_counting_bound_need_no_search():
+    # K_3 next to K_4: delta = 3 and K_3 needs 3 colors, so class 1; with
+    # budget 0 any search would have answered UNKNOWN
+    k3_k4 = wnc.make_graph([(0, 1), (1, 2), (0, 2)]
+                           + list(itertools.combinations(range(3, 7), 2)), 7)
+    assert wnc.chromatic_index_exact(k3_k4, budget=0) == 3
+    # K_5 minus one edge: 9 edges > delta * floor(5/2) = 8, refuted
+    # without a search
+    k5e = wnc.make_graph([e for e in itertools.combinations(range(5), 2)
+                          if e != (0, 1)], 5)
+    assert wnc.chromatic_index_exact(k5e, budget=0) == 5
 
 
 def test_search_handles_disconnected_mixed_components():

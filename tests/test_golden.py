@@ -1,0 +1,65 @@
+"""Byte-for-byte pins on the CLI's canonical outputs.
+
+Each `report --json` output, with its `wall_time_seconds` field cut out of
+the raw text, and the `batch` CSV are hashed and compared with the digests
+in `golden_outputs.json`. A change that is meant to alter output must
+re-record them:
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import pathlib
+import re
+
+import pytest
+
+from wnc.cli import main
+
+from corpus import ACCEPTANCE_CORPUS
+
+GOLDEN = pathlib.Path(__file__).with_name("golden_outputs.json")
+
+REPORT_EXPRS = ACCEPTANCE_CORPUS + ("Z12/nil", "(Z4 x Z9)/nil", "Z4 x Z9",
+                                    "Z2 x Z7")
+# Z_2p with p >= 5 prime: the rings whose reports run the 4-clique census
+FOUR_CLIQUE_EXPRS = ("Z10", "Z14", "Z22", "Z26", "Z34")
+
+COMMANDS = (
+    [("report", e, "--json") for e in REPORT_EXPRS]
+    + [("report", e, "--json", "--four-cliques") for e in FOUR_CLIQUE_EXPRS]
+    + [("batch", "--zn", "2..60")]
+)
+
+_WALL_TIME = re.compile(r', "wall_time_seconds": [0-9.e-]+')
+
+
+def _digest(argv) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(list(argv)) == 0
+    text = out.getvalue()
+    if argv[0] == "report":
+        text, cut = _WALL_TIME.subn("", text)
+        assert cut == 1
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize("argv", COMMANDS, ids=" ".join)
+def test_output_matches_golden_digest(argv):
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    assert _digest(argv) == golden[" ".join(argv)]
+
+
+def test_golden_file_covers_exactly_the_commands():
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    assert sorted(golden) == sorted(" ".join(a) for a in COMMANDS)
+
+
+if __name__ == "__main__":
+    digests = {" ".join(argv): _digest(argv) for argv in COMMANDS}
+    GOLDEN.write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n",
+                      encoding="utf-8")

@@ -1,6 +1,11 @@
 """Graph construction: edge law, degrees, neighborhoods, subgraph and
 lifting facts."""
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
 import wnc
@@ -136,3 +141,24 @@ def test_build_graph_rejects_mismatched_classification():
     other = wnc.make_zn(12)
     with pytest.raises(ValueError):
         wnc.build_wnc_graph(other, cls)
+
+
+def test_degree_mismatch_raises_under_python_O():
+    # `python -O` strips asserts, so the degree-lemma cross-check must raise
+    # explicitly; corrupt one row of a ring-built graph and ask for it
+    script = (
+        "import wnc\n"
+        "ring = wnc.make_zn(10)\n"
+        "graph = wnc.build_wnc_graph(ring, wnc.weakly_nil_clean_set(ring))\n"
+        "graph.adjacency[3] &= ~(graph.adjacency[3] & -graph.adjacency[3])\n"
+        "try:\n"
+        "    wnc.degree(graph, 3)\n"
+        "except ValueError as exc:\n"
+        "    print(exc)\n"
+    )
+    src = str(pathlib.Path(wnc.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-O", "-c", script],
+                          env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "degree 4 of vertex 3 contradicts prediction 5\n"
