@@ -47,23 +47,23 @@ def idempotents(ring: FiniteRing) -> int:
 def nilpotents(ring: FiniteRing) -> int:
     """Bitset of elements with x^m = 0 for some m >= 1.
 
-    Powers are iterated with cycle detection; |R| steps always suffice in
-    a finite ring.
+    A nilpotent x has distinct nonzero powers x, ..., x^(m-1) before
+    x^m = 0, so its index m is at most |R|. Hence x is nilpotent iff
+    x^(2^c) = 0 with c = ceil(log2 |R|), and c squarings compute that
+    power: c multiplications per element instead of up to |R|. Powers of
+    one element commute, so this holds in noncommutative rings too.
     """
-    mask = 1 << ring.zero
+    zero = ring.zero
+    squarings = (ring.size - 1).bit_length()
+    mask = 0
     for x in range(ring.size):
-        if x == ring.zero:
-            continue
-        seen = set()
         y = x
-        for _ in range(ring.size):
-            if y == ring.zero:
-                mask |= 1 << x
+        for _ in range(squarings):
+            if y == zero:
                 break
-            if y in seen:
-                break
-            seen.add(y)
-            y = ring.mul(y, x)
+            y = ring.mul(y, y)
+        if y == zero:
+            mask |= 1 << x
     return mask
 
 

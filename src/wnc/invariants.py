@@ -12,7 +12,7 @@ import sys
 from collections import deque
 from enum import Enum
 
-from .bitsets import iter_bits
+from .bitsets import iter_bits, mask_of
 from .graph import WncGraph, neighborhood
 from .rings import FiniteRing, Zn, is_prime
 
@@ -90,16 +90,64 @@ def bfs_distances(graph: WncGraph, source: int) -> list[int]:
 
 
 def diameter(graph: WncGraph):
-    """Max pairwise distance; INFINITE when the graph is disconnected."""
+    """Max pairwise distance; INFINITE when the graph is disconnected.
+
+    A graph built from a ring is the sum graph x ~ y iff x != y and
+    x + y in S. With a loop at x wherever 2x is in S, which never shortens
+    a walk, an even walk from x moves it by a sum of differences from
+    D = S - S and an odd one lands on s - x minus such a sum. One BFS from 0
+    over (vertex, walk parity) therefore gives L(d), the least number of
+    differences summing to d, at even levels and M(z), the least m with
+    z in S + m*D, at odd levels, and
+
+        dist(x, y) = min(2 L(y - x), 2 M(x + y) + 1).
+
+    For y - x = d != 0, x + y runs over the coset d + 2R, so the diameter
+    is the max over d != 0 of min(2 L(d), 2 max(M on d + 2R) + 1).
+    Synthetic graphs take one BFS per vertex.
+    """
     n = graph.vertex_count
-    full = (1 << n) - 1
-    best = 0
-    for v in range(n):
-        levels, reached = _bfs_levels(graph.adjacency, v, full)
-        if reached != full:
-            return INFINITE
-        best = max(best, len(levels) - 1)
-    return best
+    ring, clean = graph.ring, graph.clean_set
+    if ring is None or clean is None:
+        full = (1 << n) - 1
+        best = 0
+        for v in range(n):
+            levels, reached = _bfs_levels(graph.adjacency, v, full)
+            if reached != full:
+                return INFINITE
+            best = max(best, len(levels) - 1)
+        return best
+    doubles = [ring.add(x, x) for x in range(n)]
+    loops = mask_of(x for x, t in enumerate(doubles) if clean >> t & 1)
+    # BFS over (vertex, walk parity): each level holds one parity, and a
+    # vertex is new at a level when no walk of that parity reached it yet
+    unreached = 2 * n  # longer than any walk the BFS finds
+    walks = ([unreached] * n, [unreached] * n)  # 2 L(d) and 2 M(z) + 1
+    seen = [0, 0]
+    frontier = 1 << ring.zero
+    length = 0
+    while frontier:
+        parity = length & 1
+        seen[parity] |= frontier
+        nxt = frontier & loops
+        for v in iter_bits(frontier):
+            walks[parity][v] = length
+            nxt |= graph.adjacency[v]
+        length += 1
+        frontier = nxt & ~seen[length & 1]
+    even, odd = walks
+    # the worst odd walk over each coset of 2R; labelling every coset once
+    # touches each element once
+    two_r = set(doubles)
+    worst_odd = [-1] * n
+    for d in range(n):
+        if worst_odd[d] < 0:
+            coset = [ring.add(d, t) for t in two_r]
+            worst = max(odd[z] for z in coset)
+            for z in coset:
+                worst_odd[z] = worst
+    best = max(min(even[d], worst_odd[d]) for d in range(n) if d != ring.zero)
+    return INFINITE if best >= unreached else best
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,9 @@ spec always yields identical tables and names.
 
 Supported constructions: Z_n, GF(p^k) via the least monic irreducible
 polynomial, direct products, k x k matrix rings over a commutative base,
-and quotients by the nilradical.
+and quotients by the nilradical. GF(p^k) for k >= 2 computes through
+exp/log tables of O(p^k) entries, which are already one lookup per
+operation, so fields of any size skip the full operation tables.
 """
 
 from __future__ import annotations
@@ -95,12 +97,14 @@ class FiniteRing:
 
     Immutable after construction: `add`, `mul`, `neg` are total pure
     functions on the carrier, safe for any number of concurrent readers.
+    Up to TABLE_CAP elements they are replaced by lookups in full tables,
+    unless `tabulate` is False because they are table lookups already.
     """
 
     def __init__(self, size: int, zero: int, one: int,
                  add: Callable[[int, int], int], mul: Callable[[int, int], int],
                  neg: Callable[[int], int], names, is_commutative: bool,
-                 spec: RingSpec):
+                 spec: RingSpec, tabulate: bool = True):
         if size < 2:
             raise InvalidSpecError("a ring with non zero identity needs size >= 2")
         if zero == one:
@@ -116,7 +120,7 @@ class FiniteRing:
         self.add = add
         self.mul = mul
         self.neg = neg
-        if size <= TABLE_CAP:
+        if tabulate and size <= TABLE_CAP:
             add_t, mul_t, neg_t = operation_tables(self)
             self.add = lambda a, b: add_t[a][b]
             self.mul = lambda a, b: mul_t[a][b]
@@ -290,7 +294,9 @@ def make_gf(p: int, k: int, cap: int = DEFAULT_CAP) -> FiniteRing:
     polynomials of degree < k over Z_p reduced modulo the least monic
     irreducible of degree k, named in the generator symbol "a" ("2a+3").
     Element i has base-p digits of i as coefficients, constant term least
-    significant.
+    significant. Arithmetic runs on exp/log tables of the least primitive
+    element g (Lidl-Niederreiter, Finite Fields, section 9): mul and neg add
+    logarithms, and add uses the Zech logarithms log(1 + g^m).
     """
     if not is_prime(p):
         raise InvalidSpecError(f"GF base {p} is not prime")
@@ -303,7 +309,9 @@ def make_gf(p: int, k: int, cap: int = DEFAULT_CAP) -> FiniteRing:
         return _integers_mod(p, GF(p, 1))
 
     modulus = find_least_irreducible(p, k)
-    mod_coeffs = modulus.coeffs
+    low = modulus.coeffs[:k]  # x^k = -(low) modulo the modulus
+    place = [p ** i for i in range(k)]
+    order = size - 1  # of the multiplicative group, which is cyclic
 
     def decode(e):
         digits = []
@@ -312,33 +320,68 @@ def make_gf(p: int, k: int, cap: int = DEFAULT_CAP) -> FiniteRing:
             digits.append(r)
         return digits  # digits[i] = coefficient of x^i
 
-    def encode(digits):
-        e = 0
-        for d in reversed(digits):
-            e = e * p + d
-        return e
+    def times(a, b):
+        # product of two digit vectors: sum of a_i * (b * x^i), reduced
+        acc = [0] * k
+        for c in a:
+            if c:
+                acc = [(s + c * t) % p for s, t in zip(acc, b)]
+            top = b[-1]
+            b = [0] + b[:-1]
+            if top:
+                b = [(t - top * m) % p for t, m in zip(b, low)]
+        return acc
+
+    # exp[i] = g^i for the least primitive element g: the first candidate
+    # whose powers run through all `order` nonzero elements before 1 recurs
+    one = decode(1)
+    for g in range(2, size):
+        generator = decode(g)
+        exp = []
+        power = one
+        while True:
+            exp.append(sum(d * v for d, v in zip(power, place)))
+            power = times(generator, power)
+            if power == one:
+                break
+        if len(exp) == order:
+            break
+    log = [0] * size
+    for i, e in enumerate(exp):
+        log[e] = i
+    # zero's log lies beyond every sum of two true logs, and exp reads 0
+    # there, so mul and neg need no zero test
+    log[0] = 2 * order
+    exp = exp * 2 + [0] * (2 * order + 1)
+    minus_one = log[p - 1]
+
+    def plus_one(e):
+        return e - (p - 1) if e % p == p - 1 else e + 1  # the constant digit
+
+    # Zech logarithms: zech[m] = log(1 + g^m), which is log[0] when
+    # g^m = -1, so that the sum below reads 0
+    zech = [log[plus_one(e)] for e in exp[:order]]
 
     def add(a, b):
-        da, db = decode(a), decode(b)
-        return encode([(x + y) % p for x, y in zip(da, db)])
-
-    def neg(a):
-        return encode([(-x) % p for x in decode(a)])
+        # g^i + g^j = g^i * (1 + g^(j-i)); a negative j - i indexes zech
+        # from its end, which is j - i modulo the order
+        if a == 0:
+            return b
+        if b == 0:
+            return a
+        la = log[a]
+        return exp[la + zech[log[b] - la]]
 
     def mul(a, b):
-        da, db = decode(a), decode(b)
-        prod = [0] * (2 * k - 1)
-        for i, x in enumerate(da):
-            if x:
-                for j, y in enumerate(db):
-                    prod[i + j] = (prod[i + j] + x * y) % p
-        rem = _poly_rem(prod, mod_coeffs, p)
-        rem += [0] * (k - len(rem))
-        return encode(rem)
+        return exp[log[a] + log[b]]
+
+    def neg(a):
+        return exp[log[a] + minus_one]
 
     names = [_poly_str(decode(e), "a") for e in range(size)]
     return FiniteRing(size=size, zero=0, one=1, add=add, mul=mul, neg=neg,
-                      names=names, is_commutative=True, spec=GF(p, k))
+                      names=names, is_commutative=True, spec=GF(p, k),
+                      tabulate=False)
 
 
 # ---------------------------------------------------------------------------
@@ -391,12 +434,18 @@ def make_matrix_ring(k: int, base: FiniteRing, cap: int = DEFAULT_CAP) -> Finite
         raise InvalidSpecError("matrix ring needs k >= 1")
     if not base.is_commutative:
         raise InvalidSpecError("matrix rings are built over commutative bases only")
-    size = base.size ** (k * k)
-    if size > cap:
-        raise InvalidSpecError(
-            f"M_{k} over a size-{base.size} ring has {size} elements, over cap {cap}")
     bs = base.size
     cells = k * k
+    # grow the size one cell at a time, so a huge k stops as soon as the
+    # product passes the cap instead of computing bs ** cells
+    size = 1
+    for _ in range(cells):
+        size *= bs
+        if size > cap:
+            # the exact size is named while it is short to print
+            count = bs ** cells if cells <= 64 else f"{bs}^{cells}"
+            raise InvalidSpecError(
+                f"M_{k} over a size-{bs} ring has {count} elements, over cap {cap}")
 
     def decode(e):
         entries = []
@@ -452,20 +501,22 @@ def make_matrix_ring(k: int, base: FiniteRing, cap: int = DEFAULT_CAP) -> Finite
 # Nilradical quotient
 
 
-def nilradical_quotient(ring: FiniteRing):
+def nilradical_quotient(ring: FiniteRing, nil: int | None = None):
     """Quotient R/Nil(R) for commutative R.
 
     Returns (quotient ring, projection) where projection[x] is the quotient
     element id of x's coset. Coset representatives are the least element id
     in each coset; the representative order is ascending, so the projection
-    of zero's coset is the quotient's zero.
+    of zero's coset is the quotient's zero. `nil` is the bitset of R's
+    nilpotents when the caller has already computed it; by default it is
+    computed here.
     """
     if not ring.is_commutative:
         raise UnsupportedOperationError(
             "nilradical quotient needs a commutative ring (Nil(R) must be an ideal)")
-    from .classify import nilpotents  # deferred: classify imports this module
-
-    nil = nilpotents(ring)
+    if nil is None:
+        from .classify import nilpotents  # deferred: classify imports this module
+        nil = nilpotents(ring)
     n = ring.size
     rep = [-1] * n
     reps = []

@@ -170,7 +170,11 @@ def _check_subgraph(a: _Analysis) -> bool:
 
 
 def _check_quotient_lifting(a: _Analysis) -> bool:
-    quotient, projection = nilradical_quotient(a.ring)
+    if a.cls.nil == 1 << a.ring.zero:
+        # Nil(R) = 0: every coset is one element and the projection is the
+        # identity, so the quotient's graph is R's own and lifting holds
+        return True
+    quotient, projection = nilradical_quotient(a.ring, a.cls.nil)
     q_cls = weakly_nil_clean_set(quotient)
     q_graph = build_wnc_graph(quotient, q_cls)
     cosets: dict[int, list[int]] = {}

@@ -3,13 +3,18 @@
 Each function recomputes a quantity from first principles by a different
 route than the library takes (per-element membership search instead of
 set sums, double-loop edge tests instead of shifted bitsets, Floyd-style
-distances instead of BFS, subset enumeration instead of branch and bound),
-so agreement between the two is meaningful evidence of correctness.
+distances and per-vertex BFS instead of the sum-graph distance formula,
+subset enumeration instead of branch and bound, polynomial arithmetic
+instead of exp/log tables), so agreement between the two is meaningful
+evidence of correctness.
 """
 
 import itertools
+from collections import deque
 
 import numpy as np
+
+import wnc
 
 
 def naive_nilpotent(ring, x) -> bool:
@@ -91,6 +96,72 @@ def floyd_diameter(graph):
                 return None
             best = max(best, dist[i][j])
     return best
+
+
+def bfs_diameter(graph):
+    """Max eccentricity by one queue BFS per vertex, or None when some pair
+    is unreachable."""
+    n = graph.vertex_count
+    best = 0
+    for source in range(n):
+        dist = {source: 0}
+        queue = deque([source])
+        while queue:
+            x = queue.popleft()
+            for y in range(n):
+                if graph.adjacency[x] >> y & 1 and y not in dist:
+                    dist[y] = dist[x] + 1
+                    queue.append(y)
+        if len(dist) < n:
+            return None
+        best = max(best, max(dist.values()))
+    return best
+
+
+def gf_digits(p, k, ids):
+    """Base-p digits of an array of GF(p^k) element ids, constant first."""
+    return (np.asarray(ids)[:, None] // p ** np.arange(k)) % p
+
+
+def gf_encode(p, k, digits):
+    return (digits % p * p ** np.arange(k)).sum(axis=1)
+
+
+def gf_poly_mul(p, k, a, b):
+    """Products of the element-id arrays a and b in GF(p^k) by polynomial
+    arithmetic: decode the digits, multiply, and reduce modulo the least
+    monic irreducible of degree k."""
+    modulus = np.array(wnc.find_least_irreducible(p, k).coeffs)
+    da, db = gf_digits(p, k, a), gf_digits(p, k, b)
+    prod = np.zeros((len(da), 2 * k - 1), dtype=np.int64)
+    for i in range(k):
+        prod[:, i:i + k] += da[:, i:i + 1] * db
+    for i in range(2 * k - 2, k - 1, -1):
+        # c x^i = c x^(i-k) (x^k - modulus) modulo the modulus
+        prod[:, i - k:i + 1] -= (prod[:, i] % p)[:, None] * modulus
+    return gf_encode(p, k, prod[:, :k])
+
+
+def gf_poly_add(p, k, a, b):
+    return gf_encode(p, k, gf_digits(p, k, a) + gf_digits(p, k, b))
+
+
+def gf_poly_neg(p, k, a):
+    return gf_encode(p, k, -gf_digits(p, k, a))
+
+
+def gf_poly_name(p, k, e) -> str:
+    """An element's name as a polynomial in "a", highest degree first."""
+    digits = gf_digits(p, k, [e])[0]
+    terms = []
+    for i in reversed(range(k)):
+        c = int(digits[i])
+        if c == 0:
+            continue
+        coeff = "" if c == 1 and i > 0 else str(c)
+        power = "" if i == 0 else "a" if i == 1 else f"a^{i}"
+        terms.append(coeff + power)
+    return "+".join(terms) or "0"
 
 
 def is_clique(graph, vertices) -> bool:

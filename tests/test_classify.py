@@ -6,7 +6,7 @@ import wnc
 from wnc.bitsets import bit_list, mask_of
 
 from corpus import ACCEPTANCE_CORPUS, SMALL_CORPUS, realize
-from oracles import naive_nc_members, naive_wnc_members
+from oracles import naive_nc_members, naive_nilpotent, naive_wnc_members
 
 
 def test_idempotents_examples():
@@ -20,6 +20,16 @@ def test_nilpotents_examples():
     assert bit_list(wnc.nilpotents(wnc.make_zn(10))) == [0]
     for p, k in [(2, 2), (3, 2), (5, 2), (3, 3)]:
         assert bit_list(wnc.nilpotents(wnc.make_gf(p, k))) == [0]
+
+
+# M2(Z4) is noncommutative; Z256, Z243 and Z625 hold elements of
+# nilpotency index 8, 5 and 4
+@pytest.mark.parametrize("expr", ACCEPTANCE_CORPUS + ("M2(Z4)", "Z256", "Z243",
+                                                      "Z625"))
+def test_nilpotents_match_power_walk(expr):
+    ring = wnc.build_ring(wnc.parse_ring_expr(expr))
+    expected = mask_of(x for x in range(ring.size) if naive_nilpotent(ring, x))
+    assert wnc.nilpotents(ring) == expected
 
 
 def test_wnc_gf25_matches_worked_example():

@@ -23,8 +23,11 @@ from corpus import ACCEPTANCE_CORPUS
 
 GOLDEN = pathlib.Path(__file__).with_name("golden_outputs.json")
 
-REPORT_EXPRS = ACCEPTANCE_CORPUS + ("Z12/nil", "(Z4 x Z9)/nil", "Z4 x Z9",
-                                    "Z2 x Z7")
+REPORT_EXPRS = ACCEPTANCE_CORPUS + (
+    "Z12/nil", "(Z4 x Z9)/nil", "Z4 x Z9", "Z2 x Z7",
+    # large rings with a small weakly nil clean set
+    "GF(256)", "GF(343)", "GF(512)", "GF(729)", "Z1009", "Z1042",
+    "Z2 x Z521", "Z4093")
 # Z_2p with p >= 5 prime: the rings whose reports run the 4-clique census
 FOUR_CLIQUE_EXPRS = ("Z10", "Z14", "Z22", "Z26", "Z34")
 

@@ -8,8 +8,9 @@ import pytest
 import wnc
 
 from corpus import ACCEPTANCE_CORPUS, SMALL_CORPUS, realize
-from oracles import (cycle_is_valid, exists_clique_of_size, floyd_diameter,
-                     floyd_distances, has_square, has_triangle, is_clique)
+from oracles import (bfs_diameter, cycle_is_valid, exists_clique_of_size,
+                     floyd_diameter, floyd_distances, has_square, has_triangle,
+                     is_clique)
 
 
 def _component_sizes(graph):
@@ -51,6 +52,25 @@ def test_diameter_agrees_with_floyd(expr):
         assert got is wnc.INFINITE
     else:
         assert got == expected
+
+
+# char-2 fields, a product with one, a ring whose 2R is not all of R, the
+# noncommutative rings, and a quotient
+DIAMETER_EXPRS = ACCEPTANCE_CORPUS + (
+    "GF(8)", "GF(16)", "GF(32)", "GF(64)", "Z2 x GF(4)", "Z4 x Z9",
+    "M2(Z3)", "Z12/nil")
+
+
+@pytest.mark.parametrize("expr", DIAMETER_EXPRS)
+def test_diameter_agrees_with_per_vertex_bfs(expr):
+    ring, cls, graph = realize(expr)
+    for g in (graph, wnc.build_nc_graph(ring, cls)):
+        expected = bfs_diameter(g)
+        got = wnc.diameter(g)
+        if expected is None:
+            assert got is wnc.INFINITE, g.kind
+        else:
+            assert got == expected, g.kind
 
 
 def test_bfs_distances_match_floyd_rowwise():

@@ -1,12 +1,17 @@
 """Ring construction: Z_n, GF(p^k), products, matrix rings, quotients."""
 
+import functools
+
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import wnc
 from wnc.errors import InvalidSpecError, UnsupportedOperationError
 
 from corpus import realize
-from oracles import ring_axiom_violations, rings_isomorphic
+from oracles import (gf_poly_add, gf_poly_mul, gf_poly_name, gf_poly_neg,
+                     ring_axiom_violations, rings_isomorphic)
 
 
 def test_make_zn_examples():
@@ -123,6 +128,46 @@ def test_product_z2_z2_all_idempotent():
     assert all(prod.mul(x, x) == x for x in range(prod.size))
 
 
+# every p^k <= 729 with k >= 2
+GF_ORDERS = sorted((p, k) for p in (2, 3, 5, 7, 11, 13, 17, 19, 23)
+                   for k in range(2, 10) if p ** k <= 729)
+SMALL_GF = [pk for pk in GF_ORDERS if pk[0] ** pk[1] <= 256]
+LARGE_GF = [pk for pk in GF_ORDERS if pk[0] ** pk[1] > 256]
+gf_field = functools.lru_cache(maxsize=None)(wnc.make_gf)  # fields are immutable
+
+
+@pytest.mark.parametrize("p,k", GF_ORDERS)
+def test_gf_neg_and_names_match_polynomials(p, k):
+    field = gf_field(p, k)
+    q = p ** k
+    ids = np.arange(q)
+    assert [field.neg(a) for a in range(q)] == gf_poly_neg(p, k, ids).tolist()
+    assert field.names() == tuple(gf_poly_name(p, k, e) for e in range(q))
+
+
+@pytest.mark.parametrize("p,k", SMALL_GF)
+def test_gf_arithmetic_matches_polynomials_on_all_pairs(p, k):
+    field = gf_field(p, k)
+    q = p ** k
+    a = np.repeat(np.arange(q), q)
+    b = np.tile(np.arange(q), q)
+    pairs = list(zip(a.tolist(), b.tolist()))
+    assert [field.mul(x, y) for x, y in pairs] == gf_poly_mul(p, k, a, b).tolist()
+    assert [field.add(x, y) for x, y in pairs] == gf_poly_add(p, k, a, b).tolist()
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_gf_arithmetic_matches_polynomials_on_sampled_pairs(data):
+    p, k = data.draw(st.sampled_from(LARGE_GF))
+    field = gf_field(p, k)
+    ids = st.integers(0, p ** k - 1)
+    pairs = data.draw(st.lists(st.tuples(ids, ids), min_size=1, max_size=40))
+    a, b = np.array(pairs).T
+    assert [field.mul(x, y) for x, y in pairs] == gf_poly_mul(p, k, a, b).tolist()
+    assert [field.add(x, y) for x, y in pairs] == gf_poly_add(p, k, a, b).tolist()
+
+
 def test_product_cap_boundary():
     z64 = wnc.make_zn(64)
     assert wnc.make_product(z64, z64).size == 4096  # exactly at the cap
@@ -143,6 +188,16 @@ def test_matrix_ring_m2_z2():
 
 def test_matrix_ring_m2_z4_size():
     assert wnc.make_matrix_ring(2, wnc.make_zn(4)).size == 256
+
+
+def test_matrix_ring_cap_checked_before_exponentiation():
+    with pytest.raises(InvalidSpecError, match=r"^M_3 over a size-3 ring has "
+                       r"19683 elements, over cap 4096$"):
+        wnc.make_matrix_ring(3, wnc.make_zn(3))
+    # 2^(99999^2) is never computed
+    with pytest.raises(InvalidSpecError, match=r"^M_99999 over a size-2 ring "
+                       r"has 2\^9999800001 elements, over cap 4096$"):
+        wnc.make_matrix_ring(99999, wnc.make_zn(2))
 
 
 def test_matrix_ring_requires_commutative_base():
@@ -177,6 +232,14 @@ def test_nilradical_quotient_rejects_noncommutative():
     ring = wnc.make_matrix_ring(2, wnc.make_zn(2))
     with pytest.raises(UnsupportedOperationError):
         wnc.nilradical_quotient(ring)
+
+
+def test_nilradical_quotient_takes_the_computed_nil_mask():
+    ring = wnc.make_zn(12)
+    nil = wnc.nilpotents(ring)
+    quotient, projection = wnc.nilradical_quotient(ring, nil)
+    assert projection == wnc.nilradical_quotient(ring)[1]
+    assert quotient.names() == ("0", "1", "2", "3", "4", "5")
 
 
 def test_quotient_never_has_nonzero_nilpotents():
@@ -214,6 +277,18 @@ def test_large_ring_skips_tables_but_agrees():
     assert big.add(299, 2) == 1
     assert big.mul(25, 12) == 0
     assert big.neg(1) == 299
+
+
+def test_fields_keep_exp_log_arithmetic_below_the_table_cap():
+    # exp/log lookups are already O(1), so GF(p^k) skips the n^2 tables;
+    # Z_n and rings built over a field are still tabulated up to the cap
+    tabulated = "FiniteRing.__init__.<locals>.<lambda>"
+    for q in (4, 256):
+        field = wnc.build_ring(wnc.parse_ring_expr(f"GF({q})"))
+        assert field.add.__qualname__ == "make_gf.<locals>.add"
+        assert field.mul.__qualname__ == "make_gf.<locals>.mul"
+    assert wnc.make_zn(256).mul.__qualname__ == tabulated
+    assert wnc.build_ring(wnc.parse_ring_expr("M2(GF(4))")).mul.__qualname__ == tabulated
 
 
 def test_build_ring_respects_cap():

@@ -3,6 +3,7 @@
 import pytest
 
 import wnc
+from wnc import theorems
 from wnc.theorems import AGREE, DISAGREE, NOT_APPLICABLE, THEOREM_IDS
 
 from corpus import ACCEPTANCE_CORPUS, realize
@@ -73,6 +74,21 @@ def test_connectedness_applicability():
 
 def test_noncommutative_skips_quotient_lifting():
     assert suite_for("M2(Z2)")["quotient-lifting"].status == NOT_APPLICABLE
+
+
+def test_quotient_lifting_reuses_the_nil_mask(monkeypatch):
+    calls = []
+    real = theorems.nilradical_quotient
+
+    def spy(ring, nil=None):
+        calls.append((ring.size, nil))
+        return real(ring, nil)
+
+    monkeypatch.setattr(theorems, "nilradical_quotient", spy)
+    # reduced rings build no quotient; Z12 gets the nil mask it already has
+    for expr in ("Z10", "GF(25)", "Z3 x Z3", "Z12"):
+        assert suite_for(expr)["quotient-lifting"].status == AGREE
+    assert calls == [(12, realize("Z12")[1].nil)]
 
 
 def test_product_diameter_hypothesis():
