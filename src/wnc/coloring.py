@@ -1,6 +1,10 @@
 """Edge coloring: the additive sum coloring, properness checking, and the
 exact chromatic index.
 
+The sum coloring colors the edge {x, y} by x + y. One pass over the rows
+gives each vertex's sum set sums(x) = {x + y : y ~ x}, the colors at x,
+and the coloring is proper iff |sums(x)| = deg(x) at every x.
+
 The chromatic index of a simple graph is Delta or Delta + 1 (Vizing), so
 exactness reduces to deciding Delta-edge-colorability. The decision runs
 per component. Textbook facts settle the easy cases: a component with
@@ -35,25 +39,32 @@ def sum_edge_coloring(ring: FiniteRing, graph: WncGraph) -> dict[tuple[int, int]
     return {(u, v): ring.add(u, v) for u, v in edges(graph)}
 
 
-def check_sum_coloring(ring: FiniteRing, graph: WncGraph) -> tuple[bool, int]:
-    """(proper, colors) for the sum coloring, in one pass per vertex.
-
-    The colors u + v of the edges at u are ORed into a bitset; they are
-    distinct iff its popcount equals deg(u). `proper` is computed, not
-    inferred from cancellation, and `colors` is the bitset of every color
-    used.
-    """
+def sum_sets(ring: FiniteRing, graph: WncGraph):
+    """Yield (x, deg(x), sums(x)) for every vertex x, in one pass over the
+    rows, where sums(x) is the bitset of x + y over the neighbors y of x:
+    the colors the sum coloring uses at x."""
     if graph.vertex_count != ring.size:
         raise ValueError("graph does not match the ring")
     add = ring.add
+    for x, row in enumerate(graph.adjacency):
+        sums = 0
+        for y in iter_bits(row):
+            sums |= 1 << add(x, y)
+        yield x, row.bit_count(), sums
+
+
+def check_sum_coloring(ring: FiniteRing, graph: WncGraph) -> tuple[bool, int]:
+    """(proper, colors) for the sum coloring, folded over `sum_sets`.
+
+    The colors at x are distinct iff |sums(x)| = deg(x). `proper` is
+    computed, not inferred from cancellation, and `colors` is the bitset of
+    every color used.
+    """
     proper = True
     colors = 0
-    for u, row in enumerate(graph.adjacency):
-        used = 0
-        for v in iter_bits(row):
-            used |= 1 << add(u, v)
-        proper = proper and used.bit_count() == row.bit_count()
-        colors |= used
+    for _, degree, sums in sum_sets(ring, graph):
+        proper = proper and sums.bit_count() == degree
+        colors |= sums
     return proper, colors
 
 

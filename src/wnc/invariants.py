@@ -8,7 +8,6 @@ never a large integer stand-in.
 
 from __future__ import annotations
 
-import sys
 from collections import deque
 from enum import Enum
 
@@ -292,87 +291,62 @@ def _greedy_clique_size(adj, cand):
     return size
 
 
-def _clique_number(adj, start_cand):
-    best = _greedy_clique_size(adj, start_cand)  # a real clique: safe seed
-
-    def expand(cand, size):
-        nonlocal best
-        if not cand:
-            if size > best:
-                best = size
-            return
-        order, colors = _greedy_color_order(adj, cand)
-        for i in range(len(order) - 1, -1, -1):
-            if size + colors[i] <= best:
-                return
-            v = order[i]
-            bit = 1 << v
-            cand &= ~bit
-            expand(cand & adj[v], size + 1)
-
-    expand(start_cand, 0)
+def _clique_search(adj, cand, floor, goal):
+    """The size of the largest clique in cand if it exceeds floor, else
+    floor, stopping as soon as it reaches goal. Branch and bound on an
+    explicit stack: a frame holds a greedily colored candidate set, tried
+    from its last colored vertex, and is dropped once its size plus that
+    vertex's color cannot beat the best size."""
+    if cand.bit_count() <= floor:
+        return floor
+    best = max(floor, _greedy_clique_size(adj, cand))  # a real clique
+    if best >= goal:
+        return best
+    stack = [(cand, 0, *_greedy_color_order(adj, cand))]
+    while stack:
+        cand, size, order, colors = stack[-1]
+        if not order or size + colors[-1] <= best:
+            stack.pop()
+            continue
+        colors.pop()
+        v = order.pop()
+        cand &= ~(1 << v)
+        stack[-1] = (cand, size, order, colors)
+        sub = cand & adj[v]
+        if sub:
+            stack.append((sub, size + 1, *_greedy_color_order(adj, sub)))
+        elif size + 1 > best:
+            best = size + 1
+            if best >= goal:
+                break
     return best
-
-
-def _exists_clique(adj, cand, need):
-    """Decision version: does cand contain a clique of `need` vertices?"""
-    if need <= 0:
-        return True
-    if cand.bit_count() < need:
-        return False
-    if _greedy_clique_size(adj, cand) >= need:
-        return True
-    found = False
-
-    def expand(cand, size):
-        nonlocal found
-        if found:
-            return
-        if size >= need:
-            found = True
-            return
-        order, colors = _greedy_color_order(adj, cand)
-        for i in range(len(order) - 1, -1, -1):
-            if found or size + colors[i] < need:
-                return
-            v = order[i]
-            bit = 1 << v
-            cand &= ~bit
-            expand(cand & adj[v], size + 1)
-
-    expand(cand, 0)
-    return found
 
 
 def max_clique(graph: WncGraph):
     """Exact maximum clique: (sorted vertex tuple, clique number).
 
-    Branch and bound over bitset adjacency with a greedy-coloring bound;
-    the witness returned is the lexicographically least maximum clique,
-    rebuilt greedily once the clique number is known.
+    One iterative branch and bound over bitset adjacency with a
+    greedy-coloring bound (after San Segundo et al.'s BBMC) gives the clique
+    number, and the same search rebuilds the lexicographically least
+    maximum clique vertex by vertex. It changes no global state, not even
+    the recursion limit.
     """
     n = graph.vertex_count
     adj = graph.adjacency
     if n == 0:
         return (), 0
-    old_limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old_limit, n + 1000))
-    try:
-        full = (1 << n) - 1
-        omega = _clique_number(adj, full)
-        clique = []
-        cand = full
-        for remaining in range(omega, 0, -1):
-            for v in iter_bits(cand):
-                above = cand & adj[v] & -(1 << (v + 1))
-                if _exists_clique(adj, above, remaining - 1):
-                    clique.append(v)
-                    cand = above
-                    break
-            else:
-                raise AssertionError("clique reconstruction lost the optimum")
-    finally:
-        sys.setrecursionlimit(old_limit)
+    cand = (1 << n) - 1
+    omega = _clique_search(adj, cand, 0, n)
+    clique = []
+    for remaining in range(omega - 1, -1, -1):
+        for v in iter_bits(cand):
+            above = cand & adj[v] & -(1 << (v + 1))
+            if _clique_search(adj, above, remaining - 1, remaining) >= remaining:
+                clique.append(v)
+                cand = above
+                break
+        else:
+            raise AssertionError("clique reconstruction lost the optimum")
     return tuple(clique), omega
 
 

@@ -99,6 +99,8 @@ class FiniteRing:
     functions on the carrier, safe for any number of concurrent readers.
     Up to TABLE_CAP elements they are replaced by lookups in full tables,
     unless `tabulate` is False because they are table lookups already.
+    `factor_sizes` is (|A|, |B|) for a direct product A x B, whose element
+    a * |B| + b is the pair (a, b), and None for every other ring.
     """
 
     def __init__(self, size: int, zero: int, one: int,
@@ -114,6 +116,7 @@ class FiniteRing:
         self.one = one
         self.is_commutative = is_commutative
         self.spec = spec
+        self.factor_sizes = None
         self._names = tuple(names)
         if len(self._names) != size or len(set(self._names)) != size:
             raise InvalidSpecError("element names must be one injective name per element")
@@ -412,12 +415,14 @@ def make_product(left: FiniteRing, right: FiniteRing, cap: int = DEFAULT_CAP) ->
 
     names = [f"({left.name(a1)};{right.name(a2)})"
              for a1 in range(left.size) for a2 in range(right.size)]
-    return FiniteRing(
+    ring = FiniteRing(
         size=size, zero=left.zero * rs + right.zero, one=left.one * rs + right.one,
         add=add, mul=mul, neg=neg, names=names,
         is_commutative=left.is_commutative and right.is_commutative,
         spec=Product(left.spec, right.spec),
     )
+    ring.factor_sizes = (left.size, rs)
+    return ring
 
 
 # ---------------------------------------------------------------------------

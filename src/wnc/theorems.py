@@ -9,6 +9,16 @@ break the {0, 1, -1} triangle (girth, bipartite, star, field clique
 number), and rings where 2x is always weakly nil clean have max degree
 |WNC|-1, which breaks the class-1 argument (odd complete graphs are class
 2). The `known_discrepancy` flag marks exactly those.
+
+The report reads the graph it is given and builds none of its own, bar
+the quotient's graph when Nil(R) != 0. One pass over the rows gives each
+vertex's sum set sums(x) = {x + y : y ~ x}. sum-coloring checks
+|sums(x)| = deg(x), degree-lemma checks deg(x) = |WNC| - [2x in WNC], and
+subgraph checks that NC(R) minus {2x} lies in sums(x): y is a nil clean
+neighbor of x iff y != x and x + y is nil clean, and by cancellation in
+(R,+) that y is a neighbor in the given graph iff x + y is in sums(x).
+This reads the real rows and never assumes NC(R) inside WNC(R), so it is
+not circular.
 """
 
 from __future__ import annotations
@@ -18,14 +28,13 @@ from functools import cached_property
 
 from .bitsets import iter_bits
 from .classify import Classification, weakly_nil_clean_set
-from .coloring import check_sum_coloring, chromatic_index_exact
-from .graph import (WncGraph, build_nc_graph, build_wnc_graph,
-                    is_complete, max_degree)
+from .coloring import chromatic_index_exact, sum_sets
+from .graph import WncGraph, build_wnc_graph, is_complete, max_degree
 from .invariants import (INFINITE, UNKNOWN, components, diameter,
                          enumerate_k_cliques, girth, is_bipartite, is_star,
                          max_clique, neighborhood_disjointness_check)
-from .rings import (GF, FiniteRing, MatrixRing, Product, Zn, build_ring,
-                    is_prime, nilradical_quotient)
+from .rings import (GF, FiniteRing, MatrixRing, Zn, is_prime,
+                    nilradical_quotient)
 
 AGREE = "AGREE"
 DISAGREE = "DISAGREE"
@@ -133,7 +142,17 @@ class _Analysis:
         self.star = is_star(graph)
         self.max_degree = max_degree(graph)
         self.clique, self.clique_number = max_clique(graph)
-        self.sum_proper, self.sum_colors = check_sum_coloring(ring, graph)
+        # one pass over the rows for three verdicts (module docstring)
+        nc, wnc = classification.nc, classification.wnc
+        size_wnc = wnc.bit_count()
+        self.sum_proper = self.subgraph = self.degree_lemma = True
+        self.sum_colors = 0
+        for x, degree, sums in sum_sets(ring, graph):
+            two_x = ring.add(x, x)
+            self.sum_proper &= sums.bit_count() == degree
+            self.subgraph &= nc & ~(1 << two_x) & ~sums == 0
+            self.degree_lemma &= degree == size_wnc - (wnc >> two_x & 1)
+            self.sum_colors |= sums
         if self.sum_proper and self.sum_colors.bit_count() <= self.max_degree:
             # the sum coloring itself is a proper Delta-edge-coloring
             self.chromatic_index = self.max_degree
@@ -145,28 +164,11 @@ class _Analysis:
             self.vizing_class = 1 if self.chromatic_index == self.max_degree else 2
         self.char2 = ring.neg(ring.one) == ring.one
         # the degree-lemma premise Delta = |WNC| fails exactly here
-        self.degenerate_max_degree = (
-            self.max_degree == classification.wnc.bit_count() - 1)
+        self.degenerate_max_degree = self.max_degree == size_wnc - 1
 
     @cached_property
     def four_cliques(self) -> list[tuple[int, ...]]:
         return sorted(enumerate_k_cliques(self.graph, 4))
-
-
-def _check_degree_lemma(a: _Analysis) -> bool:
-    wnc = a.cls.wnc
-    size_wnc = wnc.bit_count()
-    for x in range(a.ring.size):
-        expected = size_wnc - 1 if wnc >> a.ring.add(x, x) & 1 else size_wnc
-        if a.graph.adjacency[x].bit_count() != expected:
-            return False
-    return True
-
-
-def _check_subgraph(a: _Analysis) -> bool:
-    nc_graph = build_nc_graph(a.ring, a.cls)
-    return all(nc_row & ~wnc_row == 0 for nc_row, wnc_row
-               in zip(nc_graph.adjacency, a.graph.adjacency))
 
 
 def _check_quotient_lifting(a: _Analysis) -> bool:
@@ -192,11 +194,9 @@ def _check_quotient_lifting(a: _Analysis) -> bool:
     return True
 
 
-def theorem_suite(ring: FiniteRing, classification: Classification,
-                  graph: WncGraph, chi_budget: int = 10_000_000,
-                  analysis: "_Analysis | None" = None) -> list[TheoremVerdict]:
-    """Evaluate every applicable fact against this ring and graph."""
-    a = analysis or _Analysis(ring, classification, graph, chi_budget)
+def _verdicts(a: _Analysis) -> list[TheoremVerdict]:
+    """Evaluate every applicable fact against the analysed ring and graph."""
+    ring, graph = a.ring, a.graph
     spec = ring.spec
     n = ring.size
     out = []
@@ -215,7 +215,7 @@ def theorem_suite(ring: FiniteRing, classification: Classification,
     emit("completeness", predicted, computed, predicted == computed)
 
     # the nil clean graph is always a subgraph
-    ok = _check_subgraph(a)
+    ok = a.subgraph
     emit("subgraph", "nil clean graph is a subgraph",
          "subgraph" if ok else "edge outside the weakly nil clean graph", ok)
 
@@ -228,7 +228,7 @@ def theorem_suite(ring: FiniteRing, classification: Classification,
         skip("quotient-lifting", "noncommutative ring")
 
     # degree formula deg(x) = |WNC| - [2x in WNC]
-    ok = _check_degree_lemma(a)
+    ok = a.degree_lemma
     emit("degree-lemma", "deg(x) = |WNC| - [2x weakly nil clean]",
          "holds" if ok else "fails", ok)
 
@@ -311,15 +311,16 @@ def theorem_suite(ring: FiniteRing, classification: Classification,
              str(a.diameter), want_inf == got_inf)
     else:
         skip("diameter-field", "not a field spec")
-    if isinstance(spec, Product):
-        left = build_ring(spec.left, cap=max(2, ring.size))
-        right = build_ring(spec.right, cap=max(2, ring.size))
-        lc = weakly_nil_clean_set(left)
-        rc = weakly_nil_clean_set(right)
-        lfull = (1 << left.size) - 1
-        rfull = (1 << right.size) - 1
-        hyp = (lc.wnc == lfull and lc.nc != lfull
-               and rc.wnc == rfull and rc.nc != rfull)
+    if ring.factor_sizes is not None:
+        # x = a * |B| + b is the pair (a, b); WNC(A x B) and NC(A x B)
+        # project onto WNC and NC of each factor, since the other factor
+        # can take n = e = 0
+        right_size = ring.factor_sizes[1]
+        wnc = [divmod(x, right_size) for x in iter_bits(a.cls.wnc)]
+        nc = [divmod(x, right_size) for x in iter_bits(a.cls.nc)]
+        # each factor is weakly nil clean and not nil clean
+        hyp = all(len({p[i] for p in wnc}) == size != len({p[i] for p in nc})
+                  for i, size in enumerate(ring.factor_sizes))
         if hyp:
             emit("diameter-product", "2 or 3", str(a.diameter),
                  a.diameter in (2, 3))
@@ -346,12 +347,18 @@ def theorem_suite(ring: FiniteRing, classification: Classification,
     return out
 
 
+def theorem_suite(ring: FiniteRing, classification: Classification,
+                  graph: WncGraph, chi_budget: int = 10_000_000) -> list[TheoremVerdict]:
+    """Evaluate every applicable fact against this ring and graph."""
+    return compute_report(ring, classification, graph,
+                          chi_budget=chi_budget).theorem_verdicts
+
+
 def compute_report(ring: FiniteRing, classification: Classification,
                    graph: WncGraph, want_four_cliques: bool = False,
                    chi_budget: int = 10_000_000) -> InvariantReport:
     """Full invariant report with theorem verdicts."""
     a = _Analysis(ring, classification, graph, chi_budget)
-    verdicts = theorem_suite(ring, classification, graph, chi_budget, analysis=a)
     return InvariantReport(
         component_sizes=sorted(c.bit_count() for c in a.components),
         diameter=a.diameter,
@@ -363,5 +370,5 @@ def compute_report(ring: FiniteRing, classification: Classification,
         sum_coloring_colors=a.sum_colors.bit_count(),
         chromatic_index=a.chromatic_index,
         vizing_class=a.vizing_class,
-        theorem_verdicts=verdicts,
+        theorem_verdicts=_verdicts(a),
     )

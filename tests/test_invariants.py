@@ -2,8 +2,10 @@
 cliques, and the Z_2p neighborhood clauses."""
 
 import itertools
+import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import wnc
 
@@ -184,6 +186,38 @@ def test_max_clique_returns_lexicographically_least():
     all_max = [c for c in itertools.combinations(range(10), 4)
                if is_clique(graph, c)]
     assert clique == min(all_max)
+
+
+def test_max_clique_leaves_the_recursion_limit_alone(monkeypatch):
+    def refuse(limit):
+        raise AssertionError("max_clique changed the recursion limit")
+
+    monkeypatch.setattr(sys, "setrecursionlimit", refuse)
+    # a clique of 1,100 vertices, deeper than the default recursion limit,
+    # behind vertex 0 whose greedy clique {0, 1} is a poor seed
+    big = range(3, 1103)
+    graph = wnc.make_graph([(0, 1), (0, 2)] + list(itertools.combinations(big, 2)),
+                           1103)
+    assert wnc.max_clique(graph) == (tuple(big), 1100)
+
+
+@st.composite
+def small_graphs(draw):
+    n = draw(st.integers(min_value=1, max_value=12))
+    pairs = list(itertools.combinations(range(n), 2))
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    return wnc.make_graph(chosen, n)
+
+
+@settings(max_examples=200, deadline=None)
+@given(graph=small_graphs())
+def test_max_clique_is_the_least_maximum_clique(graph):
+    cliques = [c for k in range(1, graph.vertex_count + 1)
+               for c in itertools.combinations(range(graph.vertex_count), k)
+               if is_clique(graph, c)]
+    omega = max(map(len, cliques))
+    least = min(c for c in cliques if len(c) == omega)
+    assert wnc.max_clique(graph) == (least, omega)
 
 
 def test_four_clique_census_z10():

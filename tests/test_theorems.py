@@ -1,9 +1,13 @@
 """The verdict engine: statuses, applicability, charted discrepancies."""
 
+import dataclasses
+
 import pytest
 
 import wnc
+from wnc import graph as graph_module
 from wnc import theorems
+from wnc.rings import NilQuotient
 from wnc.theorems import AGREE, DISAGREE, NOT_APPLICABLE, THEOREM_IDS
 
 from corpus import ACCEPTANCE_CORPUS, realize
@@ -97,6 +101,99 @@ def test_product_diameter_hypothesis():
     # Z_2 is nil clean, so the product hypothesis fails
     assert suite_for("Z2 x Z3")["diameter-product"].status == NOT_APPLICABLE
     assert suite_for("Z10")["diameter-product"].status == NOT_APPLICABLE
+
+
+# every product the diameter-product verdict was checked on, with the
+# verdict it gave when the factors were rebuilt and classified again;
+# (Z4 x Z9)/nil x Z3 is the same ring as Z6 x Z3 up to names
+PRODUCT_VERDICTS = {
+    "Z3 x Z3": (AGREE, "2"),
+    "Z6 x Z3": (AGREE, "2"),
+    "(Z4 x Z9)/nil x Z3": (AGREE, "2"),
+    "Z2 x Z3": (NOT_APPLICABLE, None),
+    "Z4 x Z9": (NOT_APPLICABLE, None),
+    "GF(9) x Z3": (NOT_APPLICABLE, None),
+    "M2(Z2) x Z3": (NOT_APPLICABLE, None),
+    "Z12 x Z5": (NOT_APPLICABLE, None),
+    "Z2 x M2(Z2)": (NOT_APPLICABLE, None),
+    "Z3 x GF(4)": (NOT_APPLICABLE, None),
+    "Z2 x Z521": (NOT_APPLICABLE, None),
+}
+
+
+@pytest.mark.parametrize("expr", PRODUCT_VERDICTS)
+def test_product_report_classifies_only_the_ring(monkeypatch, expr):
+    classified = []
+    real = theorems.weakly_nil_clean_set
+
+    def spy(ring):
+        classified.append(ring.spec)
+        return real(ring)
+
+    monkeypatch.setattr(theorems, "weakly_nil_clean_set", spy)
+    ring = wnc.build_ring(wnc.parse_ring_expr(expr))
+    cls = spy(ring)
+    graph = wnc.build_wnc_graph(ring, cls)
+    verdict = next(v for v in wnc.theorem_suite(ring, cls, graph)
+                   if v.theorem == "diameter-product")
+    status, computed = PRODUCT_VERDICTS[expr]
+    assert verdict.status == status
+    if computed is not None:
+        assert verdict.computed == computed
+    # the factors are read off R's classification; only quotient-lifting in
+    # a commutative ring with nilpotents classifies one more ring
+    lifts = ring.is_commutative and cls.nil != 1 << ring.zero
+    assert classified == [ring.spec] + ([NilQuotient(ring.spec)] if lifts else [])
+
+
+def _without_edge(graph, x, y):
+    rows = list(graph.adjacency)
+    assert rows[x] >> y & 1
+    rows[x] &= ~(1 << y)
+    rows[y] &= ~(1 << x)
+    return dataclasses.replace(graph, adjacency=rows)
+
+
+TAMPERED = ("Z10", "Z12", "GF(9)", "Z3 x Z3")
+
+
+@pytest.mark.parametrize("expr", TAMPERED)
+def test_a_missing_nil_clean_edge_breaks_subgraph_and_degree(expr):
+    ring, cls, graph = realize(expr)
+    # zero + one is nil clean
+    tampered = _without_edge(graph, ring.zero, ring.one)
+    verdicts = {v.theorem: v for v in wnc.theorem_suite(ring, cls, tampered)}
+    assert verdicts["subgraph"].status == DISAGREE
+    assert verdicts["degree-lemma"].status == DISAGREE
+
+
+@pytest.mark.parametrize("expr", TAMPERED)
+def test_a_missing_weak_edge_breaks_only_the_degree(expr):
+    ring, cls, graph = realize(expr)
+    weak_only = cls.wnc & ~cls.nc
+    assert weak_only
+    s = (weak_only & -weak_only).bit_length() - 1  # zero + s = s
+    tampered = _without_edge(graph, ring.zero, s)
+    verdicts = {v.theorem: v for v in wnc.theorem_suite(ring, cls, tampered)}
+    assert verdicts["subgraph"].status == AGREE
+    assert verdicts["degree-lemma"].status == DISAGREE
+
+
+def test_the_report_builds_only_the_quotient_graph(monkeypatch):
+    exprs = ("Z10", "GF(25)", "Z3 x Z3", "Z12")
+    realized = [realize(e) for e in exprs]  # built before the spy
+    built = []
+    real = graph_module._build
+
+    def spy(ring, clean, kind):
+        built.append(ring.spec)
+        return real(ring, clean, kind)
+
+    monkeypatch.setattr(graph_module, "_build", spy)
+    for ring, cls, graph in realized:
+        wnc.compute_report(ring, cls, graph)
+    # the reduced rings are their own quotient; Z12 lifts from Z12/nil
+    assert built == [NilQuotient(realize("Z12")[0].spec)]
 
 
 def test_four_clique_verdict_lists_the_sets():
