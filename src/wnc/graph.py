@@ -5,6 +5,14 @@ The weakly nil clean graph has the ring elements as vertices and an edge
 graph uses the nil clean set instead and is always a subgraph. Both are
 simple and loop-free. Adjacency is stored as one bitset row per vertex so
 neighborhood intersections and clique search are single AND operations.
+
+Both are sum graphs over (R,+): the neighbors of v are the u with
+u + v in S, so row v is the translate S - v of the clean set S, minus v.
+When the ring has an additive layout and S is large enough to pay for it,
+`rings.translate` builds each row from S as a whole, with a few shifts
+per digit instead of one addition per element of S. Otherwise, as for
+the three-element clean sets of fields or a quotient without a layout,
+each row is |S| additions.
 """
 
 from __future__ import annotations
@@ -14,10 +22,15 @@ from typing import Optional
 
 from .bitsets import iter_bits
 from .classify import Classification
-from .rings import FiniteRing, RingSpec
+from .rings import FiniteRing, RingSpec, translate
 
 WEAKLY_NIL_CLEAN = "weakly-nil-clean"
 NIL_CLEAN = "nil-clean"
+# A call to `translate` costs about as much as ADDS_PER_CALL additions plus
+# ADDS_PER_DIGIT per digit of the layout, so a row is |S| additions while S
+# has no more elements than that: Z_p and the fields, whose S is {0, 1, -1}.
+ADDS_PER_CALL = 1
+ADDS_PER_DIGIT = 2
 
 
 @dataclass
@@ -32,21 +45,26 @@ class WncGraph:
 
 
 def _build(ring: FiniteRing, clean: int, kind: str) -> WncGraph:
+    # u is adjacent to v iff u + v is in S and u != v, so row v is the
+    # translate S - v of the clean set with v itself removed
     n = ring.size
-    add = ring.add
-    rows = [0] * n
-    # u is adjacent to v iff u = s - v for some clean sum s, u != v
-    for v in range(n):
-        nv = ring.neg(v)
-        row = 0
-        m = clean
-        while m:
-            low = m & -m
-            m ^= low
-            u = add(low.bit_length() - 1, nv)
-            if u != v:
-                row |= 1 << u
-        rows[v] = row
+    neg = ring.neg
+    radices = ring.radices
+    if (radices is not None
+            and clean.bit_count() > ADDS_PER_CALL + ADDS_PER_DIGIT * len(radices)):
+        rows = [translate(ring, clean, neg(v)) & ~(1 << v) for v in range(n)]
+    else:
+        add = ring.add
+        members = list(iter_bits(clean))
+        rows = [0] * n
+        for v in range(n):
+            nv = neg(v)
+            row = 0
+            for s in members:
+                u = add(s, nv)
+                if u != v:
+                    row |= 1 << u
+            rows[v] = row
     return WncGraph(vertex_count=n, adjacency=rows, ring_spec=ring.spec,
                     kind=kind, clean_set=clean, ring=ring)
 

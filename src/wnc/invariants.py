@@ -279,16 +279,17 @@ def _greedy_color_order(adj, cand):
     return order, colors
 
 
-def _greedy_clique_size(adj, cand):
-    """Size of the clique grown greedily from the lowest candidate; a cheap
-    lower bound (and an instant certificate on dense graphs)."""
-    size = 0
+def _greedy_clique(adj, cand):
+    """The clique grown greedily from the lowest candidate, in increasing
+    order; a cheap lower bound (and an instant certificate on dense
+    graphs)."""
+    clique = []
     while cand:
         low = cand & -cand
         v = low.bit_length() - 1
-        size += 1
+        clique.append(v)
         cand &= adj[v]
-    return size
+    return clique
 
 
 def _clique_search(adj, cand, floor, goal):
@@ -299,7 +300,7 @@ def _clique_search(adj, cand, floor, goal):
     vertex's color cannot beat the best size."""
     if cand.bit_count() <= floor:
         return floor
-    best = max(floor, _greedy_clique_size(adj, cand))  # a real clique
+    best = max(floor, len(_greedy_clique(adj, cand)))  # a real clique
     if best >= goal:
         return best
     stack = [(cand, 0, *_greedy_color_order(adj, cand))]
@@ -327,16 +328,35 @@ def max_clique(graph: WncGraph):
 
     One iterative branch and bound over bitset adjacency with a
     greedy-coloring bound (after San Segundo et al.'s BBMC) gives the clique
-    number, and the same search rebuilds the lexicographically least
-    maximum clique vertex by vertex. It changes no global state, not even
-    the recursion limit.
+    number. It changes no global state, not even the recursion limit.
+
+    A graph built from a ring is a sum graph, and translation by any h with
+    2h = 0 is an automorphism: (x + h) + (y + h) = x + y. In characteristic
+    2 every h qualifies, so the graph is vertex-transitive, some maximum
+    clique holds 0, and omega is 1 + omega(N(0)). Every other graph takes
+    one search over all vertices, floored at the greedy clique from vertex
+    0 and dropped at once when the greedy coloring proves that clique
+    maximum.
+
+    The witness is the lexicographically least maximum clique. The clique
+    grown greedily from the lowest vertex is the least clique of its size,
+    so when it has omega vertices it is the witness; otherwise the same
+    search rebuilds the witness vertex by vertex.
     """
     n = graph.vertex_count
     adj = graph.adjacency
     if n == 0:
         return (), 0
     cand = (1 << n) - 1
-    omega = _clique_search(adj, cand, 0, n)
+    greedy = _greedy_clique(adj, cand)
+    ring = graph.ring
+    if (ring is not None and graph.clean_set is not None
+            and ring.add(ring.one, ring.one) == ring.zero):
+        omega = 1 + _clique_search(adj, adj[0], len(greedy) - 1, n - 1)
+    else:
+        omega = _clique_search(adj, cand, len(greedy), n)
+    if omega == len(greedy):
+        return tuple(greedy), omega
     clique = []
     for remaining in range(omega - 1, -1, -1):
         for v in iter_bits(cand):

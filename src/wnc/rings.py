@@ -12,12 +12,22 @@ polynomial, direct products, k x k matrix rings over a commutative base,
 and quotients by the nilradical. GF(p^k) for k >= 2 computes through
 exp/log tables of O(p^k) entries, which are already one lookup per
 operation, so fields of any size skip the full operation tables.
+
+Every construction but the quotient encodes (R,+) in its element ids as
+a direct sum of cyclic groups: the id is a mixed-radix number whose
+digits add independently, each modulo its radix, with no carry.
+`FiniteRing.radices` records those radices, least significant first:
+(n,) for Z_n, (p,) * k for GF(p^k), B's radices then A's for A x B, and
+the base's radices once per cell for a matrix ring. With the layout,
+`translate` moves a whole bitset of elements by g with a few shifts and
+masks per digit instead of one `add` per element.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Union
 
 from .bitsets import iter_bits
@@ -101,12 +111,14 @@ class FiniteRing:
     unless `tabulate` is False because they are table lookups already.
     `factor_sizes` is (|A|, |B|) for a direct product A x B, whose element
     a * |B| + b is the pair (a, b), and None for every other ring.
+    `radices` is the additive layout of the ids (module docstring), or None
+    when the ids have none, as in a quotient.
     """
 
     def __init__(self, size: int, zero: int, one: int,
                  add: Callable[[int, int], int], mul: Callable[[int, int], int],
                  neg: Callable[[int], int], names, is_commutative: bool,
-                 spec: RingSpec, tabulate: bool = True):
+                 spec: RingSpec, tabulate: bool = True, radices=None):
         if size < 2:
             raise InvalidSpecError("a ring with non zero identity needs size >= 2")
         if zero == one:
@@ -117,6 +129,7 @@ class FiniteRing:
         self.is_commutative = is_commutative
         self.spec = spec
         self.factor_sizes = None
+        self.radices = radices
         self._names = tuple(names)
         if len(self._names) != size or len(set(self._names)) != size:
             raise InvalidSpecError("element names must be one injective name per element")
@@ -129,6 +142,25 @@ class FiniteRing:
             self.mul = lambda a, b: mul_t[a][b]
             self.neg = lambda a: neg_t[a]
 
+    @cached_property
+    def _wrap_masks(self):
+        """Per digit of the layout, the list whose entry t is the bitset of
+        the elements that wrap when that digit moves by t (digit at least
+        radix - t); None for the top digit, which needs none."""
+        full = (1 << self.size) - 1
+        out = []
+        place = 1
+        for radix in self.radices[:-1]:
+            block = radix * place
+            # digit == 0: the low `place` bits of every block
+            zero_digit = ((1 << place) - 1) * (full // ((1 << block) - 1))
+            wraps = [0]
+            for t in range(1, radix):
+                wraps.append(wraps[-1] | zero_digit << (radix - t) * place)
+            out.append(wraps)
+            place = block
+        return out + [None]
+
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self.neg(b))
 
@@ -140,6 +172,31 @@ class FiniteRing:
 
     def __repr__(self):
         return f"FiniteRing({format_spec(self.spec)}, size={self.size})"
+
+
+def translate(ring: FiniteRing, mask: int, g: int) -> int:
+    """The bitset {m + g : m in mask}.
+
+    With a layout, g adds its digits one at a time. Adding t to digit i,
+    whose place value is P, rotates each block of elements that agree on
+    the higher digits: those whose digit i is below radix - t move up by
+    t * P bits, the others wrap down by (radix - t) * P bits. The top
+    digit's block is the whole carrier, so its move is a plain rotation;
+    the other digits read their wrap masks from the ring, which computes
+    them once. The ring must have a layout (`FiniteRing.radices`).
+    """
+    place = 1
+    for radix, wraps in zip(ring.radices, ring._wrap_masks):
+        g, t = divmod(g, radix)
+        if t:
+            up, down = t * place, (radix - t) * place
+            if wraps is None:
+                mask = ((mask << up) & ((1 << ring.size) - 1)) | (mask >> down)
+            else:
+                over = mask & wraps[t]
+                mask = ((mask ^ over) << up) | (over >> down)
+        place *= radix
+    return mask
 
 
 def operation_tables(ring: FiniteRing):
@@ -175,6 +232,7 @@ def _integers_mod(n: int, spec: RingSpec) -> FiniteRing:
         names=[str(a) for a in range(n)],
         is_commutative=True,
         spec=spec,
+        radices=(n,),
     )
 
 
@@ -382,9 +440,10 @@ def make_gf(p: int, k: int, cap: int = DEFAULT_CAP) -> FiniteRing:
         return exp[log[a] + minus_one]
 
     names = [_poly_str(decode(e), "a") for e in range(size)]
+    # the coefficients add digit by digit, so the layout is k digits of p
     return FiniteRing(size=size, zero=0, one=1, add=add, mul=mul, neg=neg,
                       names=names, is_commutative=True, spec=GF(p, k),
-                      tabulate=False)
+                      tabulate=False, radices=(p,) * k)
 
 
 # ---------------------------------------------------------------------------
@@ -415,11 +474,15 @@ def make_product(left: FiniteRing, right: FiniteRing, cap: int = DEFAULT_CAP) ->
 
     names = [f"({left.name(a1)};{right.name(a2)})"
              for a1 in range(left.size) for a2 in range(right.size)]
+    # b is the low part of a * |B| + b, so B's digits come first
+    radices = None
+    if left.radices is not None and right.radices is not None:
+        radices = right.radices + left.radices
     ring = FiniteRing(
         size=size, zero=left.zero * rs + right.zero, one=left.one * rs + right.one,
         add=add, mul=mul, neg=neg, names=names,
         is_commutative=left.is_commutative and right.is_commutative,
-        spec=Product(left.spec, right.spec),
+        spec=Product(left.spec, right.spec), radices=radices,
     )
     ring.factor_sizes = (left.size, rs)
     return ring
@@ -452,27 +515,30 @@ def make_matrix_ring(k: int, base: FiniteRing, cap: int = DEFAULT_CAP) -> Finite
             raise InvalidSpecError(
                 f"M_{k} over a size-{bs} ring has {count} elements, over cap {cap}")
 
-    def decode(e):
-        entries = []
+    # each element's row-major entries, decoded once: entries[e][i*k + j]
+    # is row i, column j of matrix e
+    entries = []
+    for e in range(size):
+        digits = []
         for _ in range(cells):
             e, r = divmod(e, bs)
-            entries.append(r)
-        return entries  # entries[i*k + j] = row i, column j
+            digits.append(r)
+        entries.append(digits)
 
-    def encode(entries):
+    def encode(digits):
         e = 0
-        for d in reversed(entries):
+        for d in reversed(digits):
             e = e * bs + d
         return e
 
     def add(a, b):
-        return encode([base.add(x, y) for x, y in zip(decode(a), decode(b))])
+        return encode([base.add(x, y) for x, y in zip(entries[a], entries[b])])
 
     def neg(a):
-        return encode([base.neg(x) for x in decode(a)])
+        return encode([base.neg(x) for x in entries[a]])
 
     def mul(a, b):
-        da, db = decode(a), decode(b)
+        da, db = entries[a], entries[b]
         out = []
         for i in range(k):
             for j in range(k):
@@ -487,10 +553,9 @@ def make_matrix_ring(k: int, base: FiniteRing, cap: int = DEFAULT_CAP) -> Finite
                   for i in range(k) for j in range(k)])
 
     def matrix_name(e):
-        entries = decode(e)
         rows = []
         for i in range(k):
-            rows.append("[" + ";".join(base.name(entries[i * k + j])
+            rows.append("[" + ";".join(base.name(entries[e][i * k + j])
                                        for j in range(k)) + "]")
         return "[" + ";".join(rows) + "]"
 
@@ -499,6 +564,8 @@ def make_matrix_ring(k: int, base: FiniteRing, cap: int = DEFAULT_CAP) -> Finite
         names=[matrix_name(e) for e in range(size)],
         is_commutative=(k == 1 and base.is_commutative),
         spec=MatrixRing(k, base.spec),
+        # entries add cell by cell, each with the base's digits
+        radices=None if base.radices is None else base.radices * cells,
     )
 
 

@@ -19,6 +19,13 @@ neighbor of x iff y != x and x + y is nil clean, and by cancellation in
 (R,+) that y is a neighbor in the given graph iff x + y is in sums(x).
 This reads the real rows and never assumes NC(R) inside WNC(R), so it is
 not circular.
+
+The graph's rows are built, for all but the smallest clean sets, by
+translating WNC(R) over the ring's digit layout (`rings.translate`),
+while the sum pass computes every x + y with
+`ring.add`. It is thereby an independent check on the rows: were the sums
+read off the same translates, the three verdicts would hold by
+construction.
 """
 
 from __future__ import annotations

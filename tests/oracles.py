@@ -2,11 +2,11 @@
 
 Each function recomputes a quantity from first principles by a different
 route than the library takes (per-element membership search instead of
-set sums, double-loop edge tests instead of shifted bitsets, Floyd-style
-distances and per-vertex BFS instead of the sum-graph distance formula,
-subset enumeration instead of branch and bound, polynomial arithmetic
-instead of exp/log tables), so agreement between the two is meaningful
-evidence of correctness.
+set sums, double-loop edge tests and one addition per edge instead of
+bitsets translated digit by digit, Floyd-style distances and per-vertex
+BFS instead of the sum-graph distance formula, subset enumeration instead
+of branch and bound, polynomial arithmetic instead of exp/log tables), so
+agreement between the two is meaningful evidence of correctness.
 """
 
 import itertools
@@ -60,6 +60,21 @@ def naive_edge_set(ring, wnc_members):
             if ring.add(x, y) in wnc:
                 edges.add((x, y))
     return edges
+
+
+def sum_graph_rows(ring, clean):
+    """The sum graph's bitset rows by one `ring.add` per vertex and clean
+    element: u is a neighbor of v iff u = s - v for some s in the clean set
+    and u != v."""
+    rows = [0] * ring.size
+    for v in range(ring.size):
+        nv = ring.neg(v)
+        for s in range(ring.size):
+            if clean >> s & 1:
+                u = ring.add(s, nv)
+                if u != v:
+                    rows[v] |= 1 << u
+    return rows
 
 
 def floyd_distances(graph):

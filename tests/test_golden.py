@@ -1,9 +1,9 @@
 """Byte-for-byte pins on the CLI's canonical outputs.
 
 Each `report --json` output, with its `wall_time_seconds` field cut out of
-the raw text, and the `batch` CSV are hashed and compared with the digests
-in `golden_outputs.json`. A change that is meant to alter output must
-re-record them:
+the raw text, each `export --format json` output and the `batch` CSV are
+hashed and compared with the digests in `golden_outputs.json`. A change
+that is meant to alter output must re-record them:
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -33,10 +33,15 @@ REPORT_EXPRS = ACCEPTANCE_CORPUS + (
     "Z1000", "Z256", "M2(Z3)", "M2(Z4)", "M2(GF(4))", "Z2 x Z2 x Z2 x Z2")
 # Z_2p with p >= 5 prime: the rings whose reports run the 4-clique census
 FOUR_CLIQUE_EXPRS = ("Z10", "Z14", "Z22", "Z26", "Z34")
+# export reads the graph's rows alone, so these pin the graph build
+# directly: a product of cyclic groups, a field's base-p digits, matrix
+# cells and a quotient, which has no digit layout
+EXPORT_EXPRS = ("Z16 x Z36", "GF(16)", "M2(Z2)", "Z12/nil")
 
 COMMANDS = (
     [("report", e, "--json") for e in REPORT_EXPRS]
     + [("report", e, "--json", "--four-cliques") for e in FOUR_CLIQUE_EXPRS]
+    + [("export", e, "--format", "json", "--out", "-") for e in EXPORT_EXPRS]
     + [("batch", "--zn", "2..60")]
 )
 

@@ -12,7 +12,7 @@ import wnc
 from wnc.bitsets import bit_list
 
 from corpus import ACCEPTANCE_CORPUS, SMALL_CORPUS, realize
-from oracles import naive_edge_set, naive_wnc_members
+from oracles import naive_edge_set, naive_wnc_members, sum_graph_rows
 
 
 def test_z10_matches_figure():
@@ -46,6 +46,26 @@ def test_edge_law_against_double_loop_oracle(expr):
     ring, cls, graph = realize(expr)
     expected = naive_edge_set(ring, naive_wnc_members(ring))
     assert set(wnc.edges(graph)) == expected
+
+
+# char-2 fields, nested products on either side, matrix rings over a
+# product and a field, and a quotient, which has no digit layout
+ROW_EXPRS = ACCEPTANCE_CORPUS + (
+    "GF(8)", "GF(16)", "GF(64)", "Z2 x GF(4)", "GF(4) x Z3",
+    "(Z2 x Z3) x Z4", "Z4 x (Z2 x Z3)", "M2(Z2 x Z2)", "M2(GF(4))",
+    "Z12/nil")
+
+
+@pytest.mark.parametrize("adds_per_digit", [0, 2, 10**9],
+                         ids=["translate", "default", "add"])
+@pytest.mark.parametrize("expr", ROW_EXPRS)
+def test_rows_match_the_addition_oracle(expr, adds_per_digit, monkeypatch):
+    # 0 sends every ring with a layout and |S| > 1 through `translate`,
+    # 10**9 none
+    monkeypatch.setattr(wnc.graph, "ADDS_PER_DIGIT", adds_per_digit)
+    ring, cls, _ = realize(expr)
+    assert wnc.build_wnc_graph(ring, cls).adjacency == sum_graph_rows(ring, cls.wnc)
+    assert wnc.build_nc_graph(ring, cls).adjacency == sum_graph_rows(ring, cls.nc)
 
 
 def test_nc_graph_z4_complete():

@@ -1,7 +1,9 @@
 """Exact invariants: components, distances, girth, bipartite/star tests,
 cliques, and the Z_2p neighborhood clauses."""
 
+import dataclasses
 import itertools
+import random
 import sys
 
 import pytest
@@ -186,6 +188,37 @@ def test_max_clique_returns_lexicographically_least():
     all_max = [c for c in itertools.combinations(range(10), 4)
                if is_clique(graph, c)]
     assert clique == min(all_max)
+
+
+# Z2, GF(4), M2(Z2), GF(8), GF(16), Z2 x GF(4) and M2(GF(4)) have
+# characteristic 2 and search N(0) alone; the rest take the plain search
+CLIQUE_SPLIT_EXPRS = ACCEPTANCE_CORPUS + (
+    "GF(8)", "GF(16)", "Z2 x GF(4)", "Z2 x Z10", "Z2 x Z2 x Z5", "Z6 x Z10",
+    "Z120", "M2(Z3)", "M2(GF(4))", "Z12/nil")
+
+
+@pytest.mark.parametrize("expr", CLIQUE_SPLIT_EXPRS)
+def test_coset_split_matches_the_plain_search(expr):
+    ring, cls, graph = realize(expr)
+    for g in (graph, wnc.build_nc_graph(ring, cls)):
+        synthetic = dataclasses.replace(g, ring=None)
+        assert wnc.max_clique(g) == wnc.max_clique(synthetic), g.kind
+
+
+@pytest.mark.parametrize("expr", ["GF(16)", "GF(32)", "GF(64)", "Z2 x GF(8)",
+                                  "Z2 x Z2 x Z2 x Z2 x Z2"])
+def test_characteristic_two_split_on_sum_graphs_of_any_set(expr):
+    # translation by any element is an automorphism of the sum graph of any
+    # S in characteristic 2, WNC(R) or not; random sets of 2 to n/2 elements
+    # include graphs whose greedy clique from vertex 0 is short of omega
+    ring = wnc.build_ring(wnc.parse_ring_expr(expr))
+    n = ring.size
+    rng = random.Random(expr)
+    for _ in range(40):
+        clean = wnc.bitsets.mask_of(rng.sample(range(n), rng.randrange(2, n // 2)))
+        graph = wnc.graph._build(ring, clean, "sum")
+        synthetic = dataclasses.replace(graph, ring=None)
+        assert wnc.max_clique(graph) == wnc.max_clique(synthetic), clean
 
 
 def test_max_clique_leaves_the_recursion_limit_alone(monkeypatch):

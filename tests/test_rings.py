@@ -296,3 +296,48 @@ def test_build_ring_respects_cap():
     assert wnc.build_ring(spec).size == 4096
     with pytest.raises(InvalidSpecError):
         wnc.build_ring(spec, cap=1000)
+
+
+@pytest.mark.parametrize("expr,radices", [
+    ("Z12", (12,)), ("GF(5)", (5,)), ("GF(27)", (3, 3, 3)),
+    ("Z2 x Z3", (3, 2)), ("(Z2 x Z3) x Z4", (4, 3, 2)),
+    ("Z4 x (Z2 x Z3)", (3, 2, 4)), ("Z2 x GF(4)", (2, 2, 2)),
+    ("M2(Z3)", (3, 3, 3, 3)), ("M2(Z2 x Z3)", (3, 2) * 4),
+    ("Z12/nil", None), ("Z2 x Z12/nil", None), ("M2(Z12/nil)", None)])
+def test_additive_layout(expr, radices):
+    ring = wnc.build_ring(wnc.parse_ring_expr(expr))
+    assert ring.radices == radices
+    if radices is not None:
+        # the ids are mixed-radix numbers whose digits add without carry
+        assert int(np.prod(radices)) == ring.size
+        places = np.cumprod((1,) + radices[:-1])
+        digits = [[x // place % radix for place, radix in zip(places, radices)]
+                  for x in range(ring.size)]
+        for a in range(ring.size):
+            for b in range(ring.size):
+                assert digits[ring.add(a, b)] == [
+                    (x + y) % radix
+                    for x, y, radix in zip(digits[a], digits[b], radices)]
+
+
+TRANSLATE_EXPRS = ("Z2", "Z12", "Z64", "GF(4)", "GF(8)", "GF(27)", "GF(64)",
+                   "Z2 x GF(4)", "Z4 x Z9", "(Z2 x Z3) x Z4", "Z4 x (Z2 x Z3)",
+                   "Z2 x Z2 x Z2 x Z2", "M2(Z2)", "Z3 x M2(Z2)")
+
+
+@pytest.mark.parametrize("expr", TRANSLATE_EXPRS)
+def test_translate_matches_add_for_every_shift(expr):
+    ring = wnc.build_ring(wnc.parse_ring_expr(expr))
+    assert ring.size <= 64
+    n = ring.size
+    rng = np.random.default_rng(n)
+    masks = [0, 1, 1 << (n - 1), (1 << n) - 1] + [
+        int(sum(1 << int(x) for x in rng.choice(n, min(size, n), replace=False)))
+        for size in (2, 3, n // 2, n - 1)]
+    for mask in masks:
+        for g in range(n):
+            image = 0
+            for m in range(n):
+                if mask >> m & 1:
+                    image |= 1 << ring.add(m, g)
+            assert wnc.rings.translate(ring, mask, g) == image, (mask, g)
