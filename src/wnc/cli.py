@@ -18,7 +18,7 @@ from .bitsets import bit_list
 from .classify import weakly_nil_clean_set
 from .coloring import DEFAULT_COLOR_BUDGET
 from .errors import WncError
-from .graph import build_wnc_graph, edges
+from .graph import build_wnc_graph, upper_neighbors
 from .invariants import plain
 from .rings import DEFAULT_CAP, build_ring, format_spec
 from .ringexpr import parse_ring_expr
@@ -117,29 +117,34 @@ def cmd_report(args) -> int:
     return 0
 
 
+def _edge_text(graph, head, tail, sep: str) -> str:
+    """head[u] + tail[v] for each edge {u, v} with u < v, in lexicographic
+    order, joined by `sep`; each row is listed and joined at C speed."""
+    rows = (sep.join(map(head[u].__add__, map(tail.__getitem__, upper)))
+            for u, upper in upper_neighbors(graph))
+    return sep.join(filter(None, rows))
+
+
 def _export_dot(ring, graph) -> str:
-    lines = ["graph G {"]
-    for v in range(graph.vertex_count):
-        lines.append(f'  "{ring.name(v)}";')
-    for u, v in edges(graph):
-        lines.append(f'  "{ring.name(u)}" -- "{ring.name(v)}";')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    names = ring.names()
+    edge_lines = _edge_text(graph, [f'  "{name}" -- "' for name in names],
+                            [f'{name}";' for name in names], "\n")
+    lines = ["graph G {", *(f'  "{name}";' for name in names), edge_lines, "}"]
+    return "\n".join(filter(None, lines)) + "\n"
 
 
 def _export_json(ring, graph) -> str:
-    doc = {
-        "vertices": [ring.name(v) for v in range(graph.vertex_count)],
-        "edges": [[u, v] for u, v in edges(graph)],
-    }
-    return json.dumps(doc, separators=(",", ":"), ensure_ascii=False) + "\n"
+    ids = range(graph.vertex_count)
+    vertices = json.dumps(list(ring.names()), separators=(",", ":"),
+                          ensure_ascii=False)
+    pairs = _edge_text(graph, [f"[{u}," for u in ids], [f"{v}]" for v in ids], ",")
+    return f'{{"vertices":{vertices},"edges":[{pairs}]}}\n'
 
 
 def _export_csv(ring, graph) -> str:
-    lines = ["source,target"]
-    for u, v in edges(graph):
-        lines.append(f"{ring.name(u)},{ring.name(v)}")
-    return "\n".join(lines) + "\n"
+    names = ring.names()
+    edge_lines = _edge_text(graph, [f"{name}," for name in names], names, "\n")
+    return "\n".join(filter(None, ["source,target", edge_lines])) + "\n"
 
 
 def _write(out: str, payload: str) -> None:

@@ -3,7 +3,10 @@ exact chromatic index.
 
 The sum coloring colors the edge {x, y} by x + y. One pass over the rows
 gives each vertex's sum set sums(x) = {x + y : y ~ x}, the colors at x,
-and the coloring is proper iff |sums(x)| = deg(x) at every x.
+and the coloring is proper iff |sums(x)| = deg(x) at every x. A dense
+row's sums come from the ring's whole addition row (`FiniteRing.add_row`)
+as one permutation of the row's bits; a sparse row makes one `add` per
+neighbor.
 
 The chromatic index of a simple graph is Delta or Delta + 1 (Vizing), so
 exactness reduces to deciding Delta-edge-colorability. The decision runs
@@ -19,12 +22,18 @@ the budget yields the UNKNOWN sentinel, never a guess.
 
 from __future__ import annotations
 
+from operator import itemgetter
+
 from .bitsets import bit_list, iter_bits
 from .graph import WncGraph, edge_count, edges, max_degree
 from .invariants import UNKNOWN, components
 from .rings import FiniteRing
 
 DEFAULT_COLOR_BUDGET = 10_000_000
+# A whole-row permutation costs about as much as one `add` per
+# ROW_ELEMENTS_PER_ADD elements of the carrier, so a row with fewer
+# neighbors than n / ROW_ELEMENTS_PER_ADD makes one `add` per neighbor.
+ROW_ELEMENTS_PER_ADD = 8
 
 
 def sum_edge_coloring(ring: FiniteRing, graph: WncGraph) -> dict[tuple[int, int], int]:
@@ -42,15 +51,41 @@ def sum_edge_coloring(ring: FiniteRing, graph: WncGraph) -> dict[tuple[int, int]
 def sum_sets(ring: FiniteRing, graph: WncGraph):
     """Yield (x, deg(x), sums(x)) for every vertex x, in one pass over the
     rows, where sums(x) is the bitset of x + y over the neighbors y of x:
-    the colors the sum coloring uses at x."""
-    if graph.vertex_count != ring.size:
+    the colors the sum coloring uses at x.
+
+    For a dense row, with L = add_row(x) and M = add_row(-x), bit z of
+    sums(x) is bit M[z] of the row, provided L[M[z]] = z for every z:
+    then L is a permutation of the carrier with inverse M, so z = x + y
+    for exactly one y. That check and the permutation of the row's bit
+    string each run as one `itemgetter` call. Sparse rows, rows that fail
+    the check and rings without `add_row` make one `add` per neighbor, so
+    a non-injective addition still yields its true image.
+    """
+    n = graph.vertex_count
+    if n != ring.size:
         raise ValueError("graph does not match the ring")
     add = ring.add
+    add_row = getattr(ring, "add_row", None)
+    identity = tuple(range(n))
     for x, row in enumerate(graph.adjacency):
-        sums = 0
-        for y in iter_bits(row):
-            sums |= 1 << add(x, y)
-        yield x, row.bit_count(), sums
+        degree = row.bit_count()
+        sums = None
+        if add_row is not None and degree * ROW_ELEMENTS_PER_ADD >= n:
+            forward = add_row(x)
+            minus_x = ring.neg(x)
+            try:
+                pick = itemgetter(*(forward if minus_x == x else add_row(minus_x)))
+                inverse = pick(forward) == identity
+            except (IndexError, TypeError):
+                inverse = False
+            if inverse:
+                bits = f"{row:0{n}b}"[::-1]  # character y is bit y
+                sums = int("".join(pick(bits))[::-1], 2)
+        if sums is None:
+            sums = 0
+            for y in iter_bits(row):
+                sums |= 1 << add(x, y)
+        yield x, degree, sums
 
 
 def check_sum_coloring(ring: FiniteRing, graph: WncGraph) -> tuple[bool, int]:

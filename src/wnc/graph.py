@@ -18,6 +18,7 @@ each row is |S| additions.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import compress
 from typing import Optional
 
 from .bitsets import iter_bits
@@ -31,6 +32,7 @@ NIL_CLEAN = "nil-clean"
 # has no more elements than that: Z_p and the fields, whose S is {0, 1, -1}.
 ADDS_PER_CALL = 1
 ADDS_PER_DIGIT = 2
+_BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
 
 
 @dataclass
@@ -118,14 +120,21 @@ def max_degree(graph: WncGraph) -> int:
     return max(row.bit_count() for row in graph.adjacency)
 
 
+def upper_neighbors(graph: WncGraph):
+    """Yield (u, neighbors of u above u, in ascending order) for every
+    vertex u. Each row's list is read at C speed: its bit string, least
+    significant bit first, becomes 0/1 bytes that select from the ids."""
+    n = graph.vertex_count
+    for u, row in enumerate(graph.adjacency):
+        flags = f"{row >> (u + 1):b}"[::-1].encode().translate(_BIT_BYTES)
+        yield u, compress(range(u + 1, n), flags)
+
+
 def edges(graph: WncGraph):
     """Yield each undirected edge once as (u, v) with u < v, in lexicographic order."""
-    for u in range(graph.vertex_count):
-        rest = graph.adjacency[u] >> (u + 1) << (u + 1)
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            yield u, low.bit_length() - 1
+    for u, upper in upper_neighbors(graph):
+        for v in upper:
+            yield u, v
 
 
 def edge_count(graph: WncGraph) -> int:

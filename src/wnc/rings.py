@@ -2,16 +2,23 @@
 
 Every ring is presented uniformly: a carrier {0, ..., size-1} with total
 add/mul/neg operations, distinguished zero and one, a display name per
-element, and the spec it was built from. Rings with at most 256 elements
-get fully materialized operation tables; larger rings compute operations
-on the fly from their structure. Construction is deterministic: the same
-spec always yields identical tables and names.
+element, and the spec it was built from. Operations are computed on the
+fly from the ring's structure; no ring materializes n^2 operation tables.
+Construction is deterministic: the same spec always yields identical
+operations and names.
 
 Supported constructions: Z_n, GF(p^k) via the least monic irreducible
 polynomial, direct products, k x k matrix rings over a commutative base,
 and quotients by the nilradical. GF(p^k) for k >= 2 computes through
-exp/log tables of O(p^k) entries, which are already one lookup per
-operation, so fields of any size skip the full operation tables.
+exp/log tables of O(p^k) entries, one lookup per operation.
+
+`FiniteRing.add_row(x)` is one whole row of the addition table, the list
+of x + y over every y, built from each construction's own arithmetic: a
+rotation of the ids for Z_n, the factors' rows composed as a * |B| + b
+for A x B, the cells' rows composed the same way for a matrix ring, and
+one `add` per element for GF(p^k) and R/nil. It never reads the digit
+layout below, so sums read off it check rows built from that layout
+independently.
 
 Every construction but the quotient encodes (R,+) in its element ids as
 a direct sum of cyclic groups: the id is a mixed-radix number whose
@@ -34,7 +41,6 @@ from .bitsets import iter_bits
 from .errors import InvalidSpecError, UnsupportedOperationError
 
 DEFAULT_CAP = 4096
-TABLE_CAP = 256  # materialize operation tables up to this carrier size
 
 
 # ---------------------------------------------------------------------------
@@ -105,10 +111,11 @@ def format_spec(spec: RingSpec) -> str:
 class FiniteRing:
     """A finite ring with carrier {0, ..., size-1} and nonzero identity.
 
-    Immutable after construction: `add`, `mul`, `neg` are total pure
-    functions on the carrier, safe for any number of concurrent readers.
-    Up to TABLE_CAP elements they are replaced by lookups in full tables,
-    unless `tabulate` is False because they are table lookups already.
+    Immutable after construction: `add`, `mul`, `neg` and `add_row` are
+    total pure functions on the carrier, safe for any number of concurrent
+    readers. `add_row(x)` returns a new list L with L[y] = x + y; a
+    constructor passes one built from its own arithmetic, and the default
+    makes one `add` per element. It never reads `radices`.
     `factor_sizes` is (|A|, |B|) for a direct product A x B, whose element
     a * |B| + b is the pair (a, b), and None for every other ring.
     `radices` is the additive layout of the ids (module docstring), or None
@@ -118,7 +125,7 @@ class FiniteRing:
     def __init__(self, size: int, zero: int, one: int,
                  add: Callable[[int, int], int], mul: Callable[[int, int], int],
                  neg: Callable[[int], int], names, is_commutative: bool,
-                 spec: RingSpec, tabulate: bool = True, radices=None):
+                 spec: RingSpec, radices=None, add_row=None):
         if size < 2:
             raise InvalidSpecError("a ring with non zero identity needs size >= 2")
         if zero == one:
@@ -136,11 +143,12 @@ class FiniteRing:
         self.add = add
         self.mul = mul
         self.neg = neg
-        if tabulate and size <= TABLE_CAP:
-            add_t, mul_t, neg_t = operation_tables(self)
-            self.add = lambda a, b: add_t[a][b]
-            self.mul = lambda a, b: mul_t[a][b]
-            self.neg = lambda a: neg_t[a]
+        if add_row is not None:
+            self.add_row = add_row
+
+    def add_row(self, x: int) -> list[int]:
+        add = self.add
+        return [add(x, y) for y in range(self.size)]
 
     @cached_property
     def _wrap_masks(self):
@@ -199,9 +207,16 @@ def translate(ring: FiniteRing, mask: int, g: int) -> int:
     return mask
 
 
+def _pair_row(high: list[int], low: list[int]) -> list[int]:
+    """The addition row of the pair a * |B| + b, from the row of a in A
+    (`high`) and the row of b in B (`low`)."""
+    size = len(low)
+    return [h + l for h in [h * size for h in high] for l in low]
+
+
 def operation_tables(ring: FiniteRing):
-    """Fully materialized (add, mul, neg) tables; used by determinism and
-    axiom checks regardless of whether the ring itself stores tables."""
+    """Fully materialized (add, mul, neg) tables, n^2 operation calls; an
+    oracle for determinism and axiom checks that no ring builds itself."""
     n = ring.size
     add = [[ring.add(a, b) for b in range(n)] for a in range(n)]
     mul = [[ring.mul(a, b) for b in range(n)] for a in range(n)]
@@ -224,6 +239,7 @@ def make_zn(n: int, cap: int = DEFAULT_CAP) -> FiniteRing:
 
 def _integers_mod(n: int, spec: RingSpec) -> FiniteRing:
     """Z_n's arithmetic and decimal names, under the given spec."""
+    ids = list(range(n))
     return FiniteRing(
         size=n, zero=0, one=1,
         add=lambda a, b: (a + b) % n,
@@ -233,6 +249,7 @@ def _integers_mod(n: int, spec: RingSpec) -> FiniteRing:
         is_commutative=True,
         spec=spec,
         radices=(n,),
+        add_row=lambda x: ids[x:] + ids[:x],  # (x + y) mod n is a rotation
     )
 
 
@@ -443,7 +460,7 @@ def make_gf(p: int, k: int, cap: int = DEFAULT_CAP) -> FiniteRing:
     # the coefficients add digit by digit, so the layout is k digits of p
     return FiniteRing(size=size, zero=0, one=1, add=add, mul=mul, neg=neg,
                       names=names, is_commutative=True, spec=GF(p, k),
-                      tabulate=False, radices=(p,) * k)
+                      radices=(p,) * k)
 
 
 # ---------------------------------------------------------------------------
@@ -472,6 +489,10 @@ def make_product(left: FiniteRing, right: FiniteRing, cap: int = DEFAULT_CAP) ->
         a1, a2 = divmod(a, rs)
         return left.neg(a1) * rs + right.neg(a2)
 
+    def add_row(a):
+        a1, a2 = divmod(a, rs)
+        return _pair_row(left.add_row(a1), right.add_row(a2))
+
     names = [f"({left.name(a1)};{right.name(a2)})"
              for a1 in range(left.size) for a2 in range(right.size)]
     # b is the low part of a * |B| + b, so B's digits come first
@@ -482,7 +503,7 @@ def make_product(left: FiniteRing, right: FiniteRing, cap: int = DEFAULT_CAP) ->
         size=size, zero=left.zero * rs + right.zero, one=left.one * rs + right.one,
         add=add, mul=mul, neg=neg, names=names,
         is_commutative=left.is_commutative and right.is_commutative,
-        spec=Product(left.spec, right.spec), radices=radices,
+        spec=Product(left.spec, right.spec), radices=radices, add_row=add_row,
     )
     ring.factor_sizes = (left.size, rs)
     return ring
@@ -537,6 +558,15 @@ def make_matrix_ring(k: int, base: FiniteRing, cap: int = DEFAULT_CAP) -> Finite
     def neg(a):
         return encode([base.neg(x) for x in entries[a]])
 
+    def add_row(a):
+        # the top cell is the most significant digit; each lower cell joins
+        # the row as the low part of a pair
+        digits = entries[a]
+        row = base.add_row(digits[-1])
+        for d in reversed(digits[:-1]):
+            row = _pair_row(row, base.add_row(d))
+        return row
+
     def mul(a, b):
         da, db = entries[a], entries[b]
         out = []
@@ -566,6 +596,7 @@ def make_matrix_ring(k: int, base: FiniteRing, cap: int = DEFAULT_CAP) -> Finite
         spec=MatrixRing(k, base.spec),
         # entries add cell by cell, each with the base's digits
         radices=None if base.radices is None else base.radices * cells,
+        add_row=add_row,
     )
 
 

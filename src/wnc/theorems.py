@@ -22,10 +22,15 @@ not circular.
 
 The graph's rows are built, for all but the smallest clean sets, by
 translating WNC(R) over the ring's digit layout (`rings.translate`),
-while the sum pass computes every x + y with
-`ring.add`. It is thereby an independent check on the rows: were the sums
-read off the same translates, the three verdicts would hold by
-construction.
+while the sum pass reads every x + y from the ring's own arithmetic:
+`ring.add` for a sparse row, and for a dense row `FiniteRing.add_row`,
+the whole row of the addition table, which each construction builds
+without the digit layout and which the pass accepts only once
+add_row(-x) is seen to invert add_row(x). It is thereby an independent
+check on the rows: were the sums read off the same translates, the three
+verdicts would hold by construction. An add_row that is invertible but
+wrong, such as y -> x + y + h with 2h = 0, passes that check and shows
+as a subgraph DISAGREE.
 """
 
 from __future__ import annotations
@@ -186,19 +191,19 @@ def _check_quotient_lifting(a: _Analysis) -> bool:
     quotient, projection = nilradical_quotient(a.ring, a.cls.nil)
     q_cls = weakly_nil_clean_set(quotient)
     q_graph = build_wnc_graph(quotient, q_cls)
-    cosets: dict[int, list[int]] = {}
+    cosets = [0] * quotient.size
     for x, q in enumerate(projection):
-        cosets.setdefault(q, []).append(x)
-    for qx in range(quotient.size):
-        for qy in iter_bits(q_graph.adjacency[qx]):
-            if qy < qx:
-                continue
-            for x in cosets[qx]:
-                row = a.graph.adjacency[x]
-                for y in cosets[qy]:
-                    if x != y and not row >> y & 1:
-                        return False
-    return True
+        cosets[q] |= 1 << x
+    # need[q]: every element of every coset adjacent to q, none of q's own
+    # since the quotient's graph has no loops
+    need = []
+    for q_row in q_graph.adjacency:
+        union = 0
+        for q in iter_bits(q_row):
+            union |= cosets[q]
+        need.append(union)
+    return all(need[q] & ~row == 0
+               for q, row in zip(projection, a.graph.adjacency))
 
 
 def _verdicts(a: _Analysis) -> list[TheoremVerdict]:

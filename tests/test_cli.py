@@ -1,11 +1,15 @@
 """The command line surface: report, export, verify, batch."""
 
 import json
+import types
+
+import pytest
 
 import wnc
+from wnc import cli
 from wnc.cli import main
 
-from corpus import realize
+from corpus import ACCEPTANCE_CORPUS, realize
 from oracles import naive_edge_set, naive_wnc_members
 
 
@@ -112,6 +116,43 @@ def test_export_csv_gf25_row_count(capsys):
     assert lines[0] == "source,target"
     assert len(lines) == 1 + wnc.edge_count(graph)
     assert all(line.count(",") == 1 for line in lines)
+
+
+def _reference_exports(ring, graph):
+    # the writers as one loop per edge
+    name = ring.name
+    pairs = list(wnc.edges(graph))
+    dot = "\n".join(["graph G {"]
+                    + [f'  "{name(v)}";' for v in range(graph.vertex_count)]
+                    + [f'  "{name(u)}" -- "{name(v)}";' for u, v in pairs]
+                    + ["}"]) + "\n"
+    doc = {"vertices": [name(v) for v in range(graph.vertex_count)],
+           "edges": [[u, v] for u, v in pairs]}
+    text = json.dumps(doc, separators=(",", ":"), ensure_ascii=False) + "\n"
+    csv = "\n".join(["source,target"]
+                    + [f"{name(u)},{name(v)}" for u, v in pairs]) + "\n"
+    return {"dot": dot, "json": text, "csv": csv}
+
+
+def _named(graph):
+    names = tuple(f"v{i}" for i in range(graph.vertex_count))
+    return types.SimpleNamespace(name=names.__getitem__, names=lambda: names)
+
+
+EXPORT_EXPRS = ACCEPTANCE_CORPUS + ("Z12/nil",)
+EXPORT_GRAPHS = (wnc.make_graph([], 1), wnc.make_graph([], 3),
+                 wnc.make_graph([(1, 2)], 4))
+
+
+@pytest.mark.parametrize(
+    "ring,graph",
+    [realize(e)[::2] for e in EXPORT_EXPRS] + [(_named(g), g) for g in EXPORT_GRAPHS],
+    ids=list(EXPORT_EXPRS) + ["K1", "no-edges", "isolated"])
+def test_export_writers_match_one_loop_per_edge(ring, graph):
+    expected = _reference_exports(ring, graph)
+    assert cli._export_dot(ring, graph) == expected["dot"]
+    assert cli._export_json(ring, graph) == expected["json"]
+    assert cli._export_csv(ring, graph) == expected["csv"]
 
 
 def test_export_matrix_names_stay_csv_safe(capsys):

@@ -1,11 +1,13 @@
 """Sum coloring, properness verification, exact chromatic index."""
 
+import copy
 import itertools
 import types
 
 import pytest
 
 import wnc
+from wnc import coloring
 from wnc.bitsets import bit_list, mask_of
 
 from corpus import ACCEPTANCE_CORPUS, realize
@@ -62,6 +64,54 @@ def test_check_sum_coloring_flags_a_non_cancellative_add(add):
     assert not wnc.verify_proper_edge_coloring(graph, coloring)
     assert wnc.check_sum_coloring(stub, graph) == (
         False, mask_of(coloring.values()))
+
+
+SUM_EXPRS = ACCEPTANCE_CORPUS + ("Z12/nil", "Z2 x Z2 x Z2", "Z4 x Z9",
+                                 "M2(Z2 x Z2)", "M2(GF(4))", "(Z4 x Z9)/nil x Z3")
+
+
+@pytest.mark.parametrize("per_add", [0, coloring.ROW_ELEMENTS_PER_ADD, 10**9],
+                         ids=["adds", "shipped", "rows"])
+@pytest.mark.parametrize("expr", SUM_EXPRS)
+def test_sum_sets_are_the_images_under_add(expr, per_add, monkeypatch):
+    # 0: every row makes one add per neighbor; 10**9: every nonempty row
+    # is permuted whole
+    monkeypatch.setattr(coloring, "ROW_ELEMENTS_PER_ADD", per_add)
+    ring, _, graph = realize(expr)
+    for x, degree, sums in coloring.sum_sets(ring, graph):
+        row = graph.adjacency[x]
+        assert degree == row.bit_count()
+        assert sums == mask_of(ring.add(x, y) for y in bit_list(row))
+
+
+@pytest.mark.parametrize("expr", ["Z12", "Z16 x Z3", "M2(Z3)", "Z2 x Z2 x Z2"])
+def test_dense_rows_make_no_add_calls(expr):
+    # every row of these graphs is dense, and add_row passes the inverse
+    # check, so the pass never falls back to add
+    ring, _, graph = realize(expr)
+    calls = []
+    counted = copy.copy(ring)
+    counted.add = lambda a, b: calls.append((a, b)) or ring.add(a, b)
+    assert list(coloring.sum_sets(counted, graph)) == list(
+        coloring.sum_sets(ring, graph))
+    assert calls == []
+
+
+@pytest.mark.parametrize("bad_row", [
+    lambda n, x: [x] * n,  # not a permutation
+    lambda n, x: list(range(1, n)) + [0],  # not its own inverse
+    lambda n, x: [n + 5] * n,  # ids off the carrier
+    lambda n, x: None,
+], ids=["constant", "rotation", "off-carrier", "none"])
+@pytest.mark.parametrize("expr", ["Z12", "Z2 x Z2 x Z2", "M2(Z2)"])
+def test_a_refused_add_row_falls_back_to_add(expr, bad_row):
+    # a row that fails the inverse check is summed with one add per
+    # neighbor, so the sums stay the true images under add
+    ring, _, graph = realize(expr)
+    twin = copy.copy(ring)
+    twin.add_row = lambda x: bad_row(ring.size, x)
+    assert list(coloring.sum_sets(twin, graph)) == list(
+        coloring.sum_sets(ring, graph))
 
 
 def test_check_sum_coloring_rejects_a_mismatched_ring():

@@ -1,7 +1,7 @@
 """Byte-for-byte pins on the CLI's canonical outputs.
 
 Each `report --json` output, with its `wall_time_seconds` field cut out of
-the raw text, each `export --format json` output and the `batch` CSV are
+the raw text, each `export` output and the `batch` CSV are
 hashed and compared with the digests in `golden_outputs.json`. A change
 that is meant to alter output must re-record them:
 
@@ -30,18 +30,25 @@ REPORT_EXPRS = ACCEPTANCE_CORPUS + (
     "Z2 x Z521", "Z4093",
     # dense graphs: the sum-coloring, subgraph and degree passes and the
     # clique search do most of the work
-    "Z1000", "Z256", "M2(Z3)", "M2(Z4)", "M2(GF(4))", "Z2 x Z2 x Z2 x Z2")
+    "Z1000", "Z256", "M2(Z3)", "M2(Z4)", "M2(GF(4))", "Z2 x Z2 x Z2 x Z2",
+    "Z16 x Z48", "Z2 x Z2 x Z2 x Z2 x Z2 x Z2 x Z2 x Z2",
+    # a product over a quotient, which has no digit layout
+    "(Z4 x Z9)/nil x Z3")
 # Z_2p with p >= 5 prime: the rings whose reports run the 4-clique census
 FOUR_CLIQUE_EXPRS = ("Z10", "Z14", "Z22", "Z26", "Z34")
 # export reads the graph's rows alone, so these pin the graph build
 # directly: a product of cyclic groups, a field's base-p digits, matrix
 # cells and a quotient, which has no digit layout
 EXPORT_EXPRS = ("Z16 x Z36", "GF(16)", "M2(Z2)", "Z12/nil")
+# the DOT and CSV writers list the same edges under element names
+NAMED_EXPORT_EXPRS = ("Z16 x Z36", "Z12/nil")
 
 COMMANDS = (
     [("report", e, "--json") for e in REPORT_EXPRS]
     + [("report", e, "--json", "--four-cliques") for e in FOUR_CLIQUE_EXPRS]
     + [("export", e, "--format", "json", "--out", "-") for e in EXPORT_EXPRS]
+    + [("export", e, "--format", f, "--out", "-")
+       for e in NAMED_EXPORT_EXPRS for f in ("csv", "dot")]
     + [("batch", "--zn", "2..60")]
 )
 

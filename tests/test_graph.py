@@ -182,3 +182,24 @@ def test_degree_mismatch_raises_under_python_O():
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout == "degree 4 of vertex 3 contradicts prediction 5\n"
+
+
+def _edges_by_bit_walk(graph):
+    return [(u, v) for u in range(graph.vertex_count)
+            for v in bit_list(graph.adjacency[u]) if v > u]
+
+
+@pytest.mark.parametrize("graph", [
+    wnc.make_graph([], 1), wnc.make_graph([], 5),
+    wnc.make_graph([(0, 4)], 5), wnc.make_graph([(3, 4), (1, 2)], 6),
+    wnc.make_graph([(u, v) for u in range(70) for v in range(u + 1, 70)
+                    if (u * v) % 7 < 3], 70)],
+    ids=["K1", "empty", "one-edge", "isolated", "dense"])
+def test_edges_list_upper_neighbors_in_order(graph):
+    assert list(wnc.edges(graph)) == _edges_by_bit_walk(graph)
+
+
+@pytest.mark.parametrize("expr", ACCEPTANCE_CORPUS + ("Z12/nil", "Z16 x Z36"))
+def test_edges_of_ring_graphs(expr):
+    _, _, graph = realize(expr)
+    assert list(wnc.edges(graph)) == _edges_by_bit_walk(graph)

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 import wnc
 from wnc.errors import InvalidSpecError, UnsupportedOperationError
 
-from corpus import realize
+from corpus import ACCEPTANCE_CORPUS, realize
 from oracles import (gf_poly_add, gf_poly_mul, gf_poly_name, gf_poly_neg,
                      ring_axiom_violations, rings_isomorphic)
 
@@ -272,23 +272,34 @@ def test_construction_is_deterministic(expr):
 
 
 def test_large_ring_skips_tables_but_agrees():
-    # above the table threshold operations are computed on the fly
+    # operations are computed on the fly
     big = wnc.make_zn(300)
     assert big.add(299, 2) == 1
     assert big.mul(25, 12) == 0
     assert big.neg(1) == 299
 
 
-def test_fields_keep_exp_log_arithmetic_below_the_table_cap():
-    # exp/log lookups are already O(1), so GF(p^k) skips the n^2 tables;
-    # Z_n and rings built over a field are still tabulated up to the cap
-    tabulated = "FiniteRing.__init__.<locals>.<lambda>"
-    for q in (4, 256):
-        field = wnc.build_ring(wnc.parse_ring_expr(f"GF({q})"))
-        assert field.add.__qualname__ == "make_gf.<locals>.add"
-        assert field.mul.__qualname__ == "make_gf.<locals>.mul"
-    assert wnc.make_zn(256).mul.__qualname__ == tabulated
-    assert wnc.build_ring(wnc.parse_ring_expr("M2(GF(4))")).mul.__qualname__ == tabulated
+# the function each construction's add, mul and neg are defined in
+OWN_OPERATIONS = {"Z256": "_integers_mod", "GF(4)": "make_gf",
+                  "GF(256)": "make_gf", "Z2 x Z2": "make_product",
+                  "M2(GF(4))": "make_matrix_ring", "M2(Z4)": "make_matrix_ring",
+                  "Z12/nil": "nilradical_quotient"}
+
+
+@pytest.mark.parametrize("expr", OWN_OPERATIONS)
+def test_no_ring_swaps_in_table_lookups(expr, monkeypatch):
+    # building a ring materializes no n^2 tables: it keeps the operations
+    # its construction defines (for GF(p^k), the exp/log lookups)
+    def refuse(ring):
+        raise AssertionError("a ring built its operation tables")
+
+    monkeypatch.setattr(wnc.rings, "operation_tables", refuse)
+    ring = wnc.build_ring(wnc.parse_ring_expr(expr))
+    for op in (ring.add, ring.mul, ring.neg):
+        assert op.__qualname__.startswith(OWN_OPERATIONS[expr] + ".<locals>.")
+    if expr.startswith("GF"):
+        assert ring.add.__qualname__ == "make_gf.<locals>.add"
+        assert ring.mul.__qualname__ == "make_gf.<locals>.mul"
 
 
 def test_build_ring_respects_cap():
@@ -341,3 +352,29 @@ def test_translate_matches_add_for_every_shift(expr):
                 if mask >> m & 1:
                     image |= 1 << ring.add(m, g)
             assert wnc.rings.translate(ring, mask, g) == image, (mask, g)
+
+
+ADD_ROW_EXPRS = ("Z2 x Z2 x Z2", "(Z2 x Z3) x Z4", "Z4 x (Z2 x Z3)",
+                 "Z2 x GF(4)", "M2(Z2 x Z2)", "M2(GF(4))", "M2(Z3)",
+                 "Z12/nil", "(Z4 x Z9)/nil x Z3", "Z2 x Z12/nil")
+
+
+@pytest.mark.parametrize("expr", ACCEPTANCE_CORPUS + ADD_ROW_EXPRS)
+def test_add_row_is_the_row_of_add(expr):
+    ring = wnc.build_ring(wnc.parse_ring_expr(expr))
+    for x in range(ring.size):
+        assert ring.add_row(x) == [ring.add(x, y) for y in range(ring.size)]
+
+
+@pytest.mark.parametrize("expr", ["Z12", "Z2 x Z3", "M2(Z2)", "Z2 x Z12/nil"])
+def test_add_row_never_reads_the_layout(expr, monkeypatch):
+    ring = wnc.build_ring(wnc.parse_ring_expr(expr))
+    rows = [ring.add_row(x) for x in range(ring.size)]
+
+    def refuse(*args):
+        raise AssertionError("add_row read the digit layout")
+
+    monkeypatch.setattr(wnc.rings, "translate", refuse)
+    monkeypatch.setattr(type(ring), "_wrap_masks", property(refuse))
+    ring.radices = None
+    assert [ring.add_row(x) for x in range(ring.size)] == rows

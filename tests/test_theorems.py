@@ -1,5 +1,6 @@
 """The verdict engine: statuses, applicability, charted discrepancies."""
 
+import copy
 import dataclasses
 
 import pytest
@@ -7,6 +8,7 @@ import pytest
 import wnc
 from wnc import graph as graph_module
 from wnc import theorems
+from wnc.bitsets import bit_list
 from wnc.rings import NilQuotient
 from wnc.theorems import AGREE, DISAGREE, NOT_APPLICABLE, THEOREM_IDS
 
@@ -177,6 +179,85 @@ def test_a_missing_weak_edge_breaks_only_the_degree(expr):
     verdicts = {v.theorem: v for v in wnc.theorem_suite(ring, cls, tampered)}
     assert verdicts["subgraph"].status == AGREE
     assert verdicts["degree-lemma"].status == DISAGREE
+
+
+def _verdict_map(ring, cls, graph):
+    # a tampered graph or ring may leave chi' to a search; none of these
+    # tests reads class 1
+    return {v.theorem: v
+            for v in wnc.theorem_suite(ring, cls, graph, chi_budget=1000)}
+
+
+@pytest.mark.parametrize("expr", ["Z10", "Z3 x Z3", "Z2 x Z2 x Z2", "M2(Z2)"])
+def test_a_non_injective_addition_breaks_the_sum_coloring(expr):
+    # add sends two neighbors y1 < y2 of x to the same sum; the whole-row
+    # check refuses the rows it gives, and the per-neighbor adds see the
+    # collision (reduced or noncommutative rings: their reports build no
+    # quotient, which the broken add could not define)
+    ring, cls, graph = realize(expr)
+    x = next(v for v, row in enumerate(graph.adjacency) if row.bit_count() > 1)
+    y1, y2 = bit_list(graph.adjacency[x])[:2]
+    real = ring.add
+
+    def add(a, b):
+        return real(x, y1) if (a, b) in ((x, y2), (y2, x)) else real(a, b)
+
+    broken = copy.copy(ring)
+    broken.add = add
+    broken.add_row = lambda a: [add(a, b) for b in range(ring.size)]
+    verdicts = _verdict_map(broken, cls, graph)
+    assert verdicts["sum-coloring"].status == DISAGREE
+    assert verdicts["sum-coloring"].computed.startswith("improper")
+
+
+@pytest.mark.parametrize("expr", ["Z12", "Z2 x Z2 x Z2", "M2(Z2)", "Z4 x Z9"])
+def test_a_shifted_add_row_breaks_the_subgraph_check(expr):
+    # add_row(x) is the row of x + h with 2h = 0: a bijection whose inverse
+    # is add_row(-x), so it passes the inverse check, but every sum is off
+    # by h
+    ring, cls, graph = realize(expr)
+    h = next(v for v in range(1, ring.size) if ring.add(v, v) == ring.zero)
+    shifted = copy.copy(ring)
+    shifted.add_row = lambda x: ring.add_row(ring.add(x, h))
+    assert _verdict_map(ring, cls, graph)["subgraph"].status == AGREE
+    assert _verdict_map(shifted, cls, graph)["subgraph"].status == DISAGREE
+
+
+@pytest.mark.parametrize("expr", ["Z12", "Z16 x Z12", "Z2 x Z2 x Z2 x Z2",
+                                  "M2(Z4)", "M2(GF(4))", "GF(16)"])
+def test_the_report_does_not_read_the_layout(expr, monkeypatch):
+    # once the rows are built, the verdicts read add and add_row alone
+    ring = wnc.build_ring(wnc.parse_ring_expr(expr))
+    cls = wnc.weakly_nil_clean_set(ring)
+    graph = wnc.build_wnc_graph(ring, cls)
+    before = wnc.compute_report(ring, cls, graph)
+
+    def refuse(*args):
+        raise AssertionError("the report read the digit layout")
+
+    monkeypatch.setattr(wnc.rings, "translate", refuse)
+    monkeypatch.setattr(graph_module, "translate", refuse)
+    monkeypatch.setattr(type(ring), "_wrap_masks", property(refuse))
+    ring.radices = None
+    assert wnc.compute_report(ring, cls, graph) == before
+
+
+@pytest.mark.parametrize("expr", ["Z12", "Z8", "Z4 x Z9", "Z2 x Z4"])
+@pytest.mark.parametrize("both_rows", [True, False], ids=["edge", "one-row"])
+def test_a_missing_lifted_edge_breaks_quotient_lifting(expr, both_rows):
+    # 0 + 1 = 1 is idempotent in R/Nil(R), so the cosets of 0 and 1 are
+    # adjacent there and every pair between them must be an edge of R;
+    # one row missing its bit is enough
+    ring, cls, graph = realize(expr)
+    assert _verdict_map(ring, cls, graph)["quotient-lifting"].status == AGREE
+    if both_rows:
+        tampered = _without_edge(graph, ring.zero, ring.one)
+    else:
+        rows = list(graph.adjacency)
+        rows[ring.one] &= ~(1 << ring.zero)
+        tampered = dataclasses.replace(graph, adjacency=rows)
+    verdicts = _verdict_map(ring, cls, tampered)
+    assert verdicts["quotient-lifting"].status == DISAGREE
 
 
 def test_the_report_builds_only_the_quotient_graph(monkeypatch):
