@@ -12,15 +12,14 @@ __version__ = "0.1.0"
 from .classify import (Classification, Decomposition, idempotents,
                        is_nil_clean_ring, is_weakly_nil_clean_ring,
                        nilpotents, weakly_nil_clean_set)
-from .coloring import (UNKNOWN, check_sum_coloring, chromatic_index_exact,
-                       sum_edge_coloring, verify_proper_edge_coloring,
-                       vizing_class)
+from .coloring import UNKNOWN, chromatic_index_exact, vizing_class
 from .errors import (InvalidSpecError, RingExprError,
                      UnsupportedOperationError, WncError)
 from .graph import (NIL_CLEAN, WEAKLY_NIL_CLEAN, WncGraph, build_nc_graph,
                     build_wnc_graph, degree, edge_count, edges, make_graph,
                     max_degree, neighborhood)
-from .invariants import (INFINITE, bfs_distances, components, diameter,
+from .invariants import (CENSUS_NODES, CLIQUE_NODES, INFINITE, Budget,
+                         clique_count_bound, components, diameter,
                          enumerate_k_cliques, girth, is_bipartite, is_star,
                          max_clique, neighborhood_disjointness_check,
                          shortest_cycle)
@@ -29,6 +28,6 @@ from .rings import (DEFAULT_CAP, GF, FiniteRing, MatrixRing, NilQuotient,
                     PolyMod, Product, RingSpec, Zn, build_ring,
                     find_least_irreducible, format_spec, make_gf,
                     make_matrix_ring, make_product, make_zn,
-                    nilradical_quotient, operation_tables)
+                    nilradical_quotient)
 from .theorems import (InvariantReport, THEOREM_IDS, TheoremVerdict,
                        compute_report, theorem_suite)

@@ -19,7 +19,7 @@ from .classify import weakly_nil_clean_set
 from .coloring import DEFAULT_COLOR_BUDGET
 from .errors import WncError
 from .graph import build_wnc_graph, upper_neighbors
-from .invariants import plain
+from .invariants import UNKNOWN, plain
 from .rings import DEFAULT_CAP, build_ring, format_spec
 from .ringexpr import parse_ring_expr
 from .theorems import (AGREE, DISAGREE, THEOREM_IDS, compute_report,
@@ -27,7 +27,7 @@ from .theorems import (AGREE, DISAGREE, THEOREM_IDS, compute_report,
 
 
 def _realize(expr: str, cap: int):
-    spec = parse_ring_expr(expr)
+    spec = parse_ring_expr(expr, cap)
     ring = build_ring(spec, cap=cap)
     classification = weakly_nil_clean_set(ring)
     graph = build_wnc_graph(ring, classification)
@@ -36,6 +36,12 @@ def _realize(expr: str, cap: int):
 
 def _names_of(ring, mask):
     return [ring.name(i) for i in bit_list(mask)]
+
+
+def _search(budget, bound="upper", **facts):
+    """A stopped search's JSON block: `facts`, its bound, name and nodes."""
+    return {**facts, bound: budget.bound, "search": budget.search,
+            "nodes": budget.used}
 
 
 def cmd_report(args) -> int:
@@ -64,7 +70,7 @@ def cmd_report(args) -> int:
         "girth": plain(report.girth),
         "is_bipartite": report.is_bipartite,
         "max_degree": report.max_degree,
-        "clique_number": report.clique_number,
+        "clique_number": plain(report.clique_number),
         "sum_coloring_colors": report.sum_coloring_colors,
         "chromatic_index": plain(report.chromatic_index),
         "vizing_class": plain(report.vizing_class),
@@ -81,7 +87,17 @@ def cmd_report(args) -> int:
         "tool_version": __version__,
         "wall_time_seconds": round(time.perf_counter() - started, 6),
     }
-    if report.four_cliques is not None:
+    stopped = report.stopped
+    if "clique" in stopped:
+        doc["clique_search"] = _search(
+            stopped["clique"], lower=len(report.clique),
+            witness=[ring.name(v) for v in report.clique])
+    if "chromatic-index" in stopped:
+        doc["chromatic_index_search"] = _search(
+            stopped["chromatic-index"], lower=report.max_degree)
+    if report.four_cliques is UNKNOWN:
+        doc["four_cliques"] = _search(stopped["four-cliques"], "count_at_most")
+    elif report.four_cliques is not None:
         doc["four_cliques"] = [[ring.name(v) for v in clique]
                                for clique in report.four_cliques]
     if args.json:
@@ -89,14 +105,9 @@ def cmd_report(args) -> int:
         return 0
     print(f"ring: {doc['ring']}  (size {ring.size}, "
           f"{'commutative' if ring.is_commutative else 'noncommutative'})")
-    print(f"idempotents ({doc['class_sizes']['idem']}): "
-          + ", ".join(doc["idem_set"]))
-    print(f"nilpotents ({doc['class_sizes']['nil']}): "
-          + ", ".join(doc["nil_set"]))
-    print(f"nil clean set ({doc['class_sizes']['nc']}): "
-          + ", ".join(doc["nc_set"]))
-    print(f"weakly nil clean set ({doc['class_sizes']['wnc']}): "
-          + ", ".join(doc["wnc_set"]))
+    for label, key in (("idempotents", "idem"), ("nilpotents", "nil"),
+                       ("nil clean set", "nc"), ("weakly nil clean set", "wnc")):
+        print(f"{label} ({doc['class_sizes'][key]}): " + ", ".join(doc[f"{key}_set"]))
     print(f"weakly nil clean ring: {doc['is_weakly_nil_clean_ring']}"
           f"  nil clean ring: {doc['is_nil_clean_ring']}")
     print(f"component_sizes: {doc['component_sizes']}")
@@ -107,9 +118,17 @@ def cmd_report(args) -> int:
           f"  chromatic_index: {doc['chromatic_index']}"
           f"  vizing_class: {doc['vizing_class']}")
     if report.four_cliques is not None:
-        print(f"four_cliques ({len(report.four_cliques)}): "
+        print("four_cliques: unknown" if report.four_cliques is UNKNOWN else
+              f"four_cliques ({len(report.four_cliques)}): "
               + "  ".join("{" + ",".join(ring.name(v) for v in c) + "}"
                           for c in report.four_cliques))
+    for key in ("clique_search", "four_cliques", "chromatic_index_search"):
+        if isinstance(doc.get(key), dict):  # a search that ran out of budget
+            block = dict(doc[key])
+            print(f"{block.pop('search')} search stopped after {block.pop('nodes')}"
+                  " nodes; " + ", ".join(
+                      f"{k} {'{' + ','.join(v) + '}' if k == 'witness' else v}"
+                      for k, v in sorted(block.items())))
     agree = sum(v.status == AGREE for v in report.theorem_verdicts)
     disagree = sum(v.status == DISAGREE for v in report.theorem_verdicts)
     print(f"theorem verdicts: {agree} agree, {disagree} disagree "

@@ -1,5 +1,5 @@
-"""Edge coloring: the additive sum coloring, properness checking, and the
-exact chromatic index.
+"""Edge coloring: the sum sets of the additive sum coloring and the exact
+chromatic index.
 
 The sum coloring colors the edge {x, y} by x + y. One pass over the rows
 gives each vertex's sum set sums(x) = {x + y : y ~ x}, the colors at x,
@@ -14,10 +14,10 @@ per component. Textbook facts settle the easy cases: a component with
 |E| > Delta * floor(|V|/2) edges is refuted by the matching counting
 bound, and a complete component K_m needs m - 1 colors for even m (the
 round-robin construction, checked in the tests rather than at run time)
-and m for odd m. Then any caller-supplied coloring that verifies as proper
-with at most Delta colors confirms class 1, and an MRV backtracking search
-with star symmetry fixing settles the rest under a node budget. Exceeding
-the budget yields the UNKNOWN sentinel, never a guess.
+and m for odd m. An MRV backtracking search with star symmetry fixing
+settles the rest under a node budget (`invariants.Budget`, named
+"chromatic-index"). Exceeding the budget yields the UNKNOWN sentinel,
+never a guess.
 """
 
 from __future__ import annotations
@@ -25,8 +25,8 @@ from __future__ import annotations
 from operator import itemgetter
 
 from .bitsets import bit_list, iter_bits
-from .graph import WncGraph, edge_count, edges, max_degree
-from .invariants import UNKNOWN, components
+from .graph import WncGraph, max_degree
+from .invariants import UNKNOWN, Budget, components
 from .rings import FiniteRing
 
 DEFAULT_COLOR_BUDGET = 10_000_000
@@ -34,18 +34,6 @@ DEFAULT_COLOR_BUDGET = 10_000_000
 # ROW_ELEMENTS_PER_ADD elements of the carrier, so a row with fewer
 # neighbors than n / ROW_ELEMENTS_PER_ADD makes one `add` per neighbor.
 ROW_ELEMENTS_PER_ADD = 8
-
-
-def sum_edge_coloring(ring: FiniteRing, graph: WncGraph) -> dict[tuple[int, int], int]:
-    """Color each edge {a, b} by the ring element a + b.
-
-    Distinct edges at a shared vertex get distinct colors because b = c
-    follows from a + b = a + c, so the coloring is always proper; the color
-    set is contained in the clean set that defined the graph.
-    """
-    if graph.vertex_count != ring.size:
-        raise ValueError("graph does not match the ring")
-    return {(u, v): ring.add(u, v) for u, v in edges(graph)}
 
 
 def sum_sets(ring: FiniteRing, graph: WncGraph):
@@ -88,64 +76,14 @@ def sum_sets(ring: FiniteRing, graph: WncGraph):
         yield x, degree, sums
 
 
-def check_sum_coloring(ring: FiniteRing, graph: WncGraph) -> tuple[bool, int]:
-    """(proper, colors) for the sum coloring, folded over `sum_sets`.
-
-    The colors at x are distinct iff |sums(x)| = deg(x). `proper` is
-    computed, not inferred from cancellation, and `colors` is the bitset of
-    every color used.
-    """
-    proper = True
-    colors = 0
-    for _, degree, sums in sum_sets(ring, graph):
-        proper = proper and sums.bit_count() == degree
-        colors |= sums
-    return proper, colors
-
-
-def verify_proper_edge_coloring(graph: WncGraph, coloring) -> bool:
-    """True iff the coloring is total on the edge set and no two edges
-    sharing a vertex share a color. A partial coloring is an error."""
-    adj = graph.adjacency
-    normalized = {}
-    for (u, v), c in coloring.items():
-        if u == v or not (0 <= u < graph.vertex_count) \
-                or not adj[u] >> v & 1:
-            raise ValueError(f"colored pair ({u}, {v}) is not an edge")
-        key = (u, v) if u < v else (v, u)
-        if key in normalized:
-            raise ValueError(f"edge {key} is colored twice")
-        normalized[key] = c
-    if len(normalized) != edge_count(graph):
-        raise ValueError("partial coloring: some edges have no color")
-    seen: dict[int, set] = {}
-    for (u, v), c in normalized.items():
-        for x in (u, v):
-            used = seen.setdefault(x, set())
-            if c in used:
-                return False
-            used.add(c)
-    return True
-
-
 # ---------------------------------------------------------------------------
 # Exact Delta-colorability of one component
 
 
-class _Budget:
-    __slots__ = ("left",)
-
-    def __init__(self, nodes):
-        self.left = nodes
-
-
-class _BudgetExceeded(Exception):
-    pass
-
-
-def _component_delta_colorable(adj, comp_vertices, delta, budget: _Budget):
+def _component_delta_colorable(adj, comp_vertices, delta, budget: Budget):
     """Backtracking decision: can this component's edges be colored with
-    colors 0..delta-1? Returns True/False, or raises _BudgetExceeded."""
+    colors 0..delta-1? True or False, or None once the budget runs out; each
+    color tried on an edge spends one node."""
     full = (1 << delta) - 1
     edge_list = []
     eid = {}
@@ -172,21 +110,10 @@ def _component_delta_colorable(adj, comp_vertices, delta, budget: _Budget):
         udeg[v] -= 1
         c += 1
 
-    def choose():
-        best = -1
-        best_count = 1 << 62
-        for e in sorted(uncolored):
-            u, v = edge_list[e]
-            k = (avail[u] & avail[v]).bit_count()
-            if k < best_count:
-                best_count = k
-                best = e
-                if k == 0:
-                    break
-        return best
-
     def push(stack):
-        e = choose()
+        # the least uncolored edge with the fewest colors left at both ends
+        e = min(sorted(uncolored), key=lambda e: (
+            avail[edge_list[e][0]] & avail[edge_list[e][1]]).bit_count())
         u, v = edge_list[e]
         uncolored.discard(e)
         udeg[u] -= 1
@@ -213,9 +140,8 @@ def _component_delta_colorable(adj, comp_vertices, delta, budget: _Budget):
             continue
         low = cand & -cand
         frame[1] = cand ^ low
-        budget.left -= 1
-        if budget.left < 0:
-            raise _BudgetExceeded
+        if not budget.spend():
+            return None
         avail[u] &= ~low
         avail[v] &= ~low
         frame[2] = low
@@ -227,14 +153,14 @@ def _component_delta_colorable(adj, comp_vertices, delta, budget: _Budget):
     return False
 
 
-def chromatic_index_exact(graph: WncGraph, budget: int = DEFAULT_COLOR_BUDGET,
-                          hints=()):
+def chromatic_index_exact(graph: WncGraph, budget=DEFAULT_COLOR_BUDGET):
     """Exact chromatic index, or UNKNOWN when the search budget runs out.
 
-    `hints` may carry candidate colorings (edge -> color mappings); any
-    hint that verifies as proper with at most Delta distinct colors proves
-    class 1 without a search.
+    `budget` is a node count or a Budget; an int gets a "chromatic-index"
+    Budget of its own. All components share it.
     """
+    if not isinstance(budget, Budget):
+        budget = Budget("chromatic-index", budget)
     adj = graph.adjacency
     delta = max_degree(graph)
     if delta == 0:
@@ -257,34 +183,19 @@ def chromatic_index_exact(graph: WncGraph, budget: int = DEFAULT_COLOR_BUDGET,
             return delta + 1
         else:
             pending.append(vertices)
-    if not pending:
-        return delta
-    for hint in hints:
-        try:
-            proper = verify_proper_edge_coloring(graph, hint)
-        except ValueError:
-            continue
-        if proper and len(set(hint.values())) <= delta:
-            return delta
-
-    tracker = _Budget(budget)
     unknown = False
     for comp in pending:
-        try:
-            ok = _component_delta_colorable(adj, comp, delta, tracker)
-        except _BudgetExceeded:
-            unknown = True
-            continue
-        if not ok:
+        ok = _component_delta_colorable(adj, comp, delta, budget)
+        if ok is False:
             return delta + 1
+        unknown |= ok is None
     if unknown:
+        budget.bound = delta + 1  # Vizing
         return UNKNOWN
     return delta
 
 
-def vizing_class(graph: WncGraph, budget: int = DEFAULT_COLOR_BUDGET, hints=()):
+def vizing_class(graph: WncGraph, budget=DEFAULT_COLOR_BUDGET):
     """1 when chi' = Delta, 2 when chi' = Delta + 1, UNKNOWN if undecided."""
-    chi = chromatic_index_exact(graph, budget=budget, hints=hints)
-    if chi is UNKNOWN:
-        return UNKNOWN
-    return 1 if chi == max_degree(graph) else 2
+    chi = chromatic_index_exact(graph, budget=budget)
+    return UNKNOWN if chi is UNKNOWN else 1 if chi == max_degree(graph) else 2

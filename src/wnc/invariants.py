@@ -8,6 +8,7 @@ never a large integer stand-in.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from enum import Enum
 
@@ -37,6 +38,33 @@ UNKNOWN = Sentinel.UNKNOWN
 def plain(value):
     """The value as the JSON report holds it: a sentinel becomes its name."""
     return value.value if isinstance(value, Sentinel) else value
+
+
+# Nodes of the clique search: one per greedily colored frame, about four
+# times the most any ring of the test corpus takes (3,794, M2(GF(4))).
+CLIQUE_NODES = 15_000
+# Nodes of the 4-clique census: one per clique it may list.
+CENSUS_NODES = 100_000
+
+
+class Budget:
+    """A count of search nodes for one exact search, named `search`.
+    `spend` charges nodes, or refuses and charges none once fewer are left;
+    the search then stops, answers UNKNOWN and leaves in `bound` what it
+    still proved. With no clock, an input always stops at the same node."""
+
+    __slots__ = ("search", "nodes", "used", "exhausted", "bound")
+
+    def __init__(self, search: str, nodes: int):
+        self.search, self.nodes = search, nodes
+        self.used, self.exhausted, self.bound = 0, False, None
+
+    def spend(self, nodes: int = 1) -> bool:
+        if self.used + nodes > self.nodes:
+            self.exhausted = True
+            return False
+        self.used += nodes
+        return True
 
 
 # ---------------------------------------------------------------------------
@@ -75,17 +103,6 @@ def components(graph: WncGraph) -> list[int]:
         unseen &= ~comp
         out.append(comp)
     return out
-
-
-def bfs_distances(graph: WncGraph, source: int) -> list[int]:
-    """Hop distances from source; -1 where unreachable."""
-    n = graph.vertex_count
-    dist = [-1] * n
-    levels, _ = _bfs_levels(graph.adjacency, source, (1 << n) - 1)
-    for d, level in enumerate(levels):
-        for v in iter_bits(level):
-            dist[v] = d
-    return dist
 
 
 def diameter(graph: WncGraph):
@@ -292,39 +309,55 @@ def _greedy_clique(adj, cand):
     return clique
 
 
-def _clique_search(adj, cand, floor, goal):
-    """The size of the largest clique in cand if it exceeds floor, else
-    floor, stopping as soon as it reaches goal. Branch and bound on an
-    explicit stack: a frame holds a greedily colored candidate set, tried
-    from its last colored vertex, and is dropped once its size plus that
-    vertex's color cannot beat the best size."""
+def _clique_search(adj, cand, floor, goal, budget):
+    """(size, clique): the largest clique in cand and its vertices if it
+    has more than floor vertices, else (floor, None), stopping as soon as
+    the size reaches goal. Branch and bound on an explicit stack: a frame
+    holds a greedily colored candidate set, tried from its last colored
+    vertex, and is dropped once its depth plus that vertex's color cannot
+    beat the best size; `path` holds the vertex tried at each depth.
+
+    Each colored frame spends one node of the budget. When one is refused
+    the search stops with the largest clique found; budget.bound is then the
+    root coloring's color count, or |cand| if the root was refused."""
     if cand.bit_count() <= floor:
-        return floor
-    best = max(floor, len(_greedy_clique(adj, cand)))  # a real clique
+        return floor, None
+    greedy = _greedy_clique(adj, cand)  # a real clique
+    best, clique = (len(greedy), greedy) if len(greedy) > floor else (floor, None)
     if best >= goal:
-        return best
-    stack = [(cand, 0, *_greedy_color_order(adj, cand))]
-    while stack:
-        cand, size, order, colors = stack[-1]
+        return best, clique
+    budget.bound = cand.bit_count()
+    if not budget.spend():
+        return best, clique
+    stack = [(cand, *_greedy_color_order(adj, cand))]
+    budget.bound = stack[0][2][-1]  # no clique in cand is larger
+    goal = min(goal, budget.bound)
+    path = []
+    while stack and best < goal:
+        cand, order, colors = stack[-1]
+        size = len(stack) - 1
         if not order or size + colors[-1] <= best:
             stack.pop()
             continue
         colors.pop()
         v = order.pop()
         cand &= ~(1 << v)
-        stack[-1] = (cand, size, order, colors)
+        stack[-1] = (cand, order, colors)
+        del path[size:]
+        path.append(v)
         sub = cand & adj[v]
-        if sub:
-            stack.append((sub, size + 1, *_greedy_color_order(adj, sub)))
-        elif size + 1 > best:
-            best = size + 1
-            if best >= goal:
-                break
-    return best
+        if not sub:
+            if size + 1 > best:
+                best, clique = size + 1, path[:]
+        elif budget.spend():
+            stack.append((sub, *_greedy_color_order(adj, sub)))
+        else:
+            break
+    return best, clique
 
 
-def max_clique(graph: WncGraph):
-    """Exact maximum clique: (sorted vertex tuple, clique number).
+def max_clique(graph: WncGraph, budget: Budget | None = None):
+    """Maximum clique: (sorted vertex tuple, clique number).
 
     One iterative branch and bound over bitset adjacency with a
     greedy-coloring bound (after San Segundo et al.'s BBMC) gives the clique
@@ -342,32 +375,54 @@ def max_clique(graph: WncGraph):
     grown greedily from the lowest vertex is the least clique of its size,
     so when it has omega vertices it is the witness; otherwise the same
     search rebuilds the witness vertex by vertex.
-    """
+
+    The search for omega spends `budget`, by default CLIQUE_NODES nodes.
+    When it runs out, the clique number is UNKNOWN, the tuple is the largest
+    clique found, budget.bound bounds omega, and no witness is rebuilt."""
     n = graph.vertex_count
     adj = graph.adjacency
     if n == 0:
         return (), 0
+    if budget is None:
+        budget = Budget("clique", CLIQUE_NODES)
     cand = (1 << n) - 1
     greedy = _greedy_clique(adj, cand)
     ring = graph.ring
     if (ring is not None and graph.clean_set is not None
             and ring.add(ring.one, ring.one) == ring.zero):
-        omega = 1 + _clique_search(adj, adj[0], len(greedy) - 1, n - 1)
+        size, found = _clique_search(adj, adj[0], len(greedy) - 1, n - 1, budget)
+        omega, found = 1 + size, found and [0, *found]
+        if budget.exhausted:
+            budget.bound += 1  # for vertex 0
     else:
-        omega = _clique_search(adj, cand, len(greedy), n)
+        omega, found = _clique_search(adj, cand, len(greedy), n, budget)
+    if budget.exhausted:
+        return tuple(sorted(found or greedy)), UNKNOWN
     if omega == len(greedy):
         return tuple(greedy), omega
     clique = []
+    unbounded = Budget("clique", math.inf)
     for remaining in range(omega - 1, -1, -1):
         for v in iter_bits(cand):
             above = cand & adj[v] & -(1 << (v + 1))
-            if _clique_search(adj, above, remaining - 1, remaining) >= remaining:
+            if _clique_search(adj, above, remaining - 1, remaining,
+                              unbounded)[0] >= remaining:
                 clique.append(v)
                 cand = above
                 break
         else:
             raise AssertionError("clique reconstruction lost the optimum")
     return tuple(clique), omega
+
+
+def clique_count_bound(graph: WncGraph, k: int) -> int:
+    """An upper bound on the number of k-cliques, read off the degrees.
+
+    Each vertex of a k-clique sees the other k - 1 among its neighbors, so
+    there are at most the sum over v of C(deg v, k - 1) / k. On a complete
+    component K_m that sum is m C(m - 1, k - 1) / k = C(m, k), exact.
+    """
+    return sum(math.comb(row.bit_count(), k - 1) for row in graph.adjacency) // k
 
 
 def enumerate_k_cliques(graph: WncGraph, k: int) -> list[tuple[int, ...]]:

@@ -7,15 +7,16 @@ Grammar (case-insensitive keywords, whitespace ignored):
     atom := 'Z' INT | 'GF(' INT ')' | 'M' INT '(' expr ')' | '(' expr ')'
 
 GF takes the field order as a composite integer ("GF(25)" means p=5, k=2);
-orders that are not prime powers are rejected while parsing. Size-cap and
-commutativity validation happen at construction time, not here.
+orders above the size cap are refused before they are factored, and
+orders that are not prime powers while parsing. Other size-cap and
+commutativity checks happen at construction time, not here.
 """
 
 from __future__ import annotations
 
-from .errors import RingExprError
-from .rings import GF, MatrixRing, NilQuotient, Product, RingSpec, Zn, \
-    factor_prime_power, format_spec
+from .errors import InvalidSpecError, RingExprError
+from .rings import DEFAULT_CAP, GF, MatrixRing, NilQuotient, Product, \
+    RingSpec, Zn, factor_prime_power, format_spec
 
 __all__ = ["parse_ring_expr", "format_spec"]
 
@@ -66,8 +67,9 @@ def _tokenize(text: str):
 
 
 class _Parser:
-    def __init__(self, text: str):
+    def __init__(self, text: str, cap: int):
         self.text = text
+        self.cap = cap
         self.tokens = _tokenize(text)
         self.idx = 0
 
@@ -113,6 +115,9 @@ class _Parser:
             self.take("LPAREN")
             q_tok = self.take("INT")
             self.take("RPAREN")
+            if q_tok[1] > self.cap:
+                raise InvalidSpecError(
+                    f"GF({q_tok[1]}) exceeds the size cap {self.cap}")
             pk = factor_prime_power(q_tok[1])
             if pk is None:
                 raise RingExprError(f"GF({q_tok[1]}): not a prime power", q_tok[2])
@@ -132,7 +137,7 @@ class _Parser:
         raise RingExprError(f"expected a ring term, found {tok[0]}", tok[2])
 
 
-def parse_ring_expr(text: str) -> RingSpec:
+def parse_ring_expr(text: str, cap: int = DEFAULT_CAP) -> RingSpec:
     """Parse surface syntax like "Z10", "GF(25)", "M2(Z2)", "Z3 x Z3",
-    "Z12/nil" into a ring spec."""
-    return _Parser(text).parse()
+    "Z12/nil" into a ring spec; a field order above `cap` is refused."""
+    return _Parser(text, cap).parse()

@@ -214,16 +214,6 @@ def _pair_row(high: list[int], low: list[int]) -> list[int]:
     return [h + l for h in [h * size for h in high] for l in low]
 
 
-def operation_tables(ring: FiniteRing):
-    """Fully materialized (add, mul, neg) tables, n^2 operation calls; an
-    oracle for determinism and axiom checks that no ring builds itself."""
-    n = ring.size
-    add = [[ring.add(a, b) for b in range(n)] for a in range(n)]
-    mul = [[ring.mul(a, b) for b in range(n)] for a in range(n)]
-    neg = [ring.neg(a) for a in range(n)]
-    return add, mul, neg
-
-
 # ---------------------------------------------------------------------------
 # Z_n
 
@@ -376,13 +366,15 @@ def make_gf(p: int, k: int, cap: int = DEFAULT_CAP) -> FiniteRing:
     element g (Lidl-Niederreiter, Finite Fields, section 9): mul and neg add
     logarithms, and add uses the Zech logarithms log(1 + g^m).
     """
-    if not is_prime(p):
-        raise InvalidSpecError(f"GF base {p} is not prime")
     if k < 1:
         raise InvalidSpecError("GF needs k >= 1")
-    size = p ** k
-    if size > cap:
-        raise InvalidSpecError(f"GF({size}) exceeds the size cap {cap}")
+    # the cap comes before the primality test; a long exponent stays unraised
+    size = p ** k if k <= 64 else None
+    if p >= 2 and (size is None or size > cap):
+        raise InvalidSpecError(
+            f"GF({size or f'{p}^{k}'}) exceeds the size cap {cap}")
+    if not is_prime(p):
+        raise InvalidSpecError(f"GF base {p} is not prime")
     if k == 1:
         return _integers_mod(p, GF(p, 1))
 

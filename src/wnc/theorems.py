@@ -42,7 +42,8 @@ from .bitsets import iter_bits
 from .classify import Classification, weakly_nil_clean_set
 from .coloring import chromatic_index_exact, sum_sets
 from .graph import WncGraph, build_wnc_graph, is_complete, max_degree
-from .invariants import (INFINITE, UNKNOWN, components, diameter,
+from .invariants import (CENSUS_NODES, CLIQUE_NODES, INFINITE, UNKNOWN,
+                         Budget, clique_count_bound, components, diameter,
                          enumerate_k_cliques, girth, is_bipartite, is_star,
                          max_clique, neighborhood_disjointness_check)
 from .rings import (GF, FiniteRing, MatrixRing, Zn, is_prime,
@@ -93,12 +94,14 @@ class InvariantReport:
     girth: object  # int or INFINITE
     is_bipartite: bool
     max_degree: int
-    clique_number: int
-    four_cliques: list[tuple[int, ...]] | None
+    clique_number: object  # int or UNKNOWN
+    clique: tuple[int, ...]  # a maximum clique, or the largest one found
+    four_cliques: object  # list of 4-cliques, UNKNOWN, or None if not asked
     sum_coloring_colors: int
     chromatic_index: object  # int or UNKNOWN
     vizing_class: object  # 1 | 2 | UNKNOWN
     theorem_verdicts: list[TheoremVerdict] = field(default_factory=list)
+    stopped: dict[str, Budget] = field(default_factory=dict)  # by search name
 
 
 def _is_2k3l(n: int) -> bool:
@@ -118,6 +121,11 @@ def _z2p_prime(spec) -> int | None:
     if n is not None and n % 2 == 0 and n // 2 >= 5 and is_prime(n // 2):
         return n // 2
     return None
+
+
+def _agrees(value, want):
+    """value == want, or UNKNOWN when the value is."""
+    return UNKNOWN if value is UNKNOWN else value == want
 
 
 def _expected_four_cliques(p: int) -> list[tuple[int, ...]]:
@@ -153,7 +161,11 @@ class _Analysis:
         self.bipartite, _ = is_bipartite(graph)
         self.star = is_star(graph)
         self.max_degree = max_degree(graph)
-        self.clique, self.clique_number = max_clique(graph)
+        self.budgets = {name: Budget(name, nodes) for name, nodes in (
+            ("clique", CLIQUE_NODES), ("four-cliques", CENSUS_NODES),
+            ("chromatic-index", chi_budget))}
+        self.clique, self.clique_number = max_clique(graph,
+                                                     self.budgets["clique"])
         # one pass over the rows for three verdicts (module docstring)
         nc, wnc = classification.nc, classification.wnc
         size_wnc = wnc.bit_count()
@@ -169,18 +181,24 @@ class _Analysis:
             # the sum coloring itself is a proper Delta-edge-coloring
             self.chromatic_index = self.max_degree
         else:
-            self.chromatic_index = chromatic_index_exact(graph, budget=chi_budget)
-        if self.chromatic_index is UNKNOWN:
-            self.vizing_class = UNKNOWN
-        else:
-            self.vizing_class = 1 if self.chromatic_index == self.max_degree else 2
+            self.chromatic_index = chromatic_index_exact(
+                graph, self.budgets["chromatic-index"])
+        chi = self.chromatic_index
+        self.vizing_class = (UNKNOWN if chi is UNKNOWN
+                             else 1 if chi == self.max_degree else 2)
         self.char2 = ring.neg(ring.one) == ring.one
         # the degree-lemma premise Delta = |WNC| fails exactly here
         self.degenerate_max_degree = self.max_degree == size_wnc - 1
 
     @cached_property
-    def four_cliques(self) -> list[tuple[int, ...]]:
-        return sorted(enumerate_k_cliques(self.graph, 4))
+    def four_cliques(self):
+        """The sorted 4-cliques, or UNKNOWN when there may be more than the
+        census budget allows: a node is one listed clique, and the census
+        reserves the count bound before it lists anything."""
+        budget = self.budgets["four-cliques"]
+        budget.bound = clique_count_bound(self.graph, 4)
+        return (sorted(enumerate_k_cliques(self.graph, 4))
+                if budget.spend(budget.bound) else UNKNOWN)
 
 
 def _check_quotient_lifting(a: _Analysis) -> bool:
@@ -214,7 +232,9 @@ def _verdicts(a: _Analysis) -> list[TheoremVerdict]:
     out = []
 
     def emit(theorem, predicted, computed, agree, known=False):
-        status = AGREE if agree else DISAGREE
+        if agree is UNKNOWN:  # a search the value needs ran out of budget
+            computed = "unknown (budget)"
+        status = UNDECIDED if agree is UNKNOWN else AGREE if agree else DISAGREE
         out.append(TheoremVerdict(theorem, predicted, computed, status,
                                   known_discrepancy=known and not agree))
 
@@ -272,23 +292,24 @@ def _verdicts(a: _Analysis) -> list[TheoremVerdict]:
     # clique numbers
     zn = _zn_modulus(spec)
     if zn is not None and zn >= 3 and is_prime(zn):
-        emit("clique-zp", "3", str(a.clique_number), a.clique_number == 3)
+        emit("clique-zp", "3", str(a.clique_number), _agrees(a.clique_number, 3))
     else:
         skip("clique-zp", "not Z_p for an odd prime p")
     if isinstance(spec, GF):
-        emit("clique-field", "3", str(a.clique_number), a.clique_number == 3,
-             known=a.char2)
+        emit("clique-field", "3", str(a.clique_number),
+             _agrees(a.clique_number, 3), known=a.char2)
     else:
         skip("clique-field", "not a field spec")
     p2 = _z2p_prime(spec)
     if p2 is not None:
-        emit("clique-z2p", "4", str(a.clique_number), a.clique_number == 4)
+        emit("clique-z2p", "4", str(a.clique_number), _agrees(a.clique_number, 4))
         expected = _expected_four_cliques(p2)
         actual = a.four_cliques
         emit("four-cliques",
              "exactly " + ", ".join("{%s}" % ",".join(map(str, c)) for c in expected),
+             "" if actual is UNKNOWN else
              ", ".join("{%s}" % ",".join(map(str, c)) for c in actual) or "none",
-             actual == expected)
+             _agrees(actual, expected))
         verdicts = neighborhood_disjointness_check(ring, graph)
         bad = [v for v in verdicts if not v[3]]
         emit("neighborhood-lemma",
@@ -350,12 +371,8 @@ def _verdicts(a: _Analysis) -> list[TheoremVerdict]:
          + ("" if inside else " outside the set"), a.sum_proper and inside)
 
     # class 1: chi' = max degree
-    if a.vizing_class is UNKNOWN:
-        out.append(TheoremVerdict("class-1", "class 1", "unknown (budget)",
-                                  UNDECIDED))
-    else:
-        emit("class-1", "class 1", f"class {a.vizing_class}",
-             a.vizing_class == 1, known=a.degenerate_max_degree)
+    emit("class-1", "class 1", f"class {a.vizing_class}",
+         _agrees(a.vizing_class, 1), known=a.degenerate_max_degree)
     return out
 
 
@@ -378,9 +395,11 @@ def compute_report(ring: FiniteRing, classification: Classification,
         is_bipartite=a.bipartite,
         max_degree=a.max_degree,
         clique_number=a.clique_number,
+        clique=a.clique,
         four_cliques=a.four_cliques if want_four_cliques else None,
         sum_coloring_colors=a.sum_colors.bit_count(),
         chromatic_index=a.chromatic_index,
         vizing_class=a.vizing_class,
         theorem_verdicts=_verdicts(a),
+        stopped={name: b for name, b in a.budgets.items() if b.exhausted},
     )

