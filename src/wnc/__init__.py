@@ -18,10 +18,10 @@ from .errors import (InvalidSpecError, RingExprError,
 from .graph import (NIL_CLEAN, WEAKLY_NIL_CLEAN, WncGraph, build_nc_graph,
                     build_wnc_graph, degree, edge_count, edges, make_graph,
                     max_degree, neighborhood)
-from .invariants import (CENSUS_NODES, CLIQUE_NODES, INFINITE, Budget,
-                         clique_count_bound, components, diameter,
-                         enumerate_k_cliques, girth, is_bipartite, is_star,
-                         max_clique, neighborhood_disjointness_check,
+from .invariants import (CENSUS_NODES, CHROMATIC_NODES, CLIQUE_NODES,
+                         INFINITE, Budget, clique_count_bound, components,
+                         diameter, enumerate_k_cliques, girth, is_bipartite,
+                         is_star, max_clique, neighborhood_disjointness_check,
                          shortest_cycle)
 from .ringexpr import parse_ring_expr
 from .rings import (DEFAULT_CAP, GF, FiniteRing, MatrixRing, NilQuotient,

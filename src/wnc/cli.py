@@ -16,7 +16,6 @@ import time
 from . import __version__
 from .bitsets import bit_list
 from .classify import weakly_nil_clean_set
-from .coloring import DEFAULT_COLOR_BUDGET
 from .errors import WncError
 from .graph import build_wnc_graph, upper_neighbors
 from .invariants import UNKNOWN, plain
@@ -47,8 +46,7 @@ def _search(budget, bound="upper", **facts):
 def cmd_report(args) -> int:
     started = time.perf_counter()
     ring, cls, graph = _realize(args.expr, args.cap)
-    report = compute_report(ring, cls, graph, want_four_cliques=args.four_cliques,
-                            chi_budget=args.color_budget)
+    report = compute_report(ring, cls, graph, want_four_cliques=args.four_cliques)
     doc = {
         "ring": format_spec(ring.spec),
         "carrier_size": ring.size,
@@ -192,7 +190,7 @@ def cmd_export(args) -> int:
 
 def cmd_verify(args) -> int:
     ring, cls, graph = _realize(args.expr, args.cap)
-    verdicts = theorem_suite(ring, cls, graph, chi_budget=args.color_budget)
+    verdicts = theorem_suite(ring, cls, graph)
     if args.theorems:
         wanted = [t.strip() for t in args.theorems.split(",") if t.strip()]
         unknown = [t for t in wanted if t not in THEOREM_IDS]
@@ -235,7 +233,7 @@ def cmd_batch(args) -> int:
     rows = ["n,wnc_size,is_wnc_ring,girth,diameter,clique_number,vizing_class"]
     for n in range(lo, hi + 1):
         ring, cls, graph = _realize(f"Z{n}", args.cap)
-        report = compute_report(ring, cls, graph, chi_budget=args.color_budget)
+        report = compute_report(ring, cls, graph)
         rows.append(",".join([
             str(n),
             str(cls.wnc.bit_count()),
@@ -256,25 +254,17 @@ def _build_parser() -> argparse.ArgumentParser:
                     "theorem verification, and Z_n censuses.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--cap", type=int, default=DEFAULT_CAP,
-                       help="carrier size cap (default %(default)s)")
-        p.add_argument("--color-budget", type=int, default=DEFAULT_COLOR_BUDGET,
-                       help="backtracking node budget for exact edge coloring")
-
     p = sub.add_parser("report", help="classes, invariants, and verdict summary")
     p.add_argument("expr", help='ring expression, e.g. "Z10", "GF(25)", "M2(Z2)"')
     p.add_argument("--json", action="store_true", help="canonical JSON output")
     p.add_argument("--four-cliques", action="store_true",
                    help="include the 4-clique census")
-    common(p)
     p.set_defaults(func=cmd_report)
 
     p = sub.add_parser("export", help="write the graph as DOT, JSON, or CSV")
     p.add_argument("expr")
     p.add_argument("--format", choices=("dot", "json", "csv"), required=True)
     p.add_argument("--out", required=True, help="output path ('-' for stdout)")
-    common(p)
     p.set_defaults(func=cmd_export)
 
     p = sub.add_parser("verify", help="theorem verdict table (exit 2 on disagreement)")
@@ -282,15 +272,17 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theorems", help="comma-separated theorem ids to check")
     p.add_argument("--allow-known-discrepancies", action="store_true",
                    help="downgrade charted char-2/small-ring disagreements to warnings")
-    common(p)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("batch", help="CSV census over a Z_n range")
     p.add_argument("--zn", required=True, metavar="A..B",
                    help="inclusive modulus range, e.g. 2..100")
     p.add_argument("--out", default="-", help="output path (default stdout)")
-    common(p)
     p.set_defaults(func=cmd_batch)
+
+    for p in sub.choices.values():
+        p.add_argument("--cap", type=int, default=DEFAULT_CAP,
+                       help="carrier size cap (default %(default)s)")
     return parser
 
 

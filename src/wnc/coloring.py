@@ -16,8 +16,8 @@ bound, and a complete component K_m needs m - 1 colors for even m (the
 round-robin construction, checked in the tests rather than at run time)
 and m for odd m. An MRV backtracking search with star symmetry fixing
 settles the rest under a node budget (`invariants.Budget`, named
-"chromatic-index"). Exceeding the budget yields the UNKNOWN sentinel,
-never a guess.
+"chromatic-index", of CHROMATIC_NODES nodes by default). Exceeding the
+budget yields the UNKNOWN sentinel, never a guess.
 """
 
 from __future__ import annotations
@@ -25,11 +25,10 @@ from __future__ import annotations
 from operator import itemgetter
 
 from .bitsets import bit_list, iter_bits
-from .graph import WncGraph, max_degree
-from .invariants import UNKNOWN, Budget, components
+from .graph import WncGraph, max_degree, upper_neighbors
+from .invariants import CHROMATIC_NODES, UNKNOWN, Budget, components
 from .rings import FiniteRing
 
-DEFAULT_COLOR_BUDGET = 10_000_000
 # A whole-row permutation costs about as much as one `add` per
 # ROW_ELEMENTS_PER_ADD elements of the carrier, so a row with fewer
 # neighbors than n / ROW_ELEMENTS_PER_ADD makes one `add` per neighbor.
@@ -80,54 +79,60 @@ def sum_sets(ring: FiniteRing, graph: WncGraph):
 # Exact Delta-colorability of one component
 
 
-def _component_delta_colorable(adj, comp_vertices, delta, budget: Budget):
-    """Backtracking decision: can this component's edges be colored with
-    colors 0..delta-1? True or False, or None once the budget runs out; each
-    color tried on an edge spends one node."""
+def _component_delta_colorable(graph, comp_vertices, ecount, delta,
+                               budget: Budget):
+    """Backtracking decision: can this component's ecount edges be colored
+    with colors 0..delta-1? True or False, or None once the budget runs out.
+    A node is one edge indexed, one edge scanned by an MRV step or one color
+    tried, charged before the work: the index reserves all ecount edges
+    first, so a component too large for the budget costs no O(E) work."""
+    if not budget.spend(ecount):
+        return None
+    adj = graph.adjacency
     full = (1 << delta) - 1
-    edge_list = []
-    eid = {}
-    for u in comp_vertices:
-        rest = adj[u] >> (u + 1) << (u + 1)
-        for v in iter_bits(rest):
-            eid[(u, v)] = len(edge_list)
-            edge_list.append((u, v))
-    ecount = len(edge_list)
+    # edge e is (ends_u[e], ends_v[e]) with u < v, in lexicographic order
+    ends_u, ends_v = [], []
+    for u, upper in upper_neighbors(graph, comp_vertices):
+        ends_v.extend(upper)
+        ends_u.extend([u] * (len(ends_v) - len(ends_u)))
     avail = {u: full for u in comp_vertices}
     udeg = {u: adj[u].bit_count() for u in comp_vertices}
-    uncolored = set(range(ecount))
+    uncolored = set(range(len(ends_v)))
 
     # symmetry: the edges at one maximum-degree vertex can be forced onto
     # colors 0, 1, ... by permuting colors
     v0 = max(comp_vertices, key=lambda u: (adj[u].bit_count(), -u))
-    c = 0
-    for v in iter_bits(adj[v0]):
-        e = eid[(v0, v) if v0 < v else (v, v0)]
+    at_v0 = [e for e, ends in enumerate(zip(ends_u, ends_v)) if v0 in ends]
+    for c, e in enumerate(at_v0):
+        u, v = ends_u[e], ends_v[e]
         uncolored.discard(e)
-        avail[v0] &= ~(1 << c)
+        avail[u] &= ~(1 << c)
         avail[v] &= ~(1 << c)
-        udeg[v0] -= 1
-        udeg[v] -= 1
-        c += 1
-
-    def push(stack):
-        # the least uncolored edge with the fewest colors left at both ends
-        e = min(sorted(uncolored), key=lambda e: (
-            avail[edge_list[e][0]] & avail[edge_list[e][1]]).bit_count())
-        u, v = edge_list[e]
-        uncolored.discard(e)
         udeg[u] -= 1
         udeg[v] -= 1
-        stack.append([e, avail[u] & avail[v], 0])
 
-    if not uncolored:
-        return True
     stack = []
-    push(stack)
-    while stack:
+    grow = True  # the next step picks an edge before it tries a color
+    while True:
+        if grow:
+            if not uncolored:
+                return True
+            # the least uncolored edge with the fewest colors left at both
+            # ends; the scan is charged before it runs
+            if not budget.spend(len(uncolored)):
+                return None
+            e = min(uncolored, key=lambda e: (
+                (avail[ends_u[e]] & avail[ends_v[e]]).bit_count(), e))
+            u, v = ends_u[e], ends_v[e]
+            uncolored.discard(e)
+            udeg[u] -= 1
+            udeg[v] -= 1
+            stack.append([e, avail[u] & avail[v], 0])
+        elif not stack:
+            return False
         frame = stack[-1]
         e, cand, bit = frame
-        u, v = edge_list[e]
+        u, v = ends_u[e], ends_v[e]
         if bit:
             avail[u] |= bit
             avail[v] |= bit
@@ -137,6 +142,7 @@ def _component_delta_colorable(adj, comp_vertices, delta, budget: Budget):
             udeg[u] += 1
             udeg[v] += 1
             stack.pop()
+            grow = False
             continue
         low = cand & -cand
         frame[1] = cand ^ low
@@ -145,22 +151,16 @@ def _component_delta_colorable(adj, comp_vertices, delta, budget: Budget):
         avail[u] &= ~low
         avail[v] &= ~low
         frame[2] = low
-        if (avail[u].bit_count() >= udeg[u]
-                and avail[v].bit_count() >= udeg[v]):
-            if not uncolored:
-                return True
-            push(stack)
-    return False
+        grow = (avail[u].bit_count() >= udeg[u]
+                and avail[v].bit_count() >= udeg[v])
 
 
-def chromatic_index_exact(graph: WncGraph, budget=DEFAULT_COLOR_BUDGET):
-    """Exact chromatic index, or UNKNOWN when the search budget runs out.
-
-    `budget` is a node count or a Budget; an int gets a "chromatic-index"
-    Budget of its own. All components share it.
-    """
-    if not isinstance(budget, Budget):
-        budget = Budget("chromatic-index", budget)
+def chromatic_index_exact(graph: WncGraph, budget: Budget | None = None):
+    """Exact chromatic index, or UNKNOWN (and budget.bound = Delta + 1) when
+    `budget`, shared by all components, runs out: by default CHROMATIC_NODES
+    nodes of a "chromatic-index" Budget."""
+    if budget is None:
+        budget = Budget("chromatic-index", CHROMATIC_NODES)
     adj = graph.adjacency
     delta = max_degree(graph)
     if delta == 0:
@@ -182,10 +182,10 @@ def chromatic_index_exact(graph: WncGraph, budget=DEFAULT_COLOR_BUDGET):
             # delta * floor(m/2) edges
             return delta + 1
         else:
-            pending.append(vertices)
+            pending.append((vertices, ecount))
     unknown = False
-    for comp in pending:
-        ok = _component_delta_colorable(adj, comp, delta, budget)
+    for comp, ecount in pending:
+        ok = _component_delta_colorable(graph, comp, ecount, delta, budget)
         if ok is False:
             return delta + 1
         unknown |= ok is None
@@ -195,7 +195,7 @@ def chromatic_index_exact(graph: WncGraph, budget=DEFAULT_COLOR_BUDGET):
     return delta
 
 
-def vizing_class(graph: WncGraph, budget=DEFAULT_COLOR_BUDGET):
+def vizing_class(graph: WncGraph, budget: Budget | None = None):
     """1 when chi' = Delta, 2 when chi' = Delta + 1, UNKNOWN if undecided."""
     chi = chromatic_index_exact(graph, budget=budget)
     return UNKNOWN if chi is UNKNOWN else 1 if chi == max_degree(graph) else 2

@@ -120,12 +120,14 @@ def max_degree(graph: WncGraph) -> int:
     return max(row.bit_count() for row in graph.adjacency)
 
 
-def upper_neighbors(graph: WncGraph):
+def upper_neighbors(graph: WncGraph, vertices=None):
     """Yield (u, neighbors of u above u, in ascending order) for every
-    vertex u. Each row's list is read at C speed: its bit string, least
-    significant bit first, becomes 0/1 bytes that select from the ids."""
+    vertex u, or for each u in `vertices`. Each row's list is read at C
+    speed: its bit string, least significant bit first, becomes 0/1 bytes
+    that select from the ids."""
     n = graph.vertex_count
-    for u, row in enumerate(graph.adjacency):
+    for u in range(n) if vertices is None else vertices:
+        row = graph.adjacency[u]
         flags = f"{row >> (u + 1):b}"[::-1].encode().translate(_BIT_BYTES)
         yield u, compress(range(u + 1, n), flags)
 

@@ -45,6 +45,12 @@ def plain(value):
 CLIQUE_NODES = 15_000
 # Nodes of the 4-clique census: one per clique it may list.
 CENSUS_NODES = 100_000
+# Nodes of the chromatic-index search: one per edge indexed, per edge an
+# MRV step scans and per color tried. All of them take 0.5-1.0 s on a
+# 2-vCPU host for the slowest inputs measured (M2(GF(4)) x Z3, the flower
+# snark J13), over 6 times the most any decided search of the test suite
+# takes (225,924 nodes, Z4 x Z9 with the bit 0 cleared from row 1).
+CHROMATIC_NODES = 1_500_000
 
 
 class Budget:

@@ -42,8 +42,8 @@ from .bitsets import iter_bits
 from .classify import Classification, weakly_nil_clean_set
 from .coloring import chromatic_index_exact, sum_sets
 from .graph import WncGraph, build_wnc_graph, is_complete, max_degree
-from .invariants import (CENSUS_NODES, CLIQUE_NODES, INFINITE, UNKNOWN,
-                         Budget, clique_count_bound, components, diameter,
+from .invariants import (CENSUS_NODES, CHROMATIC_NODES, CLIQUE_NODES, INFINITE,
+                         UNKNOWN, Budget, clique_count_bound, components, diameter,
                          enumerate_k_cliques, girth, is_bipartite, is_star,
                          max_clique, neighborhood_disjointness_check)
 from .rings import (GF, FiniteRing, MatrixRing, Zn, is_prime,
@@ -144,7 +144,7 @@ class _Analysis:
     """One-shot computation of everything the verdicts and report share."""
 
     def __init__(self, ring: FiniteRing, classification: Classification,
-                 graph: WncGraph, chi_budget: int):
+                 graph: WncGraph):
         if classification.size != ring.size:
             raise ValueError("classification does not match the ring")
         if graph.vertex_count != ring.size or graph.clean_set != classification.wnc:
@@ -163,7 +163,7 @@ class _Analysis:
         self.max_degree = max_degree(graph)
         self.budgets = {name: Budget(name, nodes) for name, nodes in (
             ("clique", CLIQUE_NODES), ("four-cliques", CENSUS_NODES),
-            ("chromatic-index", chi_budget))}
+            ("chromatic-index", CHROMATIC_NODES))}
         self.clique, self.clique_number = max_clique(graph,
                                                      self.budgets["clique"])
         # one pass over the rows for three verdicts (module docstring)
@@ -377,17 +377,15 @@ def _verdicts(a: _Analysis) -> list[TheoremVerdict]:
 
 
 def theorem_suite(ring: FiniteRing, classification: Classification,
-                  graph: WncGraph, chi_budget: int = 10_000_000) -> list[TheoremVerdict]:
+                  graph: WncGraph) -> list[TheoremVerdict]:
     """Evaluate every applicable fact against this ring and graph."""
-    return compute_report(ring, classification, graph,
-                          chi_budget=chi_budget).theorem_verdicts
+    return compute_report(ring, classification, graph).theorem_verdicts
 
 
 def compute_report(ring: FiniteRing, classification: Classification,
-                   graph: WncGraph, want_four_cliques: bool = False,
-                   chi_budget: int = 10_000_000) -> InvariantReport:
+                   graph: WncGraph, want_four_cliques: bool = False) -> InvariantReport:
     """Full invariant report with theorem verdicts."""
-    a = _Analysis(ring, classification, graph, chi_budget)
+    a = _Analysis(ring, classification, graph)
     return InvariantReport(
         component_sizes=sorted(c.bit_count() for c in a.components),
         diameter=a.diameter,

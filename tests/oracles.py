@@ -371,7 +371,7 @@ def verify_proper_edge_coloring(graph, coloring) -> bool:
     return True
 
 
-def chromatic_index_with_hints(graph, hints, budget=wnc.coloring.DEFAULT_COLOR_BUDGET):
+def chromatic_index_with_hints(graph, hints, budget=None):
     """Delta when some hint (an edge -> color mapping) verifies as a proper
     coloring with at most Delta colors, else the library's exact search;
     malformed hints are skipped."""

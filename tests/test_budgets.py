@@ -11,6 +11,7 @@ import itertools
 import json
 import math
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -274,14 +275,15 @@ def test_chromatic_index_budget_names_its_search():
     graph = wnc.make_graph([(0, 1), (1, 2), (2, 3), (3, 4), (4, 0),
                             (0, 5), (1, 6), (2, 7), (3, 8), (4, 9),
                             (5, 7), (7, 9), (9, 6), (6, 8), (8, 5)], 10)
-    budget = wnc.Budget("chromatic-index", 5)
+    # the 15 edges are indexed first, then scans and colors use the rest
+    budget = wnc.Budget("chromatic-index", 40)
     assert wnc.chromatic_index_exact(graph, budget) is wnc.UNKNOWN
     assert (budget.search, budget.used, budget.exhausted) == (
-        "chromatic-index", 5, True)
+        "chromatic-index", 40, True)
     assert budget.bound == 4  # Vizing: Delta + 1
     plenty = wnc.Budget("chromatic-index", 10**6)
     assert wnc.chromatic_index_exact(graph, plenty) == 4
-    assert not plenty.exhausted and 5 < plenty.used
+    assert not plenty.exhausted and 40 < plenty.used
 
 
 # ---------------------------------------------------------------------------
@@ -345,8 +347,8 @@ def test_exhausted_budgets_leave_no_keys_otherwise():
 
 
 def test_chromatic_index_search_block(monkeypatch):
-    # Z4 x Z9 without the edge {0, 1}: its sum coloring uses more than
-    # Delta colors, which leaves chi' to the search
+    # Z4 x Z9 without the edge {0, 1}, K36 minus an edge: its sum coloring
+    # uses more than Delta colors, which leaves chi' to the search
     build = wnc.cli.build_wnc_graph
 
     def without_edge(ring, cls):
@@ -358,15 +360,41 @@ def test_chromatic_index_search_block(monkeypatch):
         return graph
 
     monkeypatch.setattr(wnc.cli, "build_wnc_graph", without_edge)
-    doc = _report("Z4 x Z9", "--color-budget", "50")
+    monkeypatch.setattr(theorems, "CHROMATIC_NODES", 5_000)
+    doc = _report("Z4 x Z9")
     assert (doc["chromatic_index"], doc["vizing_class"]) == ("unknown", "unknown")
     delta = doc["max_degree"]
+    nodes = doc["chromatic_index_search"]["nodes"]
     assert doc["chromatic_index_search"] == {
         "lower": delta, "upper": delta + 1, "search": "chromatic-index",
-        "nodes": 50}
+        "nodes": nodes}
+    # the 629 edges were indexed and the search ran until a step was refused
+    assert math.comb(36, 2) - 1 < nodes <= 5_000
     verdict = next(v for v in doc["theorem_verdicts"] if v["theorem"] == "class-1")
     assert (verdict["status"], verdict["computed"]) == ("UNKNOWN", "unknown (budget)")
-    code, out, _ = _run("report", "Z4 x Z9", "--color-budget", "50")
+    code, out, _ = _run("report", "Z4 x Z9")
     assert code == 0
-    assert (f"chromatic-index search stopped after 50 nodes; lower {delta}, "
+    assert (f"chromatic-index search stopped after {nodes} nodes; lower {delta}, "
             f"upper {delta + 1}") in out
+
+
+_WALL_TIME = re.compile(r', "wall_time_seconds": [0-9.e-]+')
+
+
+def test_m2_gf4_x_z3_chromatic_index_stops_within_its_nodes():
+    # two 287-regular components of 384 vertices whose sum coloring uses
+    # 288 colors: chi' is left to the search, which used to run for hours
+    outs = []
+    for _ in range(2):
+        code, out, _ = _run("report", "M2(GF(4)) x Z3", "--json")
+        assert code == 0
+        outs.append(_WALL_TIME.sub("", out))
+    assert outs[0] == outs[1]
+    doc = json.loads(outs[0])
+    assert (doc["max_degree"], doc["sum_coloring_colors"]) == (287, 288)
+    assert doc["component_sizes"] == [384, 384]
+    assert (doc["chromatic_index"], doc["vizing_class"]) == ("unknown", "unknown")
+    found = doc["chromatic_index_search"]
+    assert found == {"lower": 287, "upper": 288, "search": "chromatic-index",
+                     "nodes": found["nodes"]}
+    assert found["nodes"] <= wnc.CHROMATIC_NODES

@@ -1,5 +1,6 @@
 """The command line surface: report, export, verify, batch."""
 
+import argparse
 import json
 import types
 
@@ -242,3 +243,47 @@ def test_cap_flag_is_enforced(capsys):
     code, _, err = run(capsys, "report", "Z100", "--cap", "50")
     assert code == 1
     assert "cap" in err
+
+
+# one small command line per subcommand
+SUBCOMMANDS = {
+    "report": ("report", "Z10"),
+    "export": ("export", "Z10", "--format", "csv", "--out", "-"),
+    # GF(4) has charted disagreements, so the downgrade flag is consulted
+    "verify": ("verify", "GF(4)", "--allow-known-discrepancies"),
+    "batch": ("batch", "--zn", "2..4"),
+}
+
+
+@pytest.mark.parametrize("argv", SUBCOMMANDS.values(), ids=SUBCOMMANDS)
+def test_color_budget_is_a_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--color-budget", "50"])
+    assert exc.value.code == 2
+    assert "--color-budget" in capsys.readouterr().err
+
+
+class _Reads:
+    """An argparse namespace that records every attribute read from it."""
+
+    def __init__(self, namespace):
+        self._namespace = namespace
+        self.read = set()
+
+    def __getattr__(self, name):
+        self.read.add(name)
+        return getattr(self._namespace, name)
+
+
+@pytest.mark.parametrize("argv", SUBCOMMANDS.values(), ids=SUBCOMMANDS)
+def test_every_option_is_read(argv, capsys):
+    # an option its subcommand never reads is accepted and then ignored
+    parser = cli._build_parser()
+    subparsers = next(a for a in parser._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    options = {a.dest for a in subparsers.choices[argv[0]]._actions
+               if a.dest != "help"}
+    args = _Reads(parser.parse_args(list(argv)))
+    assert args.func(args) == 0
+    capsys.readouterr()
+    assert options - args.read == set()

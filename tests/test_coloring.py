@@ -1,6 +1,8 @@
 """Sum coloring, properness verification, exact chromatic index."""
 
+import builtins
 import copy
+import dataclasses
 import itertools
 import types
 
@@ -9,6 +11,7 @@ import pytest
 import wnc
 from wnc import coloring
 from wnc.bitsets import bit_list, mask_of
+from wnc.graph import upper_neighbors
 
 from corpus import ACCEPTANCE_CORPUS, realize
 from oracles import (check_sum_coloring, chromatic_index_with_hints,
@@ -181,16 +184,20 @@ def test_petersen_is_class_two():
     assert wnc.vizing_class(graph) == 2
 
 
+def no_nodes():
+    return wnc.Budget("chromatic-index", 0)
+
+
 def test_budget_exhaustion_returns_unknown():
     graph = petersen()
-    assert wnc.chromatic_index_exact(graph, budget=0) is wnc.UNKNOWN
-    assert wnc.vizing_class(graph, budget=0) is wnc.UNKNOWN
+    assert wnc.chromatic_index_exact(graph, budget=no_nodes()) is wnc.UNKNOWN
+    assert wnc.vizing_class(graph, budget=no_nodes()) is wnc.UNKNOWN
 
 
 def test_proper_hint_short_circuits_search():
     ring, _, graph = realize("Z10")
     hint = sum_edge_coloring(ring, graph)
-    assert chromatic_index_with_hints(graph, (hint,), budget=0) == 6
+    assert chromatic_index_with_hints(graph, (hint,), budget=no_nodes()) == 6
 
 
 def test_malformed_hints_are_ignored():
@@ -210,12 +217,12 @@ def test_complete_components_and_counting_bound_need_no_search():
     # budget 0 any search would have answered UNKNOWN
     k3_k4 = wnc.make_graph([(0, 1), (1, 2), (0, 2)]
                            + list(itertools.combinations(range(3, 7), 2)), 7)
-    assert wnc.chromatic_index_exact(k3_k4, budget=0) == 3
+    assert wnc.chromatic_index_exact(k3_k4, budget=no_nodes()) == 3
     # K_5 minus one edge: 9 edges > delta * floor(5/2) = 8, refuted
     # without a search
     k5e = wnc.make_graph([e for e in itertools.combinations(range(5), 2)
                           if e != (0, 1)], 5)
-    assert wnc.chromatic_index_exact(k5e, budget=0) == 5
+    assert wnc.chromatic_index_exact(k5e, budget=no_nodes()) == 5
 
 
 def test_search_handles_disconnected_mixed_components():
@@ -223,3 +230,73 @@ def test_search_handles_disconnected_mixed_components():
     graph = wnc.make_graph([(0, 1), (1, 2), (2, 0), (3, 4), (4, 5)], 6)
     assert wnc.max_degree(graph) == 2
     assert wnc.chromatic_index_exact(graph) == 3
+
+
+def without_zero_one(expr):
+    """The ring's graph without the edge {0, 1}: its sum coloring then uses
+    more than Delta colors, which leaves chi' to the search."""
+    ring, _, graph = realize(expr)
+    rows = list(graph.adjacency)
+    rows[ring.zero] &= ~(1 << ring.one)
+    rows[ring.one] &= ~(1 << ring.zero)
+    return dataclasses.replace(graph, adjacency=rows)
+
+
+@pytest.mark.parametrize("name,chi", [("Petersen", 4), ("Z12", 11),
+                                      ("Z3 x Z3", 7)])
+def test_mrv_steps_pick_the_edges_the_sorted_scan_picked(name, chi, monkeypatch):
+    # each step takes the least (colors left, edge id); the former rule,
+    # the first edge by colors left in a sorted scan, picks the same edge
+    # at every step, so the search visits the same sequence of edges
+    graph = petersen() if name == "Petersen" else without_zero_one(name)
+    chosen = []
+
+    def spy(edges, key):
+        edges = list(edges)
+        edge = builtins.min(edges, key=key)
+        assert edge == builtins.min(sorted(edges), key=lambda e: key(e)[0])
+        chosen.append(edge)
+        return edge
+
+    monkeypatch.setattr(coloring, "min", spy, raising=False)
+    assert wnc.chromatic_index_exact(graph) == chi
+    assert len(chosen) > 1
+
+
+def test_a_component_larger_than_the_budget_builds_no_edge_index(monkeypatch):
+    graph = without_zero_one("Z4 x Z9")  # K36 minus an edge
+    ecount = wnc.edge_count(graph)
+    indexed = []
+
+    def spy(graph, vertices):
+        indexed.append(vertices)
+        return upper_neighbors(graph, vertices)
+
+    monkeypatch.setattr(coloring, "upper_neighbors", spy)
+    budget = wnc.Budget("chromatic-index", ecount - 1)
+    assert wnc.chromatic_index_exact(graph, budget) is wnc.UNKNOWN
+    assert (budget.used, budget.exhausted, indexed) == (0, True, [])
+    # with one node per edge the index is built, and the first MRV scan
+    # is refused
+    budget = wnc.Budget("chromatic-index", ecount)
+    assert wnc.chromatic_index_exact(graph, budget) is wnc.UNKNOWN
+    assert budget.used == ecount and indexed == [list(range(36))]
+
+
+def test_each_mrv_step_is_charged_the_edges_it_scans(monkeypatch):
+    # Petersen: 15 edges, 3 of them colored by the symmetry at vertex 0,
+    # so the first step scans the other 12
+    scans = []
+
+    def spy(edges, key):
+        edges = list(edges)
+        scans.append(len(edges))
+        return builtins.min(edges, key=key)
+
+    monkeypatch.setattr(coloring, "min", spy, raising=False)
+    budget = wnc.Budget("chromatic-index", 15 + 12 - 1)
+    assert wnc.chromatic_index_exact(petersen(), budget) is wnc.UNKNOWN
+    assert (budget.used, scans) == (15, [])
+    budget = wnc.Budget("chromatic-index", 15 + 12)
+    assert wnc.chromatic_index_exact(petersen(), budget) is wnc.UNKNOWN
+    assert (budget.used, scans) == (15 + 12, [12])

@@ -1,6 +1,7 @@
 """Ring construction: Z_n, GF(p^k), products, matrix rings, quotients."""
 
 import functools
+import itertools
 
 import numpy as np
 import pytest
@@ -318,16 +319,20 @@ def test_additive_layout(expr, radices):
     ring = wnc.build_ring(wnc.parse_ring_expr(expr))
     assert ring.radices == radices
     if radices is not None:
-        # the ids are mixed-radix numbers whose digits add without carry
-        assert int(np.prod(radices)) == ring.size
+        # the ids are mixed-radix numbers whose digits add without carry:
+        # the digit sums of every pair, broadcast over the n x n grid, are
+        # ring.add of that pair
+        n = ring.size
+        assert int(np.prod(radices)) == n
         places = np.cumprod((1,) + radices[:-1])
-        digits = [[x // place % radix for place, radix in zip(places, radices)]
-                  for x in range(ring.size)]
-        for a in range(ring.size):
-            for b in range(ring.size):
-                assert digits[ring.add(a, b)] == [
-                    (x + y) % radix
-                    for x, y, radix in zip(digits[a], digits[b], radices)]
+        ids = np.arange(n)
+        want = np.zeros((n, n), dtype=np.int64)
+        for place, radix in zip(places, radices):
+            digit = ids // place % radix
+            want += (digit[:, None] + digit[None, :]) % radix * place
+        got = np.array([list(map(ring.add, itertools.repeat(a), range(n)))
+                        for a in range(n)])
+        assert np.array_equal(got, want)
 
 
 TRANSLATE_EXPRS = ("Z2", "Z12", "Z64", "GF(4)", "GF(8)", "GF(27)", "GF(64)",

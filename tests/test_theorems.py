@@ -182,10 +182,9 @@ def test_a_missing_weak_edge_breaks_only_the_degree(expr):
 
 
 def _verdict_map(ring, cls, graph):
-    # a tampered graph or ring may leave chi' to a search; none of these
-    # tests reads class 1
-    return {v.theorem: v
-            for v in wnc.theorem_suite(ring, cls, graph, chi_budget=1000)}
+    # a tampered graph or ring may leave chi' to a search, which stops
+    # within CHROMATIC_NODES nodes; none of these tests reads class 1
+    return {v.theorem: v for v in wnc.theorem_suite(ring, cls, graph)}
 
 
 @pytest.mark.parametrize("expr", ["Z10", "Z3 x Z3", "Z2 x Z2 x Z2", "M2(Z2)"])
