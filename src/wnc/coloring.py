@@ -22,6 +22,7 @@ budget yields the UNKNOWN sentinel, never a guess.
 
 from __future__ import annotations
 
+from array import array
 from operator import itemgetter
 
 from .bitsets import bit_list, iter_bits
@@ -90,8 +91,10 @@ def _component_delta_colorable(graph, comp_vertices, ecount, delta,
         return None
     adj = graph.adjacency
     full = (1 << delta) - 1
-    # edge e is (ends_u[e], ends_v[e]) with u < v, in lexicographic order
-    ends_u, ends_v = [], []
+    # edge e is (ends_u[e], ends_v[e]) with u < v, in lexicographic order;
+    # two bytes hold an end up to 65,536 vertices
+    code = "H" if graph.vertex_count <= 1 << 16 else "L"
+    ends_u, ends_v = array(code), array(code)
     for u, upper in upper_neighbors(graph, comp_vertices):
         ends_v.extend(upper)
         ends_u.extend([u] * (len(ends_v) - len(ends_u)))

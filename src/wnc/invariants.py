@@ -282,9 +282,19 @@ def is_star(graph: WncGraph) -> bool:
 # Cliques
 
 
-def _greedy_color_order(adj, cand):
-    """Greedy coloring of the candidate set; returns (vertices, color numbers)
-    in assignment order. Used as the branch-and-bound upper bound."""
+def _complement_table(adj):
+    """rest[v + 1] is the set of vertices that are neither v nor adjacent
+    to v, indexed by the bit length of v's bit; rest[0] is unused."""
+    full = (1 << len(adj)) - 1
+    return [0, *(full & ~(row | 1 << v) for v, row in enumerate(adj))]
+
+
+def _greedy_color_order(rest, cand, kmin=0):
+    """Greedy coloring of cand, the branch-and-bound upper bound:
+    (vertices, colors, color count), listing in assignment order only the
+    vertices colored above kmin, the ones a frame may branch on (MCS).
+    Each class takes the lowest vertex left, then drops it and its
+    neighbors with one AND with the complement table `rest`."""
     order = []
     colors = []
     uncolored = cand
@@ -292,14 +302,20 @@ def _greedy_color_order(adj, cand):
     while uncolored:
         c += 1
         avail = uncolored
-        while avail:
-            low = avail & -avail
-            v = low.bit_length() - 1
-            avail &= ~(low | adj[v])
-            uncolored ^= low
-            order.append(v)
-            colors.append(c)
-    return order, colors
+        if c > kmin:
+            while avail:
+                low = avail & -avail
+                b = low.bit_length()
+                avail &= rest[b]
+                uncolored ^= low
+                order.append(b - 1)
+                colors.append(c)
+        else:
+            while avail:
+                low = avail & -avail
+                avail &= rest[low.bit_length()]
+                uncolored ^= low
+    return order, colors, c
 
 
 def _greedy_clique(adj, cand):
@@ -315,13 +331,15 @@ def _greedy_clique(adj, cand):
     return clique
 
 
-def _clique_search(adj, cand, floor, goal, budget):
+def _clique_search(adj, rest, cand, floor, goal, budget):
     """(size, clique): the largest clique in cand and its vertices if it
     has more than floor vertices, else (floor, None), stopping as soon as
     the size reaches goal. Branch and bound on an explicit stack: a frame
     holds a greedily colored candidate set, tried from its last colored
     vertex, and is dropped once its depth plus that vertex's color cannot
     beat the best size; `path` holds the vertex tried at each depth.
+    A frame pushed at depth d lists only the vertices colored above
+    best - d, as it never tries the others.
 
     Each colored frame spends one node of the budget. When one is refused
     the search stops with the largest clique found; budget.bound is then the
@@ -335,9 +353,9 @@ def _clique_search(adj, cand, floor, goal, budget):
     budget.bound = cand.bit_count()
     if not budget.spend():
         return best, clique
-    stack = [(cand, *_greedy_color_order(adj, cand))]
-    budget.bound = stack[0][2][-1]  # no clique in cand is larger
-    goal = min(goal, budget.bound)
+    order, colors, budget.bound = _greedy_color_order(rest, cand)
+    stack = [(cand, order, colors)]
+    goal = min(goal, budget.bound)  # no clique in cand is larger
     path = []
     while stack and best < goal:
         cand, order, colors = stack[-1]
@@ -356,7 +374,8 @@ def _clique_search(adj, cand, floor, goal, budget):
             if size + 1 > best:
                 best, clique = size + 1, path[:]
         elif budget.spend():
-            stack.append((sub, *_greedy_color_order(adj, sub)))
+            order, colors, _ = _greedy_color_order(rest, sub, best - size - 1)
+            stack.append((sub, order, colors))
         else:
             break
     return best, clique
@@ -367,7 +386,9 @@ def max_clique(graph: WncGraph, budget: Budget | None = None):
 
     One iterative branch and bound over bitset adjacency with a
     greedy-coloring bound (after San Segundo et al.'s BBMC) gives the clique
-    number. It changes no global state, not even the recursion limit.
+    number, and each frame lists only the vertices it may branch on (after
+    Tomita et al.'s MCS). It changes no global state, not even the
+    recursion limit.
 
     A graph built from a ring is a sum graph, and translation by any h with
     2h = 0 is an automorphism: (x + h) + (y + h) = x + y. In characteristic
@@ -392,16 +413,18 @@ def max_clique(graph: WncGraph, budget: Budget | None = None):
     if budget is None:
         budget = Budget("clique", CLIQUE_NODES)
     cand = (1 << n) - 1
+    rest = _complement_table(adj)
     greedy = _greedy_clique(adj, cand)
     ring = graph.ring
     if (ring is not None and graph.clean_set is not None
             and ring.add(ring.one, ring.one) == ring.zero):
-        size, found = _clique_search(adj, adj[0], len(greedy) - 1, n - 1, budget)
+        size, found = _clique_search(adj, rest, adj[0], len(greedy) - 1,
+                                     n - 1, budget)
         omega, found = 1 + size, found and [0, *found]
         if budget.exhausted:
             budget.bound += 1  # for vertex 0
     else:
-        omega, found = _clique_search(adj, cand, len(greedy), n, budget)
+        omega, found = _clique_search(adj, rest, cand, len(greedy), n, budget)
     if budget.exhausted:
         return tuple(sorted(found or greedy)), UNKNOWN
     if omega == len(greedy):
@@ -411,7 +434,7 @@ def max_clique(graph: WncGraph, budget: Budget | None = None):
     for remaining in range(omega - 1, -1, -1):
         for v in iter_bits(cand):
             above = cand & adj[v] & -(1 << (v + 1))
-            if _clique_search(adj, above, remaining - 1, remaining,
+            if _clique_search(adj, rest, above, remaining - 1, remaining,
                               unbounded)[0] >= remaining:
                 clique.append(v)
                 cand = above

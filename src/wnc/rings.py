@@ -33,6 +33,7 @@ masks per digit instead of one `add` per element.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Union
@@ -538,17 +539,18 @@ def make_matrix_ring(k: int, base: FiniteRing, cap: int = DEFAULT_CAP) -> Finite
             digits.append(r)
         entries.append(digits)
 
+    # the place value of each cell: an element is the sum of its cells'
+    # entries times their places
+    places = [bs ** i for i in range(cells)]
+
     def encode(digits):
-        e = 0
-        for d in reversed(digits):
-            e = e * bs + d
-        return e
+        return sum(map(operator.mul, digits, places))
 
     def add(a, b):
-        return encode([base.add(x, y) for x, y in zip(entries[a], entries[b])])
+        return encode(map(base.add, entries[a], entries[b]))
 
     def neg(a):
-        return encode([base.neg(x) for x in entries[a]])
+        return encode(map(base.neg, entries[a]))
 
     def add_row(a):
         # the top cell is the most significant digit; each lower cell joins

@@ -5,10 +5,12 @@ route than the library takes (per-element membership search instead of
 set sums, double-loop edge tests and one addition per edge instead of
 bitsets translated digit by digit, Floyd-style distances and per-vertex
 BFS instead of the sum-graph distance formula, subset enumeration instead
-of branch and bound, polynomial arithmetic instead of exp/log tables), so
-agreement between the two is meaningful evidence of correctness. The
-edge-coloring helpers, `bfs_distances` and `operation_tables` serve only
-the tests, so they live here rather than in the library.
+of branch and bound, polynomial arithmetic instead of exp/log tables, a
+full greedy coloring instead of the clique search's complement-table
+kernel that lists only the vertices it may branch on), so agreement
+between the two is meaningful evidence of correctness. The edge-coloring
+helpers, `bfs_distances` and `operation_tables` serve only the tests, so
+they live here rather than in the library.
 """
 
 import itertools
@@ -384,6 +386,27 @@ def chromatic_index_with_hints(graph, hints, budget=None):
         if proper and len(set(hint.values())) <= delta:
             return delta
     return wnc.chromatic_index_exact(graph, budget=budget)
+
+
+def greedy_coloring(adj, cand):
+    """The greedy coloring of the candidate set as the clique search once
+    listed it in full: (vertices, colors) in assignment order, each class
+    taking the lowest uncolored vertex not adjacent to the class so far."""
+    order = []
+    colors = []
+    uncolored = cand
+    c = 0
+    while uncolored:
+        c += 1
+        avail = uncolored
+        while avail:
+            low = avail & -avail
+            v = low.bit_length() - 1
+            avail &= ~(low | adj[v])
+            uncolored ^= low
+            order.append(v)
+            colors.append(c)
+    return order, colors
 
 
 def max_clique_size(graph) -> int:

@@ -74,9 +74,9 @@ def test_m2_z5_colors_one_frame_per_node(monkeypatch):
     colorings = []
     color = invariants._greedy_color_order
 
-    def counted(adj, cand):
+    def counted(rest, cand, *args):
         colorings.append(cand)
-        return color(adj, cand)
+        return color(rest, cand, *args)
 
     monkeypatch.setattr(invariants, "_greedy_color_order", counted)
     budget = wnc.Budget("clique", 100)
@@ -85,6 +85,30 @@ def test_m2_z5_colors_one_frame_per_node(monkeypatch):
     # one coloring per node spent and no witness reconstruction after it
     assert len(colorings) == budget.used == 100
     assert is_clique(graph, clique)
+
+
+def test_complement_table_is_built_once_per_search(monkeypatch):
+    # M2(Z3)'s greedy clique has 9 vertices and omega is 31, so the
+    # witness is rebuilt with one search per vertex tried
+    _, _, graph = realize("M2(Z3)")
+    tables, searches = [], []
+    build, search = invariants._complement_table, invariants._clique_search
+
+    def built(adj):
+        tables.append(build(adj))
+        return tables[-1]
+
+    def searched(adj, rest, *args):
+        searches.append(rest)
+        return search(adj, rest, *args)
+
+    monkeypatch.setattr(invariants, "_complement_table", built)
+    monkeypatch.setattr(invariants, "_clique_search", searched)
+    clique, omega = wnc.max_clique(graph)
+    assert (len(clique), omega) == (31, 31)
+    assert len(tables) == 1
+    assert len(searches) > omega
+    assert all(rest is tables[0] for rest in searches)
 
 
 @pytest.mark.parametrize("n", [512, 256])

@@ -10,11 +10,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import wnc
+from wnc import invariants
 
 from corpus import ACCEPTANCE_CORPUS, SMALL_CORPUS, realize
 from oracles import (bfs_diameter, bfs_distances, cycle_is_valid,
                      exists_clique_of_size, floyd_diameter, floyd_distances,
-                     has_square, has_triangle, is_clique)
+                     greedy_coloring, has_square, has_triangle, is_clique)
 
 
 def _component_sizes(graph):
@@ -206,6 +207,54 @@ def test_coset_split_matches_the_plain_search(expr):
         synthetic = dataclasses.replace(g, ring=None)
         plain = wnc.max_clique(synthetic, wnc.Budget("clique", 10**9))
         assert wnc.max_clique(g) == plain, g.kind
+
+
+@pytest.mark.parametrize("expr", CLIQUE_SPLIT_EXPRS)
+def test_kernel_colors_the_frames_of_the_full_coloring(expr, monkeypatch):
+    # the search colors the same candidate sets, in the same order, when
+    # every frame lists its whole greedy coloring
+    ring, cls, graph = realize(expr)
+    kernel = invariants._greedy_color_order
+    for g in (graph, wnc.build_nc_graph(ring, cls)):
+        runs = []
+        for full in (False, True):
+            frames = []
+
+            def color(rest, cand, kmin=0, frames=frames, full=full):
+                frames.append(cand)
+                if not full:
+                    return kernel(rest, cand, kmin)
+                order, colors = greedy_coloring(g.adjacency, cand)
+                return order, colors, colors[-1]
+
+            monkeypatch.setattr(invariants, "_greedy_color_order", color)
+            budget = wnc.Budget("clique", wnc.CLIQUE_NODES)
+            runs.append((wnc.max_clique(g, budget), budget.used, frames))
+        assert runs[0] == runs[1], g.kind
+
+
+@st.composite
+def _coloring_cases(draw):
+    n = draw(st.integers(0, 64))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    density = draw(st.floats(0, 1))
+    graph = wnc.make_graph([e for e in itertools.combinations(range(n), 2)
+                            if rng.random() < density], n)
+    cand = draw(st.integers(0, (1 << n) - 1))
+    return graph.adjacency, cand, draw(st.integers(-2, n + 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_coloring_cases())
+def test_coloring_kernel_lists_the_oracle_classes_above_kmin(case):
+    adj, cand, kmin = case
+    order, colors = greedy_coloring(adj, cand)
+    rest = invariants._complement_table(adj)
+    kept = [(v, c) for v, c in zip(order, colors) if c > kmin]
+    count = colors[-1] if colors else 0
+    assert invariants._greedy_color_order(rest, cand, kmin) == (
+        [v for v, _ in kept], [c for _, c in kept], count)
+    assert invariants._greedy_color_order(rest, cand) == (order, colors, count)
 
 
 @pytest.mark.parametrize("expr", ["GF(16)", "GF(32)", "GF(64)", "Z2 x GF(8)",
