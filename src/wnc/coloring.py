@@ -23,6 +23,7 @@ budget yields the UNKNOWN sentinel, never a guess.
 from __future__ import annotations
 
 from array import array
+from itertools import compress
 from operator import itemgetter
 
 from .bitsets import bit_list, iter_bits
@@ -100,7 +101,9 @@ def _component_delta_colorable(graph, comp_vertices, ecount, delta,
         ends_u.extend([u] * (len(ends_v) - len(ends_u)))
     avail = {u: full for u in comp_vertices}
     udeg = {u: adj[u].bit_count() for u in comp_vertices}
-    uncolored = set(range(len(ends_v)))
+    edges = range(len(ends_v))
+    uncolored = bytearray(b"\1") * len(edges)  # a flag per edge
+    left = len(edges)
 
     # symmetry: the edges at one maximum-degree vertex can be forced onto
     # colors 0, 1, ... by permuting colors
@@ -108,7 +111,8 @@ def _component_delta_colorable(graph, comp_vertices, ecount, delta,
     at_v0 = [e for e, ends in enumerate(zip(ends_u, ends_v)) if v0 in ends]
     for c, e in enumerate(at_v0):
         u, v = ends_u[e], ends_v[e]
-        uncolored.discard(e)
+        uncolored[e] = 0
+        left -= 1
         avail[u] &= ~(1 << c)
         avail[v] &= ~(1 << c)
         udeg[u] -= 1
@@ -118,16 +122,17 @@ def _component_delta_colorable(graph, comp_vertices, ecount, delta,
     grow = True  # the next step picks an edge before it tries a color
     while True:
         if grow:
-            if not uncolored:
+            if not left:
                 return True
             # the least uncolored edge with the fewest colors left at both
             # ends; the scan is charged before it runs
-            if not budget.spend(len(uncolored)):
+            if not budget.spend(left):
                 return None
-            e = min(uncolored, key=lambda e: (
+            e = min(compress(edges, uncolored), key=lambda e: (
                 (avail[ends_u[e]] & avail[ends_v[e]]).bit_count(), e))
             u, v = ends_u[e], ends_v[e]
-            uncolored.discard(e)
+            uncolored[e] = 0
+            left -= 1
             udeg[u] -= 1
             udeg[v] -= 1
             stack.append([e, avail[u] & avail[v], 0])
@@ -141,7 +146,8 @@ def _component_delta_colorable(graph, comp_vertices, ecount, delta,
             avail[v] |= bit
             frame[2] = 0
         if not cand:
-            uncolored.add(e)
+            uncolored[e] = 1
+            left += 1
             udeg[u] += 1
             udeg[v] += 1
             stack.pop()

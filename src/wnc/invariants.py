@@ -331,15 +331,15 @@ def _greedy_clique(adj, cand):
     return clique
 
 
-def _clique_search(adj, rest, cand, floor, goal, budget):
+def _clique_search(adj, rest, cand, floor, budget):
     """(size, clique): the largest clique in cand and its vertices if it
-    has more than floor vertices, else (floor, None), stopping as soon as
-    the size reaches goal. Branch and bound on an explicit stack: a frame
-    holds a greedily colored candidate set, tried from its last colored
-    vertex, and is dropped once its depth plus that vertex's color cannot
-    beat the best size; `path` holds the vertex tried at each depth.
-    A frame pushed at depth d lists only the vertices colored above
-    best - d, as it never tries the others.
+    has more than floor vertices, else (floor, None). Branch and bound on
+    an explicit stack: a frame holds a greedily colored candidate set,
+    tried from its last colored vertex, and is dropped once its depth plus
+    that vertex's color cannot beat the best size; `path` holds the vertex
+    tried at each depth. A frame pushed at depth d lists only the vertices
+    colored above best - d, as it never tries the others. The search stops
+    once the best size reaches the root coloring's color count.
 
     Each colored frame spends one node of the budget. When one is refused
     the search stops with the largest clique found; budget.bound is then the
@@ -348,14 +348,14 @@ def _clique_search(adj, rest, cand, floor, goal, budget):
         return floor, None
     greedy = _greedy_clique(adj, cand)  # a real clique
     best, clique = (len(greedy), greedy) if len(greedy) > floor else (floor, None)
-    if best >= goal:
+    if best == cand.bit_count():
         return best, clique
     budget.bound = cand.bit_count()
     if not budget.spend():
         return best, clique
     order, colors, budget.bound = _greedy_color_order(rest, cand)
     stack = [(cand, order, colors)]
-    goal = min(goal, budget.bound)  # no clique in cand is larger
+    goal = budget.bound  # no clique in cand is larger
     path = []
     while stack and best < goal:
         cand, order, colors = stack[-1]
@@ -398,14 +398,14 @@ def max_clique(graph: WncGraph, budget: Budget | None = None):
     0 and dropped at once when the greedy coloring proves that clique
     maximum.
 
-    The witness is the lexicographically least maximum clique. The clique
-    grown greedily from the lowest vertex is the least clique of its size,
-    so when it has omega vertices it is the witness; otherwise the same
-    search rebuilds the witness vertex by vertex.
+    The witness is the clique that search found, or the clique grown
+    greedily from vertex 0 when the search found none larger, sorted. It
+    is deterministic but not in general the lexicographically least
+    maximum clique.
 
-    The search for omega spends `budget`, by default CLIQUE_NODES nodes.
-    When it runs out, the clique number is UNKNOWN, the tuple is the largest
-    clique found, budget.bound bounds omega, and no witness is rebuilt."""
+    The search spends `budget`, by default CLIQUE_NODES nodes. When it runs
+    out, the clique number is UNKNOWN, the tuple is the largest clique
+    found, and budget.bound bounds omega."""
     n = graph.vertex_count
     adj = graph.adjacency
     if n == 0:
@@ -418,30 +418,13 @@ def max_clique(graph: WncGraph, budget: Budget | None = None):
     ring = graph.ring
     if (ring is not None and graph.clean_set is not None
             and ring.add(ring.one, ring.one) == ring.zero):
-        size, found = _clique_search(adj, rest, adj[0], len(greedy) - 1,
-                                     n - 1, budget)
+        size, found = _clique_search(adj, rest, adj[0], len(greedy) - 1, budget)
         omega, found = 1 + size, found and [0, *found]
         if budget.exhausted:
             budget.bound += 1  # for vertex 0
     else:
-        omega, found = _clique_search(adj, rest, cand, len(greedy), n, budget)
-    if budget.exhausted:
-        return tuple(sorted(found or greedy)), UNKNOWN
-    if omega == len(greedy):
-        return tuple(greedy), omega
-    clique = []
-    unbounded = Budget("clique", math.inf)
-    for remaining in range(omega - 1, -1, -1):
-        for v in iter_bits(cand):
-            above = cand & adj[v] & -(1 << (v + 1))
-            if _clique_search(adj, rest, above, remaining - 1, remaining,
-                              unbounded)[0] >= remaining:
-                clique.append(v)
-                cand = above
-                break
-        else:
-            raise AssertionError("clique reconstruction lost the optimum")
-    return tuple(clique), omega
+        omega, found = _clique_search(adj, rest, cand, len(greedy), budget)
+    return tuple(sorted(found or greedy)), UNKNOWN if budget.exhausted else omega
 
 
 def clique_count_bound(graph: WncGraph, k: int) -> int:

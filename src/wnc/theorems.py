@@ -95,7 +95,8 @@ class InvariantReport:
     is_bipartite: bool
     max_degree: int
     clique_number: object  # int or UNKNOWN
-    clique: tuple[int, ...]  # a maximum clique, or the largest one found
+    clique: tuple[int, ...]  # sorted: the clique the search found, maximum
+                             # unless clique_number is UNKNOWN
     four_cliques: object  # list of 4-cliques, UNKNOWN, or None if not asked
     sum_coloring_colors: int
     chromatic_index: object  # int or UNKNOWN

@@ -89,7 +89,7 @@ def test_m2_z5_colors_one_frame_per_node(monkeypatch):
 
 def test_complement_table_is_built_once_per_search(monkeypatch):
     # M2(Z3)'s greedy clique has 9 vertices and omega is 31, so the
-    # witness is rebuilt with one search per vertex tried
+    # search branches, and one search gives both omega and the witness
     _, _, graph = realize("M2(Z3)")
     tables, searches = [], []
     build, search = invariants._complement_table, invariants._clique_search
@@ -107,8 +107,26 @@ def test_complement_table_is_built_once_per_search(monkeypatch):
     clique, omega = wnc.max_clique(graph)
     assert (len(clique), omega) == (31, 31)
     assert len(tables) == 1
-    assert len(searches) > omega
+    assert len(searches) == 1
     assert all(rest is tables[0] for rest in searches)
+
+
+def test_every_report_search_runs_under_a_policy_budget(monkeypatch):
+    # every exact search on the report path runs under one of the three
+    # node budgets; Z1000, M2(Z3) and Z150 have greedy cliques short of
+    # omega, so their clique searches branch
+    nodes = []
+    init = wnc.Budget.__init__
+
+    def spied(self, search, count):
+        nodes.append((search, count))
+        init(self, search, count)
+
+    monkeypatch.setattr(wnc.Budget, "__init__", spied)
+    for expr in ACCEPTANCE_CORPUS + ("Z1000", "M2(Z3)", "Z150"):
+        theorems.compute_report(*realize(expr), want_four_cliques=True)
+    policy = {wnc.CLIQUE_NODES, wnc.CENSUS_NODES, wnc.CHROMATIC_NODES}
+    assert nodes and all(count in policy for _, count in nodes), nodes
 
 
 @pytest.mark.parametrize("n", [512, 256])

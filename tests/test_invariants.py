@@ -270,7 +270,11 @@ def test_characteristic_two_split_on_sum_graphs_of_any_set(expr):
         clean = wnc.bitsets.mask_of(rng.sample(range(n), rng.randrange(2, n // 2)))
         graph = wnc.graph._build(ring, clean, "sum")
         synthetic = dataclasses.replace(graph, ring=None)
-        assert wnc.max_clique(graph) == wnc.max_clique(synthetic), clean
+        (split, omega), (whole, want) = (wnc.max_clique(graph),
+                                         wnc.max_clique(synthetic))
+        assert omega == want, clean
+        for clique in (split, whole):
+            assert len(clique) == omega and is_clique(graph, clique), clean
 
 
 def test_max_clique_leaves_the_recursion_limit_alone(monkeypatch):
@@ -296,13 +300,14 @@ def small_graphs(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(graph=small_graphs())
-def test_max_clique_is_the_least_maximum_clique(graph):
+def test_max_clique_is_a_maximum_clique(graph):
     cliques = [c for k in range(1, graph.vertex_count + 1)
                for c in itertools.combinations(range(graph.vertex_count), k)
                if is_clique(graph, c)]
     omega = max(map(len, cliques))
-    least = min(c for c in cliques if len(c) == omega)
-    assert wnc.max_clique(graph) == (least, omega)
+    clique, found = wnc.max_clique(graph)
+    assert found == omega
+    assert len(clique) == omega and is_clique(graph, clique)
 
 
 def test_four_clique_census_z10():
