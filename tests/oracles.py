@@ -5,7 +5,8 @@ route than the library takes (per-element membership search instead of
 set sums, double-loop edge tests and one addition per edge instead of
 bitsets translated digit by digit, Floyd-style distances and per-vertex
 BFS instead of the sum-graph distance formula, subset enumeration instead
-of branch and bound, polynomial arithmetic instead of exp/log tables, a
+of branch and bound, pairs of neighbors instead of triangle counts read
+off the clean set, polynomial arithmetic instead of exp/log tables, a
 full greedy coloring instead of the clique search's complement-table
 kernel that lists only the vertices it may branch on), so agreement
 between the two is meaningful evidence of correctness. The edge-coloring
@@ -198,6 +199,15 @@ def exists_clique_of_size(graph, k) -> bool:
 
 def has_triangle(graph) -> bool:
     return exists_clique_of_size(graph, 3)
+
+
+def triangle_counts(graph) -> list[int]:
+    """The triangles through each vertex, one edge test per pair of its
+    neighbors."""
+    adj = graph.adjacency
+    return [sum(adj[y] >> z & 1
+                for y, z in itertools.combinations(bit_list(row), 2))
+            for row in adj]
 
 
 def has_square(graph) -> bool:

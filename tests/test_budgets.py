@@ -53,20 +53,42 @@ def m2_z5():
     return _report("M2(Z5)")
 
 
-def test_m2_z5_clique_search_stops_with_bounds(m2_z5):
-    ring, _, graph = realize("M2(Z5)")
-    assert m2_z5["clique_number"] == "unknown"
-    found = m2_z5["clique_search"]
+def test_m2_z5_clique_number_is_decided(m2_z5):
+    # the id-order search needs more than one dive, so a second search in
+    # triangle-count order proves omega, well inside the clique budget
+    _, _, graph = realize("M2(Z5)")
+    assert m2_z5["clique_number"] == 67
+    assert "clique_search" not in m2_z5
+    budget = wnc.Budget("clique", wnc.CLIQUE_NODES)
+    clique, omega = wnc.max_clique(graph, budget)
+    assert omega == len(clique) == 67 and list(clique) == sorted(clique)
+    assert is_clique(graph, clique)
+    assert budget.used <= 1_000 and not budget.exhausted
+    # no clique verdict applies to M2(Z5), and nothing disagrees
+    assert all(v["status"] != "DISAGREE" for v in m2_z5["theorem_verdicts"])
+
+
+@pytest.fixture(scope="module")
+def m2_gf4_x_z3():
+    return _report("M2(GF(4)) x Z3")
+
+
+def test_m2_gf4_x_z3_clique_search_stops_with_bounds(m2_gf4_x_z3):
+    ring, _, graph = realize("M2(GF(4)) x Z3")
+    assert m2_gf4_x_z3["clique_number"] == "unknown"
+    found = m2_gf4_x_z3["clique_search"]
     assert set(found) == {"lower", "witness", "upper", "search", "nodes"}
     assert found["search"] == "clique"
     assert found["nodes"] == wnc.CLIQUE_NODES
-    # the greedy clique has 9 vertices and the greedy coloring 101 colors
-    assert 9 <= found["lower"] <= found["upper"] <= 101
+    # the greedy clique has 48 vertices and the root coloring 96 colors;
+    # every vertex lies on as many triangles, so the search that follows
+    # the cut dive keeps the id order
+    assert 48 <= found["lower"] <= found["upper"] <= 96
     ids = [ring.names().index(name) for name in found["witness"]]
     assert len(ids) == found["lower"] and ids == sorted(ids)
     assert is_clique(graph, ids)
-    # no clique verdict applies to M2(Z5), and nothing disagrees
-    assert all(v["status"] != "DISAGREE" for v in m2_z5["theorem_verdicts"])
+    assert all(v["status"] != "DISAGREE"
+               for v in m2_gf4_x_z3["theorem_verdicts"])
 
 
 def test_m2_z5_colors_one_frame_per_node(monkeypatch):
@@ -88,27 +110,32 @@ def test_m2_z5_colors_one_frame_per_node(monkeypatch):
 
 
 def test_complement_table_is_built_once_per_search(monkeypatch):
-    # M2(Z3)'s greedy clique has 9 vertices and omega is 31, so the
-    # search branches, and one search gives both omega and the witness
+    # M2(Z3)'s greedy clique has 9 vertices and omega is 31. The id-order
+    # search needs 57 nodes, more than one dive can take (the 32 colors of
+    # its root coloring), so it stops there and one more search runs in
+    # triangle-count order, on a table of its own
     _, _, graph = realize("M2(Z3)")
-    tables, searches = [], []
+    tables, searches, bounds = [], [], []
     build, search = invariants._complement_table, invariants._clique_search
 
     def built(adj):
         tables.append(build(adj))
         return tables[-1]
 
-    def searched(adj, rest, *args):
-        searches.append(rest)
-        return search(adj, rest, *args)
+    def searched(adj, rest, cand, floor, budget, *args, **kwargs):
+        searches.append((rest, budget.used))
+        result = search(adj, rest, cand, floor, budget, *args, **kwargs)
+        bounds.append(budget.bound)
+        return result
 
     monkeypatch.setattr(invariants, "_complement_table", built)
     monkeypatch.setattr(invariants, "_clique_search", searched)
     clique, omega = wnc.max_clique(graph)
     assert (len(clique), omega) == (31, 31)
-    assert len(tables) == 1
-    assert len(searches) == 1
-    assert all(rest is tables[0] for rest in searches)
+    assert len(searches) == len(tables) == 2
+    assert [rest for rest, _ in searches] == tables
+    # the second search starts once the first has spent its k nodes
+    assert [used for _, used in searches] == [0, bounds[0]] == [0, 32]
 
 
 def test_every_report_search_runs_under_a_policy_budget(monkeypatch):

@@ -44,9 +44,10 @@ FOUR_CLIQUE_EXPRS = ("Z10", "Z14", "Z22", "Z26", "Z34")
 EXPORT_EXPRS = ("Z16 x Z36", "GF(16)", "M2(Z2)", "Z12/nil")
 # the DOT and CSV writers list the same edges under element names
 NAMED_EXPORT_EXPRS = ("Z16 x Z36", "Z12/nil")
-# searches that run out of budget: the clique search on M2(Z5), the
-# census of K512, refused on its count bound, and the chromatic-index
-# search on M2(GF(4)) x Z3
+# budgeted searches: the clique search on M2(Z5), which needs a second
+# vertex order to finish, the census of K512, refused on its count bound,
+# and the clique and chromatic-index searches on M2(GF(4)) x Z3, which run
+# out of budget
 BUDGET_COMMANDS = [("report", "M2(Z5)", "--json"), ("report", "M2(Z5)"),
                    ("report", "Z512", "--four-cliques", "--json"),
                    ("report", "M2(GF(4)) x Z3", "--json")]

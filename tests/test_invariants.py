@@ -15,7 +15,8 @@ from wnc import invariants
 from corpus import ACCEPTANCE_CORPUS, SMALL_CORPUS, realize
 from oracles import (bfs_diameter, bfs_distances, cycle_is_valid,
                      exists_clique_of_size, floyd_diameter, floyd_distances,
-                     greedy_coloring, has_square, has_triangle, is_clique)
+                     greedy_coloring, has_square, has_triangle, is_clique,
+                     triangle_counts)
 
 
 def _component_sizes(graph):
@@ -224,7 +225,11 @@ def test_kernel_colors_the_frames_of_the_full_coloring(expr, monkeypatch):
                 frames.append(cand)
                 if not full:
                     return kernel(rest, cand, kmin)
-                order, colors = greedy_coloring(g.adjacency, cand)
+                # the graph the kernel colors, which a second search has
+                # relabeled, read off its complement table
+                n = len(rest) - 1
+                adj = [((1 << n) - 1) & ~(rest[v + 1] | 1 << v) for v in range(n)]
+                order, colors = greedy_coloring(adj, cand)
                 return order, colors, colors[-1]
 
             monkeypatch.setattr(invariants, "_greedy_color_order", color)
@@ -275,6 +280,87 @@ def test_characteristic_two_split_on_sum_graphs_of_any_set(expr):
         assert omega == want, clean
         for clique in (split, whole):
             assert len(clique) == omega and is_clique(graph, clique), clean
+
+
+@pytest.mark.parametrize("expr", CLIQUE_SPLIT_EXPRS + (
+    "M2(Z5)", "Z1000", "(Z4 x Z9)/nil x Z3"))
+def test_triangle_counts_read_off_the_sum_structure(expr):
+    ring, cls, graph = realize(expr)
+    for g in (graph, wnc.build_nc_graph(ring, cls)):
+        counts = invariants._triangle_counts(g)
+        synthetic = dataclasses.replace(g, ring=None)
+        assert counts == invariants._triangle_counts(synthetic), g.kind
+        if g.vertex_count <= 64:
+            assert counts == triangle_counts(g), g.kind
+
+
+@pytest.mark.parametrize("expr", ["GF(64)", "Z3 x Z25", "Z4 x Z9", "M2(Z3)"])
+def test_triangle_counts_of_sum_graphs_of_any_set(expr):
+    # characteristic 2, an odd ring where x -> 2x is a bijection, and two
+    # rings where it is not, with random sets of 1 to n/2 elements
+    ring = wnc.build_ring(wnc.parse_ring_expr(expr))
+    n = ring.size
+    rng = random.Random(expr)
+    for _ in range(20):
+        clean = wnc.bitsets.mask_of(rng.sample(range(n), rng.randrange(1, n // 2)))
+        graph = wnc.graph._build(ring, clean, "sum")
+        counts = invariants._triangle_counts(graph)
+        assert counts == invariants._triangle_counts(
+            dataclasses.replace(graph, ring=None)), clean
+        assert counts == triangle_counts(graph), clean
+
+
+@pytest.mark.parametrize("expr", ["Z1000", "M2(Z6)", "Z27 x Z27", "Z16 x Z48",
+                                  "M2(GF(4))"])
+def test_searches_that_finish_in_one_dive_never_count_triangles(expr, monkeypatch):
+    def refuse(graph):
+        raise AssertionError("counted triangles")
+
+    monkeypatch.setattr(invariants, "_triangle_counts", refuse)
+    _, _, graph = realize(expr)
+    clique, omega = wnc.max_clique(graph)
+    assert omega == len(clique) and is_clique(graph, clique)
+
+
+def test_a_cut_dive_is_never_reported_exact(monkeypatch):
+    # with every count equal the triangle order is the id order, and the
+    # search after a cut dive repeats it: omega still comes from a search
+    # that finished, never from the clique the cut dive found. The sets are
+    # those of the GF(64) split test above, whose split search counts no
+    # triangles, and the graphs are read without the ring
+    cuts = []
+
+    def uniform(graph):
+        cuts.append(graph)
+        return [0] * graph.vertex_count
+
+    monkeypatch.setattr(invariants, "_triangle_counts", uniform)
+    ring = wnc.build_ring(wnc.parse_ring_expr("GF(64)"))
+    rng = random.Random("GF(64)")
+    cases = [(realize("M2(Z3)")[2], 31)]
+    for _ in range(40):
+        clean = wnc.bitsets.mask_of(rng.sample(range(64), rng.randrange(2, 32)))
+        graph = wnc.graph._build(ring, clean, "sum")
+        cases.append((dataclasses.replace(graph, ring=None),
+                      wnc.max_clique(graph)[1]))
+    for graph, want in cases:
+        clique, omega = wnc.max_clique(graph)
+        assert omega == want == len(clique) and is_clique(graph, clique)
+        if cuts and cuts[-1] is graph:
+            # budgets that run out at the second search's root or just
+            # after it: the bound is still the id root coloring's k
+            n = graph.vertex_count
+            rest = invariants._complement_table(graph.adjacency)
+            k = invariants._greedy_color_order(rest, (1 << n) - 1)[2]
+            for nodes in (k, k + 1):
+                budget = wnc.Budget("clique", nodes)
+                clique, omega = wnc.max_clique(graph, budget)
+                assert is_clique(graph, clique)
+                if omega is wnc.UNKNOWN:
+                    assert len(clique) <= want <= budget.bound <= k
+                else:
+                    assert omega == want == len(clique)
+    assert len(cuts) > 2
 
 
 def test_max_clique_leaves_the_recursion_limit_alone(monkeypatch):
