@@ -12,17 +12,16 @@ __version__ = "0.1.0"
 from .classify import (Classification, Decomposition, idempotents,
                        is_nil_clean_ring, is_weakly_nil_clean_ring,
                        nilpotents, weakly_nil_clean_set)
-from .coloring import UNKNOWN, chromatic_index_exact, vizing_class
+from .coloring import UNKNOWN, chromatic_index_exact
 from .errors import (InvalidSpecError, RingExprError,
                      UnsupportedOperationError, WncError)
 from .graph import (NIL_CLEAN, WEAKLY_NIL_CLEAN, WncGraph, build_nc_graph,
-                    build_wnc_graph, degree, edge_count, edges, make_graph,
-                    max_degree, neighborhood)
+                    build_wnc_graph, edge_count, edges, make_graph, max_degree,
+                    neighborhood)
 from .invariants import (CENSUS_NODES, CHROMATIC_NODES, CLIQUE_NODES,
                          INFINITE, Budget, clique_count_bound, components,
                          diameter, enumerate_k_cliques, girth, is_bipartite,
-                         is_star, max_clique, neighborhood_disjointness_check,
-                         shortest_cycle)
+                         is_star, max_clique, neighborhood_disjointness_check)
 from .ringexpr import parse_ring_expr
 from .rings import (DEFAULT_CAP, GF, FiniteRing, MatrixRing, NilQuotient,
                     PolyMod, Product, RingSpec, Zn, build_ring,

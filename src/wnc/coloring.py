@@ -202,9 +202,3 @@ def chromatic_index_exact(graph: WncGraph, budget: Budget | None = None):
         budget.bound = delta + 1  # Vizing
         return UNKNOWN
     return delta
-
-
-def vizing_class(graph: WncGraph, budget: Budget | None = None):
-    """1 when chi' = Delta, 2 when chi' = Delta + 1, UNKNOWN if undecided."""
-    chi = chromatic_index_exact(graph, budget=budget)
-    return UNKNOWN if chi is UNKNOWN else 1 if chi == max_degree(graph) else 2

@@ -23,7 +23,7 @@ from typing import Optional
 
 from .bitsets import iter_bits
 from .classify import Classification
-from .rings import FiniteRing, RingSpec, translate
+from .rings import FiniteRing, translate
 
 WEAKLY_NIL_CLEAN = "weakly-nil-clean"
 NIL_CLEAN = "nil-clean"
@@ -39,9 +39,8 @@ _BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
 class WncGraph:
     vertex_count: int
     adjacency: list[int]  # bitset row per vertex
-    ring_spec: Optional[RingSpec]
     kind: str
-    # provenance for the degree post-check; None for synthetic test graphs
+    # the clean set and ring the rows come from; None for synthetic graphs
     clean_set: Optional[int] = None
     ring: Optional[FiniteRing] = field(default=None, repr=False)
 
@@ -67,8 +66,8 @@ def _build(ring: FiniteRing, clean: int, kind: str) -> WncGraph:
                 if u != v:
                     row |= 1 << u
             rows[v] = row
-    return WncGraph(vertex_count=n, adjacency=rows, ring_spec=ring.spec,
-                    kind=kind, clean_set=clean, ring=ring)
+    return WncGraph(vertex_count=n, adjacency=rows, kind=kind, clean_set=clean,
+                    ring=ring)
 
 
 def build_wnc_graph(ring: FiniteRing, classification: Classification) -> WncGraph:
@@ -83,28 +82,6 @@ def build_nc_graph(ring: FiniteRing, classification: Classification) -> WncGraph
     if classification.size != ring.size:
         raise ValueError("classification does not match the ring")
     return _build(ring, classification.nc, NIL_CLEAN)
-
-
-def degree(graph: WncGraph, v: int) -> int:
-    """Vertex degree, cross-checked against the degree-lemma prediction.
-
-    For graphs built from a ring, deg(v) must be |S| - 1 when v + v lies in
-    the defining clean set S and |S| otherwise; a mismatch means the graph
-    was built inconsistently, so it raises ValueError rather than being
-    assumed away.
-    """
-    if not 0 <= v < graph.vertex_count:
-        raise ValueError(f"vertex {v} out of range 0..{graph.vertex_count - 1}")
-    d = graph.adjacency[v].bit_count()
-    if graph.ring is not None and graph.clean_set is not None:
-        ring = graph.ring
-        expected = graph.clean_set.bit_count()
-        if graph.clean_set >> ring.add(v, v) & 1:
-            expected -= 1
-        if d != expected:
-            raise ValueError(
-                f"degree {d} of vertex {v} contradicts prediction {expected}")
-    return d
 
 
 def neighborhood(graph: WncGraph, v: int) -> int:
@@ -156,5 +133,4 @@ def make_graph(adjacency_pairs, vertex_count: int, kind: str = "synthetic") -> W
             raise ValueError("loops are not allowed")
         rows[u] |= 1 << v
         rows[v] |= 1 << u
-    return WncGraph(vertex_count=vertex_count, adjacency=rows, ring_spec=None,
-                    kind=kind)
+    return WncGraph(vertex_count=vertex_count, adjacency=rows, kind=kind)

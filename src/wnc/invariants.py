@@ -3,15 +3,19 @@ clique structure, and the neighborhood-disjointness checks for Z_2p.
 
 Everything here is exact and deterministic; infinite values (diameter or
 girth of disconnected/acyclic graphs) are the distinct INFINITE sentinel,
-never a large integer stand-in.
+never a large integer stand-in. Components, girth, bipartiteness and the
+diameter of a synthetic graph all read the frontiers of one bit-parallel
+BFS, `_bfs_levels`; the diameter of a ring graph walks (vertex, walk
+parity) pairs instead, for the reason `diameter` gives.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter, defaultdict, deque
+from collections import Counter, defaultdict
 from enum import Enum
-from operator import itemgetter
+from functools import reduce
+from operator import itemgetter, or_
 
 from .bitsets import iter_bits, mask_of
 from .graph import WncGraph, neighborhood
@@ -79,14 +83,13 @@ class Budget:
 
 
 def _bfs_levels(adj, source: int, bound: int):
-    """Frontiers of a bit-parallel BFS from source, level by level, and the
-    bitset of every vertex reached. `bound` must hold every vertex the
-    search can reach; once the vertices seen cover it, the rest of a
-    frontier can only re-add known ones, so its scan stops."""
-    levels = []
+    """Yield the frontiers of a bit-parallel BFS from source, level by
+    level. `bound` must hold every vertex the search can reach; once the
+    vertices seen cover it, the rest of a frontier can only re-add known
+    ones, so its scan stops."""
     visited = frontier = 1 << source
     while frontier:
-        levels.append(frontier)
+        yield frontier
         nxt = 0
         m = frontier
         while m:
@@ -97,7 +100,6 @@ def _bfs_levels(adj, source: int, bound: int):
                 break
         frontier = nxt & ~visited
         visited |= frontier
-    return levels, visited
 
 
 def components(graph: WncGraph) -> list[int]:
@@ -106,7 +108,7 @@ def components(graph: WncGraph) -> list[int]:
     out = []
     while unseen:
         start = (unseen & -unseen).bit_length() - 1
-        _, comp = _bfs_levels(graph.adjacency, start, unseen)
+        comp = reduce(or_, _bfs_levels(graph.adjacency, start, unseen))
         unseen &= ~comp
         out.append(comp)
     return out
@@ -132,14 +134,11 @@ def diameter(graph: WncGraph):
     n = graph.vertex_count
     ring, clean = graph.ring, graph.clean_set
     if ring is None or clean is None:
+        if len(components(graph)) > 1:
+            return INFINITE
         full = (1 << n) - 1
-        best = 0
-        for v in range(n):
-            levels, reached = _bfs_levels(graph.adjacency, v, full)
-            if reached != full:
-                return INFINITE
-            best = max(best, len(levels) - 1)
-        return best
+        return max((sum(1 for _ in _bfs_levels(graph.adjacency, v, full)) - 1
+                    for v in range(n)), default=0)
     doubles = [ring.add(x, x) for x in range(n)]
     loops = mask_of(x for x, t in enumerate(doubles) if clean >> t & 1)
     # BFS over (vertex, walk parity): each level holds one parity, and a
@@ -174,94 +173,56 @@ def diameter(graph: WncGraph):
 
 
 # ---------------------------------------------------------------------------
-# Girth with an explicit witness cycle
-
-
-def _cycle_through(parent, dist, x, y):
-    # join the BFS-tree paths of x and y at their lowest common ancestor;
-    # the closing edge is (y, x)
-    ax, ay = [x], [y]
-    while dist[ax[-1]] > dist[ay[-1]]:
-        ax.append(parent[ax[-1]])
-    while dist[ay[-1]] > dist[ax[-1]]:
-        ay.append(parent[ay[-1]])
-    while ax[-1] != ay[-1]:
-        ax.append(parent[ax[-1]])
-        ay.append(parent[ay[-1]])
-    return ax + ay[-2::-1]
-
-
-def shortest_cycle(graph: WncGraph):
-    """A shortest cycle as a vertex list, or None in an acyclic graph.
-
-    Per-root BFS; every cross edge yields a genuine simple cycle through
-    the tree paths' lowest common ancestor, and some root on a shortest
-    cycle realizes the girth, so the minimum over roots is exact.
-    """
-    n = graph.vertex_count
-    adj = graph.adjacency
-    best = None
-    best_len = n + 1
-    for root in range(n):
-        if best_len == 3:
-            break  # a simple graph has no shorter cycle
-        dist = [-1] * n
-        parent = [-1] * n
-        dist[root] = 0
-        queue = deque([root])
-        while queue:
-            x = queue.popleft()
-            if 2 * dist[x] >= best_len:
-                break  # deeper cross edges cannot beat the current best
-            for y in iter_bits(adj[x]):
-                if dist[y] == -1:
-                    dist[y] = dist[x] + 1
-                    parent[y] = x
-                    queue.append(y)
-                elif y != parent[x] and parent[y] != x:
-                    cycle = _cycle_through(parent, dist, x, y)
-                    if len(cycle) < best_len:
-                        best_len = len(cycle)
-                        best = cycle
-                        if best_len == 3:
-                            return best  # nothing shorter exists
-    return best
+# Girth, bipartiteness and stars
 
 
 def girth(graph: WncGraph):
-    """Length of a shortest cycle; INFINITE for forests."""
-    cycle = shortest_cycle(graph)
-    return INFINITE if cycle is None else len(cycle)
+    """Length of a shortest cycle; INFINITE for forests.
 
-
-# ---------------------------------------------------------------------------
-# Bipartiteness and stars
-
-
-def is_bipartite(graph: WncGraph):
-    """(True, 2-coloring list) or (False, odd cycle vertex list)."""
-    n = graph.vertex_count
+    One BFS per root of degree >= 2, since no cycle passes through any
+    other vertex (Itai and Rodeh, 1978). At depth d, a vertex with two
+    neighbors on level d - 1 closes a cycle of at most 2d edges, and an
+    edge inside level d one of at most 2d + 1. A root stops at its first
+    hit, or once 2d reaches the best bound so far. From a root on a
+    shortest cycle of length g, both of its arcs are shortest paths, so
+    the hit comes at depth g // 2 and the least bound over the roots is g.
+    """
     adj = graph.adjacency
-    color = [-1] * n
-    dist = [-1] * n
-    parent = [-1] * n
-    for start in range(n):
-        if color[start] >= 0:
-            continue
-        color[start] = 0
-        dist[start] = 0
-        queue = deque([start])
-        while queue:
-            x = queue.popleft()
-            for y in iter_bits(adj[x]):
-                if color[y] == -1:
-                    color[y] = color[x] ^ 1
-                    dist[y] = dist[x] + 1
-                    parent[y] = x
-                    queue.append(y)
-                elif color[y] == color[x]:
-                    return False, _cycle_through(parent, dist, x, y)
-    return True, color
+    full = (1 << graph.vertex_count) - 1
+    best = math.inf
+    for root, row in enumerate(adj):
+        if row & (row - 1) == 0:
+            continue  # degree below 2
+        below = 0
+        for depth, level in enumerate(_bfs_levels(adj, root, full)):
+            if 2 * depth >= best:
+                break
+            if below & (below - 1) and any((adj[v] & below).bit_count() >= 2
+                                           for v in iter_bits(level)):
+                best = 2 * depth
+                break
+            if any(adj[v] & level for v in iter_bits(level)):
+                best = 2 * depth + 1
+                break
+            below = level
+        if best == 3:
+            return 3  # a simple graph has no shorter cycle
+    return INFINITE if best == math.inf else best
+
+
+def is_bipartite(graph: WncGraph) -> bool:
+    """True iff the graph has no odd cycle, that is, no component has an
+    edge inside one of its BFS levels from its least vertex."""
+    adj = graph.adjacency
+    unseen = (1 << graph.vertex_count) - 1
+    while unseen:
+        start = (unseen & -unseen).bit_length() - 1
+        for level in _bfs_levels(adj, start, unseen):
+            unseen &= ~level
+            if level & (level - 1) and any(adj[v] & level
+                                           for v in iter_bits(level)):
+                return False
+    return True
 
 
 def is_star(graph: WncGraph) -> bool:

@@ -159,7 +159,7 @@ class _Analysis:
         self.components = components(graph)
         self.diameter = diameter(graph)
         self.girth = girth(graph)
-        self.bipartite, _ = is_bipartite(graph)
+        self.bipartite = is_bipartite(graph)
         self.star = is_star(graph)
         self.max_degree = max_degree(graph)
         self.budgets = {name: Budget(name, nodes) for name, nodes in (

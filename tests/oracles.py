@@ -8,7 +8,10 @@ BFS instead of the sum-graph distance formula, subset enumeration instead
 of branch and bound, pairs of neighbors instead of triangle counts read
 off the clean set, polynomial arithmetic instead of exp/log tables, a
 full greedy coloring instead of the clique search's complement-table
-kernel that lists only the vertices it may branch on), so agreement
+kernel that lists only the vertices it may branch on, a queue BFS across
+each removed edge instead of per-root BFS levels for the girth, and
+union-find on the double cover instead of BFS levels for
+bipartiteness), so agreement
 between the two is meaningful evidence of correctness. The edge-coloring
 helpers, `bfs_distances` and `operation_tables` serve only the tests, so
 they live here rather than in the library.
@@ -221,16 +224,6 @@ def has_square(graph) -> bool:
     return False
 
 
-def cycle_is_valid(graph, cycle) -> bool:
-    """The vertex list is a simple cycle: distinct vertices, consecutive
-    pairs adjacent, closing edge present."""
-    k = len(cycle)
-    if k < 3 or len(set(cycle)) != k:
-        return False
-    return all(graph.adjacency[cycle[i]] >> cycle[(i + 1) % k] & 1
-               for i in range(k))
-
-
 def round_robin_coloring(vertices):
     """Proper edge coloring of the complete graph on `vertices`: m - 1
     colors for even m (circle method), m colors for odd m."""
@@ -328,11 +321,64 @@ def bfs_distances(graph, source):
     unreachable."""
     n = graph.vertex_count
     dist = [-1] * n
-    levels, _ = wnc.invariants._bfs_levels(graph.adjacency, source, (1 << n) - 1)
+    levels = wnc.invariants._bfs_levels(graph.adjacency, source, (1 << n) - 1)
     for d, level in enumerate(levels):
         for v in bit_list(level):
             dist[v] = d
     return dist
+
+
+def _distance_without_edge(neighbors, u, v):
+    """Hops from u to v in G - uv by a queue BFS over neighbor lists; None
+    when G - uv does not connect them."""
+    dist = {u: 0}
+    queue = deque([u])
+    while queue:
+        x = queue.popleft()
+        for y in neighbors[x]:
+            if y in dist or (x, y) == (u, v):
+                continue
+            if y == v:
+                return dist[x] + 1
+            dist[y] = dist[x] + 1
+            queue.append(y)
+    return None
+
+
+def girth_by_edge_removal(graph):
+    """The girth as 1 plus the least distance from u to v in G - uv over
+    the edges uv, by a queue BFS over neighbor lists; None when acyclic."""
+    neighbors = [bit_list(row) for row in graph.adjacency]
+    best = None
+    for u, v in wnc.edges(graph):
+        d = _distance_without_edge(neighbors, u, v)
+        if d is not None and (best is None or d + 1 < best):
+            best = d + 1
+    return best
+
+
+def _union_find_components(vertex_count, pairs) -> int:
+    parent = list(range(vertex_count))
+
+    def root(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for u, v in pairs:
+        parent[root(u)] = root(v)
+    return sum(root(x) == x for x in range(vertex_count))
+
+
+def bipartite_by_double_cover(graph) -> bool:
+    """G is bipartite iff its double cover G x K2, with (u, i) ~ (v, 1 - i)
+    for each edge uv, has twice as many components as G (union-find)."""
+    n = graph.vertex_count
+    pairs = list(wnc.edges(graph))
+    cover = [(2 * u + i, 2 * v + 1 - i) for u, v in pairs for i in (0, 1)]
+    return (_union_find_components(2 * n, cover)
+            == 2 * _union_find_components(n, pairs))
 
 
 def sum_edge_coloring(ring, graph):

@@ -152,9 +152,9 @@ def test_chromatic_index_examples():
     assert wnc.chromatic_index_exact(realize("Z2")[2]) == 1  # K_2
     assert wnc.chromatic_index_exact(realize("Z3")[2]) == 3  # K_3: class 2
     assert wnc.chromatic_index_exact(realize("Z10")[2]) == 6  # = max degree
-    assert wnc.max_degree(realize("Z10")[2]) == 6
-    assert wnc.vizing_class(realize("Z10")[2]) == 1
-    assert wnc.vizing_class(realize("Z3")[2]) == 2
+    g10, g3 = realize("Z10")[2], realize("Z3")[2]
+    assert wnc.chromatic_index_exact(g10) == wnc.max_degree(g10) == 6  # class 1
+    assert wnc.chromatic_index_exact(g3) == wnc.max_degree(g3) + 1  # class 2
 
 
 @pytest.mark.parametrize("expr", ACCEPTANCE_CORPUS)
@@ -173,15 +173,16 @@ def test_complete_graph_chromatic_indices():
     assert wnc.chromatic_index_exact(realize("Z32")[2]) == 31
     assert wnc.chromatic_index_exact(realize("Z36")[2]) == 35
     assert wnc.chromatic_index_exact(realize("Z27")[2]) == 27
-    assert wnc.vizing_class(realize("Z27")[2]) == 2
-    assert wnc.vizing_class(realize("Z9")[2]) == 2
+    # class 2: chi' = Delta + 1
+    for expr in ("Z27", "Z9"):
+        graph = realize(expr)[2]
+        assert wnc.chromatic_index_exact(graph) == wnc.max_degree(graph) + 1
 
 
 def test_petersen_is_class_two():
     graph = petersen()
     assert wnc.max_degree(graph) == 3
-    assert wnc.chromatic_index_exact(graph) == 4
-    assert wnc.vizing_class(graph) == 2
+    assert wnc.chromatic_index_exact(graph) == 4  # Delta + 1: class 2
 
 
 def no_nodes():
@@ -191,7 +192,6 @@ def no_nodes():
 def test_budget_exhaustion_returns_unknown():
     graph = petersen()
     assert wnc.chromatic_index_exact(graph, budget=no_nodes()) is wnc.UNKNOWN
-    assert wnc.vizing_class(graph, budget=no_nodes()) is wnc.UNKNOWN
 
 
 def test_proper_hint_short_circuits_search():

@@ -90,16 +90,16 @@ def test_nc_graph_is_subgraph(expr):
 
 def test_degree_examples():
     _, cls, graph = realize("Z10")
-    assert wnc.degree(graph, 0) == 5  # 2*0 in WNC: |WNC| - 1
-    assert wnc.degree(graph, 1) == 6  # 2*1 not in WNC: |WNC|
+    assert graph.adjacency[0].bit_count() == 5  # 2*0 in WNC: |WNC| - 1
+    assert graph.adjacency[1].bit_count() == 6  # 2*1 not in WNC: |WNC|
     _, _, k2 = realize("Z2")
-    assert wnc.degree(k2, 0) == 1
+    assert k2.adjacency[0].bit_count() == 1
 
 
-def test_degree_and_neighborhood_range_check():
+def test_neighborhood_range_check():
     _, _, graph = realize("Z10")
     with pytest.raises(ValueError):
-        wnc.degree(graph, 10)
+        wnc.neighborhood(graph, 10)
     with pytest.raises(ValueError):
         wnc.neighborhood(graph, -1)
 
@@ -110,7 +110,7 @@ def test_degree_lemma_all_vertices(expr):
     wnc_size = cls.wnc.bit_count()
     for x in range(ring.size):
         expected = wnc_size - 1 if cls.wnc >> ring.add(x, x) & 1 else wnc_size
-        assert wnc.degree(graph, x) == expected
+        assert graph.adjacency[x].bit_count() == expected
 
 
 def test_neighborhood_excludes_self():
@@ -163,25 +163,25 @@ def test_build_graph_rejects_mismatched_classification():
         wnc.build_wnc_graph(other, cls)
 
 
-def test_degree_mismatch_raises_under_python_O():
-    # `python -O` strips asserts, so the degree-lemma cross-check must raise
-    # explicitly; corrupt one row of a ring-built graph and ask for it
+def test_degree_mismatch_disagrees_under_python_O():
+    # `python -O` strips asserts, so the degree-lemma verdict must not rest
+    # on one; corrupt one row of a ring-built graph and ask for the verdicts
     script = (
         "import wnc\n"
         "ring = wnc.make_zn(10)\n"
-        "graph = wnc.build_wnc_graph(ring, wnc.weakly_nil_clean_set(ring))\n"
+        "cls = wnc.weakly_nil_clean_set(ring)\n"
+        "graph = wnc.build_wnc_graph(ring, cls)\n"
         "graph.adjacency[3] &= ~(graph.adjacency[3] & -graph.adjacency[3])\n"
-        "try:\n"
-        "    wnc.degree(graph, 3)\n"
-        "except ValueError as exc:\n"
-        "    print(exc)\n"
+        "for v in wnc.theorem_suite(ring, cls, graph):\n"
+        "    if v.theorem == 'degree-lemma':\n"
+        "        print(v.status)\n"
     )
     src = str(pathlib.Path(wnc.__file__).resolve().parents[1])
     done = subprocess.run([sys.executable, "-O", "-c", script],
                           env={**os.environ, "PYTHONPATH": src},
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
-    assert done.stdout == "degree 4 of vertex 3 contradicts prediction 5\n"
+    assert done.stdout == "DISAGREE\n"
 
 
 def _edges_by_bit_walk(graph):

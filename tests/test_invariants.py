@@ -7,16 +7,16 @@ import random
 import sys
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
 import wnc
 from wnc import invariants
 
 from corpus import ACCEPTANCE_CORPUS, SMALL_CORPUS, realize
-from oracles import (bfs_diameter, bfs_distances, cycle_is_valid,
+from oracles import (bfs_diameter, bfs_distances, bipartite_by_double_cover,
                      exists_clique_of_size, floyd_diameter, floyd_distances,
-                     greedy_coloring, has_square, has_triangle, is_clique,
-                     triangle_counts)
+                     girth_by_edge_removal, greedy_coloring, has_square,
+                     has_triangle, is_clique, triangle_counts)
 
 
 def _component_sizes(graph):
@@ -97,52 +97,107 @@ def test_infinite_iff_disconnected():
         assert (wnc.diameter(graph) is wnc.INFINITE) == disconnected
 
 
+def _girth_or_none(graph):
+    g = wnc.girth(graph)
+    return None if g is wnc.INFINITE else g
+
+
 def test_girth_examples():
     _, _, g10 = realize("Z10")
     assert wnc.girth(g10) == 3
-    cycle = wnc.shortest_cycle(g10)
-    assert len(cycle) == 3 and cycle_is_valid(g10, cycle)
     assert wnc.girth(realize("GF(4)")[2]) is wnc.INFINITE
     assert wnc.girth(realize("Z2")[2]) is wnc.INFINITE  # K_2 is acyclic
 
 
-@pytest.mark.parametrize("expr", ACCEPTANCE_CORPUS)
+@pytest.mark.parametrize("expr", DIAMETER_EXPRS)
 def test_girth_witness_and_minimality(expr):
-    _, _, graph = realize(expr)
-    g = wnc.girth(graph)
-    cycle = wnc.shortest_cycle(graph)
-    if g is wnc.INFINITE:
-        assert cycle is None
-        assert not has_triangle(graph) and not has_square(graph)
-        return
-    assert cycle_is_valid(graph, cycle) and len(cycle) == g
-    if g == 4:
-        assert not has_triangle(graph)
-    if g > 4:
-        assert not has_triangle(graph) and not has_square(graph)
+    # the edge-removal oracle's u-v path plus uv is a shortest cycle; the
+    # triangle and square searches rule out the shortest lengths directly
+    ring, cls, graph = realize(expr)
+    for g in (graph, wnc.build_nc_graph(ring, cls)):
+        got = _girth_or_none(g)
+        assert got == girth_by_edge_removal(g), g.kind
+        if got is None or got > 3:
+            assert not has_triangle(g), g.kind
+        if got is None or got > 4:
+            assert not has_square(g), g.kind
 
 
 def test_girth_on_synthetic_cycles():
-    for n in (4, 5, 6, 9):
+    for n in range(3, 40):
         ring_cycle = wnc.make_graph([(i, (i + 1) % n) for i in range(n)], n)
-        assert wnc.girth(ring_cycle) == n
-        assert cycle_is_valid(ring_cycle, wnc.shortest_cycle(ring_cycle))
+        assert wnc.girth(ring_cycle) == n == girth_by_edge_removal(ring_cycle)
+        assert wnc.is_bipartite(ring_cycle) == (n % 2 == 0)
     path = wnc.make_graph([(0, 1), (1, 2), (2, 3)], 4)
     assert wnc.girth(path) is wnc.INFINITE
+    assert girth_by_edge_removal(path) is None
 
 
 def test_bipartite_examples():
-    ok, payload = wnc.is_bipartite(realize("Z10")[2])
-    assert not ok
-    graph = realize("Z10")[2]
-    assert cycle_is_valid(graph, payload) and len(payload) % 2 == 1
-    ok, coloring = wnc.is_bipartite(realize("GF(4)")[2])
-    assert ok
-    g4 = realize("GF(4)")[2]
-    for u, v in wnc.edges(g4):
-        assert coloring[u] != coloring[v]
-    ok, _ = wnc.is_bipartite(realize("Z2")[2])
-    assert ok
+    assert wnc.is_bipartite(realize("Z10")[2]) is False
+    assert wnc.is_bipartite(realize("GF(4)")[2]) is True
+    assert wnc.is_bipartite(realize("Z2")[2]) is True
+    assert wnc.is_bipartite(wnc.make_graph([], 0)) is True
+
+
+@pytest.mark.parametrize("expr", DIAMETER_EXPRS)
+def test_bipartite_agrees_with_double_cover(expr):
+    ring, cls, graph = realize(expr)
+    for g in (graph, wnc.build_nc_graph(ring, cls)):
+        assert wnc.is_bipartite(g) == bipartite_by_double_cover(g), g.kind
+
+
+@st.composite
+def sparse_graphs(draw):
+    """A cycle through the first k of n <= 16 vertices, none when k < 3,
+    plus up to four more edges: girths from 3 to 16, and infinity."""
+    n = draw(st.integers(min_value=1, max_value=16))
+    k = draw(st.integers(min_value=0, max_value=n))
+    cycle = [(i, (i + 1) % k) for i in range(k)] if k >= 3 else []
+    pairs = list(itertools.combinations(range(n), 2))
+    extra = (draw(st.lists(st.sampled_from(pairs), unique=True, max_size=4))
+             if pairs else [])
+    return wnc.make_graph(cycle + extra, n)
+
+
+@settings(max_examples=300, deadline=None)
+@given(graph=sparse_graphs())
+def test_girth_and_bipartiteness_of_random_graphs(graph):
+    g = _girth_or_none(graph)
+    event(f"girth {g}")
+    assert g == girth_by_edge_removal(graph)
+    assert wnc.is_bipartite(graph) == bipartite_by_double_cover(graph)
+
+
+def _spy_on_bfs(monkeypatch):
+    """Record (source, frontiers read) for each BFS started in invariants."""
+    started = []
+    kernel = invariants._bfs_levels
+
+    def spy(adj, source, bound):
+        levels = []
+        started.append((source, levels))
+        for level in kernel(adj, source, bound):
+            levels.append(level)
+            yield level
+
+    monkeypatch.setattr(invariants, "_bfs_levels", spy)
+    return started
+
+
+def test_girth_and_bipartiteness_start_only_the_bfses_they_need(monkeypatch):
+    started = _spy_on_bfs(monkeypatch)
+    # GF(256) pairs x with x + 1: every vertex has degree 1, so no cycle
+    # can pass through any of them
+    assert wnc.girth(realize("GF(256)")[2]) is wnc.INFINITE
+    assert started == []
+    # Z991: root 0 sees the triangle {0, 1, -1} inside its level 1
+    graph = realize("Z991")[2]
+    assert wnc.girth(graph) == 3
+    assert [(source, len(levels)) for source, levels in started] == [(0, 2)]
+    started.clear()
+    assert wnc.is_bipartite(graph) is False
+    assert [(source, len(levels)) for source, levels in started] == [(0, 2)]
 
 
 def test_star_recognition():
