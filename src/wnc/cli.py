@@ -1,9 +1,10 @@
 """Command-line front end: `wnc report|export|verify|batch`.
 
-Exit codes: 0 success, 1 tool error (bad expression, cap exceeded,
-unwritable path, unknown theorem id), 2 verify found a theorem
-disagreement. With --allow-known-discrepancies the charted
-characteristic-2 / degenerate-degree disagreements downgrade to warnings.
+Carriers are capped at `rings.SIZE_CAP` (4096) elements. Exit codes: 0
+success, 1 tool error (bad expression, cap exceeded, unwritable path,
+unknown theorem id), 2 verify found a theorem disagreement. With
+--allow-known-discrepancies the charted characteristic-2 /
+degenerate-degree disagreements downgrade to warnings.
 """
 
 from __future__ import annotations
@@ -19,15 +20,14 @@ from .classify import weakly_nil_clean_set
 from .errors import WncError
 from .graph import build_wnc_graph, upper_neighbors
 from .invariants import UNKNOWN, plain
-from .rings import DEFAULT_CAP, build_ring, format_spec
+from .rings import SIZE_CAP, build_ring, format_spec
 from .ringexpr import parse_ring_expr
 from .theorems import (AGREE, DISAGREE, THEOREM_IDS, compute_report,
                        theorem_suite)
 
 
-def _realize(expr: str, cap: int):
-    spec = parse_ring_expr(expr, cap)
-    ring = build_ring(spec, cap=cap)
+def _realize(expr: str):
+    ring = build_ring(parse_ring_expr(expr))
     classification = weakly_nil_clean_set(ring)
     graph = build_wnc_graph(ring, classification)
     return ring, classification, graph
@@ -45,7 +45,7 @@ def _search(budget, bound="upper", **facts):
 
 def cmd_report(args) -> int:
     started = time.perf_counter()
-    ring, cls, graph = _realize(args.expr, args.cap)
+    ring, cls, graph = _realize(args.expr)
     report = compute_report(ring, cls, graph, want_four_cliques=args.four_cliques)
     doc = {
         "ring": format_spec(ring.spec),
@@ -177,7 +177,7 @@ def _write(out: str, payload: str) -> None:
 
 
 def cmd_export(args) -> int:
-    ring, _, graph = _realize(args.expr, args.cap)
+    ring, _, graph = _realize(args.expr)
     if args.format == "dot":
         payload = _export_dot(ring, graph)
     elif args.format == "json":
@@ -189,7 +189,7 @@ def cmd_export(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    ring, cls, graph = _realize(args.expr, args.cap)
+    ring, cls, graph = _realize(args.expr)
     verdicts = theorem_suite(ring, cls, graph)
     if args.theorems:
         wanted = [t.strip() for t in args.theorems.split(",") if t.strip()]
@@ -228,11 +228,11 @@ def _parse_zn_range(text: str):
 
 def cmd_batch(args) -> int:
     lo, hi = _parse_zn_range(args.zn)
-    if hi > args.cap:
-        raise WncError(f"range end {hi} exceeds the size cap {args.cap}")
+    if hi > SIZE_CAP:
+        raise WncError(f"range end {hi} exceeds the size cap {SIZE_CAP}")
     rows = ["n,wnc_size,is_wnc_ring,girth,diameter,clique_number,vizing_class"]
     for n in range(lo, hi + 1):
-        ring, cls, graph = _realize(f"Z{n}", args.cap)
+        ring, cls, graph = _realize(f"Z{n}")
         report = compute_report(ring, cls, graph)
         rows.append(",".join([
             str(n),
@@ -279,10 +279,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="inclusive modulus range, e.g. 2..100")
     p.add_argument("--out", default="-", help="output path (default stdout)")
     p.set_defaults(func=cmd_batch)
-
-    for p in sub.choices.values():
-        p.add_argument("--cap", type=int, default=DEFAULT_CAP,
-                       help="carrier size cap (default %(default)s)")
     return parser
 
 

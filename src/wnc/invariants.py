@@ -139,7 +139,7 @@ def diameter(graph: WncGraph):
         full = (1 << n) - 1
         return max((sum(1 for _ in _bfs_levels(graph.adjacency, v, full)) - 1
                     for v in range(n)), default=0)
-    doubles = [ring.add(x, x) for x in range(n)]
+    doubles = ring.doubles
     loops = mask_of(x for x, t in enumerate(doubles) if clean >> t & 1)
     # BFS over (vertex, walk parity): each level holds one parity, and a
     # vertex is new at a level when no walk of that parity reached it yet
@@ -227,17 +227,11 @@ def is_bipartite(graph: WncGraph) -> bool:
 
 def is_star(graph: WncGraph) -> bool:
     """True iff the graph is a star K_{1,n}: one center adjacent to every
-    other vertex, all other vertices of degree 1 (K_2 counts as K_{1,1})."""
+    other vertex, all other vertices of degree 1 (K_1 and K_2 count too).
+    That is n - 1 edges, all at one vertex of degree n - 1."""
     n = graph.vertex_count
-    if n == 0:
-        return False
-    if n == 1:
-        return True
     degrees = [row.bit_count() for row in graph.adjacency]
-    if degrees.count(n - 1) < 1:
-        return False
-    center = degrees.index(n - 1)
-    return all(d == 1 for i, d in enumerate(degrees) if i != center)
+    return n > 0 and sum(degrees) == 2 * (n - 1) == 2 * max(degrees)
 
 
 # ---------------------------------------------------------------------------
@@ -374,7 +368,7 @@ def _triangle_counts(graph: WncGraph) -> list[int]:
         return [sum((adj[u] & row).bit_count() for u in iter_bits(row)) // 2
                 for row in adj]
     n = graph.vertex_count
-    doubles = [ring.add(x, x) for x in range(n)]
+    doubles = ring.doubles
 
     def minus(v):  # S - v
         return adj[v] | (clean >> doubles[v] & 1) << v
@@ -427,10 +421,11 @@ def max_clique(graph: WncGraph, budget: Budget | None = None):
     the vertices by triangle count, most first, ties by id. The counts are
     paid only then; on a ring they are a few ANDs per distinct 2x.
 
-    The witness is the larger clique the searches found, or the clique
-    grown greedily from vertex 0 when they found none larger, in ids,
-    sorted. It is deterministic but not in general the lexicographically
-    least maximum clique.
+    The witness is the largest clique the searches found, in ids, sorted.
+    Each search starts from the clique it grows greedily from its lowest
+    candidate, which is the witness when none larger turns up. It is
+    deterministic but not in general the lexicographically least maximum
+    clique.
 
     The searches share `budget`, by default CLIQUE_NODES nodes. When it
     runs out, the clique number is UNKNOWN, the tuple is the largest clique
@@ -444,17 +439,15 @@ def max_clique(graph: WncGraph, budget: Budget | None = None):
         budget = Budget("clique", CLIQUE_NODES)
     cand = (1 << n) - 1
     rest = _complement_table(adj)
-    greedy = _greedy_clique(adj, cand)
     ring = graph.ring
     if (ring is not None and graph.clean_set is not None
-            and ring.add(ring.one, ring.one) == ring.zero):
-        size, found, _ = _clique_search(adj, rest, adj[0], len(greedy) - 1, budget)
-        omega, found = 1 + size, found and [0, *found]
+            and ring.doubles[ring.one] == ring.zero):
+        size, found, _ = _clique_search(adj, rest, adj[0], 0, budget)
+        omega, found = 1 + size, [0, *(found or ())]
         if budget.exhausted:
             budget.bound += 1  # for vertex 0
     else:
-        omega, found, cut = _clique_search(adj, rest, cand, len(greedy), budget,
-                                           dive=True)
+        omega, found, cut = _clique_search(adj, rest, cand, 0, budget, dive=True)
         if cut:
             triangles = _triangle_counts(graph)
             order = sorted(range(n), key=lambda v: (-triangles[v], v))
@@ -464,7 +457,7 @@ def max_clique(graph: WncGraph, budget: Budget | None = None):
                                               omega, budget)
             found = [order[v] for v in better] if better else found
             budget.bound = min(bound, budget.bound)
-    return tuple(sorted(found or greedy)), UNKNOWN if budget.exhausted else omega
+    return tuple(sorted(found)), UNKNOWN if budget.exhausted else omega
 
 
 def clique_count_bound(graph: WncGraph, k: int) -> int:

@@ -7,7 +7,7 @@ Grammar (case-insensitive keywords, whitespace ignored):
     atom := 'Z' INT | 'GF(' INT ')' | 'M' INT '(' expr ')' | '(' expr ')'
 
 GF takes the field order as a composite integer ("GF(25)" means p=5, k=2);
-orders above the size cap are refused before they are factored, and
+orders above `rings.SIZE_CAP` are refused before they are factored, and
 orders that are not prime powers while parsing. Other size-cap and
 commutativity checks happen at construction time, not here.
 """
@@ -15,7 +15,7 @@ commutativity checks happen at construction time, not here.
 from __future__ import annotations
 
 from .errors import InvalidSpecError, RingExprError
-from .rings import DEFAULT_CAP, GF, MatrixRing, NilQuotient, Product, \
+from .rings import GF, SIZE_CAP, MatrixRing, NilQuotient, Product, \
     RingSpec, Zn, factor_prime_power, format_spec
 
 __all__ = ["parse_ring_expr", "format_spec"]
@@ -67,9 +67,8 @@ def _tokenize(text: str):
 
 
 class _Parser:
-    def __init__(self, text: str, cap: int):
+    def __init__(self, text: str):
         self.text = text
-        self.cap = cap
         self.tokens = _tokenize(text)
         self.idx = 0
 
@@ -115,9 +114,9 @@ class _Parser:
             self.take("LPAREN")
             q_tok = self.take("INT")
             self.take("RPAREN")
-            if q_tok[1] > self.cap:
+            if q_tok[1] > SIZE_CAP:
                 raise InvalidSpecError(
-                    f"GF({q_tok[1]}) exceeds the size cap {self.cap}")
+                    f"GF({q_tok[1]}) exceeds the size cap {SIZE_CAP}")
             pk = factor_prime_power(q_tok[1])
             if pk is None:
                 raise RingExprError(f"GF({q_tok[1]}): not a prime power", q_tok[2])
@@ -137,7 +136,7 @@ class _Parser:
         raise RingExprError(f"expected a ring term, found {tok[0]}", tok[2])
 
 
-def parse_ring_expr(text: str, cap: int = DEFAULT_CAP) -> RingSpec:
+def parse_ring_expr(text: str) -> RingSpec:
     """Parse surface syntax like "Z10", "GF(25)", "M2(Z2)", "Z3 x Z3",
-    "Z12/nil" into a ring spec; a field order above `cap` is refused."""
-    return _Parser(text, cap).parse()
+    "Z12/nil" into a ring spec; a field order above SIZE_CAP is refused."""
+    return _Parser(text).parse()

@@ -41,7 +41,8 @@ from typing import Callable, Union
 from .bitsets import iter_bits
 from .errors import InvalidSpecError, UnsupportedOperationError
 
-DEFAULT_CAP = 4096
+# every constructor refuses a carrier of more elements
+SIZE_CAP = 4096
 
 
 # ---------------------------------------------------------------------------
@@ -116,7 +117,8 @@ class FiniteRing:
     total pure functions on the carrier, safe for any number of concurrent
     readers. `add_row(x)` returns a new list L with L[y] = x + y; a
     constructor passes one built from its own arithmetic, and the default
-    makes one `add` per element. It never reads `radices`.
+    makes one `add` per element. It never reads `radices`. `doubles` is
+    the list of x + x over every x, computed once on first use.
     `factor_sizes` is (|A|, |B|) for a direct product A x B, whose element
     a * |B| + b is the pair (a, b), and None for every other ring.
     `radices` is the additive layout of the ids (module docstring), or None
@@ -150,6 +152,10 @@ class FiniteRing:
     def add_row(self, x: int) -> list[int]:
         add = self.add
         return [add(x, y) for y in range(self.size)]
+
+    @cached_property
+    def doubles(self) -> list[int]:
+        return [self.add(x, x) for x in range(self.size)]
 
     @cached_property
     def _wrap_masks(self):
@@ -219,12 +225,12 @@ def _pair_row(high: list[int], low: list[int]) -> list[int]:
 # Z_n
 
 
-def make_zn(n: int, cap: int = DEFAULT_CAP) -> FiniteRing:
+def make_zn(n: int) -> FiniteRing:
     """The ring of integers modulo n, with decimal element names."""
     if n < 2:
         raise InvalidSpecError(f"Z_n: n must be >= 2, got {n}")
-    if n > cap:
-        raise InvalidSpecError(f"Z_{n} exceeds the size cap {cap}")
+    if n > SIZE_CAP:
+        raise InvalidSpecError(f"Z_{n} exceeds the size cap {SIZE_CAP}")
     return _integers_mod(n, Zn(n))
 
 
@@ -356,7 +362,7 @@ def find_least_irreducible(p: int, k: int) -> PolyMod:
     raise AssertionError("no irreducible found; impossible over a prime field")
 
 
-def make_gf(p: int, k: int, cap: int = DEFAULT_CAP) -> FiniteRing:
+def make_gf(p: int, k: int) -> FiniteRing:
     """The finite field GF(p^k).
 
     For k = 1 this is Z_p (decimal names); otherwise the carrier is the
@@ -371,9 +377,9 @@ def make_gf(p: int, k: int, cap: int = DEFAULT_CAP) -> FiniteRing:
         raise InvalidSpecError("GF needs k >= 1")
     # the cap comes before the primality test; a long exponent stays unraised
     size = p ** k if k <= 64 else None
-    if p >= 2 and (size is None or size > cap):
+    if p >= 2 and (size is None or size > SIZE_CAP):
         raise InvalidSpecError(
-            f"GF({size or f'{p}^{k}'}) exceeds the size cap {cap}")
+            f"GF({size or f'{p}^{k}'}) exceeds the size cap {SIZE_CAP}")
     if not is_prime(p):
         raise InvalidSpecError(f"GF base {p} is not prime")
     if k == 1:
@@ -460,12 +466,12 @@ def make_gf(p: int, k: int, cap: int = DEFAULT_CAP) -> FiniteRing:
 # Direct products
 
 
-def make_product(left: FiniteRing, right: FiniteRing, cap: int = DEFAULT_CAP) -> FiniteRing:
+def make_product(left: FiniteRing, right: FiniteRing) -> FiniteRing:
     """Direct product with componentwise operations; names "(a;b)"."""
     size = left.size * right.size
-    if size > cap:
+    if size > SIZE_CAP:
         raise InvalidSpecError(
-            f"product of sizes {left.size} x {right.size} exceeds the size cap {cap}")
+            f"product of sizes {left.size} x {right.size} exceeds the size cap {SIZE_CAP}")
     rs = right.size
 
     def add(a, b):
@@ -506,7 +512,7 @@ def make_product(left: FiniteRing, right: FiniteRing, cap: int = DEFAULT_CAP) ->
 # Matrix rings
 
 
-def make_matrix_ring(k: int, base: FiniteRing, cap: int = DEFAULT_CAP) -> FiniteRing:
+def make_matrix_ring(k: int, base: FiniteRing) -> FiniteRing:
     """The ring of k x k matrices over a commutative base ring.
 
     Matrices are encoded as base-|R| digit strings of their row-major
@@ -523,11 +529,11 @@ def make_matrix_ring(k: int, base: FiniteRing, cap: int = DEFAULT_CAP) -> Finite
     size = 1
     for _ in range(cells):
         size *= bs
-        if size > cap:
+        if size > SIZE_CAP:
             # the exact size is named while it is short to print
             count = bs ** cells if cells <= 64 else f"{bs}^{cells}"
             raise InvalidSpecError(
-                f"M_{k} over a size-{bs} ring has {count} elements, over cap {cap}")
+                f"M_{k} over a size-{bs} ring has {count} elements, over cap {SIZE_CAP}")
 
     # each element's row-major entries, decoded once: entries[e][i*k + j]
     # is row i, column j of matrix e
@@ -650,18 +656,18 @@ def nilradical_quotient(ring: FiniteRing, nil: int | None = None):
 # Spec realization
 
 
-def build_ring(spec: RingSpec, cap: int = DEFAULT_CAP) -> FiniteRing:
-    """Realize a ring spec, enforcing the size cap at every level."""
+def build_ring(spec: RingSpec) -> FiniteRing:
+    """Realize a ring spec, enforcing SIZE_CAP at every level."""
     if isinstance(spec, Zn):
-        return make_zn(spec.n, cap)
+        return make_zn(spec.n)
     if isinstance(spec, GF):
-        return make_gf(spec.p, spec.k, cap)
+        return make_gf(spec.p, spec.k)
     if isinstance(spec, Product):
-        return make_product(build_ring(spec.left, cap), build_ring(spec.right, cap), cap)
+        return make_product(build_ring(spec.left), build_ring(spec.right))
     if isinstance(spec, MatrixRing):
-        return make_matrix_ring(spec.k, build_ring(spec.inner, cap), cap)
+        return make_matrix_ring(spec.k, build_ring(spec.inner))
     if isinstance(spec, NilQuotient):
-        inner = build_ring(spec.inner, cap)
+        inner = build_ring(spec.inner)
         if not inner.is_commutative:
             raise InvalidSpecError("/nil requires a commutative ring")
         quotient, _ = nilradical_quotient(inner)

@@ -172,8 +172,9 @@ class _Analysis:
         size_wnc = wnc.bit_count()
         self.sum_proper = self.subgraph = self.degree_lemma = True
         self.sum_colors = 0
+        doubles = ring.doubles
         for x, degree, sums in sum_sets(ring, graph):
-            two_x = ring.add(x, x)
+            two_x = doubles[x]
             self.sum_proper &= sums.bit_count() == degree
             self.subgraph &= nc & ~(1 << two_x) & ~sums == 0
             self.degree_lemma &= degree == size_wnc - (wnc >> two_x & 1)
@@ -187,7 +188,7 @@ class _Analysis:
         chi = self.chromatic_index
         self.vizing_class = (UNKNOWN if chi is UNKNOWN
                              else 1 if chi == self.max_degree else 2)
-        self.char2 = ring.neg(ring.one) == ring.one
+        self.char2 = doubles[ring.one] == ring.zero
         # the degree-lemma premise Delta = |WNC| fails exactly here
         self.degenerate_max_degree = self.max_degree == size_wnc - 1
 

@@ -232,7 +232,7 @@ def test_every_expression_over_the_cap_is_refused_in_one_line(case):
     text, log_size = case
     if not _over_cap(text, log_size):
         return
-    code, out, err = _run("report", text, "--json", "--cap", "4096")
+    code, out, err = _run("report", text, "--json")
     assert (code, out) == (1, "")
     assert err.startswith("error: ") and err.count("\n") == 1
 

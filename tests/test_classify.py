@@ -32,6 +32,15 @@ def test_nilpotents_match_power_walk(expr):
     assert wnc.nilpotents(ring) == expected
 
 
+def test_nilpotents_square_each_element_at_most_four_times_in_z1000(monkeypatch):
+    # an index is at most floor(log2 1000) = 9, and 2^4 >= 9
+    ring = wnc.make_zn(1000)
+    mul, calls = ring.mul, []
+    monkeypatch.setattr(ring, "mul", lambda a, b: calls.append(a) or mul(a, b))
+    assert wnc.nilpotents(ring) == mask_of(range(0, 1000, 10))
+    assert len(calls) <= 1000 * 4
+
+
 def test_wnc_gf25_matches_worked_example():
     gf25 = wnc.make_gf(5, 2)
     cls = wnc.weakly_nil_clean_set(gf25)

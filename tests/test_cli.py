@@ -239,10 +239,14 @@ def test_batch_stdout_default(capsys):
     assert out.splitlines()[1].startswith("2,")
 
 
-def test_cap_flag_is_enforced(capsys):
-    code, _, err = run(capsys, "report", "Z100", "--cap", "50")
-    assert code == 1
-    assert "cap" in err
+def test_batch_refuses_a_range_end_over_the_cap(capsys, monkeypatch):
+    def build_ring(spec):
+        raise AssertionError("a ring was built")
+
+    monkeypatch.setattr(cli, "build_ring", build_ring)
+    code, out, err = run(capsys, "batch", "--zn", "2..5000")
+    assert (code, out) == (1, "")
+    assert err == "error: range end 5000 exceeds the size cap 4096\n"
 
 
 # one small command line per subcommand
@@ -255,12 +259,16 @@ SUBCOMMANDS = {
 }
 
 
-@pytest.mark.parametrize("argv", SUBCOMMANDS.values(), ids=SUBCOMMANDS)
-def test_color_budget_is_a_usage_error(argv, capsys):
+# the search budgets and the size cap are constants, not options
+@pytest.mark.parametrize("argv,flag", [
+    pytest.param(argv, flag, id=name + suffix)
+    for flag, suffix in (("--color-budget", ""), ("--cap", "-cap"))
+    for name, argv in SUBCOMMANDS.items()])
+def test_color_budget_is_a_usage_error(argv, flag, capsys):
     with pytest.raises(SystemExit) as exc:
-        main([*argv, "--color-budget", "50"])
+        main([*argv, flag, "50"])
     assert exc.value.code == 2
-    assert "--color-budget" in capsys.readouterr().err
+    assert flag in capsys.readouterr().err
 
 
 class _Reads:

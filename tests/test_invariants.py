@@ -207,6 +207,9 @@ def test_star_recognition():
     assert not wnc.is_star(wnc.make_graph([(0, 1), (1, 2), (2, 0)], 3))  # K_3
     assert not wnc.is_star(wnc.make_graph([(0, 1), (1, 2), (2, 3)], 4))
     assert wnc.is_star(wnc.make_graph([(3, 0), (3, 1), (3, 2)], 4))
+    assert wnc.is_star(wnc.make_graph([], 1))  # K_1 = K_{1,0}
+    assert not wnc.is_star(wnc.make_graph([], 0))
+    assert not wnc.is_star(wnc.make_graph([(0, 1)], 3))  # K_2 plus a vertex
 
 
 @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])

@@ -1,6 +1,7 @@
 """Ring construction: Z_n, GF(p^k), products, matrix rings, quotients."""
 
 import functools
+import inspect
 import itertools
 
 import numpy as np
@@ -303,10 +304,16 @@ def test_no_ring_swaps_in_table_lookups(expr, monkeypatch):
 
 
 def test_build_ring_respects_cap():
-    spec = wnc.parse_ring_expr("M2(Z8)")
-    assert wnc.build_ring(spec).size == 4096
+    assert wnc.build_ring(wnc.parse_ring_expr("M2(Z8)")).size == 4096
     with pytest.raises(InvalidSpecError):
-        wnc.build_ring(spec, cap=1000)
+        wnc.build_ring(wnc.parse_ring_expr("M2(Z9)"))
+
+
+@pytest.mark.parametrize("function", [
+    wnc.parse_ring_expr, wnc.build_ring, wnc.make_zn, wnc.make_gf,
+    wnc.make_product, wnc.make_matrix_ring], ids=lambda f: f.__name__)
+def test_the_cap_is_not_a_parameter(function):
+    assert "cap" not in inspect.signature(function).parameters
 
 
 @pytest.mark.parametrize("expr,radices", [
@@ -368,6 +375,7 @@ def test_add_row_is_the_row_of_add(expr):
     ring = wnc.build_ring(wnc.parse_ring_expr(expr))
     for x in range(ring.size):
         assert ring.add_row(x) == [ring.add(x, y) for y in range(ring.size)]
+    assert ring.doubles == [ring.add(x, x) for x in range(ring.size)]
 
 
 @pytest.mark.parametrize("expr", ["Z12", "Z2 x Z3", "M2(Z2)", "Z2 x Z12/nil"])
