@@ -51,6 +51,12 @@ NAMED_EXPORT_EXPRS = ("Z16 x Z36", "Z12/nil")
 BUDGET_COMMANDS = [("report", "M2(Z5)", "--json"), ("report", "M2(Z5)"),
                    ("report", "Z512", "--four-cliques", "--json"),
                    ("report", "M2(GF(4)) x Z3", "--json")]
+# text outputs whose lines follow the order in which the report's values
+# are read: the census line, the stopped-search lines after every value,
+# and the verdict table
+READ_ORDER_COMMANDS = [("report", "Z512", "--four-cliques"),
+                       ("report", "Z10", "--four-cliques"),
+                       ("report", "M2(GF(4)) x Z3"), ("verify", "Z10")]
 
 COMMANDS = (
     [("report", e, "--json") for e in REPORT_EXPRS]
@@ -60,6 +66,7 @@ COMMANDS = (
        for e in NAMED_EXPORT_EXPRS for f in ("csv", "dot")]
     + [("batch", "--zn", "2..60")]
     + BUDGET_COMMANDS
+    + READ_ORDER_COMMANDS
 )
 
 _WALL_TIME = re.compile(r', "wall_time_seconds": [0-9.e-]+')
