@@ -9,9 +9,9 @@ facts the toolkit mechanizes against each concrete ring.
 
 __version__ = "0.1.0"
 
-from .classify import (Classification, Decomposition, idempotents,
-                       is_nil_clean_ring, is_weakly_nil_clean_ring,
-                       nilpotents, weakly_nil_clean_set)
+from .classify import (Classification, idempotents, is_nil_clean_ring,
+                       is_weakly_nil_clean_ring, nilpotents,
+                       weakly_nil_clean_set)
 from .coloring import UNKNOWN, chromatic_index_exact
 from .errors import (InvalidSpecError, RingExprError,
                      UnsupportedOperationError, WncError)

@@ -1,38 +1,29 @@
 """Element classes of a finite ring: idempotents, nilpotents, and the
-(weakly) nil clean sets with explicit decomposition witnesses.
+(weakly) nil clean sets, each a bitset over element ids.
 
 An element x is nil clean when x = n + e and weakly nil clean when
-x = n + e or x = n - e, for some nilpotent n and idempotent e. Witnesses
-record every decomposition found, both signs; the sign doubles as the
-"type" of the decomposition (+1 = type 1, -1 = type 2).
+x = n + e or x = n - e, for some nilpotent n and idempotent e. The
+classification keeps the four sets, not the decompositions: no caller
+reads which n and e give an element.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 from .bitsets import iter_bits
 from .rings import FiniteRing
 
 
-class Decomposition(NamedTuple):
-    nilpotent: int
-    idempotent: int
-    sign: int  # +1 witnesses x = n + e, -1 witnesses x = n - e
-
-
 @dataclass(frozen=True)
 class Classification:
-    """Bitsets over element ids plus all decomposition witnesses."""
+    """Idem(R), Nil(R), NC(R) and WNC(R) as bitsets over element ids."""
 
     size: int
     idem: int
     nil: int
     nc: int
     wnc: int
-    witnesses: dict[int, tuple[Decomposition, ...]]
-    types: dict[int, frozenset[int]]  # subset of {1, 2} per weakly nil clean element
 
 
 def idempotents(ring: FiniteRing) -> int:
@@ -71,40 +62,24 @@ def nilpotents(ring: FiniteRing) -> int:
 
 
 def weakly_nil_clean_set(ring: FiniteRing) -> Classification:
-    """Classify every element by enumerating Nil(R) x Idem(R) sums.
-
-    Marks n + e as nil clean (sign +1) and n - e as weakly nil clean
-    (sign -1), recording every witness. Note e = 0 yields both signs for
-    the pure nilpotents, so their type set is {1, 2}.
-    """
+    """Classify every element by enumerating Nil(R) x Idem(R): n + e is
+    nil clean, and n + e and n - e are weakly nil clean."""
     idem = idempotents(ring)
     nil = nilpotents(ring)
-    nc = 0
-    wnc = 0
-    witnesses: dict[int, list[Decomposition]] = {}
+    nc = minus = 0
     for n in iter_bits(nil):
         for e in iter_bits(idem):
-            plus = ring.add(n, e)
-            nc |= 1 << plus
-            wnc |= 1 << plus
-            witnesses.setdefault(plus, []).append(Decomposition(n, e, +1))
-            minus = ring.sub(n, e)
-            wnc |= 1 << minus
-            witnesses.setdefault(minus, []).append(Decomposition(n, e, -1))
-    frozen = {x: tuple(sorted(ws)) for x, ws in witnesses.items()}
-    types = {x: frozenset(1 if w.sign > 0 else 2 for w in ws)
-             for x, ws in frozen.items()}
-    return Classification(size=ring.size, idem=idem, nil=nil, nc=nc, wnc=wnc,
-                          witnesses=frozen, types=types)
+            nc |= 1 << ring.add(n, e)
+            minus |= 1 << ring.sub(n, e)
+    return Classification(size=ring.size, idem=idem, nil=nil, nc=nc,
+                          wnc=nc | minus)
 
 
 def is_weakly_nil_clean_ring(ring: FiniteRing) -> bool:
     """True iff every element of the ring is weakly nil clean."""
-    full = (1 << ring.size) - 1
-    return weakly_nil_clean_set(ring).wnc == full
+    return weakly_nil_clean_set(ring).wnc == (1 << ring.size) - 1
 
 
 def is_nil_clean_ring(ring: FiniteRing) -> bool:
     """True iff every element of the ring is nil clean."""
-    full = (1 << ring.size) - 1
-    return weakly_nil_clean_set(ring).nc == full
+    return weakly_nil_clean_set(ring).nc == (1 << ring.size) - 1

@@ -2,7 +2,7 @@
 
 Carriers are capped at `rings.SIZE_CAP` (4096) elements. Exit codes: 0
 success, 1 tool error (bad expression, cap exceeded, unwritable path,
-unknown theorem id), 2 verify found a theorem disagreement. With
+unknown theorem id or none), 2 verify found a theorem disagreement. With
 --allow-known-discrepancies the charted characteristic-2 /
 degenerate-degree disagreements downgrade to warnings.
 """
@@ -13,6 +13,7 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import asdict
 
 from . import __version__
 from .bitsets import bit_list
@@ -46,7 +47,9 @@ def _search(budget, bound="upper", **facts):
 def cmd_report(args) -> int:
     started = time.perf_counter()
     ring, cls, graph = _realize(args.expr)
-    report = compute_report(ring, cls, graph, want_four_cliques=args.four_cliques)
+    report = compute_report(ring, cls, graph)
+    verdicts = report.theorem_verdicts
+    four_cliques = report.four_cliques if args.four_cliques else None
     doc = {
         "ring": format_spec(ring.spec),
         "carrier_size": ring.size,
@@ -72,20 +75,11 @@ def cmd_report(args) -> int:
         "sum_coloring_colors": report.sum_coloring_colors,
         "chromatic_index": plain(report.chromatic_index),
         "vizing_class": plain(report.vizing_class),
-        "theorem_verdicts": [
-            {
-                "theorem": v.theorem,
-                "predicted": v.predicted,
-                "computed": v.computed,
-                "status": v.status,
-                "known_discrepancy": v.known_discrepancy,
-            }
-            for v in report.theorem_verdicts
-        ],
+        "theorem_verdicts": [asdict(v) for v in verdicts],
         "tool_version": __version__,
         "wall_time_seconds": round(time.perf_counter() - started, 6),
     }
-    stopped = report.stopped
+    stopped = report.stopped  # read after every value it may describe
     if "clique" in stopped:
         doc["clique_search"] = _search(
             stopped["clique"], lower=len(report.clique),
@@ -93,11 +87,11 @@ def cmd_report(args) -> int:
     if "chromatic-index" in stopped:
         doc["chromatic_index_search"] = _search(
             stopped["chromatic-index"], lower=report.max_degree)
-    if report.four_cliques is UNKNOWN:
+    if four_cliques is UNKNOWN:
         doc["four_cliques"] = _search(stopped["four-cliques"], "count_at_most")
-    elif report.four_cliques is not None:
+    elif four_cliques is not None:
         doc["four_cliques"] = [[ring.name(v) for v in clique]
-                               for clique in report.four_cliques]
+                               for clique in four_cliques]
     if args.json:
         sys.stdout.write(json.dumps(doc, sort_keys=True, ensure_ascii=False) + "\n")
         return 0
@@ -115,11 +109,11 @@ def cmd_report(args) -> int:
     print(f"sum_coloring_colors: {doc['sum_coloring_colors']}"
           f"  chromatic_index: {doc['chromatic_index']}"
           f"  vizing_class: {doc['vizing_class']}")
-    if report.four_cliques is not None:
-        print("four_cliques: unknown" if report.four_cliques is UNKNOWN else
-              f"four_cliques ({len(report.four_cliques)}): "
+    if four_cliques is not None:
+        print("four_cliques: unknown" if four_cliques is UNKNOWN else
+              f"four_cliques ({len(four_cliques)}): "
               + "  ".join("{" + ",".join(ring.name(v) for v in c) + "}"
-                          for c in report.four_cliques))
+                          for c in four_cliques))
     for key in ("clique_search", "four_cliques", "chromatic_index_search"):
         if isinstance(doc.get(key), dict):  # a search that ran out of budget
             block = dict(doc[key])
@@ -127,8 +121,8 @@ def cmd_report(args) -> int:
                   " nodes; " + ", ".join(
                       f"{k} {'{' + ','.join(v) + '}' if k == 'witness' else v}"
                       for k, v in sorted(block.items())))
-    agree = sum(v.status == AGREE for v in report.theorem_verdicts)
-    disagree = sum(v.status == DISAGREE for v in report.theorem_verdicts)
+    agree = sum(v.status == AGREE for v in verdicts)
+    disagree = sum(v.status == DISAGREE for v in verdicts)
     print(f"theorem verdicts: {agree} agree, {disagree} disagree "
           f"(see `wnc verify` for the table)")
     return 0
@@ -189,17 +183,20 @@ def cmd_export(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    ring, cls, graph = _realize(args.expr)
-    verdicts = theorem_suite(ring, cls, graph)
-    if args.theorems:
+    wanted = THEOREM_IDS
+    if args.theorems is not None:
         wanted = [t.strip() for t in args.theorems.split(",") if t.strip()]
+        if not wanted:
+            raise WncError("no theorem ids given")
         unknown = [t for t in wanted if t not in THEOREM_IDS]
         if unknown:
             raise WncError("unknown theorem id(s): " + ", ".join(unknown))
-        verdicts = [v for v in verdicts if v.theorem in wanted]
+    ring, cls, graph = _realize(args.expr)
+    verdicts = [v for v in theorem_suite(ring, cls, graph) if v.theorem in wanted]
     print(f"ring: {format_spec(ring.spec)}  (size {ring.size})")
-    width_t = max(len("theorem"), *(len(v.theorem) for v in verdicts)) if verdicts else 7
-    width_p = max(len("predicted"), *(len(v.predicted) for v in verdicts)) if verdicts else 9
+    # every suite lists every theorem id, so the table is never empty
+    width_t = max(len("theorem"), *(len(v.theorem) for v in verdicts))
+    width_p = max(len("predicted"), *(len(v.predicted) for v in verdicts))
     print(f"{'theorem':<{width_t}}  {'predicted':<{width_p}}  status     computed")
     failures = 0
     for v in verdicts:

@@ -10,6 +10,10 @@ GF takes the field order as a composite integer ("GF(25)" means p=5, k=2);
 orders above `rings.SIZE_CAP` are refused before they are factored, and
 orders that are not prime powers while parsing. Other size-cap and
 commutativity checks happen at construction time, not here.
+
+The parser, `build_ring` and `format_spec` recurse at most once per '(',
+'Mk(', '/nil' and 'x', so an expression with more than MAX_DEPTH of them
+is refused; 13 product factors already exceed the size cap.
 """
 
 from __future__ import annotations
@@ -19,6 +23,8 @@ from .rings import GF, SIZE_CAP, MatrixRing, NilQuotient, Product, \
     RingSpec, Zn, factor_prime_power, format_spec
 
 __all__ = ["parse_ring_expr", "format_spec"]
+
+MAX_DEPTH = 100
 
 
 def _tokenize(text: str):
@@ -30,9 +36,9 @@ def _tokenize(text: str):
         if ch.isspace():
             i += 1
             continue
-        if ch.isdigit():
+        if ch.isdecimal():  # isdigit also takes superscripts, which int() refuses
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isdecimal():
                 j += 1
             tokens.append(("INT", int(text[i:j]), i))
             i = j
@@ -71,6 +77,13 @@ class _Parser:
         self.text = text
         self.tokens = _tokenize(text)
         self.idx = 0
+        self.levels = 0
+
+    def open_level(self, tok):
+        self.levels += 1
+        if self.levels > MAX_DEPTH:
+            raise RingExprError(
+                f"expression nests more than {MAX_DEPTH} levels", tok[2])
 
     def peek(self):
         return self.tokens[self.idx]
@@ -92,14 +105,14 @@ class _Parser:
     def expr(self) -> RingSpec:
         left = self.term()
         while self.peek()[0] == "X":
-            self.take("X")
+            self.open_level(self.take("X"))
             left = Product(left, self.term())
         return left
 
     def term(self) -> RingSpec:
         spec = self.atom()
         while self.peek()[0] == "NIL":
-            self.take("NIL")
+            self.open_level(self.take("NIL"))
             spec = NilQuotient(spec)
         return spec
 
@@ -122,14 +135,14 @@ class _Parser:
                 raise RingExprError(f"GF({q_tok[1]}): not a prime power", q_tok[2])
             return GF(*pk)
         if tok[0] == "M":
-            self.take("M")
+            self.open_level(self.take("M"))
             k = self.take("INT")[1]
             self.take("LPAREN")
             inner = self.expr()
             self.take("RPAREN")
             return MatrixRing(k, inner)
         if tok[0] == "LPAREN":
-            self.take("LPAREN")
+            self.open_level(self.take("LPAREN"))
             inner = self.expr()
             self.take("RPAREN")
             return inner

@@ -1,5 +1,10 @@
 """Predicted-versus-computed verdicts for the structural facts the toolkit
-mechanizes, plus the aggregated invariant report.
+mechanizes, and the invariant report they read.
+
+`InvariantReport` computes each invariant once, in its constructor. Its
+verdicts and its 4-clique census are computed on first read, so a caller
+that prints invariants alone, such as `wnc batch`, builds no quotient,
+runs no census and formats no verdict.
 
 Each verdict compares a prediction derived from ring data against a value
 computed from the constructed graph. A ring that fails a fact's hypothesis
@@ -35,7 +40,7 @@ as a subgraph DISAGREE.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 from .bitsets import iter_bits
@@ -87,24 +92,6 @@ class TheoremVerdict:
     known_discrepancy: bool = False
 
 
-@dataclass(frozen=True)
-class InvariantReport:
-    component_sizes: list[int]
-    diameter: object  # int or INFINITE
-    girth: object  # int or INFINITE
-    is_bipartite: bool
-    max_degree: int
-    clique_number: object  # int or UNKNOWN
-    clique: tuple[int, ...]  # sorted: the clique the search found, maximum
-                             # unless clique_number is UNKNOWN
-    four_cliques: object  # list of 4-cliques, UNKNOWN, or None if not asked
-    sum_coloring_colors: int
-    chromatic_index: object  # int or UNKNOWN
-    vizing_class: object  # 1 | 2 | UNKNOWN
-    theorem_verdicts: list[TheoremVerdict] = field(default_factory=list)
-    stopped: dict[str, Budget] = field(default_factory=dict)  # by search name
-
-
 def _is_2k3l(n: int) -> bool:
     while n % 2 == 0:
         n //= 2
@@ -113,12 +100,8 @@ def _is_2k3l(n: int) -> bool:
     return n == 1
 
 
-def _zn_modulus(spec) -> int | None:
-    return spec.n if isinstance(spec, Zn) else None
-
-
-def _z2p_prime(spec) -> int | None:
-    n = _zn_modulus(spec)
+def _z2p_prime(n: int | None) -> int | None:
+    """p when n = 2p with p >= 5 prime."""
     if n is not None and n % 2 == 0 and n // 2 >= 5 and is_prime(n // 2):
         return n // 2
     return None
@@ -141,8 +124,14 @@ def _expected_four_cliques(p: int) -> list[tuple[int, ...]]:
     return sorted(tuple(sorted(s)) for s in raw)
 
 
-class _Analysis:
-    """One-shot computation of everything the verdicts and report share."""
+class InvariantReport:
+    """The invariants of one ring's graph, and the verdicts on them.
+
+    The constructor computes the invariants. `theorem_verdicts` and
+    `four_cliques` are computed on first read, so a caller that reads
+    neither builds no quotient, runs no census and formats no verdict.
+    `stopped` names the budgets that the values read so far exhausted.
+    """
 
     def __init__(self, ring: FiniteRing, classification: Classification,
                  graph: WncGraph):
@@ -150,21 +139,17 @@ class _Analysis:
             raise ValueError("classification does not match the ring")
         if graph.vertex_count != ring.size or graph.clean_set != classification.wnc:
             raise ValueError("graph was not built from this ring and classification")
-        self.ring = ring
-        self.cls = classification
-        self.graph = graph
-        n = ring.size
-        self.full = (1 << n) - 1
-        self.is_wnc_ring = classification.wnc == self.full
-        self.components = components(graph)
-        self.diameter = diameter(graph)
-        self.girth = girth(graph)
-        self.bipartite = is_bipartite(graph)
-        self.star = is_star(graph)
+        self.ring, self.cls, self.graph = ring, classification, graph
+        self.component_sizes = sorted(c.bit_count() for c in components(graph))
+        self.diameter = diameter(graph)  # int or INFINITE
+        self.girth = girth(graph)  # int or INFINITE
+        self.is_bipartite = is_bipartite(graph)
         self.max_degree = max_degree(graph)
         self.budgets = {name: Budget(name, nodes) for name, nodes in (
             ("clique", CLIQUE_NODES), ("four-cliques", CENSUS_NODES),
             ("chromatic-index", CHROMATIC_NODES))}
+        # the clique is sorted, the one the search found: maximum unless
+        # clique_number is UNKNOWN
         self.clique, self.clique_number = max_clique(graph,
                                                      self.budgets["clique"])
         # one pass over the rows for three verdicts (module docstring)
@@ -179,7 +164,8 @@ class _Analysis:
             self.subgraph &= nc & ~(1 << two_x) & ~sums == 0
             self.degree_lemma &= degree == size_wnc - (wnc >> two_x & 1)
             self.sum_colors |= sums
-        if self.sum_proper and self.sum_colors.bit_count() <= self.max_degree:
+        self.sum_coloring_colors = self.sum_colors.bit_count()
+        if self.sum_proper and self.sum_coloring_colors <= self.max_degree:
             # the sum coloring itself is a proper Delta-edge-coloring
             self.chromatic_index = self.max_degree
         else:
@@ -188,9 +174,11 @@ class _Analysis:
         chi = self.chromatic_index
         self.vizing_class = (UNKNOWN if chi is UNKNOWN
                              else 1 if chi == self.max_degree else 2)
-        self.char2 = doubles[ring.one] == ring.zero
-        # the degree-lemma premise Delta = |WNC| fails exactly here
-        self.degenerate_max_degree = self.max_degree == size_wnc - 1
+
+    @property
+    def stopped(self) -> dict[str, Budget]:
+        """The exhausted budgets by search name."""
+        return {name: b for name, b in self.budgets.items() if b.exhausted}
 
     @cached_property
     def four_cliques(self):
@@ -202,8 +190,12 @@ class _Analysis:
         return (sorted(enumerate_k_cliques(self.graph, 4))
                 if budget.spend(budget.bound) else UNKNOWN)
 
+    @cached_property
+    def theorem_verdicts(self) -> list[TheoremVerdict]:
+        return _verdicts(self)
 
-def _check_quotient_lifting(a: _Analysis) -> bool:
+
+def _check_quotient_lifting(a: InvariantReport) -> bool:
     if a.cls.nil == 1 << a.ring.zero:
         # Nil(R) = 0: every coset is one element and the projection is the
         # identity, so the quotient's graph is R's own and lifting holds
@@ -226,11 +218,12 @@ def _check_quotient_lifting(a: _Analysis) -> bool:
                for q, row in zip(projection, a.graph.adjacency))
 
 
-def _verdicts(a: _Analysis) -> list[TheoremVerdict]:
+def _verdicts(a: InvariantReport) -> list[TheoremVerdict]:
     """Evaluate every applicable fact against the analysed ring and graph."""
     ring, graph = a.ring, a.graph
     spec = ring.spec
     n = ring.size
+    char2 = ring.doubles[ring.one] == ring.zero
     out = []
 
     def emit(theorem, predicted, computed, agree, known=False):
@@ -244,7 +237,7 @@ def _verdicts(a: _Analysis) -> list[TheoremVerdict]:
         out.append(TheoremVerdict(theorem, "-", reason, NOT_APPLICABLE))
 
     # completeness <=> weakly nil clean ring
-    predicted = "complete" if a.is_wnc_ring else "incomplete"
+    predicted = "complete" if a.cls.wnc == (1 << n) - 1 else "incomplete"
     computed = "complete" if is_complete(graph) else "incomplete"
     emit("completeness", predicted, computed, predicted == computed)
 
@@ -271,38 +264,39 @@ def _verdicts(a: _Analysis) -> list[TheoremVerdict]:
         isinstance(spec, MatrixRing) and isinstance(spec.inner, Zn)
         and spec.k == spec.inner.n)
     if applies:
-        connected = len(a.components) == 1
+        connected = len(a.component_sizes) == 1
         emit("connectedness", "connected",
-             "connected" if connected else f"{len(a.components)} components",
+             "connected" if connected else f"{len(a.component_sizes)} components",
              connected)
     else:
         skip("connectedness", "stated for Z_n and M_n(Z_n) only")
 
     # girth 3 and its corollaries need |R| >= 3
     if n >= 3:
-        emit("girth", "3", str(a.girth), a.girth == 3, known=a.char2)
+        emit("girth", "3", str(a.girth), a.girth == 3, known=char2)
         emit("not-bipartite", "not bipartite",
-             "bipartite" if a.bipartite else "not bipartite",
-             not a.bipartite, known=a.char2)
-        emit("not-star", "not a star", "star" if a.star else "not a star",
-             not a.star, known=a.char2)
+             "bipartite" if a.is_bipartite else "not bipartite",
+             not a.is_bipartite, known=char2)
+        star = is_star(graph)
+        emit("not-star", "not a star", "star" if star else "not a star",
+             not star, known=char2)
     else:
         skip("girth", "|R| < 3")
         skip("not-bipartite", "|R| < 3")
         skip("not-star", "|R| < 3")
 
     # clique numbers
-    zn = _zn_modulus(spec)
+    zn = spec.n if isinstance(spec, Zn) else None
     if zn is not None and zn >= 3 and is_prime(zn):
         emit("clique-zp", "3", str(a.clique_number), _agrees(a.clique_number, 3))
     else:
         skip("clique-zp", "not Z_p for an odd prime p")
     if isinstance(spec, GF):
         emit("clique-field", "3", str(a.clique_number),
-             _agrees(a.clique_number, 3), known=a.char2)
+             _agrees(a.clique_number, 3), known=char2)
     else:
         skip("clique-field", "not a field spec")
-    p2 = _z2p_prime(spec)
+    p2 = _z2p_prime(zn)
     if p2 is not None:
         emit("clique-z2p", "4", str(a.clique_number), _agrees(a.clique_number, 4))
         expected = _expected_four_cliques(p2)
@@ -369,12 +363,14 @@ def _verdicts(a: _Analysis) -> list[TheoremVerdict]:
     inside = a.sum_colors & ~a.cls.wnc == 0
     emit("sum-coloring", "proper with colors among the weakly nil clean sums",
          ("proper" if a.sum_proper else "improper") + ", "
-         + f"{a.sum_colors.bit_count()} colors"
+         + f"{a.sum_coloring_colors} colors"
          + ("" if inside else " outside the set"), a.sum_proper and inside)
 
-    # class 1: chi' = max degree
+    # class 1: chi' = max degree; the degree-lemma premise Delta = |WNC|
+    # fails exactly when Delta = |WNC| - 1
     emit("class-1", "class 1", f"class {a.vizing_class}",
-         _agrees(a.vizing_class, 1), known=a.degenerate_max_degree)
+         _agrees(a.vizing_class, 1),
+         known=a.max_degree == a.cls.wnc.bit_count() - 1)
     return out
 
 
@@ -385,21 +381,7 @@ def theorem_suite(ring: FiniteRing, classification: Classification,
 
 
 def compute_report(ring: FiniteRing, classification: Classification,
-                   graph: WncGraph, want_four_cliques: bool = False) -> InvariantReport:
-    """Full invariant report with theorem verdicts."""
-    a = _Analysis(ring, classification, graph)
-    return InvariantReport(
-        component_sizes=sorted(c.bit_count() for c in a.components),
-        diameter=a.diameter,
-        girth=a.girth,
-        is_bipartite=a.bipartite,
-        max_degree=a.max_degree,
-        clique_number=a.clique_number,
-        clique=a.clique,
-        four_cliques=a.four_cliques if want_four_cliques else None,
-        sum_coloring_colors=a.sum_colors.bit_count(),
-        chromatic_index=a.chromatic_index,
-        vizing_class=a.vizing_class,
-        theorem_verdicts=_verdicts(a),
-        stopped={name: b for name, b in a.budgets.items() if b.exhausted},
-    )
+                   graph: WncGraph) -> InvariantReport:
+    """The invariant report; its verdicts and census are computed on first
+    read."""
+    return InvariantReport(ring, classification, graph)

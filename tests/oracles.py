@@ -59,6 +59,18 @@ def naive_nc_members(ring):
             if any(naive_nilpotent(ring, ring.sub(x, e)) for e in idem)]
 
 
+def naive_decompositions(ring):
+    """Every x = n + e (sign +1) and x = n - e (sign -1) with n nilpotent
+    and e idempotent, as sorted (n, e, sign) triples per element x."""
+    nil = [x for x in range(ring.size) if naive_nilpotent(ring, x)]
+    found = {}
+    for n in nil:
+        for e in naive_idempotent_list(ring):
+            found.setdefault(ring.add(n, e), []).append((n, e, +1))
+            found.setdefault(ring.sub(n, e), []).append((n, e, -1))
+    return {x: sorted(ws) for x, ws in found.items()}
+
+
 def naive_edge_set(ring, wnc_members):
     """The weakly nil clean graph's edges by the definition: a double loop
     re-testing x + y membership for every pair."""

@@ -151,7 +151,7 @@ def test_every_report_search_runs_under_a_policy_budget(monkeypatch):
 
     monkeypatch.setattr(wnc.Budget, "__init__", spied)
     for expr in ACCEPTANCE_CORPUS + ("Z1000", "M2(Z3)", "Z150"):
-        theorems.compute_report(*realize(expr), want_four_cliques=True)
+        theorems.compute_report(*realize(expr)).four_cliques
     policy = {wnc.CLIQUE_NODES, wnc.CENSUS_NODES, wnc.CHROMATIC_NODES}
     assert nodes and all(count in policy for _, count in nodes), nodes
 
@@ -235,6 +235,35 @@ def test_every_expression_over_the_cap_is_refused_in_one_line(case):
     code, out, err = _run("report", text, "--json")
     assert (code, out) == (1, "")
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+# digits that str.isdigit accepts and int() refuses, and expressions that
+# nest deeper than the parser, build_ring or format_spec can recurse
+@pytest.mark.parametrize("text,message", [
+    ("Z\u00b2", "unexpected character '\u00b2' (at position 1)"),
+    ("GF(\u00b2)", "unexpected character '\u00b2' (at position 3)"),
+    ("M\u00b2(Z2)", "unexpected character '\u00b2' (at position 1)"),
+    ("Z1\u00b2", "unexpected character '\u00b2' (at position 2)"),
+    ("(" * 330 + "Z2" + ")" * 330,
+     "expression nests more than 100 levels (at position 100)"),
+    ("Z2" + "/nil" * 1000,
+     "expression nests more than 100 levels (at position 402)"),
+    (" x ".join(["Z2"] * 1500),
+     "expression nests more than 100 levels (at position 503)"),
+    ("M1(" * 400 + "Z2" + ")" * 400,
+     "expression nests more than 100 levels (at position 300)"),
+    (" x ".join(["Z2"] * 13), "product of sizes 4096 x 2 exceeds the size cap 4096"),
+], ids=["Z-superscript", "GF-superscript", "M-superscript", "Z1-superscript",
+        "330-parens", "1000-nil", "1500-factors", "400-M1", "13-factors"])
+def test_non_decimal_digits_and_deep_nesting_are_refused_in_one_line(text, message):
+    assert _run("report", text, "--json") == (1, "", f"error: {message}\n")
+
+
+def test_decimal_digits_of_any_script_parse_and_100_levels_are_allowed():
+    assert wnc.parse_ring_expr("Z\u0663") == wnc.Zn(3)  # Arabic-Indic three
+    for text in ("(" * 100 + "Z2" + ")" * 100, "Z2" + "/nil" * 100,
+                 "M1(" * 100 + "Z2" + ")" * 100):
+        assert _report(text)["carrier_size"] == 2
 
 
 # ---------------------------------------------------------------------------
@@ -407,6 +436,14 @@ def test_text_verify_and_batch_print_unknown(monkeypatch):
     # Z8 is complete, so its greedy clique is maximum without a search
     assert [row.split(",")[5] for row in out.splitlines()] == [
         "clique_number", "unknown", "8"]
+
+
+def test_batch_builds_no_quotient_census_or_verdict(monkeypatch):
+    # the CSV prints four report fields, none of which needs them
+    for name in ("nilradical_quotient", "enumerate_k_cliques", "_verdicts"):
+        monkeypatch.setattr(theorems, name, _refuse)
+    code, out, _ = _run("batch", "--zn", "2..40")
+    assert code == 0 and len(out.splitlines()) == 40
 
 
 def test_exhausted_budgets_leave_no_keys_otherwise():

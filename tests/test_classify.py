@@ -1,12 +1,14 @@
-"""Element classes: idempotents, nilpotents, NC(R), WNC(R), witnesses."""
+"""Element classes: idempotents, nilpotents, NC(R), WNC(R), and the
+decompositions x = n + e and x = n - e behind them."""
 
 import pytest
 
 import wnc
 from wnc.bitsets import bit_list, mask_of
 
-from corpus import ACCEPTANCE_CORPUS, SMALL_CORPUS, realize
-from oracles import naive_nc_members, naive_nilpotent, naive_wnc_members
+from corpus import ACCEPTANCE_CORPUS, realize
+from oracles import (naive_decompositions, naive_nc_members, naive_nilpotent,
+                     naive_wnc_members)
 
 
 def test_idempotents_examples():
@@ -61,22 +63,33 @@ def test_wnc_z2p(p):
     assert cls.wnc == mask_of({0, 1, n - 1, p, p - 1, p + 1})
 
 
+def _types(ring):
+    """The paper's decomposition types per element: 1 for x = n + e, 2 for
+    x = n - e."""
+    return {x: {1 if sign > 0 else 2 for *_, sign in ws}
+            for x, ws in naive_decompositions(ring).items()}
+
+
 def test_wnc_z10_witness_detail():
     ring, cls, _ = realize("Z10")
     assert bit_list(cls.wnc) == [0, 1, 4, 5, 6, 9]
     # 4 = 0 - 6 only; 1 = 0 + 1 only; 5 = 0 + 5 = 0 - 5 gives both types
-    assert cls.types[4] == frozenset({2})
-    assert cls.types[1] == frozenset({1})
-    assert cls.types[5] == frozenset({1, 2})
-    assert cls.types[0] == frozenset({1, 2})
-    assert cls.witnesses[4] == (wnc.Decomposition(0, 6, -1),)
+    types = _types(ring)
+    assert types[4] == {2}
+    assert types[1] == {1}
+    assert types[5] == {1, 2}
+    assert types[0] == {1, 2}
+    assert naive_decompositions(ring)[4] == [(0, 6, -1)]
+    # NC(R) holds exactly the elements of type 1
+    assert mask_of(x for x, t in types.items() if 1 in t) == cls.nc
 
 
 def test_pure_nilpotents_get_both_types():
     ring, cls, _ = realize("Z12")
     # 6 is nilpotent: 6 = 6 + 0 = 6 - 0
-    assert {w.sign for w in cls.witnesses[6] if w.idempotent == 0} == {1, -1}
-    assert cls.types[6] >= frozenset({1, 2})
+    assert cls.nil >> 6 & 1
+    assert {(6, 0, 1), (6, 0, -1)} <= set(naive_decompositions(ring)[6])
+    assert _types(ring)[6] == {1, 2}
 
 
 @pytest.mark.parametrize("expr", ACCEPTANCE_CORPUS)
@@ -97,16 +110,16 @@ def test_classification_invariants(expr):
 
 @pytest.mark.parametrize("expr", ACCEPTANCE_CORPUS)
 def test_witness_soundness_replay(expr):
+    # each decomposition replays through add and neg, and an element is
+    # weakly nil clean (nil clean) iff it has a decomposition (of sign +1)
     ring, cls, _ = realize(expr)
-    for x, witnesses in cls.witnesses.items():
-        assert witnesses, f"{expr}: member {x} has no witness"
-        for w in witnesses:
-            assert cls.nil >> w.nilpotent & 1
-            assert cls.idem >> w.idempotent & 1
-            e = w.idempotent if w.sign > 0 else ring.neg(w.idempotent)
-            assert ring.add(w.nilpotent, e) == x
-    # membership <=> some witness exists
-    assert mask_of(cls.witnesses) == cls.wnc
+    found = naive_decompositions(ring)
+    for x, ws in found.items():
+        for n, e, sign in ws:
+            assert ring.add(n, e if sign > 0 else ring.neg(e)) == x
+    assert mask_of(found) == cls.wnc
+    assert mask_of(x for x, ws in found.items()
+                   if any(sign > 0 for *_, sign in ws)) == cls.nc
 
 
 def test_wnc_ring_predicates():
@@ -120,7 +133,7 @@ def test_wnc_ring_predicates():
     assert bit_list(cls3.nc) == [0, 1]
 
 
-@pytest.mark.parametrize("expr", SMALL_CORPUS)
+@pytest.mark.parametrize("expr", ACCEPTANCE_CORPUS)
 def test_agreement_with_membership_oracle(expr):
     ring, cls, _ = realize(expr)
     assert bit_list(cls.wnc) == naive_wnc_members(ring)

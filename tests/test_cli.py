@@ -210,6 +210,12 @@ def test_verify_unknown_theorem_id(capsys):
     assert "unknown theorem id" in err
 
 
+@pytest.mark.parametrize("ids", [",", ""], ids=["comma", "empty"])
+def test_verify_empty_theorem_list(capsys, ids):
+    assert run(capsys, "verify", "Z10", "--theorems", ids) == (
+        1, "", "error: no theorem ids given\n")
+
+
 def test_batch_census(capsys, tmp_path):
     path = tmp_path / "census.csv"
     code, _, _ = run(capsys, "batch", "--zn", "2..30", "--out", str(path))

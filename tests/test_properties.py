@@ -3,10 +3,11 @@
 from hypothesis import given, settings, strategies as st
 
 import wnc
-from wnc.bitsets import bit_list
+from wnc.bitsets import bit_list, mask_of
 
 from corpus import realize
-from oracles import sum_edge_coloring, verify_proper_edge_coloring
+from oracles import (naive_decompositions, sum_edge_coloring,
+                     verify_proper_edge_coloring)
 
 COMPOSITE_EXPRS = ["GF(4)", "GF(8)", "GF(9)", "GF(25)", "GF(27)", "GF(49)",
                    "Z3 x Z3", "Z2 x Z2", "Z4 x Z9", "Z3 x Z5", "M2(Z2)",
@@ -35,10 +36,11 @@ def test_class_containments(expr):
 @given(expr=ring_exprs)
 def test_witnesses_replay(expr):
     ring, cls, _ = realize(expr)
-    for x, witnesses in cls.witnesses.items():
-        for w in witnesses:
-            e = w.idempotent if w.sign > 0 else ring.neg(w.idempotent)
-            assert ring.add(w.nilpotent, e) == x
+    found = naive_decompositions(ring)
+    for x, ws in found.items():
+        for n, e, sign in ws:
+            assert ring.add(n, e if sign > 0 else ring.neg(e)) == x
+    assert mask_of(found) == cls.wnc
 
 
 @settings(max_examples=40, deadline=None)

@@ -229,7 +229,7 @@ def test_the_report_does_not_read_the_layout(expr, monkeypatch):
     ring = wnc.build_ring(wnc.parse_ring_expr(expr))
     cls = wnc.weakly_nil_clean_set(ring)
     graph = wnc.build_wnc_graph(ring, cls)
-    before = wnc.compute_report(ring, cls, graph)
+    before = _report_values(wnc.compute_report(ring, cls, graph))
 
     def refuse(*args):
         raise AssertionError("the report read the digit layout")
@@ -238,7 +238,17 @@ def test_the_report_does_not_read_the_layout(expr, monkeypatch):
     monkeypatch.setattr(graph_module, "translate", refuse)
     monkeypatch.setattr(type(ring), "_wrap_masks", property(refuse))
     ring.radices = None
-    assert wnc.compute_report(ring, cls, graph) == before
+    assert _report_values(wnc.compute_report(ring, cls, graph)) == before
+
+
+def _report_values(report):
+    """Every field of the report, the verdicts and the census included,
+    and the names of the stopped searches."""
+    values = {name: getattr(report, name) for name in (
+        "component_sizes", "diameter", "girth", "is_bipartite", "max_degree",
+        "clique_number", "clique", "sum_coloring_colors", "chromatic_index",
+        "vizing_class", "four_cliques", "theorem_verdicts")}
+    return {**values, "stopped": sorted(report.stopped)}
 
 
 @pytest.mark.parametrize("expr", ["Z12", "Z8", "Z4 x Z9", "Z2 x Z4"])
@@ -271,7 +281,7 @@ def test_the_report_builds_only_the_quotient_graph(monkeypatch):
 
     monkeypatch.setattr(graph_module, "_build", spy)
     for ring, cls, graph in realized:
-        wnc.compute_report(ring, cls, graph)
+        wnc.compute_report(ring, cls, graph).theorem_verdicts
     # the reduced rings are their own quotient; Z12 lifts from Z12/nil
     assert built == [NilQuotient(realize("Z12")[0].spec)]
 
@@ -305,7 +315,7 @@ def test_mismatched_inputs_are_rejected():
 
 def test_report_bundles_everything():
     ring, cls, graph = realize("Z10")
-    report = wnc.compute_report(ring, cls, graph, want_four_cliques=True)
+    report = wnc.compute_report(ring, cls, graph)
     assert report.component_sizes == [10]
     assert report.diameter == 2
     assert report.girth == 3
@@ -317,3 +327,24 @@ def test_report_bundles_everything():
     assert report.four_cliques == [
         (0, 1, 4, 5), (0, 1, 5, 9), (0, 4, 5, 6), (0, 5, 6, 9), (2, 3, 7, 8)]
     assert tuple(v.theorem for v in report.theorem_verdicts) == THEOREM_IDS
+    assert report.stopped == {}
+
+
+def test_the_census_runs_on_first_read(monkeypatch):
+    ring, cls, graph = realize("Z10")
+    censuses = []
+    real = theorems.enumerate_k_cliques
+
+    def spy(graph, k):
+        censuses.append(k)
+        return real(graph, k)
+
+    monkeypatch.setattr(theorems, "enumerate_k_cliques", spy)
+    report = wnc.compute_report(ring, cls, graph)
+    assert report.vizing_class == 1 and censuses == []
+    assert len(report.four_cliques) == 5 and censuses == [4]
+    # the four-cliques verdict reads the same census
+    assert report.theorem_verdicts[THEOREM_IDS.index("four-cliques")].status == AGREE
+    assert censuses == [4]
+    report = wnc.compute_report(ring, cls, graph)
+    assert report.theorem_verdicts and censuses == [4, 4]
