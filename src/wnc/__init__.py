@@ -24,7 +24,7 @@ from .invariants import (CENSUS_NODES, CHROMATIC_NODES, CLIQUE_NODES,
                          is_star, max_clique, neighborhood_disjointness_check)
 from .ringexpr import parse_ring_expr
 from .rings import (GF, SIZE_CAP, FiniteRing, MatrixRing, NilQuotient,
-                    PolyMod, Product, RingSpec, Zn, build_ring,
+                    Product, RingSpec, Zn, build_ring,
                     find_least_irreducible, format_spec, make_gf,
                     make_matrix_ring, make_product, make_zn,
                     nilradical_quotient)

@@ -2,7 +2,8 @@
 
 Carriers are capped at `rings.SIZE_CAP` (4096) elements. Exit codes: 0
 success, 1 tool error (bad expression, cap exceeded, unwritable path,
-unknown theorem id or none), 2 verify found a theorem disagreement. With
+unknown theorem id or none, stdout closed by its reader, which prints no
+traceback), 2 verify found a theorem disagreement. With
 --allow-known-discrepancies the charted characteristic-2 /
 degenerate-degree disagreements downgrade to warnings.
 """
@@ -11,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from dataclasses import asdict
@@ -282,9 +284,15 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except WncError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        # the reader closed stdout; the flush at exit goes to devnull instead
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
 
 

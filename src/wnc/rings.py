@@ -254,17 +254,6 @@ def _integers_mod(n: int, spec: RingSpec) -> FiniteRing:
 # GF(p^k): polynomial arithmetic over Z_p and the least irreducible modulus
 
 
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
-
-
 def factor_prime_power(q: int):
     """Return (p, k) with q = p^k, or None when q is not a prime power."""
     if q < 2:
@@ -282,28 +271,17 @@ def factor_prime_power(q: int):
     return (q, 1)  # q itself prime
 
 
-@dataclass(frozen=True)
-class PolyMod:
-    """A monic polynomial over Z_p, coefficients constant-term first."""
-
-    p: int
-    coeffs: tuple[int, ...]
-
-    def __post_init__(self):
-        if not self.coeffs or self.coeffs[-1] != 1:
-            raise InvalidSpecError("modulus polynomial must be monic")
-        if any(not 0 <= c < self.p for c in self.coeffs):
-            raise InvalidSpecError("coefficients must lie in [0, p)")
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def __str__(self):
-        return _poly_str(self.coeffs, "x")
+def is_prime(n: int) -> bool:
+    return factor_prime_power(n) == (n, 1)
 
 
-def _poly_str(coeffs, sym: str) -> str:
+def _digit_table(base: int, count: int) -> list[list[int]]:
+    """The `count` base-`base` digits of every id below base ** count,
+    least significant first."""
+    return [[*reversed(d)] for d in itertools.product(range(base), repeat=count)]
+
+
+def _poly_str(coeffs) -> str:
     terms = []
     for i in range(len(coeffs) - 1, -1, -1):
         c = coeffs[i]
@@ -312,9 +290,9 @@ def _poly_str(coeffs, sym: str) -> str:
         if i == 0:
             terms.append(str(c))
         elif i == 1:
-            terms.append(f"{sym}" if c == 1 else f"{c}{sym}")
+            terms.append("a" if c == 1 else f"{c}a")
         else:
-            terms.append(f"{sym}^{i}" if c == 1 else f"{c}{sym}^{i}")
+            terms.append(f"a^{i}" if c == 1 else f"{c}a^{i}")
     return "+".join(terms) if terms else "0"
 
 
@@ -344,8 +322,9 @@ def _is_irreducible(coeffs, p) -> bool:
     return True
 
 
-def find_least_irreducible(p: int, k: int) -> PolyMod:
-    """The least monic irreducible polynomial of degree k over Z_p.
+def find_least_irreducible(p: int, k: int) -> tuple[int, ...]:
+    """The coefficients of the least monic irreducible polynomial of degree
+    k over Z_p, constant term first.
 
     Candidates are ordered by coefficient vector, constant term most
     significant; the first irreducible one wins, so the choice is
@@ -358,7 +337,7 @@ def find_least_irreducible(p: int, k: int) -> PolyMod:
     for tail in itertools.product(range(p), repeat=k):
         coeffs = (*tail, 1)
         if _is_irreducible(coeffs, p):
-            return PolyMod(p=p, coeffs=coeffs)
+            return coeffs
     raise AssertionError("no irreducible found; impossible over a prime field")
 
 
@@ -385,17 +364,10 @@ def make_gf(p: int, k: int) -> FiniteRing:
     if k == 1:
         return _integers_mod(p, GF(p, 1))
 
-    modulus = find_least_irreducible(p, k)
-    low = modulus.coeffs[:k]  # x^k = -(low) modulo the modulus
+    low = find_least_irreducible(p, k)[:k]  # x^k = -(low) modulo the modulus
     place = [p ** i for i in range(k)]
     order = size - 1  # of the multiplicative group, which is cyclic
-
-    def decode(e):
-        digits = []
-        for _ in range(k):
-            e, r = divmod(e, p)
-            digits.append(r)
-        return digits  # digits[i] = coefficient of x^i
+    digits = _digit_table(p, k)  # digits[e][i] = coefficient of x^i
 
     def times(a, b):
         # product of two digit vectors: sum of a_i * (b * x^i), reduced
@@ -411,9 +383,9 @@ def make_gf(p: int, k: int) -> FiniteRing:
 
     # exp[i] = g^i for the least primitive element g: the first candidate
     # whose powers run through all `order` nonzero elements before 1 recurs
-    one = decode(1)
+    one = digits[1]
     for g in range(2, size):
-        generator = decode(g)
+        generator = digits[g]
         exp = []
         power = one
         while True:
@@ -455,7 +427,7 @@ def make_gf(p: int, k: int) -> FiniteRing:
     def neg(a):
         return exp[log[a] + minus_one]
 
-    names = [_poly_str(decode(e), "a") for e in range(size)]
+    names = [_poly_str(d) for d in digits]
     # the coefficients add digit by digit, so the layout is k digits of p
     return FiniteRing(size=size, zero=0, one=1, add=add, mul=mul, neg=neg,
                       names=names, is_commutative=True, spec=GF(p, k),
@@ -535,15 +507,9 @@ def make_matrix_ring(k: int, base: FiniteRing) -> FiniteRing:
             raise InvalidSpecError(
                 f"M_{k} over a size-{bs} ring has {count} elements, over cap {SIZE_CAP}")
 
-    # each element's row-major entries, decoded once: entries[e][i*k + j]
-    # is row i, column j of matrix e
-    entries = []
-    for e in range(size):
-        digits = []
-        for _ in range(cells):
-            e, r = divmod(e, bs)
-            digits.append(r)
-        entries.append(digits)
+    # each element's row-major entries: entries[e][i*k + j] is row i,
+    # column j of matrix e
+    entries = _digit_table(bs, cells)
 
     # the place value of each cell: an element is the sum of its cells'
     # entries times their places
@@ -608,11 +574,11 @@ def nilradical_quotient(ring: FiniteRing, nil: int | None = None):
     """Quotient R/Nil(R) for commutative R.
 
     Returns (quotient ring, projection) where projection[x] is the quotient
-    element id of x's coset. Coset representatives are the least element id
-    in each coset; the representative order is ascending, so the projection
-    of zero's coset is the quotient's zero. `nil` is the bitset of R's
-    nilpotents when the caller has already computed it; by default it is
-    computed here.
+    element id of x's coset; the quotient's operations read it, so it must
+    not change. Coset representatives are the least element id in each
+    coset, in ascending order, so zero's coset is the quotient's zero.
+    `nil` is the bitset of R's nilpotents when the caller has already
+    computed it; by default it is computed here.
     """
     if not ring.is_commutative:
         raise UnsupportedOperationError(
@@ -620,27 +586,23 @@ def nilradical_quotient(ring: FiniteRing, nil: int | None = None):
     if nil is None:
         from .classify import nilpotents  # deferred: classify imports this module
         nil = nilpotents(ring)
-    n = ring.size
-    rep = [-1] * n
+    projection = [-1] * ring.size
     reps = []
-    for x in range(n):
-        if rep[x] >= 0:
-            continue
-        coset = [ring.add(x, v) for v in iter_bits(nil)]
-        for m in coset:
-            rep[m] = x  # x is the least member: smaller ones were seen first
-        reps.append(x)
-    index = {r: i for i, r in enumerate(reps)}
-    projection = [index[rep[x]] for x in range(n)]
+    for x in range(ring.size):
+        if projection[x] < 0:
+            # x is the least member of its coset: smaller ones were seen first
+            for v in iter_bits(nil):
+                projection[ring.add(x, v)] = len(reps)
+            reps.append(x)
 
     def q_add(i, j):
-        return index[rep[ring.add(reps[i], reps[j])]]
+        return projection[ring.add(reps[i], reps[j])]
 
     def q_mul(i, j):
-        return index[rep[ring.mul(reps[i], reps[j])]]
+        return projection[ring.mul(reps[i], reps[j])]
 
     def q_neg(i):
-        return index[rep[ring.neg(reps[i])]]
+        return projection[ring.neg(reps[i])]
 
     quotient = FiniteRing(
         size=len(reps), zero=projection[ring.zero], one=projection[ring.one],

@@ -167,7 +167,7 @@ def gf_poly_mul(p, k, a, b):
     """Products of the element-id arrays a and b in GF(p^k) by polynomial
     arithmetic: decode the digits, multiply, and reduce modulo the least
     monic irreducible of degree k."""
-    modulus = np.array(wnc.find_least_irreducible(p, k).coeffs)
+    modulus = np.array(wnc.find_least_irreducible(p, k))
     da, db = gf_digits(p, k, a), gf_digits(p, k, b)
     prod = np.zeros((len(da), 2 * k - 1), dtype=np.int64)
     for i in range(k):

@@ -2,6 +2,10 @@
 
 import argparse
 import json
+import os
+import pathlib
+import subprocess
+import sys
 import types
 
 import pytest
@@ -301,3 +305,20 @@ def test_every_option_is_read(argv, capsys):
     assert args.func(args) == 0
     capsys.readouterr()
     assert options - args.read == set()
+
+
+def test_a_closed_stdout_exits_one_without_a_traceback():
+    # the 2.3 MB export outgrows any pipe buffer, so the block-buffered
+    # stdout writes to the pipe after the reader has closed it
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(pathlib.Path(wnc.__file__).resolve().parents[1])
+    child = subprocess.Popen(
+        [sys.executable, "-m", "wnc.cli", "export", "Z1000", "--format", "csv",
+         "--out", "-"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert child.stdout.readline() == b"source,target\n"
+    child.stdout.close()
+    err = child.stderr.read()
+    child.stderr.close()
+    assert child.wait(timeout=60) == 1
+    assert err == b""

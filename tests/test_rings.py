@@ -13,7 +13,7 @@ from wnc.errors import InvalidSpecError, UnsupportedOperationError
 
 from corpus import ACCEPTANCE_CORPUS, realize
 from oracles import (gf_poly_add, gf_poly_mul, gf_poly_name, gf_poly_neg,
-                     operation_tables, ring_axiom_violations,
+                     naive_nilpotent, operation_tables, ring_axiom_violations,
                      rings_isomorphic)
 
 
@@ -56,15 +56,12 @@ def _has_root(coeffs, p):
 def test_find_least_irreducible_quadratic(p):
     # independent scan: a quadratic is irreducible iff it has no root
     expected = next(c for c in _monic_quadratics(p) if not _has_root(c, p))
-    got = wnc.find_least_irreducible(p, 2)
-    assert got.coeffs == expected
-    assert got.p == p
+    assert wnc.find_least_irreducible(p, 2) == expected
 
 
 def test_least_irreducible_matches_known_small_cases():
-    assert wnc.find_least_irreducible(2, 2).coeffs == (1, 1, 1)  # x^2+x+1
-    assert wnc.find_least_irreducible(5, 2).coeffs == (1, 1, 1)  # x^2+x+1
-    assert str(wnc.find_least_irreducible(5, 2)) == "x^2+x+1"
+    assert wnc.find_least_irreducible(2, 2) == (1, 1, 1)  # x^2+x+1
+    assert wnc.find_least_irreducible(5, 2) == (1, 1, 1)  # x^2+x+1
     # only irreducible monic quadratic over Z_2: verified exhaustively
     assert [c for c in _monic_quadratics(2) if not _has_root(c, 2)] == [(1, 1, 1)]
 
@@ -74,6 +71,30 @@ def test_find_least_irreducible_rejects_degree_one():
         wnc.find_least_irreducible(3, 1)
     with pytest.raises(InvalidSpecError):
         wnc.find_least_irreducible(4, 2)  # base not prime
+
+
+def _sieve(limit):
+    prime = [False, False] + [True] * (limit - 1)
+    for d in range(2, limit + 1):
+        if prime[d]:
+            for m in range(d * d, limit + 1, d):
+                prime[m] = False
+    return prime
+
+
+def test_is_prime_matches_a_sieve():
+    assert ([wnc.rings.is_prime(n) for n in range(-3, 5001)]
+            == [False] * 3 + _sieve(5000))
+
+
+def test_factor_prime_power_matches_the_powers_of_each_prime():
+    expected = [None] * 4097
+    for p, prime in enumerate(_sieve(4096)):
+        q, k = p, 1
+        while prime and q <= 4096:
+            expected[q] = (p, k)
+            q, k = q * p, k + 1
+    assert [wnc.rings.factor_prime_power(q) for q in range(4097)] == expected
 
 
 @pytest.mark.parametrize("p,k", [(2, 2), (2, 3), (3, 2), (5, 2), (3, 3), (7, 2)])
@@ -243,6 +264,21 @@ def test_nilradical_quotient_takes_the_computed_nil_mask():
     quotient, projection = wnc.nilradical_quotient(ring, nil)
     assert projection == wnc.nilradical_quotient(ring)[1]
     assert quotient.names() == ("0", "1", "2", "3", "4", "5")
+
+
+@pytest.mark.parametrize("expr", [
+    e for e in ACCEPTANCE_CORPUS
+    if realize(e)[0].is_commutative and realize(e)[1].nil != 1])
+def test_quotient_projection_numbers_the_cosets_by_least_member(expr):
+    ring, _, _ = realize(expr)
+    nil = [v for v in range(ring.size) if naive_nilpotent(ring, v)]
+    cosets = {min(c): c for c in (frozenset(ring.add(x, v) for v in nil)
+                                  for x in range(ring.size))}
+    quotient, projection = wnc.nilradical_quotient(ring)
+    assert quotient.size == len(cosets)
+    for i, least in enumerate(sorted(cosets)):
+        assert {projection[x] for x in cosets[least]} == {i}
+        assert quotient.name(i) == ring.name(least)
 
 
 def test_quotient_never_has_nonzero_nilpotents():
