@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bitsets import iter_bits
+from .bitsets import iter_bits, mask_of
 from .rings import FiniteRing
 
 
@@ -28,11 +28,7 @@ class Classification:
 
 def idempotents(ring: FiniteRing) -> int:
     """Bitset of elements with x*x = x; always contains zero and one."""
-    mask = 0
-    for x in range(ring.size):
-        if ring.mul(x, x) == x:
-            mask |= 1 << x
-    return mask
+    return mask_of(x for x in range(ring.size) if ring.mul(x, x) == x)
 
 
 def nilpotents(ring: FiniteRing) -> int:

@@ -161,9 +161,16 @@ def _export_csv(ring, graph) -> str:
 
 
 def _write(out: str, payload: str) -> None:
-    """Write the payload to the path `out`, or to stdout when it is '-'."""
+    """Write the payload to the path `out`, or to stdout when it is '-', in
+    a loop: one unbuffered write may take part, a closed pipe must raise."""
     if out == "-":
-        sys.stdout.write(payload)
+        if not hasattr(sys.stdout, "buffer"):  # a text stream, no bytes below
+            sys.stdout.write(payload)
+            return
+        sys.stdout.flush()
+        data = memoryview(payload.encode(sys.stdout.encoding, sys.stdout.errors))
+        while data:
+            data = data[sys.stdout.buffer.write(data):]
         return
     try:
         with open(out, "w", encoding="utf-8") as fh:
@@ -202,12 +209,9 @@ def cmd_verify(args) -> int:
     print(f"{'theorem':<{width_t}}  {'predicted':<{width_p}}  status     computed")
     failures = 0
     for v in verdicts:
-        status = v.status
-        if v.status == DISAGREE:
-            if args.allow_known_discrepancies and v.known_discrepancy:
-                status = "WARN"
-            else:
-                failures += 1
+        warn = args.allow_known_discrepancies and v.known_discrepancy
+        status = "WARN" if v.status == DISAGREE and warn else v.status
+        failures += status == DISAGREE
         print(f"{v.theorem:<{width_t}}  {v.predicted:<{width_p}}  {status:<9}  {v.computed}")
     return 2 if failures else 0
 
@@ -233,15 +237,9 @@ def cmd_batch(args) -> int:
     for n in range(lo, hi + 1):
         ring, cls, graph = _realize(f"Z{n}")
         report = compute_report(ring, cls, graph)
-        rows.append(",".join([
-            str(n),
-            str(cls.wnc.bit_count()),
-            str(cls.wnc == (1 << n) - 1).lower(),
-            str(report.girth),
-            str(report.diameter),
-            str(report.clique_number),
-            str(report.vizing_class),
-        ]))
+        rows.append(f"{n},{cls.wnc.bit_count()},{str(cls.wnc == (1 << n) - 1).lower()},"
+                    f"{report.girth},{report.diameter},{report.clique_number},"
+                    f"{report.vizing_class}")
     _write(args.out, "\n".join(rows) + "\n")
     return 0
 

@@ -3,10 +3,10 @@ chromatic index.
 
 The sum coloring colors the edge {x, y} by x + y. One pass over the rows
 gives each vertex's sum set sums(x) = {x + y : y ~ x}, the colors at x,
-and the coloring is proper iff |sums(x)| = deg(x) at every x. A dense
-row's sums come from the ring's whole addition row (`FiniteRing.add_row`)
-as one permutation of the row's bits; a sparse row makes one `add` per
-neighbor.
+and the coloring is proper iff |sums(x)| = deg(x) at every x. Rows
+translated from the clean set S are first certified from the ring's own
+addition (`certify_rows`), and then sums(x) is S minus 2x; other rows
+make one `add` per neighbor.
 
 The chromatic index of a simple graph is Delta or Delta + 1 (Vizing), so
 exactness reduces to deciding Delta-edge-colorability. The decision runs
@@ -23,58 +23,75 @@ budget yields the UNKNOWN sentinel, never a guess.
 from __future__ import annotations
 
 from array import array
-from itertools import compress
-from operator import itemgetter
+from itertools import accumulate, compress
+from operator import itemgetter, mul
 
 from .bitsets import bit_list, iter_bits
-from .graph import WncGraph, max_degree, upper_neighbors
+from .graph import WncGraph, max_degree, rows_translated, upper_neighbors
 from .invariants import CHROMATIC_NODES, UNKNOWN, Budget, components
-from .rings import FiniteRing
+from .rings import FiniteRing, translate
 
-# A whole-row permutation costs about as much as one `add` per
-# ROW_ELEMENTS_PER_ADD elements of the carrier, so a row with fewer
-# neighbors than n / ROW_ELEMENTS_PER_ADD makes one `add` per neighbor.
-ROW_ELEMENTS_PER_ADD = 8
+
+def certify_rows(ring: FiniteRing, graph: WncGraph) -> bool:
+    """Whether checks (a) to (c) of the `theorems` module docstring prove
+    each row v (S - v) minus v, S the clean set, for translated rows
+    (`graph.rows_translated`): at most n * (digits + 2) additions."""
+    n, rows, clean = graph.vertex_count, graph.adjacency, graph.clean_set
+    if (clean is None or getattr(ring, "radices", None) is None or ring.zero
+            or ring.size != n or not rows_translated(ring, clean)):
+        return False
+    doubles, full, ids = ring.doubles, (1 << n) - 1, tuple(range(n))
+
+    def toggled(u):  # T_u: row u with bit u toggled when 2u is in S
+        return rows[u] ^ (clean >> doubles[u] & 1) << u
+
+    places = [1, *accumulate(ring.radices, mul)]  # of the digits, and n
+    # each bit slice B_j as the string whose character y is bit j of y
+    slices = [(("0" * h + "1" * h) * (n // h + 1))[:n]
+              for h in (1 << j for j in range((n - 1).bit_length()))]
+    for g in places[:-1]:  # (b)
+        row = ring.add_row(g)
+        try:  # sorted by image, the ids list the inverse of a permutation
+            pick = itemgetter(*sorted(ids, key=row.__getitem__))
+        except (AttributeError, IndexError, TypeError):
+            return False
+        images = [(full, full)] + [(int(bits[::-1], 2), int(
+            "".join(pick(bits))[::-1], 2)) for bits in slices]
+        if pick(row) != ids or any(translate(ring, mask, g) != image or translate(
+                ring, full ^ mask, g) != full ^ image for mask, image in images):
+            return False
+    add, minus = ring.add, [ring.neg(g) for g in places[:-1]]
+    for v in range(1, n):  # (c)
+        i = 0
+        while v % places[i + 1] == 0:  # digits 0..i of v are zero
+            i += 1
+        p = add(v, minus[i])
+        if not 0 <= p < v or add(p, places[i]) != v or rows[v] > full or (
+                translate(ring, toggled(v), places[i]) != toggled(p)):
+            return False
+    return toggled(0) == clean  # (a)
 
 
 def sum_sets(ring: FiniteRing, graph: WncGraph):
     """Yield (x, deg(x), sums(x)) for every vertex x, in one pass over the
     rows, where sums(x) is the bitset of x + y over the neighbors y of x:
-    the colors the sum coloring uses at x.
-
-    For a dense row, with L = add_row(x) and M = add_row(-x), bit z of
-    sums(x) is bit M[z] of the row, provided L[M[z]] = z for every z:
-    then L is a permutation of the carrier with inverse M, so z = x + y
-    for exactly one y. That check and the permutation of the row's bit
-    string each run as one `itemgetter` call. Sparse rows, rows that fail
-    the check and rings without `add_row` make one `add` per neighbor, so
-    a non-injective addition still yields its true image.
-    """
-    n = graph.vertex_count
-    if n != ring.size:
+    the colors the sum coloring uses at x. Certified rows (`certify_rows`)
+    give sums(x) = S minus 2x; other graphs make one `add` per neighbor, so
+    a non-injective addition still yields its true image."""
+    if graph.vertex_count != ring.size:
         raise ValueError("graph does not match the ring")
+    rows = graph.adjacency
+    if certify_rows(ring, graph):
+        clean, doubles = graph.clean_set, ring.doubles
+        for x, row in enumerate(rows):
+            yield x, row.bit_count(), clean & ~(1 << doubles[x])
+        return
     add = ring.add
-    add_row = getattr(ring, "add_row", None)
-    identity = tuple(range(n))
-    for x, row in enumerate(graph.adjacency):
-        degree = row.bit_count()
-        sums = None
-        if add_row is not None and degree * ROW_ELEMENTS_PER_ADD >= n:
-            forward = add_row(x)
-            minus_x = ring.neg(x)
-            try:
-                pick = itemgetter(*(forward if minus_x == x else add_row(minus_x)))
-                inverse = pick(forward) == identity
-            except (IndexError, TypeError):
-                inverse = False
-            if inverse:
-                bits = f"{row:0{n}b}"[::-1]  # character y is bit y
-                sums = int("".join(pick(bits))[::-1], 2)
-        if sums is None:
-            sums = 0
-            for y in iter_bits(row):
-                sums |= 1 << add(x, y)
-        yield x, degree, sums
+    for x, row in enumerate(rows):
+        sums = 0
+        for y in iter_bits(row):
+            sums |= 1 << add(x, y)
+        yield x, row.bit_count(), sums
 
 
 # ---------------------------------------------------------------------------

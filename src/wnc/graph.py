@@ -12,7 +12,8 @@ When the ring has an additive layout and S is large enough to pay for it,
 `rings.translate` builds each row from S as a whole, with a few shifts
 per digit instead of one addition per element of S. Otherwise, as for
 the three-element clean sets of fields or a quotient without a layout,
-each row is |S| additions.
+each row is |S| additions; `rows_translated` decides, and the sum pass
+certifies translated rows from the ring's own addition.
 """
 
 from __future__ import annotations
@@ -45,14 +46,18 @@ class WncGraph:
     ring: Optional[FiniteRing] = field(default=None, repr=False)
 
 
+def rows_translated(ring: FiniteRing, clean: int) -> bool:
+    """Whether `translate` builds the rows of the graph of `clean`."""
+    return ring.radices is not None and clean.bit_count() > (
+        ADDS_PER_CALL + ADDS_PER_DIGIT * len(ring.radices))
+
+
 def _build(ring: FiniteRing, clean: int, kind: str) -> WncGraph:
     # u is adjacent to v iff u + v is in S and u != v, so row v is the
     # translate S - v of the clean set with v itself removed
     n = ring.size
     neg = ring.neg
-    radices = ring.radices
-    if (radices is not None
-            and clean.bit_count() > ADDS_PER_CALL + ADDS_PER_DIGIT * len(radices)):
+    if rows_translated(ring, clean):
         rows = [translate(ring, clean, neg(v)) & ~(1 << v) for v in range(n)]
     else:
         add = ring.add

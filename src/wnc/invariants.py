@@ -520,27 +520,20 @@ def neighborhood_disjointness_check(ring: FiniteRing, graph: WncGraph):
     def disjoint(a, b):
         return (neighborhood(graph, a) & neighborhood(graph, b)) == 0
 
-    excl1 = {0, 1, p, p + 1, (p + 1) // 2, (p - 1) // 2}
-    for a in range(n):
-        b = (-a) % n
-        if a >= b or a in excl1 or b in excl1:
-            continue
-        verdicts.append((1, a, b, disjoint(a, b)))
-
-    excl2 = {0, 1, p, p + 1, (p - 1) // 2, (p + 1) // 2, (p + 3) // 2,
-             (3 * p - 1) // 2, (3 * p + 1) // 2, (3 * p + 3) // 2}
-    for a in range(n):
-        if a in excl2:
-            continue
-        b = (1 - a) % n
-        verdicts.append((2, a, b, disjoint(a, b)))
-
-    excl3 = {0, n - 1, p, p - 1, (p - 1) // 2, (p + 1) // 2, (3 * p - 3) // 2,
-             (p - 3) // 2, (3 * p - 1) // 2, (3 * p + 1) // 2}
-    for a in range(n):
-        if a in excl3:
-            continue
-        b = (-1 - a) % n
-        verdicts.append((3, a, b, disjoint(a, b)))
-
+    # (clause, b as a function of a, exclusion set); the sets of clauses 2
+    # and 3 are closed under a -> b, and clause 1 lists each pair once
+    clauses = (
+        (1, lambda a: -a, {0, 1, p, p + 1, (p + 1) // 2, (p - 1) // 2}),
+        (2, lambda a: 1 - a, {0, 1, p, p + 1, (p - 1) // 2, (p + 1) // 2,
+                              (p + 3) // 2, (3 * p - 1) // 2, (3 * p + 1) // 2,
+                              (3 * p + 3) // 2}),
+        (3, lambda a: -1 - a, {0, n - 1, p, p - 1, (p - 1) // 2, (p + 1) // 2,
+                               (3 * p - 3) // 2, (p - 3) // 2, (3 * p - 1) // 2,
+                               (3 * p + 1) // 2}))
+    for clause, partner, excl in clauses:
+        for a in range(n):
+            b = partner(a) % n
+            if a in excl or b in excl or clause == 1 and a >= b:
+                continue
+            verdicts.append((clause, a, b, disjoint(a, b)))
     return verdicts

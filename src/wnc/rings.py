@@ -12,13 +12,9 @@ polynomial, direct products, k x k matrix rings over a commutative base,
 and quotients by the nilradical. GF(p^k) for k >= 2 computes through
 exp/log tables of O(p^k) entries, one lookup per operation.
 
-`FiniteRing.add_row(x)` is one whole row of the addition table, the list
-of x + y over every y, built from each construction's own arithmetic: a
-rotation of the ids for Z_n, the factors' rows composed as a * |B| + b
-for A x B, the cells' rows composed the same way for a matrix ring, and
-one `add` per element for GF(p^k) and R/nil. It never reads the digit
-layout below, so sums read off it check rows built from that layout
-independently.
+`FiniteRing.add_row(x)`, the list of x + y over every y, makes one `add`
+per element and never reads the digit layout below, so the rows of the
+digits' units check `translate` independently (`coloring.certify_rows`).
 
 Every construction but the quotient encodes (R,+) in its element ids as
 a direct sum of cyclic groups: the id is a mixed-radix number whose
@@ -115,9 +111,8 @@ class FiniteRing:
 
     Immutable after construction: `add`, `mul`, `neg` and `add_row` are
     total pure functions on the carrier, safe for any number of concurrent
-    readers. `add_row(x)` returns a new list L with L[y] = x + y; a
-    constructor passes one built from its own arithmetic, and the default
-    makes one `add` per element. It never reads `radices`. `doubles` is
+    readers. `add_row(x)` returns a new list L with L[y] = x + y, made
+    with one `add` per element; it never reads `radices`. `doubles` is
     the list of x + x over every x, computed once on first use.
     `factor_sizes` is (|A|, |B|) for a direct product A x B, whose element
     a * |B| + b is the pair (a, b), and None for every other ring.
@@ -128,7 +123,7 @@ class FiniteRing:
     def __init__(self, size: int, zero: int, one: int,
                  add: Callable[[int, int], int], mul: Callable[[int, int], int],
                  neg: Callable[[int], int], names, is_commutative: bool,
-                 spec: RingSpec, radices=None, add_row=None):
+                 spec: RingSpec, radices=None):
         if size < 2:
             raise InvalidSpecError("a ring with non zero identity needs size >= 2")
         if zero == one:
@@ -146,12 +141,9 @@ class FiniteRing:
         self.add = add
         self.mul = mul
         self.neg = neg
-        if add_row is not None:
-            self.add_row = add_row
 
     def add_row(self, x: int) -> list[int]:
-        add = self.add
-        return [add(x, y) for y in range(self.size)]
+        return list(map(self.add, [x] * self.size, range(self.size)))
 
     @cached_property
     def doubles(self) -> list[int]:
@@ -214,13 +206,6 @@ def translate(ring: FiniteRing, mask: int, g: int) -> int:
     return mask
 
 
-def _pair_row(high: list[int], low: list[int]) -> list[int]:
-    """The addition row of the pair a * |B| + b, from the row of a in A
-    (`high`) and the row of b in B (`low`)."""
-    size = len(low)
-    return [h + l for h in [h * size for h in high] for l in low]
-
-
 # ---------------------------------------------------------------------------
 # Z_n
 
@@ -236,7 +221,6 @@ def make_zn(n: int) -> FiniteRing:
 
 def _integers_mod(n: int, spec: RingSpec) -> FiniteRing:
     """Z_n's arithmetic and decimal names, under the given spec."""
-    ids = list(range(n))
     return FiniteRing(
         size=n, zero=0, one=1,
         add=lambda a, b: (a + b) % n,
@@ -246,7 +230,6 @@ def _integers_mod(n: int, spec: RingSpec) -> FiniteRing:
         is_commutative=True,
         spec=spec,
         radices=(n,),
-        add_row=lambda x: ids[x:] + ids[:x],  # (x + y) mod n is a rotation
     )
 
 
@@ -460,10 +443,6 @@ def make_product(left: FiniteRing, right: FiniteRing) -> FiniteRing:
         a1, a2 = divmod(a, rs)
         return left.neg(a1) * rs + right.neg(a2)
 
-    def add_row(a):
-        a1, a2 = divmod(a, rs)
-        return _pair_row(left.add_row(a1), right.add_row(a2))
-
     names = [f"({left.name(a1)};{right.name(a2)})"
              for a1 in range(left.size) for a2 in range(right.size)]
     # b is the low part of a * |B| + b, so B's digits come first
@@ -474,7 +453,7 @@ def make_product(left: FiniteRing, right: FiniteRing) -> FiniteRing:
         size=size, zero=left.zero * rs + right.zero, one=left.one * rs + right.one,
         add=add, mul=mul, neg=neg, names=names,
         is_commutative=left.is_commutative and right.is_commutative,
-        spec=Product(left.spec, right.spec), radices=radices, add_row=add_row,
+        spec=Product(left.spec, right.spec), radices=radices,
     )
     ring.factor_sizes = (left.size, rs)
     return ring
@@ -524,15 +503,6 @@ def make_matrix_ring(k: int, base: FiniteRing) -> FiniteRing:
     def neg(a):
         return encode(map(base.neg, entries[a]))
 
-    def add_row(a):
-        # the top cell is the most significant digit; each lower cell joins
-        # the row as the low part of a pair
-        digits = entries[a]
-        row = base.add_row(digits[-1])
-        for d in reversed(digits[:-1]):
-            row = _pair_row(row, base.add_row(d))
-        return row
-
     def mul(a, b):
         da, db = entries[a], entries[b]
         out = []
@@ -562,7 +532,6 @@ def make_matrix_ring(k: int, base: FiniteRing) -> FiniteRing:
         spec=MatrixRing(k, base.spec),
         # entries add cell by cell, each with the base's digits
         radices=None if base.radices is None else base.radices * cells,
-        add_row=add_row,
     )
 
 

@@ -22,20 +22,41 @@ vertex's sum set sums(x) = {x + y : y ~ x}. sum-coloring checks
 subgraph checks that NC(R) minus {2x} lies in sums(x): y is a nil clean
 neighbor of x iff y != x and x + y is nil clean, and by cancellation in
 (R,+) that y is a neighbor in the given graph iff x + y is in sums(x).
-This reads the real rows and never assumes NC(R) inside WNC(R), so it is
-not circular.
+This never assumes NC(R) inside WNC(R).
 
-The graph's rows are built, for all but the smallest clean sets, by
-translating WNC(R) over the ring's digit layout (`rings.translate`),
-while the sum pass reads every x + y from the ring's own arithmetic:
-`ring.add` for a sparse row, and for a dense row `FiniteRing.add_row`,
-the whole row of the addition table, which each construction builds
-without the digit layout and which the pass accepts only once
-add_row(-x) is seen to invert add_row(x). It is thereby an independent
-check on the rows: were the sums read off the same translates, the three
-verdicts would hold by construction. An add_row that is invertible but
-wrong, such as y -> x + y + h with 2h = 0, passes that check and shows
-as a subgraph DISAGREE.
+Most rows are built by translating S = WNC(R) over the digit layout
+(`rings.translate`); sums read off those translates would make the three
+verdicts hold by construction. So where the build translated
+(`graph.rows_translated`), the pass first proves the rows from the ring's
+own `add`, `neg`, `add_row` and `doubles` (`coloring.certify_rows`), in
+O(n * digits) additions and O(n) word moves; other rows get one `add` per
+neighbor. Let T_v be row v with bit v toggled when 2v is in S, so row v
+is (S - v) minus v iff T_v = S - v; each digit's unit is a generator g.
+
+(a) T_0 = S, the ring's zero being the id 0.
+(b) L = add_row(g), y -> g + y, is a permutation, and translate(., g)
+    maps the full mask, each bit slice B_j = {y : bit j of y is 1} and
+    its complement onto their images under L. translate is made of
+    shifts, ANDs with constants and ORs, so it distributes over OR, and
+    the image I_p of bit p lies in the image of each slice or complement
+    holding p; these meet in L({p}) = {g + p}, and the full mask leaves
+    no I_p empty. So translate(M, g) = g + M for every mask M.
+(c) For v > 0 in id order, g the generator of v's lowest nonzero digit
+    and p = v + (-g): p < v, add(p, g) = v, T_v lies below bit n, and
+    translate(T_v, g) = T_p. By (b) and induction from (a),
+    g + T_v = S - p, so T_v = S - (p + g) = S - v.
+
+Then y -> x + y maps row x one to one onto S minus 2x, which is sums(x).
+Each verdict compares the real row's popcount, or NC(R), with sums the
+certificate proved from the ring's arithmetic, never from the lemma it
+checks. The report assumes `add` is an abelian group operation, as the
+paper's proofs do; the tests check the ring axioms on the corpus. A
+`translate` misrouting a bit on a generator's move fails (b); one
+misrouting a bit on a move of two or more units, which the certificate
+never makes, builds a row that (a) or (c) refuses, as is one flipped row
+bit, and the per-neighbor sums show it as a DISAGREE. An `add` shifted by
+h with 2h = 0, or not injective, at a generator fails (b), and the
+per-neighbor sums show a subgraph or sum-coloring DISAGREE.
 """
 
 from __future__ import annotations

@@ -75,14 +75,24 @@ SUM_EXPRS = ACCEPTANCE_CORPUS + ("Z12/nil", "Z2 x Z2 x Z2", "Z4 x Z9",
                                  "M2(Z2 x Z2)", "M2(GF(4))", "(Z4 x Z9)/nil x Z3")
 
 
-@pytest.mark.parametrize("per_add", [0, coloring.ROW_ELEMENTS_PER_ADD, 10**9],
-                         ids=["adds", "shipped", "rows"])
+@pytest.mark.parametrize("mode", ["adds", "shipped", "rows"])
 @pytest.mark.parametrize("expr", SUM_EXPRS)
-def test_sum_sets_are_the_images_under_add(expr, per_add, monkeypatch):
-    # 0: every row makes one add per neighbor; 10**9: every nonempty row
-    # is permuted whole
-    monkeypatch.setattr(coloring, "ROW_ELEMENTS_PER_ADD", per_add)
-    ring, _, graph = realize(expr)
+def test_sum_sets_are_the_images_under_add(expr, mode, monkeypatch):
+    # adds: the layout removed, so every row makes one add per neighbor;
+    # shipped: the pass as shipped, certified wherever the rows were
+    # translated; rows: every ring with a layout translates its rows and
+    # has them certified
+    ring, cls, graph = realize(expr)
+    if mode == "adds":
+        ring = copy.copy(ring)
+        ring.radices = None
+    elif mode == "rows":
+        monkeypatch.setattr(wnc.graph, "ADDS_PER_DIGIT", 0)
+        graph = wnc.build_wnc_graph(ring, cls)
+    translated = wnc.graph.rows_translated(ring, cls.wnc)
+    if mode != "shipped":
+        assert translated == (mode == "rows" and ring.radices is not None)
+    assert coloring.certify_rows(ring, graph) == translated
     for x, degree, sums in coloring.sum_sets(ring, graph):
         row = graph.adjacency[x]
         assert degree == row.bit_count()
@@ -90,16 +100,18 @@ def test_sum_sets_are_the_images_under_add(expr, per_add, monkeypatch):
 
 
 @pytest.mark.parametrize("expr", ["Z12", "Z16 x Z3", "M2(Z3)", "Z2 x Z2 x Z2"])
-def test_dense_rows_make_no_add_calls(expr):
-    # every row of these graphs is dense, and add_row passes the inverse
-    # check, so the pass never falls back to add
+def test_certified_rows_make_at_most_n_digits_plus_two_adds(expr):
+    # the certificate reads one addition row per digit and makes two adds
+    # per vertex; the report has read ring.doubles before the pass
     ring, _, graph = realize(expr)
+    ring.doubles
     calls = []
     counted = copy.copy(ring)
     counted.add = lambda a, b: calls.append((a, b)) or ring.add(a, b)
     assert list(coloring.sum_sets(counted, graph)) == list(
         coloring.sum_sets(ring, graph))
-    assert calls == []
+    assert coloring.certify_rows(ring, graph)
+    assert 0 < len(calls) <= ring.size * (len(ring.radices) + 2)
 
 
 @pytest.mark.parametrize("bad_row", [
@@ -110,8 +122,10 @@ def test_dense_rows_make_no_add_calls(expr):
 ], ids=["constant", "rotation", "off-carrier", "none"])
 @pytest.mark.parametrize("expr", ["Z12", "Z2 x Z2 x Z2", "M2(Z2)"])
 def test_a_refused_add_row_falls_back_to_add(expr, bad_row):
-    # a row that fails the inverse check is summed with one add per
-    # neighbor, so the sums stay the true images under add
+    # a generator's addition row that is no permutation, or not the move
+    # that translate makes, fails the certificate, and the rows are summed
+    # with one add per neighbor (the rotation is Z12's true row of 1, which
+    # passes); either way the sums stay the true images under add
     ring, _, graph = realize(expr)
     twin = copy.copy(ring)
     twin.add_row = lambda x: bad_row(ring.size, x)

@@ -6,6 +6,7 @@ import dataclasses
 import pytest
 
 import wnc
+from wnc import coloring
 from wnc import graph as graph_module
 from wnc import theorems
 from wnc.bitsets import bit_list
@@ -187,14 +188,23 @@ def _verdict_map(ring, cls, graph):
     return {v.theorem: v for v in wnc.theorem_suite(ring, cls, graph)}
 
 
+def _generators(ring):
+    """The id of each digit's unit: the moves the row certificate makes."""
+    places = [1]
+    for radix in ring.radices[:-1]:
+        places.append(places[-1] * radix)
+    return places
+
+
 @pytest.mark.parametrize("expr", ["Z10", "Z3 x Z3", "Z2 x Z2 x Z2", "M2(Z2)"])
 def test_a_non_injective_addition_breaks_the_sum_coloring(expr):
-    # add sends two neighbors y1 < y2 of x to the same sum; the whole-row
-    # check refuses the rows it gives, and the per-neighbor adds see the
-    # collision (reduced or noncommutative rings: their reports build no
-    # quotient, which the broken add could not define)
+    # add sends two neighbors y1 < y2 of a generator x to the same sum; the
+    # certificate reads x's addition row, which is then no permutation, and
+    # the per-neighbor adds see the collision (reduced or noncommutative
+    # rings: their reports build no quotient, which the broken add could
+    # not define)
     ring, cls, graph = realize(expr)
-    x = next(v for v, row in enumerate(graph.adjacency) if row.bit_count() > 1)
+    x = next(g for g in _generators(ring) if graph.adjacency[g].bit_count() > 1)
     y1, y2 = bit_list(graph.adjacency[x])[:2]
     real = ring.add
 
@@ -203,7 +213,8 @@ def test_a_non_injective_addition_breaks_the_sum_coloring(expr):
 
     broken = copy.copy(ring)
     broken.add = add
-    broken.add_row = lambda a: [add(a, b) for b in range(ring.size)]
+    assert coloring.certify_rows(ring, graph)
+    assert not coloring.certify_rows(broken, graph)
     verdicts = _verdict_map(broken, cls, graph)
     assert verdicts["sum-coloring"].status == DISAGREE
     assert verdicts["sum-coloring"].computed.startswith("improper")
@@ -211,21 +222,92 @@ def test_a_non_injective_addition_breaks_the_sum_coloring(expr):
 
 @pytest.mark.parametrize("expr", ["Z12", "Z2 x Z2 x Z2", "M2(Z2)", "Z4 x Z9"])
 def test_a_shifted_add_row_breaks_the_subgraph_check(expr):
-    # add_row(x) is the row of x + h with 2h = 0: a bijection whose inverse
-    # is add_row(-x), so it passes the inverse check, but every sum is off
-    # by h
+    # add(x, y) is x + y + h with 2h = 0, so every addition row, the
+    # generators' included, is a bijection off by h: the certificate
+    # refuses it, and the per-neighbor sums are off by h from the doubles,
+    # which the copy keeps from the ring
     ring, cls, graph = realize(expr)
     h = next(v for v in range(1, ring.size) if ring.add(v, v) == ring.zero)
+    ring.doubles
     shifted = copy.copy(ring)
-    shifted.add_row = lambda x: ring.add_row(ring.add(x, h))
+    shifted.add = lambda a, b: ring.add(ring.add(a, b), h)
+    assert not coloring.certify_rows(shifted, graph)
     assert _verdict_map(ring, cls, graph)["subgraph"].status == AGREE
     assert _verdict_map(shifted, cls, graph)["subgraph"].status == DISAGREE
+
+
+ROW_VERDICTS = ("sum-coloring", "subgraph", "degree-lemma")
+
+
+def _misrouting(ring, g):
+    """`rings.translate`, except that a move by g sends bit 1 to g, the
+    image of bit 0: still a union of per-bit images, but one is wrong."""
+    real = wnc.rings.translate
+
+    def translate(r, mask, shift):
+        if shift != g or not mask & 2:
+            return real(r, mask, shift)
+        return real(r, mask & ~2, shift) | 1 << g
+
+    return translate
+
+
+@pytest.mark.parametrize("expr,move", [
+    ("Z12", "generator"), ("Z4 x Z9", "generator"), ("M2(Z2)", "generator"),
+    ("Z12", "two-units"), ("Z4 x Z9", "two-units"), ("Z16 x Z3", "two-units")])
+def test_a_misrouted_translate_is_refused(expr, move, monkeypatch):
+    # the same wrong translate builds the rows and runs the certificate; a
+    # generator's move fails check (b) on the true rows already, while a
+    # move by two units of a digit, which the certificate never makes,
+    # shows only in the rows it built, where (c) refuses them
+    ring, cls, graph = realize(expr)
+    g = _generators(ring)[-1] if move == "generator" else 2
+    bad = _misrouting(ring, g)
+    monkeypatch.setattr(graph_module, "translate", bad)
+    monkeypatch.setattr(coloring, "translate", bad)
+    built = wnc.build_wnc_graph(ring, cls)
+    assert built.adjacency != graph.adjacency
+    assert coloring.certify_rows(ring, graph) == (move == "two-units")
+    assert not coloring.certify_rows(ring, built)
+    verdicts = _verdict_map(ring, cls, built)
+    assert DISAGREE in {verdicts[t].status for t in ROW_VERDICTS}
+
+
+@pytest.mark.parametrize("expr", ["Z12", "Z4 x Z9", "M2(Z2)", "Z16 x Z3"])
+@pytest.mark.parametrize("v", [0, 1, -1])
+def test_one_flipped_row_bit_is_refused(expr, v):
+    # row v loses or gains the bit of 2: (a) refuses row 0, (c) any other
+    ring, cls, graph = realize(expr)
+    rows = list(graph.adjacency)
+    rows[v] ^= 1 << 2
+    flipped = dataclasses.replace(graph, adjacency=rows)
+    assert coloring.certify_rows(ring, graph)
+    assert not coloring.certify_rows(ring, flipped)
+    verdicts = _verdict_map(ring, cls, flipped)
+    assert DISAGREE in {verdicts[t].status for t in ROW_VERDICTS}
+
+
+@pytest.mark.parametrize("expr", ["Z12", "Z2 x Z2 x Z2", "M2(Z2)", "Z4 x Z9"])
+def test_a_shifted_generator_row_is_refused(expr):
+    # add_row(g) is y -> g + y + h with 2h = 0 for one generator g, while
+    # add is true: (b) refuses, and the per-neighbor sums read the true add
+    ring, cls, graph = realize(expr)
+    h = next(v for v in range(1, ring.size) if ring.add(v, v) == ring.zero)
+    g = _generators(ring)[-1]
+    shifted = copy.copy(ring)
+    shifted.add_row = lambda x: ring.add_row(ring.add(x, h) if x == g else x)
+    assert not coloring.certify_rows(shifted, graph)
+    assert list(coloring.sum_sets(shifted, graph)) == list(
+        coloring.sum_sets(ring, graph))
+    verdicts = _verdict_map(shifted, cls, graph)
+    assert {verdicts[t].status for t in ROW_VERDICTS} == {AGREE}
 
 
 @pytest.mark.parametrize("expr", ["Z12", "Z16 x Z12", "Z2 x Z2 x Z2 x Z2",
                                   "M2(Z4)", "M2(GF(4))", "GF(16)"])
 def test_the_report_does_not_read_the_layout(expr, monkeypatch):
-    # once the rows are built, the verdicts read add and add_row alone
+    # without the layout the pass makes one add per neighbor, and gives
+    # the values that the certified rows gave
     ring = wnc.build_ring(wnc.parse_ring_expr(expr))
     cls = wnc.weakly_nil_clean_set(ring)
     graph = wnc.build_wnc_graph(ring, cls)
