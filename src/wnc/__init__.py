@@ -9,15 +9,13 @@ facts the toolkit mechanizes against each concrete ring.
 
 __version__ = "0.1.0"
 
-from .classify import (Classification, idempotents, is_nil_clean_ring,
-                       is_weakly_nil_clean_ring, nilpotents,
+from .classify import (Classification, idempotents, nilpotents,
                        weakly_nil_clean_set)
 from .coloring import UNKNOWN, chromatic_index_exact
 from .errors import (InvalidSpecError, RingExprError,
                      UnsupportedOperationError, WncError)
-from .graph import (NIL_CLEAN, WEAKLY_NIL_CLEAN, WncGraph, build_nc_graph,
-                    build_wnc_graph, edge_count, edges, make_graph, max_degree,
-                    neighborhood)
+from .graph import (WncGraph, build_nc_graph, build_wnc_graph, edge_count,
+                    edges, make_graph, max_degree, neighborhood)
 from .invariants import (CENSUS_NODES, CHROMATIC_NODES, CLIQUE_NODES,
                          INFINITE, Budget, clique_count_bound, components,
                          diameter, enumerate_k_cliques, girth, is_bipartite,
@@ -29,4 +27,4 @@ from .rings import (GF, SIZE_CAP, FiniteRing, MatrixRing, NilQuotient,
                     make_matrix_ring, make_product, make_zn,
                     nilradical_quotient)
 from .theorems import (InvariantReport, THEOREM_IDS, TheoremVerdict,
-                       compute_report, theorem_suite)
+                       compute_report)

@@ -66,16 +66,7 @@ def weakly_nil_clean_set(ring: FiniteRing) -> Classification:
     for n in iter_bits(nil):
         for e in iter_bits(idem):
             nc |= 1 << ring.add(n, e)
-            minus |= 1 << ring.sub(n, e)
+            minus |= 1 << ring.add(n, ring.neg(e))
     return Classification(size=ring.size, idem=idem, nil=nil, nc=nc,
                           wnc=nc | minus)
 
-
-def is_weakly_nil_clean_ring(ring: FiniteRing) -> bool:
-    """True iff every element of the ring is weakly nil clean."""
-    return weakly_nil_clean_set(ring).wnc == (1 << ring.size) - 1
-
-
-def is_nil_clean_ring(ring: FiniteRing) -> bool:
-    """True iff every element of the ring is nil clean."""
-    return weakly_nil_clean_set(ring).nc == (1 << ring.size) - 1

@@ -25,8 +25,7 @@ from .graph import build_wnc_graph, upper_neighbors
 from .invariants import UNKNOWN, plain
 from .rings import SIZE_CAP, build_ring, format_spec
 from .ringexpr import parse_ring_expr
-from .theorems import (AGREE, DISAGREE, THEOREM_IDS, compute_report,
-                       theorem_suite)
+from .theorems import AGREE, DISAGREE, THEOREM_IDS, compute_report
 
 
 def _realize(expr: str):
@@ -49,7 +48,7 @@ def _search(budget, bound="upper", **facts):
 def cmd_report(args) -> int:
     started = time.perf_counter()
     ring, cls, graph = _realize(args.expr)
-    report = compute_report(ring, cls, graph)
+    report = compute_report(cls, graph)
     verdicts = report.theorem_verdicts
     four_cliques = report.four_cliques if args.four_cliques else None
     doc = {
@@ -95,7 +94,7 @@ def cmd_report(args) -> int:
         doc["four_cliques"] = [[ring.name(v) for v in clique]
                                for clique in four_cliques]
     if args.json:
-        sys.stdout.write(json.dumps(doc, sort_keys=True, ensure_ascii=False) + "\n")
+        _write("-", json.dumps(doc, sort_keys=True, ensure_ascii=False) + "\n")
         return 0
     print(f"ring: {doc['ring']}  (size {ring.size}, "
           f"{'commutative' if ring.is_commutative else 'noncommutative'})")
@@ -201,7 +200,8 @@ def cmd_verify(args) -> int:
         if unknown:
             raise WncError("unknown theorem id(s): " + ", ".join(unknown))
     ring, cls, graph = _realize(args.expr)
-    verdicts = [v for v in theorem_suite(ring, cls, graph) if v.theorem in wanted]
+    verdicts = [v for v in compute_report(cls, graph).theorem_verdicts
+                if v.theorem in wanted]
     print(f"ring: {format_spec(ring.spec)}  (size {ring.size})")
     # every suite lists every theorem id, so the table is never empty
     width_t = max(len("theorem"), *(len(v.theorem) for v in verdicts))
@@ -235,8 +235,8 @@ def cmd_batch(args) -> int:
         raise WncError(f"range end {hi} exceeds the size cap {SIZE_CAP}")
     rows = ["n,wnc_size,is_wnc_ring,girth,diameter,clique_number,vizing_class"]
     for n in range(lo, hi + 1):
-        ring, cls, graph = _realize(f"Z{n}")
-        report = compute_report(ring, cls, graph)
+        _, cls, graph = _realize(f"Z{n}")
+        report = compute_report(cls, graph)
         rows.append(f"{n},{cls.wnc.bit_count()},{str(cls.wnc == (1 << n) - 1).lower()},"
                     f"{report.girth},{report.diameter},{report.clique_number},"
                     f"{report.vizing_class}")

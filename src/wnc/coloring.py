@@ -27,20 +27,22 @@ from itertools import accumulate, compress
 from operator import itemgetter, mul
 
 from .bitsets import bit_list, iter_bits
-from .graph import WncGraph, max_degree, rows_translated, upper_neighbors
+from .graph import (WncGraph, max_degree, ring_of, rows_translated,
+                    upper_neighbors)
 from .invariants import CHROMATIC_NODES, UNKNOWN, Budget, components
-from .rings import FiniteRing, translate
+from .rings import translate
 
 
-def certify_rows(ring: FiniteRing, graph: WncGraph) -> bool:
+def certify_rows(graph: WncGraph) -> bool:
     """Whether checks (a) to (c) of the `theorems` module docstring prove
-    each row v (S - v) minus v, S the clean set, for translated rows
-    (`graph.rows_translated`): at most n * (digits + 2) additions."""
-    n, rows, clean = graph.vertex_count, graph.adjacency, graph.clean_set
-    if (clean is None or getattr(ring, "radices", None) is None or ring.zero
-            or ring.size != n or not rows_translated(ring, clean)):
+    each row v (S - v) minus v, S the clean set, for rows translated from
+    the graph's ring (`graph.rows_translated`): at most n * (digits + 2)
+    additions."""
+    ring, rows, clean = ring_of(graph), graph.adjacency, graph.clean_set
+    if ring.radices is None or not rows_translated(ring, clean):
         return False
-    doubles, full, ids = ring.doubles, (1 << n) - 1, tuple(range(n))
+    n, add, doubles = len(rows), ring.add, ring.doubles
+    full, ids = (1 << n) - 1, tuple(range(n))
 
     def toggled(u):  # T_u: row u with bit u toggled when 2u is in S
         return rows[u] ^ (clean >> doubles[u] & 1) << u
@@ -50,17 +52,17 @@ def certify_rows(ring: FiniteRing, graph: WncGraph) -> bool:
     slices = [(("0" * h + "1" * h) * (n // h + 1))[:n]
               for h in (1 << j for j in range((n - 1).bit_length()))]
     for g in places[:-1]:  # (b)
-        row = ring.add_row(g)
         try:  # sorted by image, the ids list the inverse of a permutation
+            row = list(map(add, [g] * n, ids))
             pick = itemgetter(*sorted(ids, key=row.__getitem__))
-        except (AttributeError, IndexError, TypeError):
+        except TypeError:
             return False
         images = [(full, full)] + [(int(bits[::-1], 2), int(
             "".join(pick(bits))[::-1], 2)) for bits in slices]
         if pick(row) != ids or any(translate(ring, mask, g) != image or translate(
                 ring, full ^ mask, g) != full ^ image for mask, image in images):
             return False
-    add, minus = ring.add, [ring.neg(g) for g in places[:-1]]
+    minus = [ring.neg(g) for g in places[:-1]]
     for v in range(1, n):  # (c)
         i = 0
         while v % places[i + 1] == 0:  # digits 0..i of v are zero
@@ -72,16 +74,14 @@ def certify_rows(ring: FiniteRing, graph: WncGraph) -> bool:
     return toggled(0) == clean  # (a)
 
 
-def sum_sets(ring: FiniteRing, graph: WncGraph):
+def sum_sets(graph: WncGraph):
     """Yield (x, deg(x), sums(x)) for every vertex x, in one pass over the
-    rows, where sums(x) is the bitset of x + y over the neighbors y of x:
-    the colors the sum coloring uses at x. Certified rows (`certify_rows`)
-    give sums(x) = S minus 2x; other graphs make one `add` per neighbor, so
-    a non-injective addition still yields its true image."""
-    if graph.vertex_count != ring.size:
-        raise ValueError("graph does not match the ring")
-    rows = graph.adjacency
-    if certify_rows(ring, graph):
+    rows, where sums(x) is the bitset of x + y in the graph's ring over the
+    neighbors y of x: the colors the sum coloring uses at x. Certified rows
+    (`certify_rows`) give sums(x) = S minus 2x; other graphs make one `add`
+    per neighbor, so a non-injective addition still yields its true image."""
+    ring, rows = ring_of(graph), graph.adjacency
+    if certify_rows(graph):
         clean, doubles = graph.clean_set, ring.doubles
         for x, row in enumerate(rows):
             yield x, row.bit_count(), clean & ~(1 << doubles[x])

@@ -26,8 +26,6 @@ from .bitsets import iter_bits
 from .classify import Classification
 from .rings import FiniteRing, translate
 
-WEAKLY_NIL_CLEAN = "weakly-nil-clean"
-NIL_CLEAN = "nil-clean"
 # A call to `translate` costs about as much as ADDS_PER_CALL additions plus
 # ADDS_PER_DIGIT per digit of the layout, so a row is |S| additions while S
 # has no more elements than that: Z_p and the fields, whose S is {0, 1, -1}.
@@ -38,12 +36,21 @@ _BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
 
 @dataclass
 class WncGraph:
-    vertex_count: int
     adjacency: list[int]  # bitset row per vertex
-    kind: str
     # the clean set and ring the rows come from; None for synthetic graphs
     clean_set: Optional[int] = None
     ring: Optional[FiniteRing] = field(default=None, repr=False)
+
+    @property
+    def vertex_count(self) -> int:
+        return len(self.adjacency)
+
+
+def ring_of(graph: WncGraph) -> FiniteRing:
+    """The ring the graph was built from; a synthetic graph is refused."""
+    if graph.ring is None:
+        raise ValueError("the graph was not built from a ring")
+    return graph.ring
 
 
 def rows_translated(ring: FiniteRing, clean: int) -> bool:
@@ -52,7 +59,7 @@ def rows_translated(ring: FiniteRing, clean: int) -> bool:
         ADDS_PER_CALL + ADDS_PER_DIGIT * len(ring.radices))
 
 
-def _build(ring: FiniteRing, clean: int, kind: str) -> WncGraph:
+def _build(ring: FiniteRing, clean: int) -> WncGraph:
     # u is adjacent to v iff u + v is in S and u != v, so row v is the
     # translate S - v of the clean set with v itself removed
     n = ring.size
@@ -71,22 +78,21 @@ def _build(ring: FiniteRing, clean: int, kind: str) -> WncGraph:
                 if u != v:
                     row |= 1 << u
             rows[v] = row
-    return WncGraph(vertex_count=n, adjacency=rows, kind=kind, clean_set=clean,
-                    ring=ring)
+    return WncGraph(adjacency=rows, clean_set=clean, ring=ring)
 
 
 def build_wnc_graph(ring: FiniteRing, classification: Classification) -> WncGraph:
     """The weakly nil clean graph of the ring."""
     if classification.size != ring.size:
         raise ValueError("classification does not match the ring")
-    return _build(ring, classification.wnc, WEAKLY_NIL_CLEAN)
+    return _build(ring, classification.wnc)
 
 
 def build_nc_graph(ring: FiniteRing, classification: Classification) -> WncGraph:
     """The nil clean graph of the ring (a subgraph of the weakly nil clean one)."""
     if classification.size != ring.size:
         raise ValueError("classification does not match the ring")
-    return _build(ring, classification.nc, NIL_CLEAN)
+    return _build(ring, classification.nc)
 
 
 def neighborhood(graph: WncGraph, v: int) -> int:
@@ -130,7 +136,7 @@ def is_complete(graph: WncGraph) -> bool:
     return edge_count(graph) == n * (n - 1) // 2
 
 
-def make_graph(adjacency_pairs, vertex_count: int, kind: str = "synthetic") -> WncGraph:
+def make_graph(adjacency_pairs, vertex_count: int) -> WncGraph:
     """Build a bare graph from an edge list; handy for tests and imports."""
     rows = [0] * vertex_count
     for u, v in adjacency_pairs:
@@ -138,4 +144,4 @@ def make_graph(adjacency_pairs, vertex_count: int, kind: str = "synthetic") -> W
             raise ValueError("loops are not allowed")
         rows[u] |= 1 << v
         rows[v] |= 1 << u
-    return WncGraph(vertex_count=vertex_count, adjacency=rows, kind=kind)
+    return WncGraph(adjacency=rows)

@@ -18,8 +18,8 @@ from functools import reduce
 from operator import itemgetter, or_
 
 from .bitsets import iter_bits, mask_of
-from .graph import WncGraph, neighborhood
-from .rings import FiniteRing, Zn, is_prime
+from .graph import WncGraph, neighborhood, ring_of
+from .rings import Zn, is_prime
 
 
 class Sentinel(Enum):
@@ -500,19 +500,18 @@ def enumerate_k_cliques(graph: WncGraph, k: int) -> list[tuple[int, ...]]:
 # Neighborhood disjointness in Z_2p
 
 
-def neighborhood_disjointness_check(ring: FiniteRing, graph: WncGraph):
-    """Check the three disjoint-neighborhood clauses for Z_2p, p >= 5 prime.
+def neighborhood_disjointness_check(graph: WncGraph):
+    """Check the three disjoint-neighborhood clauses for the graph of its
+    ring Z_2p, p >= 5 prime.
 
     Clause 1 pairs a with -a, clause 2 pairs a + b = 1, clause 3 pairs
     a + b = -1; each clause skips its stated exclusion set. Returns one
     verdict tuple (clause, a, b, disjoint) per tested pair.
     """
-    spec = ring.spec
+    spec = ring_of(graph).spec
     if not (isinstance(spec, Zn) and spec.n % 2 == 0
             and is_prime(spec.n // 2) and spec.n // 2 >= 5):
         raise ValueError("neighborhood lemma check needs Z_2p with p >= 5 prime")
-    if graph.vertex_count != ring.size:
-        raise ValueError("graph does not match the ring")
     n = spec.n
     p = n // 2
     verdicts = []

@@ -1,7 +1,7 @@
 """Finite ring constructors over a dense integer carrier.
 
 Every ring is presented uniformly: a carrier {0, ..., size-1} with total
-add/mul/neg operations, distinguished zero and one, a display name per
+add/mul/neg operations, zero 0, a distinguished one, a display name per
 element, and the spec it was built from. Operations are computed on the
 fly from the ring's structure; no ring materializes n^2 operation tables.
 Construction is deterministic: the same spec always yields identical
@@ -12,8 +12,7 @@ polynomial, direct products, k x k matrix rings over a commutative base,
 and quotients by the nilradical. GF(p^k) for k >= 2 computes through
 exp/log tables of O(p^k) entries, one lookup per operation.
 
-`FiniteRing.add_row(x)`, the list of x + y over every y, makes one `add`
-per element and never reads the digit layout below, so the rows of the
+`add` never reads the digit layout below, so the addition rows of the
 digits' units check `translate` independently (`coloring.certify_rows`).
 
 Every construction but the quotient encodes (R,+) in its element ids as
@@ -107,43 +106,35 @@ def format_spec(spec: RingSpec) -> str:
 
 
 class FiniteRing:
-    """A finite ring with carrier {0, ..., size-1} and nonzero identity.
+    """A finite ring with carrier {0, ..., size-1}, zero 0 and a nonzero
+    identity.
 
-    Immutable after construction: `add`, `mul`, `neg` and `add_row` are
-    total pure functions on the carrier, safe for any number of concurrent
-    readers. `add_row(x)` returns a new list L with L[y] = x + y, made
-    with one `add` per element; it never reads `radices`. `doubles` is
-    the list of x + x over every x, computed once on first use.
+    Immutable after construction: `add`, `mul` and `neg` are total pure
+    functions on the carrier, safe for any number of concurrent readers.
+    `size` is the number of names, one per element; every constructor
+    numbers its zero 0, so `zero` is that constant. `doubles` is the list
+    of x + x over every x, computed once on first use.
     `factor_sizes` is (|A|, |B|) for a direct product A x B, whose element
     a * |B| + b is the pair (a, b), and None for every other ring.
     `radices` is the additive layout of the ids (module docstring), or None
     when the ids have none, as in a quotient.
     """
 
-    def __init__(self, size: int, zero: int, one: int,
-                 add: Callable[[int, int], int], mul: Callable[[int, int], int],
-                 neg: Callable[[int], int], names, is_commutative: bool,
-                 spec: RingSpec, radices=None):
-        if size < 2:
-            raise InvalidSpecError("a ring with non zero identity needs size >= 2")
-        if zero == one:
-            raise InvalidSpecError("ring identity must differ from zero")
-        self.size = size
-        self.zero = zero
+    zero = 0
+
+    def __init__(self, one: int, add: Callable[[int, int], int],
+                 mul: Callable[[int, int], int], neg: Callable[[int], int],
+                 names, is_commutative: bool, spec: RingSpec, radices=None):
+        self._names = tuple(names)
+        self.size = len(self._names)
         self.one = one
         self.is_commutative = is_commutative
         self.spec = spec
         self.factor_sizes = None
         self.radices = radices
-        self._names = tuple(names)
-        if len(self._names) != size or len(set(self._names)) != size:
-            raise InvalidSpecError("element names must be one injective name per element")
         self.add = add
         self.mul = mul
         self.neg = neg
-
-    def add_row(self, x: int) -> list[int]:
-        return list(map(self.add, [x] * self.size, range(self.size)))
 
     @cached_property
     def doubles(self) -> list[int]:
@@ -167,9 +158,6 @@ class FiniteRing:
             out.append(wraps)
             place = block
         return out + [None]
-
-    def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
 
     def name(self, a: int) -> str:
         return self._names[a]
@@ -222,7 +210,7 @@ def make_zn(n: int) -> FiniteRing:
 def _integers_mod(n: int, spec: RingSpec) -> FiniteRing:
     """Z_n's arithmetic and decimal names, under the given spec."""
     return FiniteRing(
-        size=n, zero=0, one=1,
+        one=1,
         add=lambda a, b: (a + b) % n,
         mul=lambda a, b: (a * b) % n,
         neg=lambda a: (-a) % n,
@@ -412,9 +400,8 @@ def make_gf(p: int, k: int) -> FiniteRing:
 
     names = [_poly_str(d) for d in digits]
     # the coefficients add digit by digit, so the layout is k digits of p
-    return FiniteRing(size=size, zero=0, one=1, add=add, mul=mul, neg=neg,
-                      names=names, is_commutative=True, spec=GF(p, k),
-                      radices=(p,) * k)
+    return FiniteRing(one=1, add=add, mul=mul, neg=neg, names=names,
+                      is_commutative=True, spec=GF(p, k), radices=(p,) * k)
 
 
 # ---------------------------------------------------------------------------
@@ -450,8 +437,7 @@ def make_product(left: FiniteRing, right: FiniteRing) -> FiniteRing:
     if left.radices is not None and right.radices is not None:
         radices = right.radices + left.radices
     ring = FiniteRing(
-        size=size, zero=left.zero * rs + right.zero, one=left.one * rs + right.one,
-        add=add, mul=mul, neg=neg, names=names,
+        one=left.one * rs + right.one, add=add, mul=mul, neg=neg, names=names,
         is_commutative=left.is_commutative and right.is_commutative,
         spec=Product(left.spec, right.spec), radices=radices,
     )
@@ -514,7 +500,6 @@ def make_matrix_ring(k: int, base: FiniteRing) -> FiniteRing:
                 out.append(acc)
         return encode(out)
 
-    zero = encode([base.zero] * cells)
     one = encode([base.one if i == j else base.zero
                   for i in range(k) for j in range(k)])
 
@@ -526,7 +511,7 @@ def make_matrix_ring(k: int, base: FiniteRing) -> FiniteRing:
         return "[" + ";".join(rows) + "]"
 
     return FiniteRing(
-        size=size, zero=zero, one=one, add=add, mul=mul, neg=neg,
+        one=one, add=add, mul=mul, neg=neg,
         names=[matrix_name(e) for e in range(size)],
         is_commutative=(k == 1 and base.is_commutative),
         spec=MatrixRing(k, base.spec),
@@ -545,7 +530,7 @@ def nilradical_quotient(ring: FiniteRing, nil: int | None = None):
     Returns (quotient ring, projection) where projection[x] is the quotient
     element id of x's coset; the quotient's operations read it, so it must
     not change. Coset representatives are the least element id in each
-    coset, in ascending order, so zero's coset is the quotient's zero.
+    coset, in ascending order, so zero's coset is the quotient's zero, 0.
     `nil` is the bitset of R's nilpotents when the caller has already
     computed it; by default it is computed here.
     """
@@ -574,8 +559,7 @@ def nilradical_quotient(ring: FiniteRing, nil: int | None = None):
         return projection[ring.neg(reps[i])]
 
     quotient = FiniteRing(
-        size=len(reps), zero=projection[ring.zero], one=projection[ring.one],
-        add=q_add, mul=q_mul, neg=q_neg,
+        one=projection[ring.one], add=q_add, mul=q_mul, neg=q_neg,
         names=[ring.name(r) for r in reps],
         is_commutative=True,
         spec=NilQuotient(ring.spec),

@@ -15,7 +15,8 @@ number), and rings where 2x is always weakly nil clean have max degree
 |WNC|-1, which breaks the class-1 argument (odd complete graphs are class
 2). The `known_discrepancy` flag marks exactly those.
 
-The report reads the graph it is given and builds none of its own, bar
+The report reads the graph it is given, and the ring R that graph was
+built from, so it cannot mix two rings. It builds no graph of its own, bar
 the quotient's graph when Nil(R) != 0. One pass over the rows gives each
 vertex's sum set sums(x) = {x + y : y ~ x}. sum-coloring checks
 |sums(x)| = deg(x), degree-lemma checks deg(x) = |WNC| - [2x in WNC], and
@@ -28,13 +29,13 @@ Most rows are built by translating S = WNC(R) over the digit layout
 (`rings.translate`); sums read off those translates would make the three
 verdicts hold by construction. So where the build translated
 (`graph.rows_translated`), the pass first proves the rows from the ring's
-own `add`, `neg`, `add_row` and `doubles` (`coloring.certify_rows`), in
+own `add`, `neg` and `doubles` (`coloring.certify_rows`), in
 O(n * digits) additions and O(n) word moves; other rows get one `add` per
 neighbor. Let T_v be row v with bit v toggled when 2v is in S, so row v
 is (S - v) minus v iff T_v = S - v; each digit's unit is a generator g.
 
 (a) T_0 = S, the ring's zero being the id 0.
-(b) L = add_row(g), y -> g + y, is a permutation, and translate(., g)
+(b) The addition row L: y -> add(g, y) is a permutation, and translate(., g)
     maps the full mask, each bit slice B_j = {y : bit j of y is 1} and
     its complement onto their images under L. translate is made of
     shifts, ANDs with constants and ORs, so it distributes over OR, and
@@ -67,13 +68,12 @@ from functools import cached_property
 from .bitsets import iter_bits
 from .classify import Classification, weakly_nil_clean_set
 from .coloring import chromatic_index_exact, sum_sets
-from .graph import WncGraph, build_wnc_graph, is_complete, max_degree
+from .graph import WncGraph, build_wnc_graph, is_complete, max_degree, ring_of
 from .invariants import (CENSUS_NODES, CHROMATIC_NODES, CLIQUE_NODES, INFINITE,
                          UNKNOWN, Budget, clique_count_bound, components, diameter,
                          enumerate_k_cliques, girth, is_bipartite, is_star,
                          max_clique, neighborhood_disjointness_check)
-from .rings import (GF, FiniteRing, MatrixRing, Zn, is_prime,
-                    nilradical_quotient)
+from .rings import GF, MatrixRing, Zn, is_prime, nilradical_quotient
 
 AGREE = "AGREE"
 DISAGREE = "DISAGREE"
@@ -146,21 +146,22 @@ def _expected_four_cliques(p: int) -> list[tuple[int, ...]]:
 
 
 class InvariantReport:
-    """The invariants of one ring's graph, and the verdicts on them.
+    """The invariants of the graph of its ring, and the verdicts on them.
 
-    The constructor computes the invariants. `theorem_verdicts` and
-    `four_cliques` are computed on first read, so a caller that reads
-    neither builds no quotient, runs no census and formats no verdict.
+    The constructor computes the invariants; it refuses a row with a bit
+    outside the carrier. `theorem_verdicts` and `four_cliques` are
+    computed on first read, so a caller that reads neither builds no
+    quotient, runs no census and formats no verdict.
     `stopped` names the budgets that the values read so far exhausted.
     """
 
-    def __init__(self, ring: FiniteRing, classification: Classification,
-                 graph: WncGraph):
-        if classification.size != ring.size:
-            raise ValueError("classification does not match the ring")
-        if graph.vertex_count != ring.size or graph.clean_set != classification.wnc:
-            raise ValueError("graph was not built from this ring and classification")
-        self.ring, self.cls, self.graph = ring, classification, graph
+    def __init__(self, classification: Classification, graph: WncGraph):
+        ring, n = ring_of(graph), graph.vertex_count
+        if classification.size != n or graph.clean_set != classification.wnc:
+            raise ValueError("graph was not built from this classification")
+        if any(row >> n for row in graph.adjacency):
+            raise ValueError("a row has a bit outside the carrier")
+        self.cls, self.graph = classification, graph
         self.component_sizes = sorted(c.bit_count() for c in components(graph))
         self.diameter = diameter(graph)  # int or INFINITE
         self.girth = girth(graph)  # int or INFINITE
@@ -179,7 +180,7 @@ class InvariantReport:
         self.sum_proper = self.subgraph = self.degree_lemma = True
         self.sum_colors = 0
         doubles = ring.doubles
-        for x, degree, sums in sum_sets(ring, graph):
+        for x, degree, sums in sum_sets(graph):
             two_x = doubles[x]
             self.sum_proper &= sums.bit_count() == degree
             self.subgraph &= nc & ~(1 << two_x) & ~sums == 0
@@ -217,11 +218,12 @@ class InvariantReport:
 
 
 def _check_quotient_lifting(a: InvariantReport) -> bool:
-    if a.cls.nil == 1 << a.ring.zero:
-        # Nil(R) = 0: every coset is one element and the projection is the
-        # identity, so the quotient's graph is R's own and lifting holds
+    if a.cls.nil == 1:
+        # Nil(R) = 0, the bitset of id 0: every coset is one element and
+        # the projection is the identity, so the quotient's graph is R's
+        # own and lifting holds
         return True
-    quotient, projection = nilradical_quotient(a.ring, a.cls.nil)
+    quotient, projection = nilradical_quotient(a.graph.ring, a.cls.nil)
     q_cls = weakly_nil_clean_set(quotient)
     q_graph = build_wnc_graph(quotient, q_cls)
     cosets = [0] * quotient.size
@@ -241,7 +243,7 @@ def _check_quotient_lifting(a: InvariantReport) -> bool:
 
 def _verdicts(a: InvariantReport) -> list[TheoremVerdict]:
     """Evaluate every applicable fact against the analysed ring and graph."""
-    ring, graph = a.ring, a.graph
+    graph, ring = a.graph, a.graph.ring
     spec = ring.spec
     n = ring.size
     char2 = ring.doubles[ring.one] == ring.zero
@@ -327,7 +329,7 @@ def _verdicts(a: InvariantReport) -> list[TheoremVerdict]:
              "" if actual is UNKNOWN else
              ", ".join("{%s}" % ",".join(map(str, c)) for c in actual) or "none",
              _agrees(actual, expected))
-        verdicts = neighborhood_disjointness_check(ring, graph)
+        verdicts = neighborhood_disjointness_check(graph)
         bad = [v for v in verdicts if not v[3]]
         emit("neighborhood-lemma",
              "disjoint neighborhoods on all stated pairs",
@@ -395,14 +397,8 @@ def _verdicts(a: InvariantReport) -> list[TheoremVerdict]:
     return out
 
 
-def theorem_suite(ring: FiniteRing, classification: Classification,
-                  graph: WncGraph) -> list[TheoremVerdict]:
-    """Evaluate every applicable fact against this ring and graph."""
-    return compute_report(ring, classification, graph).theorem_verdicts
-
-
-def compute_report(ring: FiniteRing, classification: Classification,
+def compute_report(classification: Classification,
                    graph: WncGraph) -> InvariantReport:
-    """The invariant report; its verdicts and census are computed on first
-    read."""
-    return InvariantReport(ring, classification, graph)
+    """The invariant report of the graph and its ring; its verdicts and
+    census are computed on first read."""
+    return InvariantReport(classification, graph)

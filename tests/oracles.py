@@ -46,7 +46,7 @@ def naive_wnc_members(ring):
     members = []
     for x in range(ring.size):
         for e in idem:
-            if naive_nilpotent(ring, ring.sub(x, e)) or \
+            if naive_nilpotent(ring, ring.add(x, ring.neg(e))) or \
                     naive_nilpotent(ring, ring.add(x, e)):
                 members.append(x)
                 break
@@ -56,7 +56,8 @@ def naive_wnc_members(ring):
 def naive_nc_members(ring):
     idem = naive_idempotent_list(ring)
     return [x for x in range(ring.size)
-            if any(naive_nilpotent(ring, ring.sub(x, e)) for e in idem)]
+            if any(naive_nilpotent(ring, ring.add(x, ring.neg(e)))
+                   for e in idem)]
 
 
 def naive_decompositions(ring):
@@ -67,7 +68,7 @@ def naive_decompositions(ring):
     for n in nil:
         for e in naive_idempotent_list(ring):
             found.setdefault(ring.add(n, e), []).append((n, e, +1))
-            found.setdefault(ring.sub(n, e), []).append((n, e, -1))
+            found.setdefault(ring.add(n, ring.neg(e)), []).append((n, e, -1))
     return {x: sorted(ws) for x, ws in found.items()}
 
 
@@ -404,13 +405,13 @@ def sum_edge_coloring(ring, graph):
     return {(u, v): ring.add(u, v) for u, v in wnc.edges(graph)}
 
 
-def check_sum_coloring(ring, graph):
-    """(proper, colors) for the sum coloring, folded over the library's
-    `sum_sets`: the colors at x are distinct iff |sums(x)| = deg(x), and
-    `colors` is the bitset of every color used."""
+def check_sum_coloring(graph):
+    """(proper, colors) for the sum coloring in the graph's ring, folded
+    over the library's `sum_sets`: the colors at x are distinct iff
+    |sums(x)| = deg(x), and `colors` is the bitset of every color used."""
     proper = True
     colors = 0
-    for _, degree, sums in wnc.coloring.sum_sets(ring, graph):
+    for _, degree, sums in wnc.coloring.sum_sets(graph):
         proper = proper and sums.bit_count() == degree
         colors |= sums
     return proper, colors

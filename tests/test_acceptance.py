@@ -97,8 +97,8 @@ def test_criterion_06_four_clique_census():
 
 def test_criterion_07_neighborhood_lemma():
     for expr in ("Z10", "Z14"):
-        ring, _, graph = realize(expr)
-        verdicts = wnc.neighborhood_disjointness_check(ring, graph)
+        _, _, graph = realize(expr)
+        verdicts = wnc.neighborhood_disjointness_check(graph)
         for clause, a, b, disjoint in verdicts:
             assert disjoint, f"{expr}: clause {clause} fails at ({a},{b})"
     _passed("C7 neighborhood lemma",
@@ -159,9 +159,9 @@ def test_criterion_11_edge_coloring():
         assert delta <= chi <= delta + 1, expr
     _, _, g10 = realize("Z10")
     assert wnc.chromatic_index_exact(g10) == 6 == wnc.max_degree(g10)  # class 1
-    ring3, cls3, g3 = realize("Z3")
+    _, cls3, g3 = realize("Z3")
     assert wnc.chromatic_index_exact(g3) == 3 == wnc.max_degree(g3) + 1
-    class1_verdict = next(v for v in wnc.theorem_suite(ring3, cls3, g3)
+    class1_verdict = next(v for v in wnc.compute_report(cls3, g3).theorem_verdicts
                           if v.theorem == "class-1")
     assert class1_verdict.status == "DISAGREE"
     _passed("C11 edge coloring",

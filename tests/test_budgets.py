@@ -151,7 +151,7 @@ def test_every_report_search_runs_under_a_policy_budget(monkeypatch):
 
     monkeypatch.setattr(wnc.Budget, "__init__", spied)
     for expr in ACCEPTANCE_CORPUS + ("Z1000", "M2(Z3)", "Z150"):
-        theorems.compute_report(*realize(expr)).four_cliques
+        theorems.compute_report(*realize(expr)[1:]).four_cliques
     policy = {wnc.CLIQUE_NODES, wnc.CENSUS_NODES, wnc.CHROMATIC_NODES}
     assert nodes and all(count in policy for _, count in nodes), nodes
 
@@ -332,7 +332,7 @@ def test_tiny_budgets_on_characteristic_two_sum_graphs(expr):
     for _ in range(40):
         clean = wnc.bitsets.mask_of(rng.sample(range(ring.size),
                                                rng.randrange(2, ring.size // 2)))
-        graph = wnc.graph._build(ring, clean, "sum")
+        graph = wnc.graph._build(ring, clean)
         _, omega = wnc.max_clique(graph)
         for nodes in range(4):
             budget = wnc.Budget("clique", nodes)
@@ -392,8 +392,8 @@ def test_unknown_clique_number_is_never_a_disagreement(monkeypatch):
     monkeypatch.setattr(theorems, "CLIQUE_NODES", 0)
     for expr, theorem in (("Z7", "clique-zp"), ("GF(9)", "clique-field"),
                           ("Z10", "clique-z2p")):
-        ring, cls, graph = realize(expr)
-        report = wnc.compute_report(ring, cls, graph)
+        _, cls, graph = realize(expr)
+        report = wnc.compute_report(cls, graph)
         assert report.clique_number is wnc.UNKNOWN
         assert set(report.stopped) == {"clique"}
         verdict = next(v for v in report.theorem_verdicts if v.theorem == theorem)

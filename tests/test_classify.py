@@ -123,12 +123,17 @@ def test_witness_soundness_replay(expr):
 
 
 def test_wnc_ring_predicates():
-    assert wnc.is_weakly_nil_clean_ring(wnc.make_zn(12))
-    assert wnc.is_weakly_nil_clean_ring(wnc.make_zn(3))
-    assert not wnc.is_nil_clean_ring(wnc.make_zn(3))
-    assert not wnc.is_weakly_nil_clean_ring(wnc.make_gf(5, 2))
-    assert wnc.is_nil_clean_ring(wnc.make_zn(2))
-    assert wnc.is_nil_clean_ring(wnc.make_zn(4))
+    # a (weakly) nil clean ring is one whose every element is
+    def full(expr, part):
+        ring, cls, _ = realize(expr)
+        return getattr(cls, part) == (1 << ring.size) - 1
+
+    assert full("Z12", "wnc")
+    assert full("Z3", "wnc")
+    assert not full("Z3", "nc")
+    assert not full("GF(25)", "wnc")
+    assert full("Z2", "nc")
+    assert full("Z4", "nc")
     cls3 = wnc.weakly_nil_clean_set(wnc.make_zn(3))
     assert bit_list(cls3.nc) == [0, 1]
 

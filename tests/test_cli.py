@@ -308,19 +308,23 @@ def test_every_option_is_read(argv, capsys):
 
 
 def test_a_closed_stdout_exits_one_without_a_traceback():
-    # the 2.3 MB export outgrows any pipe buffer, so stdout writes to the
-    # pipe after the reader has closed it: block-buffered, and unbuffered,
-    # where one write may take only part of the payload
+    # the 2.3 MB export and the 82 kB report outgrow any pipe buffer, so
+    # stdout writes to the pipe after the reader has closed it:
+    # block-buffered, and unbuffered, where one write may take only part of
+    # the payload
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     env["PYTHONPATH"] = str(pathlib.Path(wnc.__file__).resolve().parents[1])
-    for extra in ({}, {"PYTHONUNBUFFERED": "1"}):
-        child = subprocess.Popen(
-            [sys.executable, "-m", "wnc.cli", "export", "Z1000", "--format",
-             "csv", "--out", "-"],
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env={**env, **extra})
-        assert child.stdout.readline() == b"source,target\n"
-        child.stdout.close()
-        err = child.stderr.read()
-        child.stderr.close()
-        assert child.wait(timeout=60) == 1, extra
-        assert err == b"", extra
+    for argv, head in (
+            (["export", "Z1000", "--format", "csv", "--out", "-"],
+             b"source,target\n"),
+            (["report", "Z4096", "--json"], b'{"carrier_')):
+        for extra in ({}, {"PYTHONUNBUFFERED": "1"}):
+            child = subprocess.Popen(
+                [sys.executable, "-m", "wnc.cli", *argv], stdout=subprocess.PIPE,
+                stderr=subprocess.PIPE, env={**env, **extra})
+            assert child.stdout.read(len(head)) == head
+            child.stdout.close()
+            err = child.stderr.read()
+            child.stderr.close()
+            assert child.wait(timeout=60) == 1, (argv, extra)
+            assert err == b"", (argv, extra)

@@ -4,6 +4,7 @@ import builtins
 import copy
 import dataclasses
 import itertools
+import operator
 import types
 
 import pytest
@@ -53,7 +54,7 @@ def test_sum_coloring_is_proper_with_colors_in_wnc(expr):
 def test_check_sum_coloring_matches_the_dict_reference(expr):
     ring, _, graph = realize(expr)
     coloring = sum_edge_coloring(ring, graph)
-    assert check_sum_coloring(ring, graph) == (
+    assert check_sum_coloring(graph) == (
         verify_proper_edge_coloring(graph, coloring),
         mask_of(coloring.values()))
 
@@ -64,10 +65,10 @@ def test_check_sum_coloring_flags_a_non_cancellative_add(add):
     # a stub "ring" whose add is not cancellative: edges at a shared vertex
     # can get the same color, which only a computed check notices
     _, _, graph = realize("Z6")
-    stub = types.SimpleNamespace(size=graph.vertex_count, add=add)
+    stub = types.SimpleNamespace(size=graph.vertex_count, add=add, radices=None)
     coloring = sum_edge_coloring(stub, graph)
     assert not verify_proper_edge_coloring(graph, coloring)
-    assert check_sum_coloring(stub, graph) == (
+    assert check_sum_coloring(dataclasses.replace(graph, ring=stub)) == (
         False, mask_of(coloring.values()))
 
 
@@ -86,14 +87,15 @@ def test_sum_sets_are_the_images_under_add(expr, mode, monkeypatch):
     if mode == "adds":
         ring = copy.copy(ring)
         ring.radices = None
+        graph = dataclasses.replace(graph, ring=ring)
     elif mode == "rows":
         monkeypatch.setattr(wnc.graph, "ADDS_PER_DIGIT", 0)
         graph = wnc.build_wnc_graph(ring, cls)
     translated = wnc.graph.rows_translated(ring, cls.wnc)
     if mode != "shipped":
         assert translated == (mode == "rows" and ring.radices is not None)
-    assert coloring.certify_rows(ring, graph) == translated
-    for x, degree, sums in coloring.sum_sets(ring, graph):
+    assert coloring.certify_rows(graph) == translated
+    for x, degree, sums in coloring.sum_sets(graph):
         row = graph.adjacency[x]
         assert degree == row.bit_count()
         assert sums == mask_of(ring.add(x, y) for y in bit_list(row))
@@ -108,9 +110,9 @@ def test_certified_rows_make_at_most_n_digits_plus_two_adds(expr):
     calls = []
     counted = copy.copy(ring)
     counted.add = lambda a, b: calls.append((a, b)) or ring.add(a, b)
-    assert list(coloring.sum_sets(counted, graph)) == list(
-        coloring.sum_sets(ring, graph))
-    assert coloring.certify_rows(ring, graph)
+    counted_graph = dataclasses.replace(graph, ring=counted)
+    assert list(coloring.sum_sets(counted_graph)) == list(coloring.sum_sets(graph))
+    assert coloring.certify_rows(graph)
     assert 0 < len(calls) <= ring.size * (len(ring.radices) + 2)
 
 
@@ -122,21 +124,33 @@ def test_certified_rows_make_at_most_n_digits_plus_two_adds(expr):
 ], ids=["constant", "rotation", "off-carrier", "none"])
 @pytest.mark.parametrize("expr", ["Z12", "Z2 x Z2 x Z2", "M2(Z2)"])
 def test_a_refused_add_row_falls_back_to_add(expr, bad_row):
-    # a generator's addition row that is no permutation, or not the move
-    # that translate makes, fails the certificate, and the rows are summed
-    # with one add per neighbor (the rotation is Z12's true row of 1, which
-    # passes); either way the sums stay the true images under add
+    # add on the generators' rows, the rows check (b) reads, is no
+    # permutation, or not the move that translate makes: the certificate
+    # refuses it (the rotation is Z12's true row of 1, which passes), and
+    # the rows are summed with one add per neighbor, so the sums are the
+    # images under that add, or its error when it gives no id at all
     ring, _, graph = realize(expr)
+    n = ring.size
+    gens = set(itertools.accumulate((1, *ring.radices[:-1]), operator.mul))
     twin = copy.copy(ring)
-    twin.add_row = lambda x: bad_row(ring.size, x)
-    assert list(coloring.sum_sets(twin, graph)) == list(
-        coloring.sum_sets(ring, graph))
+    twin.add = lambda a, b: bad_row(n, a)[b] if a in gens else ring.add(a, b)
+    twin_graph = dataclasses.replace(graph, ring=twin)
+    true_rows = all(bad_row(n, g) == [ring.add(g, y) for y in range(n)]
+                    for g in gens)
+    assert coloring.certify_rows(twin_graph) == true_rows
+    if bad_row(n, 1) is None:
+        with pytest.raises(TypeError):
+            list(coloring.sum_sets(twin_graph))
+        return
+    assert list(coloring.sum_sets(twin_graph)) == [
+        (x, row.bit_count(), mask_of(twin.add(x, y) for y in bit_list(row)))
+        for x, row in enumerate(graph.adjacency)]
 
 
-def test_check_sum_coloring_rejects_a_mismatched_ring():
+def test_check_sum_coloring_refuses_a_graph_without_a_ring():
     _, _, graph = realize("Z6")
     with pytest.raises(ValueError):
-        check_sum_coloring(wnc.make_zn(7), graph)
+        check_sum_coloring(dataclasses.replace(graph, ring=None))
 
 
 @pytest.mark.parametrize("m", range(2, 65))

@@ -19,7 +19,7 @@ def test_z10_matches_figure():
     ring, cls, graph = realize("Z10")
     assert graph.vertex_count == 10
     assert bit_list(wnc.neighborhood(graph, 0)) == [1, 4, 5, 6, 9]
-    assert graph.kind == wnc.WEAKLY_NIL_CLEAN
+    assert graph.ring is ring and graph.clean_set == cls.wnc
 
 
 def test_gf25_graph_is_disconnected():
@@ -172,7 +172,7 @@ def test_degree_mismatch_disagrees_under_python_O():
         "cls = wnc.weakly_nil_clean_set(ring)\n"
         "graph = wnc.build_wnc_graph(ring, cls)\n"
         "graph.adjacency[3] &= ~(graph.adjacency[3] & -graph.adjacency[3])\n"
-        "for v in wnc.theorem_suite(ring, cls, graph):\n"
+        "for v in wnc.compute_report(cls, graph).theorem_verdicts:\n"
         "    if v.theorem == 'degree-lemma':\n"
         "        print(v.status)\n"
     )

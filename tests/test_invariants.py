@@ -60,6 +60,12 @@ def test_diameter_agrees_with_floyd(expr):
         assert got == expected
 
 
+def _both_graphs(ring, cls, graph):
+    """The weakly nil clean graph and the nil clean graph, each named."""
+    return (("weakly nil clean", graph),
+            ("nil clean", wnc.build_nc_graph(ring, cls)))
+
+
 # char-2 fields, a product with one, a ring whose 2R is not all of R, the
 # noncommutative rings, and a quotient
 DIAMETER_EXPRS = ACCEPTANCE_CORPUS + (
@@ -70,13 +76,13 @@ DIAMETER_EXPRS = ACCEPTANCE_CORPUS + (
 @pytest.mark.parametrize("expr", DIAMETER_EXPRS)
 def test_diameter_agrees_with_per_vertex_bfs(expr):
     ring, cls, graph = realize(expr)
-    for g in (graph, wnc.build_nc_graph(ring, cls)):
+    for kind, g in _both_graphs(ring, cls, graph):
         expected = bfs_diameter(g)
         got = wnc.diameter(g)
         if expected is None:
-            assert got is wnc.INFINITE, g.kind
+            assert got is wnc.INFINITE, kind
         else:
-            assert got == expected, g.kind
+            assert got == expected, kind
 
 
 def test_bfs_distances_match_floyd_rowwise():
@@ -114,13 +120,13 @@ def test_girth_witness_and_minimality(expr):
     # the edge-removal oracle's u-v path plus uv is a shortest cycle; the
     # triangle and square searches rule out the shortest lengths directly
     ring, cls, graph = realize(expr)
-    for g in (graph, wnc.build_nc_graph(ring, cls)):
+    for kind, g in _both_graphs(ring, cls, graph):
         got = _girth_or_none(g)
-        assert got == girth_by_edge_removal(g), g.kind
+        assert got == girth_by_edge_removal(g), kind
         if got is None or got > 3:
-            assert not has_triangle(g), g.kind
+            assert not has_triangle(g), kind
         if got is None or got > 4:
-            assert not has_square(g), g.kind
+            assert not has_square(g), kind
 
 
 def test_girth_on_synthetic_cycles():
@@ -143,8 +149,8 @@ def test_bipartite_examples():
 @pytest.mark.parametrize("expr", DIAMETER_EXPRS)
 def test_bipartite_agrees_with_double_cover(expr):
     ring, cls, graph = realize(expr)
-    for g in (graph, wnc.build_nc_graph(ring, cls)):
-        assert wnc.is_bipartite(g) == bipartite_by_double_cover(g), g.kind
+    for kind, g in _both_graphs(ring, cls, graph):
+        assert wnc.is_bipartite(g) == bipartite_by_double_cover(g), kind
 
 
 @st.composite
@@ -262,10 +268,10 @@ def test_coset_split_matches_the_plain_search(expr):
     # the plain search on M2(GF(4)) takes 74,505 nodes, beyond the default
     # clique budget, so the reference runs unbudgeted
     ring, cls, graph = realize(expr)
-    for g in (graph, wnc.build_nc_graph(ring, cls)):
+    for kind, g in _both_graphs(ring, cls, graph):
         synthetic = dataclasses.replace(g, ring=None)
         plain = wnc.max_clique(synthetic, wnc.Budget("clique", 10**9))
-        assert wnc.max_clique(g) == plain, g.kind
+        assert wnc.max_clique(g) == plain, kind
 
 
 @pytest.mark.parametrize("expr", CLIQUE_SPLIT_EXPRS)
@@ -274,7 +280,7 @@ def test_kernel_colors_the_frames_of_the_full_coloring(expr, monkeypatch):
     # every frame lists its whole greedy coloring
     ring, cls, graph = realize(expr)
     kernel = invariants._greedy_color_order
-    for g in (graph, wnc.build_nc_graph(ring, cls)):
+    for kind, g in _both_graphs(ring, cls, graph):
         runs = []
         for full in (False, True):
             frames = []
@@ -293,7 +299,7 @@ def test_kernel_colors_the_frames_of_the_full_coloring(expr, monkeypatch):
             monkeypatch.setattr(invariants, "_greedy_color_order", color)
             budget = wnc.Budget("clique", wnc.CLIQUE_NODES)
             runs.append((wnc.max_clique(g, budget), budget.used, frames))
-        assert runs[0] == runs[1], g.kind
+        assert runs[0] == runs[1], kind
 
 
 @st.composite
@@ -331,7 +337,7 @@ def test_characteristic_two_split_on_sum_graphs_of_any_set(expr):
     rng = random.Random(expr)
     for _ in range(40):
         clean = wnc.bitsets.mask_of(rng.sample(range(n), rng.randrange(2, n // 2)))
-        graph = wnc.graph._build(ring, clean, "sum")
+        graph = wnc.graph._build(ring, clean)
         synthetic = dataclasses.replace(graph, ring=None)
         (split, omega), (whole, want) = (wnc.max_clique(graph),
                                          wnc.max_clique(synthetic))
@@ -344,12 +350,12 @@ def test_characteristic_two_split_on_sum_graphs_of_any_set(expr):
     "M2(Z5)", "Z1000", "(Z4 x Z9)/nil x Z3"))
 def test_triangle_counts_read_off_the_sum_structure(expr):
     ring, cls, graph = realize(expr)
-    for g in (graph, wnc.build_nc_graph(ring, cls)):
+    for kind, g in _both_graphs(ring, cls, graph):
         counts = invariants._triangle_counts(g)
         synthetic = dataclasses.replace(g, ring=None)
-        assert counts == invariants._triangle_counts(synthetic), g.kind
+        assert counts == invariants._triangle_counts(synthetic), kind
         if g.vertex_count <= 64:
-            assert counts == triangle_counts(g), g.kind
+            assert counts == triangle_counts(g), kind
 
 
 @pytest.mark.parametrize("expr", ["GF(64)", "Z3 x Z25", "Z4 x Z9", "M2(Z3)"])
@@ -361,7 +367,7 @@ def test_triangle_counts_of_sum_graphs_of_any_set(expr):
     rng = random.Random(expr)
     for _ in range(20):
         clean = wnc.bitsets.mask_of(rng.sample(range(n), rng.randrange(1, n // 2)))
-        graph = wnc.graph._build(ring, clean, "sum")
+        graph = wnc.graph._build(ring, clean)
         counts = invariants._triangle_counts(graph)
         assert counts == invariants._triangle_counts(
             dataclasses.replace(graph, ring=None)), clean
@@ -398,7 +404,7 @@ def test_a_cut_dive_is_never_reported_exact(monkeypatch):
     cases = [(realize("M2(Z3)")[2], 31)]
     for _ in range(40):
         clean = wnc.bitsets.mask_of(rng.sample(range(64), rng.randrange(2, 32)))
-        graph = wnc.graph._build(ring, clean, "sum")
+        graph = wnc.graph._build(ring, clean)
         cases.append((dataclasses.replace(graph, ring=None),
                       wnc.max_clique(graph)[1]))
     for graph, want in cases:
@@ -480,12 +486,12 @@ def test_four_clique_census_other_z2p(expr, count):
 
 def test_neighborhood_lemma_sweeps():
     for expr in ("Z10", "Z14"):
-        ring, _, graph = realize(expr)
-        verdicts = wnc.neighborhood_disjointness_check(ring, graph)
+        _, _, graph = realize(expr)
+        verdicts = wnc.neighborhood_disjointness_check(graph)
         assert all(ok for _, _, _, ok in verdicts), expr
     # Z_14 has substantive pairs; the (13, 2) pair realizes a + b = 1 at a = -1
-    ring14, _, g14 = realize("Z14")
-    verdicts = wnc.neighborhood_disjointness_check(ring14, g14)
+    _, _, g14 = realize("Z14")
+    verdicts = wnc.neighborhood_disjointness_check(g14)
     assert (2, 13, 2, True) in verdicts
     assert any(clause == 1 for clause, *_ in verdicts)
     assert any(clause == 3 for clause, *_ in verdicts)
@@ -493,6 +499,6 @@ def test_neighborhood_lemma_sweeps():
 
 def test_neighborhood_lemma_rejects_wrong_shape():
     for expr in ("Z12", "Z9", "GF(25)", "Z6"):
-        ring, _, graph = realize(expr)
+        _, _, graph = realize(expr)
         with pytest.raises(ValueError):
-            wnc.neighborhood_disjointness_check(ring, graph)
+            wnc.neighborhood_disjointness_check(graph)

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import wnc
+from wnc import coloring
 from wnc.errors import InvalidSpecError, UnsupportedOperationError
 
 from corpus import ACCEPTANCE_CORPUS, realize
@@ -352,6 +353,38 @@ def test_the_cap_is_not_a_parameter(function):
     assert "cap" not in inspect.signature(function).parameters
 
 
+@pytest.mark.parametrize("function,derived", [
+    (wnc.FiniteRing, {"size", "zero"}),
+    (wnc.WncGraph, {"vertex_count", "kind"}),
+    (wnc.make_graph, {"kind"}),
+    (wnc.compute_report, {"ring"}),
+    (wnc.InvariantReport, {"ring"}),
+    (coloring.sum_sets, {"ring"}),
+    (coloring.certify_rows, {"ring"}),
+    (wnc.neighborhood_disjointness_check, {"ring"}),
+], ids=lambda f: getattr(f, "__name__", None))
+def test_derived_facts_are_not_parameters(function, derived):
+    # a ring's size is its number of names and its zero is 0; a graph's
+    # vertex count is its number of rows; the report reads the graph's ring
+    assert not derived & set(inspect.signature(function).parameters)
+
+
+# every ring the constructors build: the acceptance corpus and the
+# quotients of its commutative rings by their nilradicals
+BUILT_CORPUS = ACCEPTANCE_CORPUS + tuple(
+    f"({e})/nil" for e in ACCEPTANCE_CORPUS if not e.startswith("M"))
+
+
+@pytest.mark.parametrize("expr", BUILT_CORPUS)
+def test_every_built_ring_has_zero_0_a_nonzero_one_and_injective_names(expr):
+    # the facts FiniteRing takes on trust: no constructor checks them
+    ring = wnc.build_ring(wnc.parse_ring_expr(expr))
+    assert ring.size >= 2
+    assert ring.one != ring.zero == 0
+    assert len(set(ring.names())) == ring.size
+    assert [ring.add(0, x) for x in range(ring.size)] == list(range(ring.size))
+
+
 @pytest.mark.parametrize("expr,radices", [
     ("Z12", (12,)), ("GF(5)", (5,)), ("GF(27)", (3, 3, 3)),
     ("Z2 x Z3", (3, 2)), ("(Z2 x Z3) x Z4", (4, 3, 2)),
@@ -408,21 +441,29 @@ ADD_ROW_EXPRS = ("Z2 x Z2 x Z2", "(Z2 x Z3) x Z4", "Z4 x (Z2 x Z3)",
 
 @pytest.mark.parametrize("expr", ACCEPTANCE_CORPUS + ADD_ROW_EXPRS)
 def test_add_row_is_the_row_of_add(expr):
+    # the addition row y -> x + y, which the row certificate reads for each
+    # generator x, is a permutation of the carrier, and `doubles` is the
+    # diagonal of add
     ring = wnc.build_ring(wnc.parse_ring_expr(expr))
-    for x in range(ring.size):
-        assert ring.add_row(x) == [ring.add(x, y) for y in range(ring.size)]
-    assert ring.doubles == [ring.add(x, x) for x in range(ring.size)]
+    ids = list(range(ring.size))
+    for x in ids:
+        assert sorted(map(ring.add, [x] * ring.size, ids)) == ids
+    assert ring.doubles == [ring.add(x, x) for x in ids]
 
 
 @pytest.mark.parametrize("expr", ["Z12", "Z2 x Z3", "M2(Z2)", "Z2 x Z12/nil"])
 def test_add_row_never_reads_the_layout(expr, monkeypatch):
+    # the addition rows and the doubles, which the row certificate reads,
+    # come out the same with the digit layout gone
     ring = wnc.build_ring(wnc.parse_ring_expr(expr))
-    rows = [ring.add_row(x) for x in range(ring.size)]
+    ids = range(ring.size)
+    rows = [[ring.add(x, y) for y in ids] for x in ids]
 
     def refuse(*args):
-        raise AssertionError("add_row read the digit layout")
+        raise AssertionError("add read the digit layout")
 
     monkeypatch.setattr(wnc.rings, "translate", refuse)
     monkeypatch.setattr(type(ring), "_wrap_masks", property(refuse))
     ring.radices = None
-    assert [ring.add_row(x) for x in range(ring.size)] == rows
+    assert [[ring.add(x, y) for y in ids] for x in ids] == rows
+    assert ring.doubles == [rows[x][x] for x in ids]

@@ -9,7 +9,7 @@ import wnc
 from wnc import coloring
 from wnc import graph as graph_module
 from wnc import theorems
-from wnc.bitsets import bit_list
+from wnc.bitsets import bit_list, mask_of
 from wnc.rings import NilQuotient
 from wnc.theorems import AGREE, DISAGREE, NOT_APPLICABLE, THEOREM_IDS
 
@@ -17,13 +17,13 @@ from corpus import ACCEPTANCE_CORPUS, realize
 
 
 def suite_for(expr):
-    ring, cls, graph = realize(expr)
-    return {v.theorem: v for v in wnc.theorem_suite(ring, cls, graph)}
+    _, cls, graph = realize(expr)
+    return _verdict_map(cls, graph)
 
 
 def test_verdict_order_is_fixed():
-    ring, cls, graph = realize("Z10")
-    verdicts = wnc.theorem_suite(ring, cls, graph)
+    _, cls, graph = realize("Z10")
+    verdicts = wnc.compute_report(cls, graph).theorem_verdicts
     assert tuple(v.theorem for v in verdicts) == THEOREM_IDS
 
 
@@ -137,7 +137,7 @@ def test_product_report_classifies_only_the_ring(monkeypatch, expr):
     ring = wnc.build_ring(wnc.parse_ring_expr(expr))
     cls = spy(ring)
     graph = wnc.build_wnc_graph(ring, cls)
-    verdict = next(v for v in wnc.theorem_suite(ring, cls, graph)
+    verdict = next(v for v in wnc.compute_report(cls, graph).theorem_verdicts
                    if v.theorem == "diameter-product")
     status, computed = PRODUCT_VERDICTS[expr]
     assert verdict.status == status
@@ -165,7 +165,7 @@ def test_a_missing_nil_clean_edge_breaks_subgraph_and_degree(expr):
     ring, cls, graph = realize(expr)
     # zero + one is nil clean
     tampered = _without_edge(graph, ring.zero, ring.one)
-    verdicts = {v.theorem: v for v in wnc.theorem_suite(ring, cls, tampered)}
+    verdicts = _verdict_map(cls, tampered)
     assert verdicts["subgraph"].status == DISAGREE
     assert verdicts["degree-lemma"].status == DISAGREE
 
@@ -177,15 +177,15 @@ def test_a_missing_weak_edge_breaks_only_the_degree(expr):
     assert weak_only
     s = (weak_only & -weak_only).bit_length() - 1  # zero + s = s
     tampered = _without_edge(graph, ring.zero, s)
-    verdicts = {v.theorem: v for v in wnc.theorem_suite(ring, cls, tampered)}
+    verdicts = _verdict_map(cls, tampered)
     assert verdicts["subgraph"].status == AGREE
     assert verdicts["degree-lemma"].status == DISAGREE
 
 
-def _verdict_map(ring, cls, graph):
+def _verdict_map(cls, graph):
     # a tampered graph or ring may leave chi' to a search, which stops
     # within CHROMATIC_NODES nodes; none of these tests reads class 1
-    return {v.theorem: v for v in wnc.theorem_suite(ring, cls, graph)}
+    return {v.theorem: v for v in wnc.compute_report(cls, graph).theorem_verdicts}
 
 
 def _generators(ring):
@@ -213,9 +213,10 @@ def test_a_non_injective_addition_breaks_the_sum_coloring(expr):
 
     broken = copy.copy(ring)
     broken.add = add
-    assert coloring.certify_rows(ring, graph)
-    assert not coloring.certify_rows(broken, graph)
-    verdicts = _verdict_map(broken, cls, graph)
+    broken_graph = dataclasses.replace(graph, ring=broken)
+    assert coloring.certify_rows(graph)
+    assert not coloring.certify_rows(broken_graph)
+    verdicts = _verdict_map(cls, broken_graph)
     assert verdicts["sum-coloring"].status == DISAGREE
     assert verdicts["sum-coloring"].computed.startswith("improper")
 
@@ -231,9 +232,10 @@ def test_a_shifted_add_row_breaks_the_subgraph_check(expr):
     ring.doubles
     shifted = copy.copy(ring)
     shifted.add = lambda a, b: ring.add(ring.add(a, b), h)
-    assert not coloring.certify_rows(shifted, graph)
-    assert _verdict_map(ring, cls, graph)["subgraph"].status == AGREE
-    assert _verdict_map(shifted, cls, graph)["subgraph"].status == DISAGREE
+    shifted_graph = dataclasses.replace(graph, ring=shifted)
+    assert not coloring.certify_rows(shifted_graph)
+    assert _verdict_map(cls, graph)["subgraph"].status == AGREE
+    assert _verdict_map(cls, shifted_graph)["subgraph"].status == DISAGREE
 
 
 ROW_VERDICTS = ("sum-coloring", "subgraph", "degree-lemma")
@@ -267,9 +269,9 @@ def test_a_misrouted_translate_is_refused(expr, move, monkeypatch):
     monkeypatch.setattr(coloring, "translate", bad)
     built = wnc.build_wnc_graph(ring, cls)
     assert built.adjacency != graph.adjacency
-    assert coloring.certify_rows(ring, graph) == (move == "two-units")
-    assert not coloring.certify_rows(ring, built)
-    verdicts = _verdict_map(ring, cls, built)
+    assert coloring.certify_rows(graph) == (move == "two-units")
+    assert not coloring.certify_rows(built)
+    verdicts = _verdict_map(cls, built)
     assert DISAGREE in {verdicts[t].status for t in ROW_VERDICTS}
 
 
@@ -281,26 +283,28 @@ def test_one_flipped_row_bit_is_refused(expr, v):
     rows = list(graph.adjacency)
     rows[v] ^= 1 << 2
     flipped = dataclasses.replace(graph, adjacency=rows)
-    assert coloring.certify_rows(ring, graph)
-    assert not coloring.certify_rows(ring, flipped)
-    verdicts = _verdict_map(ring, cls, flipped)
+    assert coloring.certify_rows(graph)
+    assert not coloring.certify_rows(flipped)
+    verdicts = _verdict_map(cls, flipped)
     assert DISAGREE in {verdicts[t].status for t in ROW_VERDICTS}
 
 
 @pytest.mark.parametrize("expr", ["Z12", "Z2 x Z2 x Z2", "M2(Z2)", "Z4 x Z9"])
 def test_a_shifted_generator_row_is_refused(expr):
-    # add_row(g) is y -> g + y + h with 2h = 0 for one generator g, while
-    # add is true: (b) refuses, and the per-neighbor sums read the true add
-    ring, cls, graph = realize(expr)
+    # add(g, y) is g + y + h with 2h = 0 for one generator g, and add is
+    # true on every other row: (b) refuses, and the per-neighbor sums read
+    # that add, the shifted row included
+    ring, _, graph = realize(expr)
     h = next(v for v in range(1, ring.size) if ring.add(v, v) == ring.zero)
     g = _generators(ring)[-1]
     shifted = copy.copy(ring)
-    shifted.add_row = lambda x: ring.add_row(ring.add(x, h) if x == g else x)
-    assert not coloring.certify_rows(shifted, graph)
-    assert list(coloring.sum_sets(shifted, graph)) == list(
-        coloring.sum_sets(ring, graph))
-    verdicts = _verdict_map(shifted, cls, graph)
-    assert {verdicts[t].status for t in ROW_VERDICTS} == {AGREE}
+    shifted.add = lambda a, b: ring.add(ring.add(a, h) if a == g else a, b)
+    shifted_graph = dataclasses.replace(graph, ring=shifted)
+    assert coloring.certify_rows(graph)
+    assert not coloring.certify_rows(shifted_graph)
+    assert list(coloring.sum_sets(shifted_graph)) == [
+        (x, row.bit_count(), mask_of(shifted.add(x, y) for y in bit_list(row)))
+        for x, row in enumerate(graph.adjacency)]
 
 
 @pytest.mark.parametrize("expr", ["Z12", "Z16 x Z12", "Z2 x Z2 x Z2 x Z2",
@@ -311,7 +315,7 @@ def test_the_report_does_not_read_the_layout(expr, monkeypatch):
     ring = wnc.build_ring(wnc.parse_ring_expr(expr))
     cls = wnc.weakly_nil_clean_set(ring)
     graph = wnc.build_wnc_graph(ring, cls)
-    before = _report_values(wnc.compute_report(ring, cls, graph))
+    before = _report_values(wnc.compute_report(cls, graph))
 
     def refuse(*args):
         raise AssertionError("the report read the digit layout")
@@ -320,7 +324,7 @@ def test_the_report_does_not_read_the_layout(expr, monkeypatch):
     monkeypatch.setattr(graph_module, "translate", refuse)
     monkeypatch.setattr(type(ring), "_wrap_masks", property(refuse))
     ring.radices = None
-    assert _report_values(wnc.compute_report(ring, cls, graph)) == before
+    assert _report_values(wnc.compute_report(cls, graph)) == before
 
 
 def _report_values(report):
@@ -340,14 +344,14 @@ def test_a_missing_lifted_edge_breaks_quotient_lifting(expr, both_rows):
     # adjacent there and every pair between them must be an edge of R;
     # one row missing its bit is enough
     ring, cls, graph = realize(expr)
-    assert _verdict_map(ring, cls, graph)["quotient-lifting"].status == AGREE
+    assert _verdict_map(cls, graph)["quotient-lifting"].status == AGREE
     if both_rows:
         tampered = _without_edge(graph, ring.zero, ring.one)
     else:
         rows = list(graph.adjacency)
         rows[ring.one] &= ~(1 << ring.zero)
         tampered = dataclasses.replace(graph, adjacency=rows)
-    verdicts = _verdict_map(ring, cls, tampered)
+    verdicts = _verdict_map(cls, tampered)
     assert verdicts["quotient-lifting"].status == DISAGREE
 
 
@@ -357,13 +361,13 @@ def test_the_report_builds_only_the_quotient_graph(monkeypatch):
     built = []
     real = graph_module._build
 
-    def spy(ring, clean, kind):
+    def spy(ring, clean):
         built.append(ring.spec)
-        return real(ring, clean, kind)
+        return real(ring, clean)
 
     monkeypatch.setattr(graph_module, "_build", spy)
-    for ring, cls, graph in realized:
-        wnc.compute_report(ring, cls, graph).theorem_verdicts
+    for _, cls, graph in realized:
+        wnc.compute_report(cls, graph).theorem_verdicts
     # the reduced rings are their own quotient; Z12 lifts from Z12/nil
     assert built == [NilQuotient(realize("Z12")[0].spec)]
 
@@ -385,19 +389,47 @@ def test_no_uncharted_disagreements_in_corpus(expr):
 
 def test_mismatched_inputs_are_rejected():
     ring, cls, graph = realize("Z10")
-    other_ring, other_cls, other_graph = realize("Z12")
+    _, other_cls, other_graph = realize("Z12")
     with pytest.raises(ValueError):
-        wnc.theorem_suite(ring, other_cls, graph)
+        wnc.compute_report(other_cls, graph)
     with pytest.raises(ValueError):
-        wnc.theorem_suite(ring, cls, other_graph)
+        wnc.compute_report(cls, other_graph)
     nc_graph = wnc.build_nc_graph(ring, cls)
     with pytest.raises(ValueError):
-        wnc.theorem_suite(ring, cls, nc_graph)  # wrong clean set
+        wnc.compute_report(cls, nc_graph)  # wrong clean set
+
+
+@pytest.mark.parametrize("reader", [
+    lambda cls, graph: wnc.compute_report(cls, graph),
+    lambda cls, graph: wnc.InvariantReport(cls, graph),
+    lambda cls, graph: list(coloring.sum_sets(graph)),
+    lambda cls, graph: coloring.certify_rows(graph),
+    lambda cls, graph: wnc.neighborhood_disjointness_check(graph)],
+    ids=["compute_report", "InvariantReport", "sum_sets", "certify_rows",
+         "neighborhood_disjointness_check"])
+def test_a_graph_without_a_ring_is_refused(reader):
+    # each of these reads the ring from the graph; a synthetic graph, or a
+    # ring graph with its ring dropped, has none to read
+    _, cls, graph = realize("Z10")
+    with pytest.raises(ValueError, match="not built from a ring"):
+        reader(cls, dataclasses.replace(graph, ring=None))
+
+
+@pytest.mark.parametrize("expr,v,bit", [
+    ("Z4 x Z9", 0, 36), ("Z4 x Z9", 35, 40), ("Z10", 3, 10), ("M2(Z2)", 0, 99)])
+def test_a_row_outside_the_carrier_is_refused(expr, v, bit):
+    # a bit at or past n names no vertex; the report refuses the row before
+    # any invariant reads it
+    _, cls, graph = realize(expr)
+    rows = list(graph.adjacency)
+    rows[v] |= 1 << bit
+    with pytest.raises(ValueError, match="outside the carrier"):
+        wnc.compute_report(cls, dataclasses.replace(graph, adjacency=rows))
 
 
 def test_report_bundles_everything():
     ring, cls, graph = realize("Z10")
-    report = wnc.compute_report(ring, cls, graph)
+    report = wnc.compute_report(cls, graph)
     assert report.component_sizes == [10]
     assert report.diameter == 2
     assert report.girth == 3
@@ -422,11 +454,11 @@ def test_the_census_runs_on_first_read(monkeypatch):
         return real(graph, k)
 
     monkeypatch.setattr(theorems, "enumerate_k_cliques", spy)
-    report = wnc.compute_report(ring, cls, graph)
+    report = wnc.compute_report(cls, graph)
     assert report.vizing_class == 1 and censuses == []
     assert len(report.four_cliques) == 5 and censuses == [4]
     # the four-cliques verdict reads the same census
     assert report.theorem_verdicts[THEOREM_IDS.index("four-cliques")].status == AGREE
     assert censuses == [4]
-    report = wnc.compute_report(ring, cls, graph)
+    report = wnc.compute_report(cls, graph)
     assert report.theorem_verdicts and censuses == [4, 4]
