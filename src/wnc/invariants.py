@@ -45,8 +45,9 @@ def plain(value):
     return value.value if isinstance(value, Sentinel) else value
 
 
-# Nodes of the clique search: one per greedily colored frame, about four
-# times the most any ring of the test corpus takes (3,794, M2(GF(4))).
+# Nodes of the clique search: one per greedily colored frame, over 20
+# times the most any ring of the test corpus takes (644, M2(GF(4)) and its
+# blow-ups M2(GF(4)) x Z3 to x Z12).
 CLIQUE_NODES = 15_000
 # Nodes of the 4-clique census: one per clique it may list.
 CENSUS_NODES = 100_000
@@ -245,33 +246,43 @@ def _complement_table(adj):
     return [0, *(full & ~(row | 1 << v) for v, row in enumerate(adj))]
 
 
-def _greedy_color_order(rest, cand, kmin=0):
+def _greedy_color_order(rest, cand, kmin=0, weight=None):
     """Greedy coloring of cand, the branch-and-bound upper bound:
-    (vertices, colors, color count), listing in assignment order only the
-    vertices colored above kmin, the ones a frame may branch on (MCS).
-    Each class takes the lowest vertex left, then drops it and its
-    neighbors with one AND with the complement table `rest`."""
+    (vertices, bounds, bound), listing in assignment order only the
+    vertices whose bound exceeds kmin, the ones a frame may branch on
+    (MCS). Each class takes the lowest vertex left, then drops it and its
+    neighbors with one AND with the complement table `rest`. A class
+    weighs its heaviest vertex, and a vertex's bound is the weight of the
+    classes up to its own: its color when each vertex weighs 1 (`weight`
+    None). Unweighted, a class whose color cannot exceed kmin is not even
+    listed; a weighted one is listed until its weight is known."""
     order = []
-    colors = []
+    bounds = []
     uncolored = cand
-    c = 0
+    bound = 0
     while uncolored:
-        c += 1
         avail = uncolored
-        if c > kmin:
-            while avail:
-                low = avail & -avail
-                b = low.bit_length()
-                avail &= rest[b]
-                uncolored ^= low
-                order.append(b - 1)
-                colors.append(c)
-        else:
+        if weight is None and bound < kmin:
             while avail:
                 low = avail & -avail
                 avail &= rest[low.bit_length()]
                 uncolored ^= low
-    return order, colors, c
+            bound += 1
+            continue
+        start = len(order)
+        while avail:
+            low = avail & -avail
+            b = low.bit_length()
+            avail &= rest[b]
+            uncolored ^= low
+            order.append(b - 1)
+        bound += 1 if weight is None else max(map(weight.__getitem__,
+                                                  order[start:]))
+        if bound > kmin:
+            bounds += [bound] * (len(order) - start)
+        else:
+            del order[start:]
+    return order, bounds, bound
 
 
 def _greedy_clique(adj, cand):
@@ -287,63 +298,103 @@ def _greedy_clique(adj, cand):
     return clique
 
 
-def _clique_search(adj, rest, cand, floor, budget, dive=False):
-    """(size, clique, cut): the largest clique in cand and its vertices if
-    it has more than floor vertices, else floor and None, and whether a
-    dive was cut (below). Branch and bound on an explicit stack: a frame
-    holds a greedily colored candidate set, tried from its last colored
-    vertex, and is dropped once its depth plus that vertex's color cannot
-    beat the best size; `path` holds the vertex tried at each depth. A
-    frame pushed at depth d lists only the vertices colored above best - d,
-    as it never tries the others. The search stops once the best size
-    reaches the root coloring's color count.
+def _clique_root(adj, rest, cand, floor, budget, weight=None):
+    """(best, clique, root): the weight and vertices of the clique grown
+    greedily in cand if it weighs more than floor, else floor and None,
+    and the root frame (cand, vertices, bounds) of a branch and bound in
+    cand, greedily colored at one node of the budget. root is None when no
+    clique in cand can weigh more: cand weighs no more than floor or the
+    greedy clique, or the coloring's bound does not exceed it. It is also
+    None when the budget refuses the node; budget.bound is then cand's
+    weight, and otherwise the coloring's bound."""
+    total = cand.bit_count() if weight is None else sum(
+        map(weight.__getitem__, iter_bits(cand)))
+    if total <= floor:
+        return floor, None, None
+    greedy = _greedy_clique(adj, cand)  # a real clique
+    size = len(greedy) if weight is None else sum(map(weight.__getitem__, greedy))
+    best, clique = (size, greedy) if size > floor else (floor, None)
+    if best == total:
+        return best, clique, None
+    budget.bound = total
+    if not budget.spend():
+        return best, clique, None
+    order, bounds, budget.bound = _greedy_color_order(rest, cand, 0, weight)
+    return best, clique, (cand, order, bounds) if best < budget.bound else None
+
+
+def _clique_branch(adj, rest, root, best, clique, budget, dive=False,
+                   weight=None):
+    """(best, clique, cut): the heaviest clique in the root frame's
+    candidates and its vertices if it outweighs best, else best and
+    clique, and whether a dive was cut (below). Branch and bound on an
+    explicit stack: a frame holds a greedily colored candidate set and the
+    weight of the path to it, is tried from its last colored vertex, and is
+    dropped once that weight plus that vertex's bound cannot beat the best
+    weight; `path` holds the vertex tried at each depth. A frame lists only
+    the vertices whose bound could beat the best weight when it is pushed,
+    as it never tries the others. The search stops once the best weight
+    reaches the root coloring's bound.
 
     Each colored frame spends one node of the budget. When one is refused
-    the search stops with the largest clique found; budget.bound is then the
-    root coloring's color count, or |cand| if the root was refused.
+    the search stops with the heaviest clique found; budget.bound is then
+    the root coloring's bound.
 
-    A `dive` search is allowed as many nodes as the root coloring has
-    colors. One dive never takes more: it pushes one frame per depth, and a
-    depth is the size of a clique. A search that needs more stops with the
-    best clique found so far and cut True, without exhausting the budget."""
-    if cand.bit_count() <= floor:
-        return floor, None, False
-    greedy = _greedy_clique(adj, cand)  # a real clique
-    best, clique = (len(greedy), greedy) if len(greedy) > floor else (floor, None)
-    if best == cand.bit_count():
+    A `dive` search is allowed as many nodes as the root coloring's bound.
+    One dive never takes more: it pushes one frame per depth, and a depth
+    is the size of a clique. A search that needs more stops with the best
+    clique found so far and cut True, without exhausting the budget."""
+    if root is None:
         return best, clique, False
-    budget.bound = cand.bit_count()
-    if not budget.spend():
-        return best, clique, False
-    order, colors, budget.bound = _greedy_color_order(rest, cand)
-    stack = [(cand, order, colors)]
-    goal = budget.bound  # no clique in cand is larger
+    cand, order, bounds = root
+    goal = bounds[-1]  # no clique in cand is heavier
     stop = budget.used - 1 + goal if dive else math.inf
+    stack = [(cand, order, bounds, 0)]
     path = []
     while stack and best < goal:
-        cand, order, colors = stack[-1]
-        size = len(stack) - 1
-        if not order or size + colors[-1] <= best:
+        cand, order, bounds, size = stack[-1]
+        if not order or size + bounds[-1] <= best:
             stack.pop()
             continue
-        colors.pop()
+        bounds.pop()
         v = order.pop()
         cand &= ~(1 << v)
-        stack[-1] = (cand, order, colors)
-        del path[size:]
+        stack[-1] = (cand, order, bounds, size)
+        del path[len(stack) - 1:]
         path.append(v)
+        size += 1 if weight is None else weight[v]
         sub = cand & adj[v]
         if not sub:
-            if size + 1 > best:
-                best, clique = size + 1, path[:]
+            if size > best:
+                best, clique = size, path[:]
         elif budget.used == stop:
             return best, clique, True
         elif budget.spend():
-            order, colors, _ = _greedy_color_order(rest, sub, best - size - 1)
-            stack.append((sub, order, colors))
+            order, bounds, _ = _greedy_color_order(rest, sub, best - size, weight)
+            stack.append((sub, order, bounds, size))
         else:
             break
     return best, clique, False
+
+
+def _clique_search(adj, rest, cand, floor, budget, dive=False, weight=None):
+    """`_clique_branch` from the root that `_clique_root` colors in cand."""
+    best, clique, root = _clique_root(adj, rest, cand, floor, budget, weight)
+    return _clique_branch(adj, rest, root, best, clique, budget, dive, weight)
+
+
+def _twin_classes(graph: WncGraph):
+    """The vertices with equal T_v, row v with bit v toggled when 2v is in
+    the clean set, in classes ordered by least member; None for a
+    synthetic graph, whose rows have no 2v to read."""
+    ring, clean, adj = graph.ring, graph.clean_set, graph.adjacency
+    if ring is None or clean is None:
+        return None
+    doubles = ring.doubles
+    classes = {}
+    for v, row in enumerate(adj):
+        classes.setdefault(row ^ (clean >> doubles[v] & 1) << v, []).append(v)
+    return list(classes.values())
 
 
 def _triangle_counts(graph: WncGraph) -> list[int]:
@@ -404,59 +455,99 @@ def max_clique(graph: WncGraph, budget: Budget | None = None):
     greedy-coloring bound (after San Segundo et al.'s BBMC) gives the clique
     number, and each frame lists only the vertices it may branch on (after
     Tomita et al.'s MCS). It changes no global state, not even the
-    recursion limit.
+    recursion limit. The greedy clique from vertex 0 comes first, and the
+    greedy coloring of all vertices proves it maximum on dense graphs.
 
-    A graph built from a ring is a sum graph, and translation by any h with
-    2h = 0 is an automorphism: (x + h) + (y + h) = x + y. In characteristic
-    2 every h qualifies, so the graph is vertex-transitive, some maximum
-    clique holds 0, and omega is 1 + omega(N(0)). Every other graph is
-    searched over all vertices, floored at the greedy clique from vertex 0
-    and dropped at once when the greedy coloring proves that clique
-    maximum.
+    When it does not, a graph built from a ring is searched on its twin
+    quotient H. Let T_v be row v with bit v toggled when 2v is in the clean
+    set S, and let the vertices with equal T_v be one class. If T_u = T_v,
+    rows u and v agree off {u, v}, so every vertex of one class sees every
+    vertex of another or none of it, and u ~ v iff 2u is in S (bit u of
+    T_v, which is bit u of T_u). So each class is a clique or an independent set, and
+    a clique of G takes at most all of a clique class and one vertex of an
+    independent class: omega is the heaviest clique of H, a clique class
+    weighing its size and an independent class 1. This reads the rows
+    alone. On a ring, row v is S - v minus v, so T_v = S - v and the
+    classes are the cosets of the period K = {k : S + k = S}, the class of
+    0, of m = |K| elements each. When every class is one vertex, H is G.
 
-    That search runs in id order and is allowed one dive: as many nodes as
-    its root coloring has colors. A search that needs more is served badly
-    by the id order (M2(Z5) runs past 15,000 nodes in it), so it stops
-    there, and one more search, floored at the best clique so far, takes
-    the vertices by triangle count, most first, ties by id. The counts are
-    paid only then; on a ring they are a few ANDs per distinct 2x.
+    Translation by h maps x + y to x + y + 2h, so it is an automorphism
+    when 2h is in K. When every 2h is (characteristic 2, for one), the
+    graph is vertex-transitive, some heaviest clique of H holds the class
+    of 0, and omega is its weight plus the heaviest clique in its
+    neighborhood. Otherwise H is searched whole. It is G on one member of
+    each class, weighted, with no rows of its own: a clique class is its
+    least member and an independent class its greatest, so that in id
+    order, which the search follows, the clique classes tend to come first
+    and fill the first color classes. That search is allowed one dive: as
+    many nodes as its root coloring's bound. A search that needs more is
+    served badly by the id order (M2(Z5) runs past 15,000 nodes in it),
+    so it stops there, and one more search, floored at the best clique so
+    far, takes H's vertices by triangle count, most first, ties by id.
+    Twins lie on equal counts, which are paid only then; on a ring they
+    are a few ANDs per distinct 2x. Synthetic graphs take this search on
+    G itself.
 
-    The witness is the largest clique the searches found, in ids, sorted.
-    Each search starts from the clique it grows greedily from its lowest
-    candidate, which is the witness when none larger turns up. It is
-    deterministic but not in general the lexicographically least maximum
-    clique.
+    The witness is the heaviest clique found, expanded to G (all of a
+    clique class, the least member of an independent one) and sorted. The
+    greedy clique from vertex 0 is the witness when none heavier turns up.
+    It is deterministic but not in general the lexicographically least
+    maximum clique.
 
     The searches share `budget`, by default CLIQUE_NODES nodes. When it
     runs out, the clique number is UNKNOWN, the tuple is the largest clique
-    found, and budget.bound bounds omega: the smaller of the root
-    colorings."""
+    found, and budget.bound bounds omega: the least bound of the root
+    colorings, with the class of 0 added to that of its neighborhood."""
     n = graph.vertex_count
-    adj = graph.adjacency
     if n == 0:
         return (), 0
     if budget is None:
         budget = Budget("clique", CLIQUE_NODES)
-    cand = (1 << n) - 1
+    adj = graph.adjacency
     rest = _complement_table(adj)
-    ring = graph.ring
-    if (ring is not None and graph.clean_set is not None
-            and ring.doubles[ring.one] == ring.zero):
-        size, found, _ = _clique_search(adj, rest, adj[0], 0, budget)
-        omega, found = 1 + size, [0, *(found or ())]
+    omega, found, root = _clique_root(adj, rest, (1 << n) - 1, 0, budget)
+    if root is None:
+        return tuple(found), UNKNOWN if budget.exhausted else omega
+    bound, weight, better = budget.bound, None, None
+    classes = _twin_classes(graph)
+    cand, first = (1 << n) - 1, 0
+    if classes is not None and len(classes) < n:
+        # H: the least member of a clique class, weighing the class, and
+        # the greatest of an independent one, weighing 1
+        members, weight = {}, [0] * n
+        for c in classes:
+            clique = adj[c[0]] >> c[-1] & 1
+            v = c[0] if clique else c[-1]
+            members[v], weight[v] = c, len(c) if clique else 1
+        cand = mask_of(members)
+        first = next(iter(members))  # the class of 0
+    if classes is not None and set(graph.ring.doubles) <= set(classes[0]):
+        # every 2h lies in K, the class of 0: every translation is an
+        # automorphism
+        w0 = 1 if weight is None else weight[first]
+        size, better, _ = _clique_search(adj, rest, adj[first] & cand,
+                                         omega - w0, budget, weight=weight)
+        omega, better = w0 + size, better and [first, *better]
         if budget.exhausted:
-            budget.bound += 1  # for vertex 0
+            budget.bound += w0
     else:
-        omega, found, cut = _clique_search(adj, rest, cand, 0, budget, dive=True)
+        if weight is not None:
+            omega, better, root = _clique_root(adj, rest, cand, omega, budget,
+                                               weight)
+        omega, better, cut = _clique_branch(adj, rest, root, omega, better,
+                                            budget, dive=True, weight=weight)
         if cut:
             triangles = _triangle_counts(graph)
-            order = sorted(range(n), key=lambda v: (-triangles[v], v))
-            adj = _relabel(adj, order)
-            bound = budget.bound
-            omega, better, _ = _clique_search(adj, _complement_table(adj), cand,
-                                              omega, budget)
-            found = [order[v] for v in better] if better else found
-            budget.bound = min(bound, budget.bound)
+            order = sorted(iter_bits(cand), key=lambda v: (-triangles[v], v))
+            sub = _relabel(adj, order)
+            omega, later, _ = _clique_search(
+                sub, _complement_table(sub), (1 << len(order)) - 1, omega,
+                budget, weight=weight and [weight[v] for v in order])
+            better = [order[v] for v in later] if later else better
+    if better:
+        found = better if weight is None else [
+            u for v in better for u in members[v][:weight[v]]]
+    budget.bound = min(bound, budget.bound)
     return tuple(sorted(found)), UNKNOWN if budget.exhausted else omega
 
 

@@ -14,7 +14,7 @@ import random
 import re
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import wnc
 from wnc import invariants, theorems
@@ -55,7 +55,8 @@ def m2_z5():
 
 def test_m2_z5_clique_number_is_decided(m2_z5):
     # the id-order search needs more than one dive, so a second search in
-    # triangle-count order proves omega, well inside the clique budget
+    # triangle-count order proves omega, well inside the clique budget. The
+    # period of WNC(M2(Z5)) is 0 alone, so the twin quotient is the graph
     _, _, graph = realize("M2(Z5)")
     assert m2_z5["clique_number"] == 67
     assert "clique_search" not in m2_z5
@@ -63,32 +64,45 @@ def test_m2_z5_clique_number_is_decided(m2_z5):
     clique, omega = wnc.max_clique(graph, budget)
     assert omega == len(clique) == 67 and list(clique) == sorted(clique)
     assert is_clique(graph, clique)
-    assert budget.used <= 1_000 and not budget.exhausted
+    assert budget.used == 559 and not budget.exhausted
     # no clique verdict applies to M2(Z5), and nothing disagrees
     assert all(v["status"] != "DISAGREE" for v in m2_z5["theorem_verdicts"])
 
 
-@pytest.fixture(scope="module")
-def m2_gf4_x_z3():
-    return _report("M2(GF(4)) x Z3")
-
-
-def test_m2_gf4_x_z3_clique_search_stops_with_bounds(m2_gf4_x_z3):
-    ring, _, graph = realize("M2(GF(4)) x Z3")
-    assert m2_gf4_x_z3["clique_number"] == "unknown"
-    found = m2_gf4_x_z3["clique_search"]
+def test_m2_z5_clique_search_stops_with_bounds(monkeypatch):
+    monkeypatch.setattr(theorems, "CLIQUE_NODES", 100)
+    ring, _, graph = realize("M2(Z5)")
+    doc = _report("M2(Z5)")
+    assert doc["clique_number"] == "unknown"
+    found = doc["clique_search"]
     assert set(found) == {"lower", "witness", "upper", "search", "nodes"}
     assert found["search"] == "clique"
-    assert found["nodes"] == wnc.CLIQUE_NODES
-    # the greedy clique has 48 vertices and the root coloring 96 colors;
-    # every vertex lies on as many triangles, so the search that follows
-    # the cut dive keeps the id order
-    assert 48 <= found["lower"] <= found["upper"] <= 96
+    assert found["nodes"] == 100
+    assert found["lower"] <= 67 <= found["upper"]
     ids = [ring.names().index(name) for name in found["witness"]]
     assert len(ids) == found["lower"] and ids == sorted(ids)
     assert is_clique(graph, ids)
-    assert all(v["status"] != "DISAGREE"
-               for v in m2_gf4_x_z3["theorem_verdicts"])
+    assert all(v["status"] != "DISAGREE" for v in doc["theorem_verdicts"])
+
+
+@pytest.mark.parametrize("expr,omega,nodes", [
+    ("Z1000", 400, 5), ("M2(GF(4))", 16, 700), ("M2(GF(4)) x Z3", 48, 700)])
+def test_twin_quotients_decide_omega_in_few_nodes(expr, omega, nodes):
+    # one node for the graph's own root coloring, then the search on the
+    # twin quotient: 5 classes for Z1000, and 128 for M2(GF(4)) and
+    # M2(GF(4)) x Z3, where a search of the graph itself takes 400, 3,794
+    # on the neighborhood of 0, and more than 15,000 nodes
+    _, _, graph = realize(expr)
+    budget = wnc.Budget("clique", wnc.CLIQUE_NODES)
+    clique, found = wnc.max_clique(graph, budget)
+    assert found == omega == len(clique) and is_clique(graph, clique)
+    assert budget.used <= nodes and not budget.exhausted
+
+
+def test_m2_gf4_x_z3_clique_number_is_decided():
+    doc = _report("M2(GF(4)) x Z3")
+    assert doc["clique_number"] == 48 and "clique_search" not in doc
+    assert all(v["status"] != "DISAGREE" for v in doc["theorem_verdicts"])
 
 
 def test_m2_z5_colors_one_frame_per_node(monkeypatch):
@@ -110,13 +124,14 @@ def test_m2_z5_colors_one_frame_per_node(monkeypatch):
 
 
 def test_complement_table_is_built_once_per_search(monkeypatch):
-    # M2(Z3)'s greedy clique has 9 vertices and omega is 31. The id-order
-    # search needs 57 nodes, more than one dive can take (the 32 colors of
-    # its root coloring), so it stops there and one more search runs in
-    # triangle-count order, on a table of its own
+    # M2(Z3)'s greedy clique has 9 vertices and omega is 31. Its period is
+    # 0 alone, so the quotient is the graph. The id-order search needs 57
+    # nodes, more than one dive can take (the 32 colors of its root
+    # coloring), so it stops there and one more search runs in
+    # triangle-count order, from a root on a table of its own
     _, _, graph = realize("M2(Z3)")
     tables, searches, bounds = [], [], []
-    build, search = invariants._complement_table, invariants._clique_search
+    build, search = invariants._complement_table, invariants._clique_root
 
     def built(adj):
         tables.append(build(adj))
@@ -129,7 +144,7 @@ def test_complement_table_is_built_once_per_search(monkeypatch):
         return result
 
     monkeypatch.setattr(invariants, "_complement_table", built)
-    monkeypatch.setattr(invariants, "_clique_search", searched)
+    monkeypatch.setattr(invariants, "_clique_root", searched)
     clique, omega = wnc.max_clique(graph)
     assert (len(clique), omega) == (31, 31)
     assert len(searches) == len(tables) == 2
@@ -291,8 +306,22 @@ def _small_graphs(draw):
     return wnc.make_graph([e for e, k in zip(pairs, keep) if k], n)
 
 
+def _blow_up_examples(test):
+    """The graph of Z3 x Z6, whose 9 twin classes are 2-cliques, and the
+    sum graph of {1, 4, 7, 10} over Z2 x Z6, whose 3 classes of 4 are
+    cliques: budgets that stop the weighted search on their quotients,
+    with the graph's greedy clique or the quotient's as the witness."""
+    ring = wnc.build_ring(wnc.parse_ring_expr("Z2 x Z6"))
+    sums = wnc.graph._build(ring, wnc.bitsets.mask_of((1, 4, 7, 10)))
+    for graph, nodes in ((realize("Z3 x Z6")[2], (1, 2, 5)), (sums, (2,))):
+        for count in nodes:
+            test = example(graph=graph, nodes=count)(test)
+    return test
+
+
 @settings(max_examples=300, deadline=None)
 @given(graph=_small_graphs(), nodes=st.integers(0, 6))
+@_blow_up_examples
 def test_tiny_budgets_bracket_the_clique_number(graph, nodes):
     omega = max_clique_size(graph)
     budget = wnc.Budget("clique", nodes)

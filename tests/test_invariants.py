@@ -257,21 +257,79 @@ def test_max_clique_returns_lexicographically_least():
 
 
 # Z2, GF(4), M2(Z2), GF(8), GF(16), Z2 x GF(4) and M2(GF(4)) have
-# characteristic 2 and search N(0) alone; the rest take the plain search
+# characteristic 2, so the graph is vertex-transitive and the search runs
+# on the neighborhood of the class of 0; the rest search the whole twin
+# quotient, which is the graph itself for M2(Z3)
 CLIQUE_SPLIT_EXPRS = ACCEPTANCE_CORPUS + (
     "GF(8)", "GF(16)", "Z2 x GF(4)", "Z2 x Z10", "Z2 x Z2 x Z5", "Z6 x Z10",
     "Z120", "M2(Z3)", "M2(GF(4))", "Z12/nil")
+# rings whose greedy clique is short of omega and whose period is large:
+# 5 classes of 200 vertices for Z1000, 81 of 16 for M2(Z6), 9 of 81 for
+# Z27 x Z27, and a product over a quotient
+QUOTIENT_EXPRS = ("Z1000", "M2(Z6)", "Z27 x Z27", "Z100", "(Z4 x Z9)/nil x Z3")
 
 
-@pytest.mark.parametrize("expr", CLIQUE_SPLIT_EXPRS)
+@pytest.mark.parametrize("expr", CLIQUE_SPLIT_EXPRS + QUOTIENT_EXPRS)
 def test_coset_split_matches_the_plain_search(expr):
     # the plain search on M2(GF(4)) takes 74,505 nodes, beyond the default
-    # clique budget, so the reference runs unbudgeted
+    # clique budget, so the reference runs unbudgeted. The witnesses are
+    # maximum cliques of each search's own order, and need not be the same
     ring, cls, graph = realize(expr)
     for kind, g in _both_graphs(ring, cls, graph):
         synthetic = dataclasses.replace(g, ring=None)
-        plain = wnc.max_clique(synthetic, wnc.Budget("clique", 10**9))
-        assert wnc.max_clique(g) == plain, kind
+        _, omega = wnc.max_clique(synthetic, wnc.Budget("clique", 10**9))
+        clique, found = wnc.max_clique(g)
+        assert found == omega == len(clique), kind
+        assert list(clique) == sorted(clique) and is_clique(g, clique), kind
+
+
+def _period(ring, clean):
+    """K = {k : S + k = S}, from the ring's addition."""
+    members = set(wnc.bitsets.iter_bits(clean))
+    return [k for k in range(ring.size)
+            if all(ring.add(s, k) in members for s in members)]
+
+
+@pytest.mark.parametrize("expr", ACCEPTANCE_CORPUS + QUOTIENT_EXPRS[:4])
+def test_twin_classes_are_cliques_or_independent_sets(expr):
+    # each class of equal T_v is a coset of the period K, the class of 0,
+    # and a clique or an independent set whose rows agree off the class
+    ring, cls, graph = realize(expr)
+    for kind, g in _both_graphs(ring, cls, graph):
+        adj, n = g.adjacency, g.vertex_count
+        classes = invariants._twin_classes(g)
+        assert sorted(v for c in classes for v in c) == list(range(n)), kind
+        period = _period(ring, g.clean_set)
+        assert classes[0] == period, kind
+        for c in classes:
+            mask = wnc.bitsets.mask_of(c)
+            assert mask == wnc.bitsets.mask_of(ring.add(c[0], k) for k in period)
+            edges = sum(adj[u] >> v & 1 for u, v in itertools.combinations(c, 2))
+            assert edges in (0, len(c) * (len(c) - 1) // 2), (kind, c)
+            assert all((adj[u] ^ adj[c[0]]) & ~mask == 0 for u in c), (kind, c)
+
+
+BLOW_UPS = ("M2(GF(4)) x Z3", "M2(GF(4)) x Z6", "M2(GF(4)) x Z9",
+            "M2(GF(4)) x Z12")
+
+
+@pytest.mark.parametrize("expr,omega", zip(BLOW_UPS, (48, 96, 144, 192)))
+def test_blow_ups_are_m_times_the_clique_number_of_the_quotient(expr, omega):
+    # every class is a clique of m vertices, so omega is m omega(H), with
+    # omega(H) from the plain search on H's rows
+    ring, _, graph = realize(expr)
+    adj = graph.adjacency
+    classes = invariants._twin_classes(graph)
+    m = len(classes[0])
+    assert len(classes) == 128 and {len(c) for c in classes} == {m}
+    assert all(adj[c[0]] >> c[1] & 1 for c in classes)
+    reps = [c[0] for c in classes]
+    quotient = wnc.make_graph([(i, j) for i, j in itertools.combinations(
+        range(len(reps)), 2) if adj[reps[i]] >> reps[j] & 1], len(reps))
+    _, omega_h = wnc.max_clique(quotient, wnc.Budget("clique", 10**9))
+    clique, found = wnc.max_clique(graph)
+    assert found == m * omega_h == omega == len(clique)
+    assert is_clique(graph, clique)
 
 
 @pytest.mark.parametrize("expr", CLIQUE_SPLIT_EXPRS)
@@ -285,15 +343,21 @@ def test_kernel_colors_the_frames_of_the_full_coloring(expr, monkeypatch):
         for full in (False, True):
             frames = []
 
-            def color(rest, cand, kmin=0, frames=frames, full=full):
+            def color(rest, cand, kmin=0, weight=None, frames=frames, full=full):
                 frames.append(cand)
                 if not full:
-                    return kernel(rest, cand, kmin)
+                    return kernel(rest, cand, kmin, weight)
                 # the graph the kernel colors, which a second search has
                 # relabeled, read off its complement table
                 n = len(rest) - 1
                 adj = [((1 << n) - 1) & ~(rest[v + 1] | 1 << v) for v in range(n)]
                 order, colors = greedy_coloring(adj, cand)
+                if weight is not None:  # a class bounds with its heaviest
+                    top = {}
+                    for v, c in zip(order, colors):
+                        top[c] = max(top.get(c, 0), weight[v])
+                    bounds = list(itertools.accumulate(top[c] for c in sorted(top)))
+                    colors = [bounds[c - 1] for c in colors]
                 return order, colors, colors[-1]
 
             monkeypatch.setattr(invariants, "_greedy_color_order", color)
