@@ -4,14 +4,16 @@
 An element x is nil clean when x = n + e and weakly nil clean when
 x = n + e or x = n - e, for some nilpotent n and idempotent e. The
 classification keeps the four sets, not the decompositions: no caller
-reads which n and e give an element.
+reads which n and e give an element. Each -e is computed once, and every
+sum is the ring's own `add`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 
-from .bitsets import iter_bits, mask_of
+from .bitsets import bit_list, iter_bits, mask_of
 from .rings import FiniteRing
 
 
@@ -59,14 +61,16 @@ def nilpotents(ring: FiniteRing) -> int:
 
 def weakly_nil_clean_set(ring: FiniteRing) -> Classification:
     """Classify every element by enumerating Nil(R) x Idem(R): n + e is
-    nil clean, and n + e and n - e are weakly nil clean."""
+    nil clean, and n + e and n - e are weakly nil clean. Each idempotent
+    is negated once, and each nilpotent's sums are one map of `ring.add`
+    over the idempotents and one over their negations."""
     idem = idempotents(ring)
     nil = nilpotents(ring)
-    nc = minus = 0
+    idems = bit_list(idem)
+    negated = list(map(ring.neg, idems))
+    plus, minus = set(), set()
     for n in iter_bits(nil):
-        for e in iter_bits(idem):
-            nc |= 1 << ring.add(n, e)
-            minus |= 1 << ring.add(n, ring.neg(e))
-    return Classification(size=ring.size, idem=idem, nil=nil, nc=nc,
-                          wnc=nc | minus)
-
+        plus.update(map(ring.add, repeat(n), idems))
+        minus.update(map(ring.add, repeat(n), negated))
+    return Classification(size=ring.size, idem=idem, nil=nil,
+                          nc=mask_of(plus), wnc=mask_of(plus | minus))

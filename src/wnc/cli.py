@@ -129,18 +129,20 @@ def cmd_report(args) -> int:
     return 0
 
 
-def _edge_text(graph, head, tail, sep: str) -> str:
-    """head[u] + tail[v] for each edge {u, v} with u < v, in lexicographic
-    order, joined by `sep`; each row is listed and joined at C speed."""
-    rows = (sep.join(map(head[u].__add__, map(tail.__getitem__, upper)))
-            for u, upper in upper_neighbors(graph))
-    return sep.join(filter(None, rows))
+def _edge_text(graph, opens, labels, close: str, sep: str) -> str:
+    """opens[u] + labels[v] + close for each edge {u, v} with u < v, in
+    lexicographic order, joined by `sep`. A row is one join of u's upper
+    labels by close + sep + opens[u]: no edge gets a string of its own."""
+    adj = graph.adjacency
+    rows = [u for u in range(graph.vertex_count) if adj[u] >> (u + 1)]
+    return sep.join(opens[u] + (close + sep + opens[u]).join(upper) + close
+                    for u, upper in upper_neighbors(graph, rows, labels))
 
 
 def _export_dot(ring, graph) -> str:
     names = ring.names()
     edge_lines = _edge_text(graph, [f'  "{name}" -- "' for name in names],
-                            [f'{name}";' for name in names], "\n")
+                            names, '";', "\n")
     lines = ["graph G {", *(f'  "{name}";' for name in names), edge_lines, "}"]
     return "\n".join(filter(None, lines)) + "\n"
 
@@ -149,13 +151,13 @@ def _export_json(ring, graph) -> str:
     ids = range(graph.vertex_count)
     vertices = json.dumps(list(ring.names()), separators=(",", ":"),
                           ensure_ascii=False)
-    pairs = _edge_text(graph, [f"[{u}," for u in ids], [f"{v}]" for v in ids], ",")
+    pairs = _edge_text(graph, [f"[{u}," for u in ids], list(map(str, ids)), "]", ",")
     return f'{{"vertices":{vertices},"edges":[{pairs}]}}\n'
 
 
 def _export_csv(ring, graph) -> str:
     names = ring.names()
-    edge_lines = _edge_text(graph, [f"{name}," for name in names], names, "\n")
+    edge_lines = _edge_text(graph, [f"{name}," for name in names], names, "", "\n")
     return "\n".join(filter(None, ["source,target", edge_lines])) + "\n"
 
 

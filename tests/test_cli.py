@@ -7,8 +7,10 @@ import pathlib
 import subprocess
 import sys
 import types
+from itertools import combinations, compress
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import wnc
 from wnc import cli
@@ -158,6 +160,25 @@ def test_export_writers_match_one_loop_per_edge(ring, graph):
     assert cli._export_dot(ring, graph) == expected["dot"]
     assert cli._export_json(ring, graph) == expected["json"]
     assert cli._export_csv(ring, graph) == expected["csv"]
+
+
+@st.composite
+def synthetic_graphs(draw):
+    n = draw(st.integers(1, 12))
+    pairs = list(combinations(range(n), 2))
+    kept = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return wnc.make_graph(compress(pairs, kept), n)
+
+
+@settings(max_examples=200, deadline=None)
+@given(graph=synthetic_graphs())
+# K1; empty upper rows at the start (0), in the middle (2) and at the end
+# (4, 5); a vertex joined to every vertex above it (1)
+@example(graph=wnc.make_graph([], 1))
+@example(graph=wnc.make_graph([(1, 2), (1, 5), (3, 5)], 6))
+@example(graph=wnc.make_graph([(0, 3), (1, 2), (1, 3), (1, 4)], 5))
+def test_export_writers_match_one_loop_per_edge_on_random_graphs(graph):
+    test_export_writers_match_one_loop_per_edge(_named(graph), graph)
 
 
 def test_export_matrix_names_stay_csv_safe(capsys):

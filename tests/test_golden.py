@@ -39,11 +39,12 @@ REPORT_EXPRS = ACCEPTANCE_CORPUS + (
 # Z_2p with p >= 5 prime: the rings whose reports run the 4-clique census
 FOUR_CLIQUE_EXPRS = ("Z10", "Z14", "Z22", "Z26", "Z34")
 # export reads the graph's rows alone, so these pin the graph build
-# directly: a product of cyclic groups, a field's base-p digits, matrix
-# cells and a quotient, which has no digit layout
-EXPORT_EXPRS = ("Z16 x Z36", "GF(16)", "M2(Z2)", "Z12/nil")
+# directly: products of cyclic groups (Z4 x Z144 is K576, the largest
+# export), a field's base-p digits, matrix cells and a quotient, which has
+# no digit layout
+EXPORT_EXPRS = ("Z16 x Z36", "Z4 x Z144", "GF(16)", "M2(Z2)", "Z12/nil")
 # the DOT and CSV writers list the same edges under element names
-NAMED_EXPORT_EXPRS = ("Z16 x Z36", "Z12/nil")
+NAMED_EXPORT_EXPRS = ("Z16 x Z36", "Z4 x Z144", "Z12/nil")
 # budgeted searches: the clique search on M2(Z5), which needs a second
 # vertex order to finish, the census of K512, refused on its count bound,
 # and the clique and chromatic-index searches on M2(GF(4)) x Z3, which run
