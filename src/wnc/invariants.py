@@ -19,7 +19,7 @@ from operator import itemgetter, or_
 
 from .bitsets import iter_bits, mask_of
 from .graph import WncGraph, neighborhood, ring_of
-from .rings import Zn, is_prime
+from .rings import RingSpec, Zn, is_prime
 
 
 class Sentinel(Enum):
@@ -558,6 +558,8 @@ def clique_count_bound(graph: WncGraph, k: int) -> int:
     there are at most the sum over v of C(deg v, k - 1) / k. On a complete
     component K_m that sum is m C(m - 1, k - 1) / k = C(m, k), exact.
     """
+    if k < 1:
+        raise ValueError("k must be >= 1")
     return sum(math.comb(row.bit_count(), k - 1) for row in graph.adjacency) // k
 
 
@@ -591,6 +593,12 @@ def enumerate_k_cliques(graph: WncGraph, k: int) -> list[tuple[int, ...]]:
 # Neighborhood disjointness in Z_2p
 
 
+def z2p_prime(spec: RingSpec) -> int | None:
+    """p when the ring spec is Z_2p with p >= 5 prime, else None."""
+    p = spec.n // 2 if isinstance(spec, Zn) and spec.n % 2 == 0 else 0
+    return p if p >= 5 and is_prime(p) else None
+
+
 def neighborhood_disjointness_check(graph: WncGraph):
     """Check the three disjoint-neighborhood clauses for the graph of its
     ring Z_2p, p >= 5 prime.
@@ -599,12 +607,10 @@ def neighborhood_disjointness_check(graph: WncGraph):
     a + b = -1; each clause skips its stated exclusion set. Returns one
     verdict tuple (clause, a, b, disjoint) per tested pair.
     """
-    spec = ring_of(graph).spec
-    if not (isinstance(spec, Zn) and spec.n % 2 == 0
-            and is_prime(spec.n // 2) and spec.n // 2 >= 5):
+    p = z2p_prime(ring_of(graph).spec)
+    if p is None:
         raise ValueError("neighborhood lemma check needs Z_2p with p >= 5 prime")
-    n = spec.n
-    p = n // 2
+    n = 2 * p
     verdicts = []
 
     def disjoint(a, b):

@@ -6,6 +6,11 @@ Grammar (case-insensitive keywords, whitespace ignored):
     term := atom ('/nil')*
     atom := 'Z' INT | 'GF(' INT ')' | 'M' INT '(' expr ')' | '(' expr ')'
 
+One pattern, `_TOKEN`, scans the text: after any whitespace, an INT (decimal
+digits of any script, at most MAX_DIGITS of them), 'GF', 'Z', 'M', 'x' or
+'×', '(', ')' or '/nil', letters in either case. Anything else is refused
+at its position.
+
 GF takes the field order as a composite integer ("GF(25)" means p=5, k=2);
 orders above `rings.SIZE_CAP` are refused before they are factored, and
 orders that are not prime powers while parsing. Other size-cap and
@@ -18,6 +23,8 @@ is refused; 13 product factors already exceed the size cap.
 
 from __future__ import annotations
 
+import re
+
 from .errors import InvalidSpecError, RingExprError
 from .rings import GF, SIZE_CAP, MatrixRing, NilQuotient, Product, \
     RingSpec, Zn, factor_prime_power, format_spec
@@ -25,56 +32,38 @@ from .rings import GF, SIZE_CAP, MatrixRing, NilQuotient, Product, \
 __all__ = ["parse_ring_expr", "format_spec"]
 
 MAX_DEPTH = 100
+# int() and the messages printing a literal or Mk's k^2 cells stay under
+# the int-to-str limit (640 digits at least); GF(10^27+7) has 28 digits
+MAX_DIGITS = 100
+
+# \s and \d are str.isspace and str.isdecimal (int() refuses superscripts)
+_TOKEN = re.compile(
+    r"\s*(?:(?P<INT>\d+)|(?P<GF>[Gg][Ff])|(?P<Z>[Zz])|(?P<M>[Mm])|(?P<X>[Xx×])"
+    r"|(?P<LPAREN>\()|(?P<RPAREN>\))|(?P<NIL>/[Nn][Ii][Ll]))?")
 
 
 def _tokenize(text: str):
     tokens = []
     i = 0
-    n = len(text)
-    while i < n:
+    while True:
+        match = _TOKEN.match(text, i)
+        kind, i = match.lastgroup, match.end()
+        if kind is None:
+            break
+        start = match.start(kind)
+        if kind == "INT" and i - start > MAX_DIGITS:
+            raise RingExprError(f"integer longer than {MAX_DIGITS} digits", start)
+        tokens.append((kind, int(match[kind]) if kind == "INT" else None, start))
+    if i < len(text):
         ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch.isdecimal():  # isdigit also takes superscripts, which int() refuses
-            j = i
-            while j < n and text[j].isdecimal():
-                j += 1
-            tokens.append(("INT", int(text[i:j]), i))
-            i = j
-            continue
-        low2 = text[i:i + 2].lower()
-        if low2 == "gf":
-            tokens.append(("GF", None, i))
-            i += 2
-            continue
-        cl = ch.lower()
-        if cl == "z":
-            tokens.append(("Z", None, i))
-        elif cl == "m":
-            tokens.append(("M", None, i))
-        elif cl == "x" or ch == "×":
-            tokens.append(("X", None, i))
-        elif ch == "(":
-            tokens.append(("LPAREN", None, i))
-        elif ch == ")":
-            tokens.append(("RPAREN", None, i))
-        elif ch == "/":
-            if text[i + 1:i + 4].lower() != "nil":
-                raise RingExprError("expected '/nil'", i)
-            tokens.append(("NIL", None, i))
-            i += 4
-            continue
-        else:
-            raise RingExprError(f"unexpected character {ch!r}", i)
-        i += 1
-    tokens.append(("EOF", None, n))
+        raise RingExprError(
+            "expected '/nil'" if ch == "/" else f"unexpected character {ch!r}", i)
+    tokens.append(("EOF", None, i))
     return tokens
 
 
 class _Parser:
     def __init__(self, text: str):
-        self.text = text
         self.tokens = _tokenize(text)
         self.idx = 0
         self.levels = 0

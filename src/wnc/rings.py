@@ -124,13 +124,14 @@ class FiniteRing:
 
     def __init__(self, one: int, add: Callable[[int, int], int],
                  mul: Callable[[int, int], int], neg: Callable[[int], int],
-                 names, is_commutative: bool, spec: RingSpec, radices=None):
+                 names, is_commutative: bool, spec: RingSpec, radices=None,
+                 factor_sizes=None):
         self._names = tuple(names)
         self.size = len(self._names)
         self.one = one
         self.is_commutative = is_commutative
         self.spec = spec
-        self.factor_sizes = None
+        self.factor_sizes = factor_sizes
         self.radices = radices
         self.add = add
         self.mul = mul
@@ -436,13 +437,12 @@ def make_product(left: FiniteRing, right: FiniteRing) -> FiniteRing:
     radices = None
     if left.radices is not None and right.radices is not None:
         radices = right.radices + left.radices
-    ring = FiniteRing(
+    return FiniteRing(
         one=left.one * rs + right.one, add=add, mul=mul, neg=neg, names=names,
         is_commutative=left.is_commutative and right.is_commutative,
         spec=Product(left.spec, right.spec), radices=radices,
+        factor_sizes=(left.size, rs),
     )
-    ring.factor_sizes = (left.size, rs)
-    return ring
 
 
 # ---------------------------------------------------------------------------
@@ -461,16 +461,11 @@ def make_matrix_ring(k: int, base: FiniteRing) -> FiniteRing:
         raise InvalidSpecError("matrix rings are built over commutative bases only")
     bs = base.size
     cells = k * k
-    # grow the size one cell at a time, so a huge k stops as soon as the
-    # product passes the cap instead of computing bs ** cells
-    size = 1
-    for _ in range(cells):
-        size *= bs
-        if size > SIZE_CAP:
-            # the exact size is named while it is short to print
-            count = bs ** cells if cells <= 64 else f"{bs}^{cells}"
-            raise InvalidSpecError(
-                f"M_{k} over a size-{bs} ring has {count} elements, over cap {SIZE_CAP}")
+    # the rule of make_gf: bs >= 2, so 65 cells never fit under the cap
+    size = bs ** cells if cells <= 64 else None
+    if size is None or size > SIZE_CAP:
+        raise InvalidSpecError(f"M_{k} over a size-{bs} ring has "
+                               f"{size or f'{bs}^{cells}'} elements, over cap {SIZE_CAP}")
 
     # each element's row-major entries: entries[e][i*k + j] is row i,
     # column j of matrix e

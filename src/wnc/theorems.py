@@ -72,7 +72,7 @@ from .graph import WncGraph, build_wnc_graph, is_complete, max_degree, ring_of
 from .invariants import (CENSUS_NODES, CHROMATIC_NODES, CLIQUE_NODES, INFINITE,
                          UNKNOWN, Budget, clique_count_bound, components, diameter,
                          enumerate_k_cliques, girth, is_bipartite, is_star,
-                         max_clique, neighborhood_disjointness_check)
+                         max_clique, neighborhood_disjointness_check, z2p_prime)
 from .rings import GF, MatrixRing, Zn, is_prime, nilradical_quotient
 
 AGREE = "AGREE"
@@ -119,13 +119,6 @@ def _is_2k3l(n: int) -> bool:
     while n % 3 == 0:
         n //= 3
     return n == 1
-
-
-def _z2p_prime(n: int | None) -> int | None:
-    """p when n = 2p with p >= 5 prime."""
-    if n is not None and n % 2 == 0 and n // 2 >= 5 and is_prime(n // 2):
-        return n // 2
-    return None
 
 
 def _agrees(value, want):
@@ -319,7 +312,7 @@ def _verdicts(a: InvariantReport) -> list[TheoremVerdict]:
              _agrees(a.clique_number, 3), known=char2)
     else:
         skip("clique-field", "not a field spec")
-    p2 = _z2p_prime(zn)
+    p2 = z2p_prime(spec)
     if p2 is not None:
         emit("clique-z2p", "4", str(a.clique_number), _agrees(a.clique_number, 4))
         expected = _expected_four_cliques(p2)

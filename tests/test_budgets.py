@@ -252,8 +252,9 @@ def test_every_expression_over_the_cap_is_refused_in_one_line(case):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
-# digits that str.isdigit accepts and int() refuses, and expressions that
-# nest deeper than the parser, build_ring or format_spec can recurse
+# digits that str.isdigit accepts and int() refuses, expressions that nest
+# deeper than the parser, build_ring or format_spec can recurse, and
+# integers too long for int() or for printing Mk's k^2 cells
 @pytest.mark.parametrize("text,message", [
     ("Z\u00b2", "unexpected character '\u00b2' (at position 1)"),
     ("GF(\u00b2)", "unexpected character '\u00b2' (at position 3)"),
@@ -268,8 +269,11 @@ def test_every_expression_over_the_cap_is_refused_in_one_line(case):
     ("M1(" * 400 + "Z2" + ")" * 400,
      "expression nests more than 100 levels (at position 300)"),
     (" x ".join(["Z2"] * 13), "product of sizes 4096 x 2 exceeds the size cap 4096"),
+    ("Z" + "9" * 5000, "integer longer than 100 digits (at position 1)"),
+    ("M" + "9" * 2200 + "(Z2)", "integer longer than 100 digits (at position 1)"),
 ], ids=["Z-superscript", "GF-superscript", "M-superscript", "Z1-superscript",
-        "330-parens", "1000-nil", "1500-factors", "400-M1", "13-factors"])
+        "330-parens", "1000-nil", "1500-factors", "400-M1", "13-factors",
+        "5000-digit-Z", "2200-digit-M"])
 def test_non_decimal_digits_and_deep_nesting_are_refused_in_one_line(text, message):
     assert _run("report", text, "--json") == (1, "", f"error: {message}\n")
 

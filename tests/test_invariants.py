@@ -539,6 +539,14 @@ def test_enumerate_k_cliques_edge_cases():
     assert wnc.enumerate_k_cliques(graph, 2) == list(wnc.edges(graph))
 
 
+@pytest.mark.parametrize("k", [0, -1])
+def test_clique_count_bound_refuses_k_below_1(k):
+    _, _, graph = realize("Z10")
+    for count in (wnc.enumerate_k_cliques, wnc.clique_count_bound):
+        with pytest.raises(ValueError, match=r"^k must be >= 1$"):
+            count(graph, k)
+
+
 @pytest.mark.parametrize("expr,count", [("Z14", 5), ("Z22", 5), ("Z26", 5)])
 def test_four_clique_census_other_z2p(expr, count):
     _, _, graph = realize(expr)

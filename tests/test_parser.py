@@ -1,10 +1,16 @@
 """Ring expression surface syntax: grammar, factoring, round trips."""
 
+import re
+import sys
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import wnc
 from wnc import GF, MatrixRing, NilQuotient, Product, Zn
-from wnc.errors import RingExprError
+from wnc.errors import InvalidSpecError, RingExprError
+from wnc.ringexpr import MAX_DIGITS
+from wnc.rings import factor_prime_power
 
 
 def test_grammar_examples():
@@ -67,6 +73,62 @@ ROUND_TRIP_SPECS = [
 @pytest.mark.parametrize("spec", ROUND_TRIP_SPECS, ids=map(wnc.format_spec, ROUND_TRIP_SPECS))
 def test_round_trip(spec):
     assert wnc.parse_ring_expr(wnc.format_spec(spec)) == spec
+
+
+# every character str.isspace takes; U+3000, the ideographic space, is the last
+SPACES = [c for c in map(chr, range(0x3001)) if c.isspace()]
+GF_SPECS = [GF(*pk) for pk in map(factor_prime_power, range(2, wnc.SIZE_CAP + 1)) if pk]
+
+
+def _specs(levels):
+    leaf = st.one_of(st.builds(Zn, st.integers(0, 10**30)), st.sampled_from(GF_SPECS))
+    if levels == 1:
+        return leaf
+    inner = _specs(levels - 1)
+    return st.one_of(leaf, st.builds(Product, inner, inner),
+                     st.builds(MatrixRing, st.integers(0, 10**6), inner),
+                     st.builds(NilQuotient, inner))
+
+
+@settings(max_examples=300, deadline=None)
+@given(spec=_specs(4), data=st.data())
+def test_round_trip_in_any_case_and_whitespace(spec, data):
+    # each letter in either case, 'x', 'X' or '×', and any run of any of
+    # the whitespace characters between tokens
+    spaces = st.text(st.sampled_from(SPACES), max_size=3)
+    text = data.draw(spaces)
+    for token in re.findall(r"\d+|GF|/nil|[ZMx()]", wnc.format_spec(spec)):
+        if token == "x":
+            token = data.draw(st.sampled_from("xX×"))
+        else:
+            token = "".join(data.draw(st.sampled_from(c.lower() + c.upper()))
+                            for c in token)
+        text += token + data.draw(spaces)
+    assert wnc.parse_ring_expr(text) == spec
+
+
+def test_integer_literals_are_bounded_in_digits():
+    longest = "9" * MAX_DIGITS
+    assert wnc.parse_ring_expr(f"M{longest}(Z{longest})") == \
+        MatrixRing(int(longest), Zn(int(longest)))
+    with pytest.raises(RingExprError, match=r"^integer longer than 100 digits "
+                                            r"\(at position 5\)$"):
+        wnc.parse_ring_expr("Z2 x 1" + longest)
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="no int-to-str limit before Python 3.10.7")
+def test_longest_literals_print_under_the_lowest_int_str_limit():
+    longest = "9" * MAX_DIGITS
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        with pytest.raises(InvalidSpecError, match=f"^M_{longest} over a size-2 ring"):
+            wnc.build_ring(wnc.parse_ring_expr(f"M{longest}(Z2)"))
+        with pytest.raises(InvalidSpecError, match=f"^Z_{longest} exceeds"):
+            wnc.build_ring(wnc.parse_ring_expr(f"Z{longest}"))
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_syntax_errors_carry_positions():

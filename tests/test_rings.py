@@ -146,6 +146,8 @@ def test_product_basics():
     b = 2 * 3 + 2
     assert prod.name(prod.add(a, b)) == "(0;1)"
     assert prod.name(prod.mul(a, b)) == "(2;1)"
+    assert prod.factor_sizes == (3, 3) and z3.factor_sizes is None
+    assert wnc.make_product(z3, wnc.make_zn(4)).factor_sizes == (3, 4)
 
 
 def test_product_z2_z2_all_idempotent():
