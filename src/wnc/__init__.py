@@ -16,10 +16,10 @@ from .errors import (InvalidSpecError, RingExprError,
                      UnsupportedOperationError, WncError)
 from .graph import (WncGraph, build_nc_graph, build_wnc_graph, edge_count,
                     edges, make_graph, max_degree, neighborhood)
-from .invariants import (CENSUS_NODES, CHROMATIC_NODES, CLIQUE_NODES,
-                         INFINITE, Budget, clique_count_bound, components,
-                         diameter, enumerate_k_cliques, girth, is_bipartite,
-                         is_star, max_clique, neighborhood_disjointness_check)
+from .invariants import (CENSUS_NODES, CLIQUE_NODES, INFINITE, Budget,
+                         clique_count_bound, components, diameter,
+                         enumerate_k_cliques, girth, is_bipartite, is_star,
+                         max_clique, neighborhood_disjointness_check)
 from .ringexpr import parse_ring_expr
 from .rings import (GF, SIZE_CAP, FiniteRing, MatrixRing, NilQuotient,
                     Product, RingSpec, Zn, build_ring,

@@ -85,9 +85,6 @@ def cmd_report(args) -> int:
         doc["clique_search"] = _search(
             stopped["clique"], lower=len(report.clique),
             witness=[ring.name(v) for v in report.clique])
-    if "chromatic-index" in stopped:
-        doc["chromatic_index_search"] = _search(
-            stopped["chromatic-index"], lower=report.max_degree)
     if four_cliques is UNKNOWN:
         doc["four_cliques"] = _search(stopped["four-cliques"], "count_at_most")
     elif four_cliques is not None:
@@ -115,7 +112,7 @@ def cmd_report(args) -> int:
               f"four_cliques ({len(four_cliques)}): "
               + "  ".join("{" + ",".join(ring.name(v) for v in c) + "}"
                           for c in four_cliques))
-    for key in ("clique_search", "four_cliques", "chromatic_index_search"):
+    for key in ("clique_search", "four_cliques"):
         if isinstance(doc.get(key), dict):  # a search that ran out of budget
             block = dict(doc[key])
             print(f"{block.pop('search')} search stopped after {block.pop('nodes')}"

@@ -12,14 +12,17 @@ When the ring has an additive layout and S is large enough to pay for it,
 `rings.translate` builds each row from S as a whole, with a few shifts
 per digit instead of one addition per element of S. Otherwise, as for
 the three-element clean sets of fields or a quotient without a layout,
-each row is |S| additions; `rows_translated` decides, and the sum pass
-certifies translated rows from the ring's own addition.
+each row is |S| additions; `rows_translated` decides, and `certify_rows`
+proves translated rows from the ring's own addition, once per graph
+(`WncGraph.certified`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import compress
+from functools import cached_property
+from itertools import accumulate, compress
+from operator import itemgetter, mul
 from typing import Optional
 
 from .bitsets import iter_bits
@@ -44,6 +47,12 @@ class WncGraph:
     @property
     def vertex_count(self) -> int:
         return len(self.adjacency)
+
+    @cached_property
+    def certified(self) -> bool:
+        """`certify_rows` of this graph, computed on first read: the sum
+        pass, the chromatic index and the clique search all read it."""
+        return certify_rows(self)
 
 
 def ring_of(graph: WncGraph) -> FiniteRing:
@@ -79,6 +88,47 @@ def _build(ring: FiniteRing, clean: int) -> WncGraph:
                     row |= 1 << u
             rows[v] = row
     return WncGraph(adjacency=rows, clean_set=clean, ring=ring)
+
+
+def certify_rows(graph: WncGraph) -> bool:
+    """Whether checks (a) to (c) of the `theorems` module docstring prove
+    each row v (S - v) minus v, S the clean set, for rows translated from
+    the graph's ring (`graph.rows_translated`): at most n * (digits + 2)
+    additions."""
+    ring, rows, clean = ring_of(graph), graph.adjacency, graph.clean_set
+    if ring.radices is None or not rows_translated(ring, clean):
+        return False
+    n, add, doubles = len(rows), ring.add, ring.doubles
+    full, ids = (1 << n) - 1, tuple(range(n))
+
+    def toggled(u):  # T_u: row u with bit u toggled when 2u is in S
+        return rows[u] ^ (clean >> doubles[u] & 1) << u
+
+    places = [1, *accumulate(ring.radices, mul)]  # of the digits, and n
+    # each bit slice B_j as the string whose character y is bit j of y
+    slices = [(("0" * h + "1" * h) * (n // h + 1))[:n]
+              for h in (1 << j for j in range((n - 1).bit_length()))]
+    for g in places[:-1]:  # (b)
+        try:  # sorted by image, the ids list the inverse of a permutation
+            row = list(map(add, [g] * n, ids))
+            pick = itemgetter(*sorted(ids, key=row.__getitem__))
+        except TypeError:
+            return False
+        images = [(full, full)] + [(int(bits[::-1], 2), int(
+            "".join(pick(bits))[::-1], 2)) for bits in slices]
+        if pick(row) != ids or any(translate(ring, mask, g) != image or translate(
+                ring, full ^ mask, g) != full ^ image for mask, image in images):
+            return False
+    minus = [ring.neg(g) for g in places[:-1]]
+    for v in range(1, n):  # (c)
+        i = 0
+        while v % places[i + 1] == 0:  # digits 0..i of v are zero
+            i += 1
+        p = add(v, minus[i])
+        if not 0 <= p < v or add(p, places[i]) != v or rows[v] > full or (
+                translate(ring, toggled(v), places[i]) != toggled(p)):
+            return False
+    return toggled(0) == clean  # (a)
 
 
 def build_wnc_graph(ring: FiniteRing, classification: Classification) -> WncGraph:

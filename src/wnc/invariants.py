@@ -25,7 +25,8 @@ from .rings import RingSpec, Zn, is_prime
 class Sentinel(Enum):
     """A named non-numeric result, compared with `is`: INFINITE for the
     diameter or girth of a disconnected or acyclic graph, UNKNOWN for an
-    exact search that ran out of budget."""
+    exact search that ran out of budget or a chromatic index that no rule
+    decides."""
 
     INFINITE = "inf"
     UNKNOWN = "unknown"
@@ -51,12 +52,6 @@ def plain(value):
 CLIQUE_NODES = 15_000
 # Nodes of the 4-clique census: one per clique it may list.
 CENSUS_NODES = 100_000
-# Nodes of the chromatic-index search: one per edge indexed, per edge an
-# MRV step scans and per color tried. All of them take 0.5-1.0 s on a
-# 2-vCPU host for the slowest inputs measured (M2(GF(4)) x Z3, the flower
-# snark J13), over 6 times the most any decided search of the test suite
-# takes (225,924 nodes, Z4 x Z9 with the bit 0 cleared from row 1).
-CHROMATIC_NODES = 1_500_000
 
 
 class Budget:
@@ -397,6 +392,18 @@ def _twin_classes(graph: WncGraph):
     return list(classes.values())
 
 
+def period(graph: WncGraph, classes=None):
+    """(K, whether every 2x lies in K) for certified rows
+    (`WncGraph.certified`), else None. Row v is then S - v minus v, so
+    T_v = S - v and K = {k : S + k = S}, the period of the clean set S, is
+    a subgroup: the class of 0 in `_twin_classes`, read from `classes`
+    when they are given."""
+    if graph.ring is None or not graph.certified:
+        return None
+    k = (classes or _twin_classes(graph))[0]
+    return k, set(graph.ring.doubles) <= set(k)
+
+
 def _triangle_counts(graph: WncGraph) -> list[int]:
     """The number of triangles through each vertex.
 
@@ -471,19 +478,20 @@ def max_clique(graph: WncGraph, budget: Budget | None = None):
     classes are the cosets of the period K = {k : S + k = S}, the class of
     0, of m = |K| elements each. When every class is one vertex, H is G.
 
-    Translation by h maps x + y to x + y + 2h, so it is an automorphism
-    when 2h is in K. When every 2h is (characteristic 2, for one), the
-    graph is vertex-transitive, some heaviest clique of H holds the class
-    of 0, and omega is its weight plus the heaviest clique in its
-    neighborhood. Otherwise H is searched whole. It is G on one member of
-    each class, weighted, with no rows of its own: a clique class is its
-    least member and an independent class its greatest, so that in id
-    order, which the search follows, the clique classes tend to come first
-    and fill the first color classes. That search is allowed one dive: as
-    many nodes as its root coloring's bound. A search that needs more is
-    served badly by the id order (M2(Z5) runs past 15,000 nodes in it),
-    so it stops there, and one more search, floored at the best clique so
-    far, takes H's vertices by triangle count, most first, ties by id.
+    On certified rows (`period`), translation by h maps x + y to
+    x + y + 2h, so it is an automorphism when 2h is in K. When every 2h is
+    (characteristic 2, for one), the graph is vertex-transitive, some
+    heaviest clique of H holds the class of 0, and omega is its weight
+    plus the heaviest clique in its neighborhood. Otherwise H is searched
+    whole. It is G on one member of each class, weighted, with no rows of
+    its own: a clique class is its least member and an independent class
+    its greatest, so that in id order, which the search follows, the
+    clique classes tend to come first and fill the first color classes.
+    That search is allowed one dive: as many nodes as its root coloring's
+    bound. A search that needs more is served badly by the id order
+    (M2(Z5) runs past 15,000 nodes in it), so it stops there, and one more
+    search, floored at the best clique so far, takes H's vertices by
+    triangle count, most first, ties by id.
     Twins lie on equal counts, which are paid only then; on a ring they
     are a few ANDs per distinct 2x. Synthetic graphs take this search on
     G itself.
@@ -521,7 +529,8 @@ def max_clique(graph: WncGraph, budget: Budget | None = None):
             members[v], weight[v] = c, len(c) if clique else 1
         cand = mask_of(members)
         first = next(iter(members))  # the class of 0
-    if classes is not None and set(graph.ring.doubles) <= set(classes[0]):
+    kernel = period(graph, classes)
+    if kernel is not None and kernel[1]:
         # every 2h lies in K, the class of 0: every translation is an
         # automorphism
         w0 = 1 if weight is None else weight[first]

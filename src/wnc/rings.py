@@ -13,7 +13,7 @@ and quotients by the nilradical. GF(p^k) for k >= 2 computes through
 exp/log tables of O(p^k) entries, one lookup per operation.
 
 `add` never reads the digit layout below, so the addition rows of the
-digits' units check `translate` independently (`coloring.certify_rows`).
+digits' units check `translate` independently (`graph.certify_rows`).
 
 Every construction but the quotient encodes (R,+) in its element ids as
 a direct sum of cyclic groups: the id is a mixed-radix number whose

@@ -29,7 +29,7 @@ Most rows are built by translating S = WNC(R) over the digit layout
 (`rings.translate`); sums read off those translates would make the three
 verdicts hold by construction. So where the build translated
 (`graph.rows_translated`), the pass first proves the rows from the ring's
-own `add`, `neg` and `doubles` (`coloring.certify_rows`), in
+own `add`, `neg` and `doubles` (`graph.certify_rows`), in
 O(n * digits) additions and O(n) word moves; other rows get one `add` per
 neighbor. Let T_v be row v with bit v toggled when 2v is in S, so row v
 is (S - v) minus v iff T_v = S - v; each digit's unit is a generator g.
@@ -58,6 +58,11 @@ never makes, builds a row that (a) or (c) refuses, as is one flipped row
 bit, and the per-neighbor sums show it as a DISAGREE. An `add` shifted by
 h with 2h = 0, or not injective, at a generator fails (b), and the
 per-neighbor sums show a subgraph or sum-coloring DISAGREE.
+
+The class-1 verdict reads chi' = Delta off the same pass when the sum
+coloring is proper with at most Delta colors. Otherwise
+`coloring.chromatic_index_exact` decides it by a bound or a construction
+that it proves, or answers unknown; it makes no search and has no budget.
 """
 
 from __future__ import annotations
@@ -69,8 +74,8 @@ from .bitsets import iter_bits
 from .classify import Classification, weakly_nil_clean_set
 from .coloring import chromatic_index_exact, sum_sets
 from .graph import WncGraph, build_wnc_graph, is_complete, max_degree, ring_of
-from .invariants import (CENSUS_NODES, CHROMATIC_NODES, CLIQUE_NODES, INFINITE,
-                         UNKNOWN, Budget, clique_count_bound, components, diameter,
+from .invariants import (CENSUS_NODES, CLIQUE_NODES, INFINITE, UNKNOWN, Budget,
+                         clique_count_bound, components, diameter,
                          enumerate_k_cliques, girth, is_bipartite, is_star,
                          max_clique, neighborhood_disjointness_check, z2p_prime)
 from .rings import GF, MatrixRing, Zn, is_prime, nilradical_quotient
@@ -161,8 +166,7 @@ class InvariantReport:
         self.is_bipartite = is_bipartite(graph)
         self.max_degree = max_degree(graph)
         self.budgets = {name: Budget(name, nodes) for name, nodes in (
-            ("clique", CLIQUE_NODES), ("four-cliques", CENSUS_NODES),
-            ("chromatic-index", CHROMATIC_NODES))}
+            ("clique", CLIQUE_NODES), ("four-cliques", CENSUS_NODES))}
         # the clique is sorted, the one the search found: maximum unless
         # clique_number is UNKNOWN
         self.clique, self.clique_number = max_clique(graph,
@@ -184,8 +188,7 @@ class InvariantReport:
             # the sum coloring itself is a proper Delta-edge-coloring
             self.chromatic_index = self.max_degree
         else:
-            self.chromatic_index = chromatic_index_exact(
-                graph, self.budgets["chromatic-index"])
+            self.chromatic_index = chromatic_index_exact(graph)
         chi = self.chromatic_index
         self.vizing_class = (UNKNOWN if chi is UNKNOWN
                              else 1 if chi == self.max_degree else 2)
@@ -242,9 +245,9 @@ def _verdicts(a: InvariantReport) -> list[TheoremVerdict]:
     char2 = ring.doubles[ring.one] == ring.zero
     out = []
 
-    def emit(theorem, predicted, computed, agree, known=False):
+    def emit(theorem, predicted, computed, agree, known=False, why="budget"):
         if agree is UNKNOWN:  # a search the value needs ran out of budget
-            computed = "unknown (budget)"
+            computed = f"unknown ({why})"
         status = UNDECIDED if agree is UNKNOWN else AGREE if agree else DISAGREE
         out.append(TheoremVerdict(theorem, predicted, computed, status,
                                   known_discrepancy=known and not agree))
@@ -386,7 +389,7 @@ def _verdicts(a: InvariantReport) -> list[TheoremVerdict]:
     # fails exactly when Delta = |WNC| - 1
     emit("class-1", "class 1", f"class {a.vizing_class}",
          _agrees(a.vizing_class, 1),
-         known=a.max_degree == a.cls.wnc.bit_count() - 1)
+         known=a.max_degree == a.cls.wnc.bit_count() - 1, why="no rule")
     return out
 
 

@@ -442,10 +442,36 @@ def verify_proper_edge_coloring(graph, coloring) -> bool:
     return True
 
 
-def chromatic_index_with_hints(graph, hints, budget=None):
+def edge_colorable(graph, k) -> bool:
+    """Whether k colors properly color the edges, by exhaustive search over
+    the edges in lexicographic order. An edge tries the colors used so far
+    and one new color, since the unused colors are interchangeable."""
+    edges = list(wnc.edges(graph))
+    used = [0] * graph.vertex_count  # the colors at each vertex
+
+    def place(i, fresh):  # colors 0..fresh-1 are used so far
+        if i == len(edges):
+            return True
+        u, v = edges[i]
+        for c in range(min(fresh + 1, k)):
+            bit = 1 << c
+            if (used[u] | used[v]) & bit:
+                continue
+            used[u] |= bit
+            used[v] |= bit
+            if place(i + 1, max(fresh, c + 1)):
+                return True
+            used[u] ^= bit
+            used[v] ^= bit
+        return False
+
+    return place(0, 0)
+
+
+def chromatic_index_with_hints(graph, hints):
     """Delta when some hint (an edge -> color mapping) verifies as a proper
-    coloring with at most Delta colors, else the library's exact search;
-    malformed hints are skipped."""
+    coloring with at most Delta colors, else the library's exact chromatic
+    index; malformed hints are skipped."""
     delta = wnc.max_degree(graph)
     for hint in hints:
         try:
@@ -454,7 +480,7 @@ def chromatic_index_with_hints(graph, hints, budget=None):
             continue
         if proper and len(set(hint.values())) <= delta:
             return delta
-    return wnc.chromatic_index_exact(graph, budget=budget)
+    return wnc.chromatic_index_exact(graph)
 
 
 def greedy_coloring(adj, cand):

@@ -1,6 +1,7 @@
-"""Search budgets: the clique search, the 4-clique census and the exact
-chromatic index stop after a fixed number of nodes and answer `unknown`,
-and size-cap refusals come before any factoring.
+"""Search budgets: the clique search and the 4-clique census stop after a
+fixed number of nodes and answer `unknown`, the chromatic index answers
+`unknown` without a search where no rule decides it, and size-cap
+refusals come before any factoring.
 
 Every check here counts calls or nodes; none reads a clock.
 """
@@ -154,7 +155,7 @@ def test_complement_table_is_built_once_per_search(monkeypatch):
 
 
 def test_every_report_search_runs_under_a_policy_budget(monkeypatch):
-    # every exact search on the report path runs under one of the three
+    # every exact search on the report path runs under one of the two
     # node budgets; Z1000, M2(Z3) and Z150 have greedy cliques short of
     # omega, so their clique searches branch
     nodes = []
@@ -167,7 +168,7 @@ def test_every_report_search_runs_under_a_policy_budget(monkeypatch):
     monkeypatch.setattr(wnc.Budget, "__init__", spied)
     for expr in ACCEPTANCE_CORPUS + ("Z1000", "M2(Z3)", "Z150"):
         theorems.compute_report(*realize(expr)[1:]).four_cliques
-    policy = {wnc.CLIQUE_NODES, wnc.CENSUS_NODES, wnc.CHROMATIC_NODES}
+    policy = {wnc.CLIQUE_NODES, wnc.CENSUS_NODES}
     assert nodes and all(count in policy for _, count in nodes), nodes
 
 
@@ -402,21 +403,6 @@ def test_census_bound_covers_random_graphs(graph, k):
     assert wnc.clique_count_bound(graph, k) >= count_k_cliques(graph, k)
 
 
-def test_chromatic_index_budget_names_its_search():
-    graph = wnc.make_graph([(0, 1), (1, 2), (2, 3), (3, 4), (4, 0),
-                            (0, 5), (1, 6), (2, 7), (3, 8), (4, 9),
-                            (5, 7), (7, 9), (9, 6), (6, 8), (8, 5)], 10)
-    # the 15 edges are indexed first, then scans and colors use the rest
-    budget = wnc.Budget("chromatic-index", 40)
-    assert wnc.chromatic_index_exact(graph, budget) is wnc.UNKNOWN
-    assert (budget.search, budget.used, budget.exhausted) == (
-        "chromatic-index", 40, True)
-    assert budget.bound == 4  # Vizing: Delta + 1
-    plenty = wnc.Budget("chromatic-index", 10**6)
-    assert wnc.chromatic_index_exact(graph, plenty) == 4
-    assert not plenty.exhausted and 40 < plenty.used
-
-
 # ---------------------------------------------------------------------------
 # Unknown answers in the report, the verdicts, verify and batch
 
@@ -485,9 +471,10 @@ def test_exhausted_budgets_leave_no_keys_otherwise():
     assert isinstance(doc["four_cliques"], list)
 
 
-def test_chromatic_index_search_block(monkeypatch):
+def test_an_undecided_chromatic_index_names_no_search(monkeypatch):
     # Z4 x Z9 without the edge {0, 1}, K36 minus an edge: its sum coloring
-    # uses more than Delta colors, which leaves chi' to the search
+    # uses more than Delta colors and its rows are not certified, so no
+    # rule decides chi', and no search is made
     build = wnc.cli.build_wnc_graph
 
     def without_edge(ring, cls):
@@ -499,30 +486,23 @@ def test_chromatic_index_search_block(monkeypatch):
         return graph
 
     monkeypatch.setattr(wnc.cli, "build_wnc_graph", without_edge)
-    monkeypatch.setattr(theorems, "CHROMATIC_NODES", 5_000)
     doc = _report("Z4 x Z9")
     assert (doc["chromatic_index"], doc["vizing_class"]) == ("unknown", "unknown")
-    delta = doc["max_degree"]
-    nodes = doc["chromatic_index_search"]["nodes"]
-    assert doc["chromatic_index_search"] == {
-        "lower": delta, "upper": delta + 1, "search": "chromatic-index",
-        "nodes": nodes}
-    # the 629 edges were indexed and the search ran until a step was refused
-    assert math.comb(36, 2) - 1 < nodes <= 5_000
+    assert not {"clique_search", "chromatic_index_search"} & set(doc)
     verdict = next(v for v in doc["theorem_verdicts"] if v["theorem"] == "class-1")
-    assert (verdict["status"], verdict["computed"]) == ("UNKNOWN", "unknown (budget)")
+    assert (verdict["status"], verdict["computed"]) == ("UNKNOWN", "unknown (no rule)")
     code, out, _ = _run("report", "Z4 x Z9")
     assert code == 0
-    assert (f"chromatic-index search stopped after {nodes} nodes; lower {delta}, "
-            f"upper {delta + 1}") in out
+    assert "chromatic_index: unknown" in out and "stopped" not in out
 
 
 _WALL_TIME = re.compile(r', "wall_time_seconds": [0-9.e-]+')
 
 
-def test_m2_gf4_x_z3_chromatic_index_stops_within_its_nodes():
+def test_m2_gf4_x_z3_chromatic_index_is_decided():
     # two 287-regular components of 384 vertices whose sum coloring uses
-    # 288 colors: chi' is left to the search, which used to run for hours
+    # 288 colors; the period K of the clean set has 6 elements and holds
+    # every 2x, so the period construction colors the graph with 287
     outs = []
     for _ in range(2):
         code, out, _ = _run("report", "M2(GF(4)) x Z3", "--json")
@@ -532,8 +512,7 @@ def test_m2_gf4_x_z3_chromatic_index_stops_within_its_nodes():
     doc = json.loads(outs[0])
     assert (doc["max_degree"], doc["sum_coloring_colors"]) == (287, 288)
     assert doc["component_sizes"] == [384, 384]
-    assert (doc["chromatic_index"], doc["vizing_class"]) == ("unknown", "unknown")
-    found = doc["chromatic_index_search"]
-    assert found == {"lower": 287, "upper": 288, "search": "chromatic-index",
-                     "nodes": found["nodes"]}
-    assert found["nodes"] <= wnc.CHROMATIC_NODES
+    assert (doc["chromatic_index"], doc["vizing_class"]) == (287, 1)
+    assert "chromatic_index_search" not in doc
+    verdict = next(v for v in doc["theorem_verdicts"] if v["theorem"] == "class-1")
+    assert verdict["status"] == "AGREE"

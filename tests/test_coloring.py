@@ -1,6 +1,5 @@
 """Sum coloring, properness verification, exact chromatic index."""
 
-import builtins
 import copy
 import dataclasses
 import itertools
@@ -8,15 +7,16 @@ import operator
 import types
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import wnc
-from wnc import coloring
+from wnc import coloring, invariants
 from wnc.bitsets import bit_list, mask_of
-from wnc.graph import upper_neighbors
+from wnc.cli import main
 
 from corpus import ACCEPTANCE_CORPUS, realize
 from oracles import (check_sum_coloring, chromatic_index_with_hints,
-                     round_robin_coloring, sum_edge_coloring,
+                     edge_colorable, round_robin_coloring, sum_edge_coloring,
                      verify_proper_edge_coloring)
 
 PETERSEN_EDGES = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0),
@@ -94,7 +94,7 @@ def test_sum_sets_are_the_images_under_add(expr, mode, monkeypatch):
     translated = wnc.graph.rows_translated(ring, cls.wnc)
     if mode != "shipped":
         assert translated == (mode == "rows" and ring.radices is not None)
-    assert coloring.certify_rows(graph) == translated
+    assert wnc.graph.certify_rows(graph) == translated
     for x, degree, sums in coloring.sum_sets(graph):
         row = graph.adjacency[x]
         assert degree == row.bit_count()
@@ -112,7 +112,7 @@ def test_certified_rows_make_at_most_n_digits_plus_two_adds(expr):
     counted.add = lambda a, b: calls.append((a, b)) or ring.add(a, b)
     counted_graph = dataclasses.replace(graph, ring=counted)
     assert list(coloring.sum_sets(counted_graph)) == list(coloring.sum_sets(graph))
-    assert coloring.certify_rows(graph)
+    assert wnc.graph.certify_rows(graph)
     assert 0 < len(calls) <= ring.size * (len(ring.radices) + 2)
 
 
@@ -137,7 +137,7 @@ def test_a_refused_add_row_falls_back_to_add(expr, bad_row):
     twin_graph = dataclasses.replace(graph, ring=twin)
     true_rows = all(bad_row(n, g) == [ring.add(g, y) for y in range(n)]
                     for g in gens)
-    assert coloring.certify_rows(twin_graph) == true_rows
+    assert wnc.graph.certify_rows(twin_graph) == true_rows
     if bad_row(n, 1) is None:
         with pytest.raises(TypeError):
             list(coloring.sum_sets(twin_graph))
@@ -208,24 +208,84 @@ def test_complete_graph_chromatic_indices():
 
 
 def test_petersen_is_class_two():
+    # 3-regular with 15 edges on 10 vertices, so the counting bound refutes
+    # nothing and there is no ring to color from: the answer is unknown,
+    # never 3, and the exhaustive search shows that 4 colors are needed
     graph = petersen()
     assert wnc.max_degree(graph) == 3
-    assert wnc.chromatic_index_exact(graph) == 4  # Delta + 1: class 2
+    assert not edge_colorable(graph, 3) and edge_colorable(graph, 4)
+    assert wnc.chromatic_index_exact(graph) is wnc.UNKNOWN
 
 
-def no_nodes():
-    return wnc.Budget("chromatic-index", 0)
+def test_a_component_no_rule_decides_is_unknown():
+    # K36 minus an edge from Z4 x Z9: its sum coloring uses more than
+    # Delta colors, and its rows are not certified
+    graph = without_zero_one("Z4 x Z9")
+    assert not graph.certified
+    assert wnc.chromatic_index_exact(graph) is wnc.UNKNOWN
+    # the sum graph over Z3 x Z2 x Z2 of three cosets of K = {0, 4, 8}:
+    # every 2x lies in K, but |K| is odd, so no 1-factorization colors the
+    # cosets with |K| - 1 colors, and the sum coloring needs |S| = 9 > 8
+    ring = wnc.build_ring(wnc.parse_ring_expr("Z3 x Z2 x Z2"))
+    graph = wnc.graph._build(ring, mask_of(k + p for k in (0, 4, 8)
+                                           for p in (0, 1, 2)))
+    assert invariants.period(graph) == ([0, 4, 8], True)
+    assert wnc.max_degree(graph) == 8
+    assert wnc.chromatic_index_exact(graph) is wnc.UNKNOWN
+    # the sum graph over Z8 of {0, 1, 2, 4, 5, 6}: K = {0, 4} is even, but
+    # 2 and 6 are doubles outside it
+    ring = wnc.build_ring(wnc.parse_ring_expr("Z8"))
+    graph = wnc.graph._build(ring, mask_of((0, 1, 2, 4, 5, 6)))
+    assert invariants.period(graph) == ([0, 4], False)
+    assert wnc.chromatic_index_exact(graph) is wnc.UNKNOWN
+    # Z10 under a constant add: one color, but not a proper coloring
+    _, _, graph = realize("Z10")
+    stub = types.SimpleNamespace(size=10, add=lambda a, b: 0, radices=None)
+    assert wnc.chromatic_index_exact(graph) == 6
+    assert wnc.chromatic_index_exact(
+        dataclasses.replace(graph, ring=stub)) is wnc.UNKNOWN
 
 
-def test_budget_exhaustion_returns_unknown():
-    graph = petersen()
-    assert wnc.chromatic_index_exact(graph, budget=no_nodes()) is wnc.UNKNOWN
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(0, 7), data=st.data())
+def test_decided_chromatic_indices_of_random_graphs_are_exact(n, data):
+    pairs = list(itertools.combinations(range(n), 2))
+    keep = data.draw(st.lists(st.booleans(), min_size=len(pairs),
+                              max_size=len(pairs)))
+    graph = wnc.make_graph([e for e, k in zip(pairs, keep) if k], n)
+    chi = wnc.chromatic_index_exact(graph)
+    if chi is not wnc.UNKNOWN:
+        assert chi == next(k for k in itertools.count()
+                           if edge_colorable(graph, k))
+
+
+@pytest.mark.parametrize("expr", ["Z4", "Z6", "Z8", "Z2 x Z4", "Z2 x Z2 x Z2"])
+@pytest.mark.parametrize("sums", [True, False], ids=["sums", "period-only"])
+def test_decided_chromatic_indices_of_sum_graphs_are_exact(expr, sums,
+                                                           monkeypatch):
+    # the sum graph of every clean set of a small ring, certified or not,
+    # with and without the sum coloring; "period-only" leaves the sum
+    # graphs that the bounds do not settle to the period construction
+    if not sums:
+        monkeypatch.setattr(coloring, "_sum_coloring_fits",
+                            lambda *args: False)
+    ring = wnc.build_ring(wnc.parse_ring_expr(expr))
+    decided = set()
+    for clean in range(1 << ring.size):
+        graph = wnc.graph._build(ring, clean)
+        chi = wnc.chromatic_index_exact(graph)
+        if chi is not wnc.UNKNOWN:
+            delta = wnc.max_degree(graph)
+            assert chi == (delta if edge_colorable(graph, delta)
+                           else delta + 1), clean
+            decided.add(graph.certified)
+    assert decided == {True, False}
 
 
 def test_proper_hint_short_circuits_search():
     ring, _, graph = realize("Z10")
     hint = sum_edge_coloring(ring, graph)
-    assert chromatic_index_with_hints(graph, (hint,), budget=no_nodes()) == 6
+    assert chromatic_index_with_hints(graph, (hint,)) == 6
 
 
 def test_malformed_hints_are_ignored():
@@ -241,16 +301,14 @@ def test_chromatic_index_empty_graph():
 
 
 def test_complete_components_and_counting_bound_need_no_search():
-    # K_3 next to K_4: delta = 3 and K_3 needs 3 colors, so class 1; with
-    # budget 0 any search would have answered UNKNOWN
+    # K_3 next to K_4: delta = 3 and K_3 needs 3 colors, so class 1
     k3_k4 = wnc.make_graph([(0, 1), (1, 2), (0, 2)]
                            + list(itertools.combinations(range(3, 7), 2)), 7)
-    assert wnc.chromatic_index_exact(k3_k4, budget=no_nodes()) == 3
+    assert wnc.chromatic_index_exact(k3_k4) == 3
     # K_5 minus one edge: 9 edges > delta * floor(5/2) = 8, refuted
-    # without a search
     k5e = wnc.make_graph([e for e in itertools.combinations(range(5), 2)
                           if e != (0, 1)], 5)
-    assert wnc.chromatic_index_exact(k5e, budget=no_nodes()) == 5
+    assert wnc.chromatic_index_exact(k5e) == 5
 
 
 def test_search_handles_disconnected_mixed_components():
@@ -262,7 +320,7 @@ def test_search_handles_disconnected_mixed_components():
 
 def without_zero_one(expr):
     """The ring's graph without the edge {0, 1}: its sum coloring then uses
-    more than Delta colors, which leaves chi' to the search."""
+    more than Delta colors."""
     ring, _, graph = realize(expr)
     rows = list(graph.adjacency)
     rows[ring.zero] &= ~(1 << ring.one)
@@ -270,61 +328,78 @@ def without_zero_one(expr):
     return dataclasses.replace(graph, adjacency=rows)
 
 
-@pytest.mark.parametrize("name,chi", [("Petersen", 4), ("Z12", 11),
-                                      ("Z3 x Z3", 7)])
-def test_mrv_steps_pick_the_edges_the_sorted_scan_picked(name, chi, monkeypatch):
-    # each step takes the least (colors left, edge id); the former rule,
-    # the first edge by colors left in a sorted scan, picks the same edge
-    # at every step, so the search visits the same sequence of edges
-    graph = petersen() if name == "Petersen" else without_zero_one(name)
-    chosen = []
-
-    def spy(edges, key):
-        edges = list(edges)
-        edge = builtins.min(edges, key=key)
-        assert edge == builtins.min(sorted(edges), key=lambda e: key(e)[0])
-        chosen.append(edge)
-        return edge
-
-    monkeypatch.setattr(coloring, "min", spy, raising=False)
-    assert wnc.chromatic_index_exact(graph) == chi
-    assert len(chosen) > 1
+# certified rings whose period K of the clean set S holds every 2x and
+# has even order: the hypotheses of the period construction
+PERIOD_EXPRS = ("Z4", "Z12", "M2(Z2)", "Z2 x Z4", "Z4 x Z6", "M2(GF(4)) x Z3")
 
 
-def test_a_component_larger_than_the_budget_builds_no_edge_index(monkeypatch):
-    graph = without_zero_one("Z4 x Z9")  # K36 minus an edge
-    ecount = wnc.edge_count(graph)
-    indexed = []
-
-    def spy(graph, vertices):
-        indexed.append(vertices)
-        return upper_neighbors(graph, vertices)
-
-    monkeypatch.setattr(coloring, "upper_neighbors", spy)
-    budget = wnc.Budget("chromatic-index", ecount - 1)
-    assert wnc.chromatic_index_exact(graph, budget) is wnc.UNKNOWN
-    assert (budget.used, budget.exhausted, indexed) == (0, True, [])
-    # with one node per edge the index is built, and the first MRV scan
-    # is refused
-    budget = wnc.Budget("chromatic-index", ecount)
-    assert wnc.chromatic_index_exact(graph, budget) is wnc.UNKNOWN
-    assert budget.used == ecount and indexed == [list(range(36))]
+def period_coloring(ring, graph, k):
+    """The coloring the period construction promises: a round robin on
+    each coset of K and x + y on every other edge."""
+    out = {}
+    for x in range(ring.size):
+        coset = sorted(ring.add(x, t) for t in k)
+        if coset[0] == x:  # each coset once, from its least member
+            out.update({e: ("coset", c)
+                        for e, c in round_robin_coloring(coset).items()})
+    for u, v in wnc.edges(graph):
+        if (u, v) not in out:
+            out[u, v] = ring.add(u, v)
+    return out
 
 
-def test_each_mrv_step_is_charged_the_edges_it_scans(monkeypatch):
-    # Petersen: 15 edges, 3 of them colored by the symmetry at vertex 0,
-    # so the first step scans the other 12
-    scans = []
+@pytest.mark.parametrize("expr", PERIOD_EXPRS)
+def test_the_period_construction_uses_delta_colors(expr, monkeypatch):
+    ring, _, graph = realize(expr)
+    k, doubled = invariants.period(graph)
+    assert graph.certified and doubled and graph.clean_set & 1
+    assert len(k) % 2 == 0
+    colors = period_coloring(ring, graph, k)
+    sums = {c for c in colors.values() if isinstance(c, int)}
+    assert not sums & set(k)  # the sums of the other edges lie outside K
+    assert verify_proper_edge_coloring(graph, colors)
+    delta = wnc.max_degree(graph)
+    assert len(set(colors.values())) == delta
+    # with the sum coloring refused, the bounds or the construction decide
+    monkeypatch.setattr(coloring, "_sum_coloring_fits",
+                        lambda *args: False)
+    assert wnc.chromatic_index_exact(graph) == delta
 
-    def spy(edges, key):
-        edges = list(edges)
-        scans.append(len(edges))
-        return builtins.min(edges, key=key)
 
-    monkeypatch.setattr(coloring, "min", spy, raising=False)
-    budget = wnc.Budget("chromatic-index", 15 + 12 - 1)
-    assert wnc.chromatic_index_exact(petersen(), budget) is wnc.UNKNOWN
-    assert (budget.used, scans) == (15, [])
-    budget = wnc.Budget("chromatic-index", 15 + 12)
-    assert wnc.chromatic_index_exact(petersen(), budget) is wnc.UNKNOWN
-    assert (budget.used, scans) == (15 + 12, [12])
+def test_a_cleared_coset_edge_is_not_colored_from_the_period():
+    # 0 and the next member of K share a coset: without that edge the rows
+    # fail the certificate, so the period construction does not apply
+    _, _, graph = realize("M2(GF(4)) x Z3")
+    k, _ = invariants.period(graph)
+    assert wnc.chromatic_index_exact(graph) == wnc.max_degree(graph) == 287
+    rows = list(graph.adjacency)
+    rows[k[0]] &= ~(1 << k[1])
+    rows[k[1]] &= ~(1 << k[0])
+    cut = dataclasses.replace(graph, adjacency=rows)
+    assert not cut.certified and invariants.period(cut) is None
+    assert wnc.max_degree(cut) == 287
+    assert wnc.chromatic_index_exact(cut) is wnc.UNKNOWN
+
+
+BLOW_UPS = {f"M2(GF(4)) x Z{k}": 96 * k - 1 for k in (3, 4, 6, 9, 12, 16)}
+
+
+def test_no_report_leaves_the_chromatic_index_unknown(capsys):
+    # every Z_n of `batch --zn 2..399`, the acceptance corpus and the
+    # M2(GF(4)) x Z_k blow-ups, whose chi' the period construction gives
+    assert main(["batch", "--zn", "2..399"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 399 and lines[0].endswith(",vizing_class")
+    assert {line.rsplit(",", 1)[1] for line in lines[1:]} == {"1", "2"}
+    for expr in ACCEPTANCE_CORPUS:
+        report = wnc.compute_report(*realize(expr)[1:])
+        assert report.chromatic_index is not wnc.UNKNOWN, expr
+    for expr, delta in BLOW_UPS.items():
+        ring = wnc.build_ring(wnc.parse_ring_expr(expr))
+        cls = wnc.weakly_nil_clean_set(ring)
+        report = wnc.compute_report(cls, wnc.build_wnc_graph(ring, cls))
+        assert (report.max_degree, report.chromatic_index,
+                report.vizing_class) == (delta, delta, 1), expr
+        verdict = next(v for v in report.theorem_verdicts
+                       if v.theorem == "class-1")
+        assert verdict.status == "AGREE", expr

@@ -47,8 +47,8 @@ EXPORT_EXPRS = ("Z16 x Z36", "Z4 x Z144", "GF(16)", "M2(Z2)", "Z12/nil")
 NAMED_EXPORT_EXPRS = ("Z16 x Z36", "Z4 x Z144", "Z12/nil")
 # budgeted searches: the clique search on M2(Z5), which needs a second
 # vertex order to finish, the census of K512, refused on its count bound,
-# and the clique and chromatic-index searches on M2(GF(4)) x Z3, which run
-# out of budget
+# and M2(GF(4)) x Z3, whose clique number is searched on its twin quotient
+# and whose chromatic index the period construction decides
 BUDGET_COMMANDS = [("report", "M2(Z5)", "--json"), ("report", "M2(Z5)"),
                    ("report", "Z512", "--four-cliques", "--json"),
                    ("report", "M2(GF(4)) x Z3", "--json")]

@@ -16,7 +16,8 @@ from corpus import ACCEPTANCE_CORPUS, SMALL_CORPUS, realize
 from oracles import (bfs_diameter, bfs_distances, bipartite_by_double_cover,
                      exists_clique_of_size, floyd_diameter, floyd_distances,
                      girth_by_edge_removal, greedy_coloring, has_square,
-                     has_triangle, is_clique, triangle_counts)
+                     has_triangle, is_clique, max_clique_size,
+                     triangle_counts)
 
 
 def _component_sizes(graph):
@@ -307,6 +308,36 @@ def test_twin_classes_are_cliques_or_independent_sets(expr):
             edges = sum(adj[u] >> v & 1 for u, v in itertools.combinations(c, 2))
             assert edges in (0, len(c) * (len(c) - 1) // 2), (kind, c)
             assert all((adj[u] ^ adj[c[0]]) & ~mask == 0 for u in c), (kind, c)
+
+
+@pytest.mark.parametrize("expr", ACCEPTANCE_CORPUS + ("M2(GF(4)) x Z3",))
+def test_period_is_read_off_certified_rows_only(expr):
+    # K from the ring's addition, and whether every x + x lies in it
+    ring, cls, graph = realize(expr)
+    found = invariants.period(graph)
+    if not graph.certified:
+        assert found is None
+        return
+    period = _period(ring, cls.wnc)
+    doubled = all(ring.add(x, x) in period for x in range(ring.size))
+    assert found == (period, doubled)
+
+
+def test_the_vertex_transitive_shortcut_needs_certified_rows():
+    # K8, the graph of Z2 x Z2 x Z2, without the edges {0, 1}, {0, 2} and
+    # {0, 3}: every 2x is 0 and lies in the class of 0, but the rows are no
+    # sum graph, so translations are not automorphisms; omega is 7, the
+    # vertices 1 to 7
+    _, cls, graph = realize("Z2 x Z2 x Z2")
+    rows = list(graph.adjacency)
+    for v in (1, 2, 3):
+        rows[0] &= ~(1 << v)
+        rows[v] &= ~1
+    cut = dataclasses.replace(graph, adjacency=rows)
+    assert not cut.certified and invariants.period(cut) is None
+    assert max_clique_size(cut) == 7
+    assert wnc.max_clique(cut) == ((1, 2, 3, 4, 5, 6, 7), 7)
+    assert wnc.compute_report(cls, cut).clique_number == 7
 
 
 BLOW_UPS = ("M2(GF(4)) x Z3", "M2(GF(4)) x Z6", "M2(GF(4)) x Z9",

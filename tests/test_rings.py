@@ -362,7 +362,7 @@ def test_the_cap_is_not_a_parameter(function):
     (wnc.compute_report, {"ring"}),
     (wnc.InvariantReport, {"ring"}),
     (coloring.sum_sets, {"ring"}),
-    (coloring.certify_rows, {"ring"}),
+    (wnc.graph.certify_rows, {"ring"}),
     (wnc.neighborhood_disjointness_check, {"ring"}),
 ], ids=lambda f: getattr(f, "__name__", None))
 def test_derived_facts_are_not_parameters(function, derived):
