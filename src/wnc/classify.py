@@ -6,6 +6,10 @@ x = n + e or x = n - e, for some nilpotent n and idempotent e. The
 classification keeps the four sets, not the decompositions: no caller
 reads which n and e give an element. Each -e is computed once, and every
 sum is the ring's own `add`.
+
+A ring automorphism keeps x * x = x and x^m = 0, so on a ring with
+generators (`FiniteRing.generators`) `idempotents` and `nilpotents` test
+one representative of each orbit and copy its answer to the rest.
 """
 
 from __future__ import annotations
@@ -28,9 +32,19 @@ class Classification:
     wnc: int
 
 
+def _members(ring: FiniteRing, passing) -> int:
+    """Bitset of the elements that `passing` yields of those it is given,
+    for a property every ring automorphism keeps: with generators, it is
+    given one representative per orbit, and the orbit shares its answer."""
+    if not ring.generators:
+        return mask_of(passing(range(ring.size)))
+    orbits = {orbit[0]: orbit for orbit in ring.orbits}
+    return mask_of(x for r in passing(orbits) for x in orbits[r])
+
+
 def idempotents(ring: FiniteRing) -> int:
     """Bitset of elements with x*x = x; always contains zero and one."""
-    return mask_of(x for x in range(ring.size) if ring.mul(x, x) == x)
+    return _members(ring, lambda xs: (x for x in xs if ring.mul(x, x) == x))
 
 
 def nilpotents(ring: FiniteRing) -> int:
@@ -47,16 +61,18 @@ def nilpotents(ring: FiniteRing) -> int:
     """
     zero = ring.zero
     squarings = (ring.size.bit_length() - 2).bit_length()
-    mask = 0
-    for x in range(ring.size):
-        y = x
-        for _ in range(squarings):
+
+    def passing(xs):
+        for x in xs:
+            y = x
+            for _ in range(squarings):
+                if y == zero:
+                    break
+                y = ring.mul(y, y)
             if y == zero:
-                break
-            y = ring.mul(y, y)
-        if y == zero:
-            mask |= 1 << x
-    return mask
+                yield x
+
+    return _members(ring, passing)
 
 
 def weakly_nil_clean_set(ring: FiniteRing) -> Classification:

@@ -17,9 +17,9 @@ from enum import Enum
 from functools import reduce
 from operator import itemgetter, or_
 
-from .bitsets import iter_bits, mask_of
+from .bitsets import bit_list, iter_bits, mask_of
 from .graph import WncGraph, neighborhood, ring_of
-from .rings import RingSpec, Zn, is_prime
+from .rings import RingSpec, Zn, is_prime, orbits
 
 
 class Sentinel(Enum):
@@ -46,9 +46,8 @@ def plain(value):
     return value.value if isinstance(value, Sentinel) else value
 
 
-# Nodes of the clique search: one per greedily colored frame, over 20
-# times the most any ring of the test corpus takes (644, M2(GF(4)) and its
-# blow-ups M2(GF(4)) x Z3 to x Z12).
+# Nodes of the clique search: one per greedily colored frame, over 45
+# times the most any ring of the test corpus takes (327, M2(GF(8))).
 CLIQUE_NODES = 15_000
 # Nodes of the 4-clique census: one per clique it may list.
 CENSUS_NODES = 100_000
@@ -98,16 +97,35 @@ def _bfs_levels(adj, source: int, bound: int):
         visited |= frontier
 
 
-def components(graph: WncGraph) -> list[int]:
-    """Connected components as vertex bitsets, ordered by least vertex."""
+def _odd(adj, level) -> bool:
+    """Whether an edge lies inside a BFS level, closing an odd cycle."""
+    return level & (level - 1) != 0 and any(adj[v] & level
+                                            for v in iter_bits(level))
+
+
+def components_and_bipartite(graph: WncGraph) -> tuple[list[int], bool]:
+    """`components` and `is_bipartite` from one walk per component, which
+    ORs its levels and tests them for inner edges until one has one."""
+    adj = graph.adjacency
     unseen = (1 << graph.vertex_count) - 1
-    out = []
+    parts, odd = [], False
     while unseen:
         start = (unseen & -unseen).bit_length() - 1
-        comp = reduce(or_, _bfs_levels(graph.adjacency, start, unseen))
+        levels, comp = _bfs_levels(adj, start, unseen), 0
+        for level in levels if not odd else ():
+            comp |= level
+            if _odd(adj, level):
+                odd = True
+                break
+        comp = reduce(or_, levels, comp)  # the levels left, untested
         unseen &= ~comp
-        out.append(comp)
-    return out
+        parts.append(comp)
+    return parts, not odd
+
+
+def components(graph: WncGraph) -> list[int]:
+    """Connected components as vertex bitsets, ordered by least vertex."""
+    return components_and_bipartite(graph)[0]
 
 
 def diameter(graph: WncGraph):
@@ -215,8 +233,7 @@ def is_bipartite(graph: WncGraph) -> bool:
         start = (unseen & -unseen).bit_length() - 1
         for level in _bfs_levels(adj, start, unseen):
             unseen &= ~level
-            if level & (level - 1) and any(adj[v] & level
-                                           for v in iter_bits(level)):
+            if _odd(adj, level):
                 return False
     return True
 
@@ -372,12 +389,6 @@ def _clique_branch(adj, rest, root, best, clique, budget, dive=False,
     return best, clique, False
 
 
-def _clique_search(adj, rest, cand, floor, budget, dive=False, weight=None):
-    """`_clique_branch` from the root that `_clique_root` colors in cand."""
-    best, clique, root = _clique_root(adj, rest, cand, floor, budget, weight)
-    return _clique_branch(adj, rest, root, best, clique, budget, dive, weight)
-
-
 def _twin_classes(graph: WncGraph):
     """The vertices with equal T_v, row v with bit v toggled when 2v is in
     the clean set, in classes ordered by least member; None for a
@@ -404,6 +415,15 @@ def period(graph: WncGraph, classes=None):
     return k, set(graph.ring.doubles) <= set(k)
 
 
+def _symmetric(graph: WncGraph) -> bool:
+    """Whether the graph's ring lists generators (`FiniteRing.generators`)
+    and each keeps the clean set, as ring automorphisms keep WNC and NC."""
+    ring, clean = graph.ring, graph.clean_set
+    return bool(ring and clean and ring.generators) and all(
+        mask_of(map(g.__getitem__, iter_bits(clean))) == clean
+        for g in ring.generators)
+
+
 def _triangle_counts(graph: WncGraph) -> list[int]:
     """The number of triangles through each vertex.
 
@@ -418,8 +438,10 @@ def _triangle_counts(graph: WncGraph) -> list[int]:
     counts the ordered pairs and E(w) = #{a in S : 2a - w in S} those with
     a = b. Row v is S - v less v, where 2v is in S, so A(v) = A(-v) is one
     AND per vertex. Q(w) is one AND per distinct value of A, and E(w) one
-    per distinct number of a in S with the same 2a. Synthetic graphs take
-    one AND per edge."""
+    per distinct number of a in S with the same 2a. An automorphism of the
+    ring that keeps S keeps A and t, so when the ring's generators do
+    (`_symmetric`), A and t are computed once per orbit. Synthetic graphs
+    take one AND per edge."""
     adj = graph.adjacency
     ring, clean = graph.ring, graph.clean_set
     if ring is None or clean is None:
@@ -427,24 +449,29 @@ def _triangle_counts(graph: WncGraph) -> list[int]:
                 for row in adj]
     n = graph.vertex_count
     doubles = ring.doubles
+    orbits = ring.orbits if _symmetric(graph) else [[v] for v in range(n)]
 
     def minus(v):  # S - v
         return adj[v] | (clean >> doubles[v] & 1) << v
 
     # the d with A(d) = k, and the u = 2a for k elements a of S, by k
     by_overlap, by_halves = defaultdict(int), defaultdict(int)
-    for d in range(n):
-        by_overlap[(clean & minus(d)).bit_count()] |= 1 << d
+    for orbit in orbits:
+        by_overlap[(clean & minus(orbit[0])).bit_count()] |= mask_of(orbit)
     for u, k in Counter(doubles[a] for a in iter_bits(clean)).items():
         by_halves[k] |= 1 << u
     size = clean.bit_count()
-    twice = {}
-    for w in set(doubles):
-        near, far = minus(w), minus(ring.neg(w))  # S - w and S + w
-        q = sum(k * (ds & near).bit_count() for k, ds in by_overlap.items())
-        e = sum(k * (us & far).bit_count() for k, us in by_halves.items())
-        twice[w] = q - e - 2 * (clean >> w & 1) * (size - 1)
-    return [twice[w] // 2 for w in doubles]
+    counts, twice = [0] * n, {}
+    for orbit in orbits:
+        w = doubles[orbit[0]]
+        if w not in twice:
+            near, far = minus(w), minus(ring.neg(w))  # S - w and S + w
+            q = sum(k * (ds & near).bit_count() for k, ds in by_overlap.items())
+            e = sum(k * (us & far).bit_count() for k, us in by_halves.items())
+            twice[w] = q - e - 2 * (clean >> w & 1) * (size - 1)
+        for v in orbit:
+            counts[v] = twice[w] // 2
+    return counts
 
 
 def _relabel(adj, order):
@@ -453,6 +480,58 @@ def _relabel(adj, order):
     n = len(adj)
     pick = itemgetter(*(n - 1 - v for v in reversed(order)))
     return [int("".join(pick(f"{adj[v]:0{n}b}")), 2) for v in order]
+
+
+def _class_orbits(graph: WncGraph, classes, heads):
+    """The orbits on the twin classes of the ring's generators, and of
+    x -> -x when S = -S, as bitsets of the classes' `heads`; None unless
+    the rows are certified and `_symmetric`. Each map is additive and
+    keeps S, so it maps row v onto row f(v) and cosets of K to cosets."""
+    ring, clean, n = graph.ring, graph.clean_set, graph.vertex_count
+    if not _symmetric(graph) or not graph.certified:
+        return None
+    perms, negated = ring.generators, list(map(ring.neg, range(n)))
+    if mask_of(map(negated.__getitem__, iter_bits(clean))) == clean:
+        perms = [*perms, negated]
+    index = {v: i for i, c in enumerate(classes) for v in c}
+    found = orbits(len(classes), [[index[p[c[0]]] for c in classes]
+                                  for p in perms])
+    return [mask_of(map(heads.__getitem__, orbit)) for orbit in found]
+
+
+def _clique_search(adj, rest, cand, floor, budget, weight=None, orbits=None):
+    """(best, clique): `_clique_branch` from the root that `_clique_root`
+    colors in cand, when `orbits` is None. Otherwise automorphisms of the
+    graph that keep cand map any vertex of an orbit, a bitset in or
+    outside cand, to any other, so the heaviest clique through it is one
+    through its least vertex r. Largest orbit first, one node colors
+    cand; once that bound cannot beat the best the search stops, else it
+    searches r's neighbors in cand, floored at the best, and drops the
+    orbit. budget.bound is left the last bound of cand, or as it came
+    when no node is left for the first."""
+    if orbits is None:
+        best, clique, root = _clique_root(adj, rest, cand, floor, budget, weight)
+        return _clique_branch(adj, rest, root, best, clique, budget,
+                              weight=weight)[:2]
+    best, clique = floor, None
+    for orbit in sorted((m for m in orbits if m & cand),
+                        key=lambda m: (-m.bit_count(), m & -m)):
+        if not budget.spend():
+            break
+        upper = _greedy_color_order(rest, cand, best, weight)[2]
+        if upper <= best:
+            break
+        r = (orbit & -orbit).bit_length() - 1
+        w = 1 if weight is None else weight[r]
+        size, sub = _clique_search(adj, rest, adj[r] & cand, best - w, budget,
+                                   weight)
+        budget.bound = upper
+        if sub:
+            best, clique = w + size, [r, *sub]
+        if budget.exhausted:
+            break
+        cand &= ~orbit
+    return best, clique
 
 
 def max_clique(graph: WncGraph, budget: Budget | None = None):
@@ -491,10 +570,15 @@ def max_clique(graph: WncGraph, budget: Budget | None = None):
     bound. A search that needs more is served badly by the id order
     (M2(Z5) runs past 15,000 nodes in it), so it stops there, and one more
     search, floored at the best clique so far, takes H's vertices by
-    triangle count, most first, ties by id.
-    Twins lie on equal counts, which are paid only then; on a ring they
-    are a few ANDs per distinct 2x. Synthetic graphs take this search on
-    G itself.
+    triangle count, most first, ties by id, on G's own rows when that is
+    the id order. Twins lie on equal counts, which are paid only then; on
+    a ring they are a few ANDs per distinct 2x, or per orbit. Synthetic
+    graphs take this search on G itself.
+
+    When the ring's generators keep S (`_class_orbits`), they and x -> -x
+    fix 0 and act on the classes, and the neighborhood search and the
+    search after a cut dive branch once per orbit (`_clique_search`)
+    instead of once per vertex.
 
     The witness is the heaviest clique found, expanded to G (all of a
     clique class, the least member of an independent one) and sorted. The
@@ -505,7 +589,8 @@ def max_clique(graph: WncGraph, budget: Budget | None = None):
     The searches share `budget`, by default CLIQUE_NODES nodes. When it
     runs out, the clique number is UNKNOWN, the tuple is the largest clique
     found, and budget.bound bounds omega: the least bound of the root
-    colorings, with the class of 0 added to that of its neighborhood."""
+    colorings and of the last candidates of a search once per orbit, with
+    the class of 0 added to that of its neighborhood."""
     n = graph.vertex_count
     if n == 0:
         return (), 0
@@ -518,7 +603,7 @@ def max_clique(graph: WncGraph, budget: Budget | None = None):
         return tuple(found), UNKNOWN if budget.exhausted else omega
     bound, weight, better = budget.bound, None, None
     classes = _twin_classes(graph)
-    cand, first = (1 << n) - 1, 0
+    cand, first, heads = (1 << n) - 1, 0, range(n)
     if classes is not None and len(classes) < n:
         # H: the least member of a clique class, weighing the class, and
         # the greatest of an independent one, weighing 1
@@ -527,15 +612,16 @@ def max_clique(graph: WncGraph, budget: Budget | None = None):
             clique = adj[c[0]] >> c[-1] & 1
             v = c[0] if clique else c[-1]
             members[v], weight[v] = c, len(c) if clique else 1
-        cand = mask_of(members)
-        first = next(iter(members))  # the class of 0
+        cand, heads = mask_of(members), list(members)
+        first = heads[0]  # the class of 0
     kernel = period(graph, classes)
     if kernel is not None and kernel[1]:
         # every 2h lies in K, the class of 0: every translation is an
         # automorphism
         w0 = 1 if weight is None else weight[first]
-        size, better, _ = _clique_search(adj, rest, adj[first] & cand,
-                                         omega - w0, budget, weight=weight)
+        size, better = _clique_search(adj, rest, adj[first] & cand, omega - w0,
+                                      budget, weight,
+                                      _class_orbits(graph, classes, heads))
         omega, better = w0 + size, better and [first, *better]
         if budget.exhausted:
             budget.bound += w0
@@ -547,12 +633,19 @@ def max_clique(graph: WncGraph, budget: Budget | None = None):
                                             budget, dive=True, weight=weight)
         if cut:
             triangles = _triangle_counts(graph)
-            order = sorted(iter_bits(cand), key=lambda v: (-triangles[v], v))
-            sub = _relabel(adj, order)
-            omega, later, _ = _clique_search(
-                sub, _complement_table(sub), (1 << len(order)) - 1, omega,
-                budget, weight=weight and [weight[v] for v in order])
-            better = [order[v] for v in later] if later else better
+            ids = bit_list(cand)
+            order = sorted(ids, key=lambda v: (-triangles[v], v))
+            sub, table, top, label, heavy = adj, rest, cand, range(n), weight
+            if order != ids:  # else search G's own rows, in the same order
+                sub = _relabel(adj, order)
+                table, top = _complement_table(sub), (1 << len(order)) - 1
+                label = dict(zip(order, range(len(order))))
+                heavy = weight and [weight[v] for v in order]
+            omega, later = _clique_search(
+                sub, table, top, omega, budget, heavy, classes and _class_orbits(
+                    graph, classes, [label[v] for v in heads]))
+            if later:
+                better = later if sub is adj else [order[v] for v in later]
     if better:
         found = better if weight is None else [
             u for v in better for u in members[v][:weight[v]]]

@@ -117,7 +117,11 @@ class FiniteRing:
     `factor_sizes` is (|A|, |B|) for a direct product A x B, whose element
     a * |B| + b is the pair (a, b), and None for every other ring.
     `radices` is the additive layout of the ids (module docstring), or None
-    when the ids have none, as in a quotient.
+    when the ids have none, as in a quotient. `generators` lists ring
+    automorphisms as permutations of the ids, computed on first read by the
+    function given: conjugation by I + E_ij (i != j) and by
+    diag(u, 1, ..., 1), u != 1 a unit, in M_k(B), k >= 2, and each
+    factor's own in A x B. Other rings list none. `orbits` are theirs.
     """
 
     zero = 0
@@ -125,7 +129,7 @@ class FiniteRing:
     def __init__(self, one: int, add: Callable[[int, int], int],
                  mul: Callable[[int, int], int], neg: Callable[[int], int],
                  names, is_commutative: bool, spec: RingSpec, radices=None,
-                 factor_sizes=None):
+                 factor_sizes=None, generators=None):
         self._names = tuple(names)
         self.size = len(self._names)
         self.one = one
@@ -136,10 +140,19 @@ class FiniteRing:
         self.add = add
         self.mul = mul
         self.neg = neg
+        self._generate = generators
 
     @cached_property
     def doubles(self) -> list[int]:
         return [self.add(x, x) for x in range(self.size)]
+
+    @cached_property
+    def generators(self) -> list[list[int]]:
+        return self._generate() if self._generate else []
+
+    @cached_property
+    def orbits(self) -> list[list[int]]:
+        return orbits(self.size, self.generators)
 
     @cached_property
     def _wrap_masks(self):
@@ -193,6 +206,22 @@ def translate(ring: FiniteRing, mask: int, g: int) -> int:
                 mask = ((mask ^ over) << up) | (over >> down)
         place *= radix
     return mask
+
+
+def orbits(size: int, perms) -> list[list[int]]:
+    """The orbits of the group that the permutations of range(size)
+    generate, each led by its least member, in that member's order."""
+    seen, out = bytearray(size), []
+    for x in range(size):
+        if not seen[x]:
+            seen[x], orbit = 1, [x]
+            for y in orbit:  # grows as the generators reach new members
+                for z in [perm[y] for perm in perms]:
+                    if not seen[z]:
+                        seen[z] = 1
+                        orbit.append(z)
+            out.append(orbit)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -437,11 +466,18 @@ def make_product(left: FiniteRing, right: FiniteRing) -> FiniteRing:
     radices = None
     if left.radices is not None and right.radices is not None:
         radices = right.radices + left.radices
+
+    def generators():  # each factor's, acting on its own coordinate
+        return ([[a * rs + b for a in g for b in range(rs)]
+                 for g in left.generators]
+                + [[a * rs + b for a in range(left.size) for b in g]
+                   for g in right.generators])
+
     return FiniteRing(
         one=left.one * rs + right.one, add=add, mul=mul, neg=neg, names=names,
         is_commutative=left.is_commutative and right.is_commutative,
         spec=Product(left.spec, right.spec), radices=radices,
-        factor_sizes=(left.size, rs),
+        factor_sizes=(left.size, rs), generators=generators,
     )
 
 
@@ -498,6 +534,38 @@ def make_matrix_ring(k: int, base: FiniteRing) -> FiniteRing:
     one = encode([base.one if i == j else base.zero
                   for i in range(k) for j in range(k)])
 
+    def generators():
+        # X -> P X P^-1 by steps on every id's cells at once: cell d becomes
+        # f(cell d, cell s), read from a table of f on the base's at most
+        # 8 elements; the id is then re-encoded, most significant cell first
+        ids, columns, perms = range(bs), [*zip(*entries)], []
+
+        def minus(a, b):
+            return base.add(a, base.neg(b))
+
+        def times(w):
+            return lambda a, _: base.mul(w, a)
+
+        # I + E_ij: row i += row j, then column j -= column i
+        gens = [[(i * k + t, j * k + t, base.add) for t in range(k)]
+                + [(t * k + j, t * k + i, minus) for t in range(k)]
+                for i, j in itertools.permutations(range(k), 2)]
+        # diag(u, 1, ..., 1): row 0 times u, then column 0 times v = 1/u
+        gens += [[(t, t, times(u)) for t in range(1, k)]
+                 + [(t * k, t * k, times(v)) for t in range(1, k)]
+                 for u in ids for v in ids if base.mul(u, v) == base.one != u]
+        for steps in gens:
+            cells = columns[:]
+            for d, src, f in steps:
+                table = [f(a, b) for a in ids for b in ids]
+                cells[d] = list(map(table.__getitem__, map(
+                    operator.add, map(bs.__mul__, cells[d]), cells[src])))
+            perm = cells[-1]
+            for column in reversed(cells[:-1]):
+                perm = list(map(operator.add, map(bs.__mul__, perm), column))
+            perms.append(perm)
+        return perms
+
     def matrix_name(e):
         rows = []
         for i in range(k):
@@ -512,6 +580,7 @@ def make_matrix_ring(k: int, base: FiniteRing) -> FiniteRing:
         spec=MatrixRing(k, base.spec),
         # entries add cell by cell, each with the base's digits
         radices=None if base.radices is None else base.radices * cells,
+        generators=generators if k > 1 else None,
     )
 
 

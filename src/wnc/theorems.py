@@ -75,8 +75,8 @@ from .classify import Classification, weakly_nil_clean_set
 from .coloring import chromatic_index_exact, sum_sets
 from .graph import WncGraph, build_wnc_graph, is_complete, max_degree, ring_of
 from .invariants import (CENSUS_NODES, CLIQUE_NODES, INFINITE, UNKNOWN, Budget,
-                         clique_count_bound, components, diameter,
-                         enumerate_k_cliques, girth, is_bipartite, is_star,
+                         clique_count_bound, components_and_bipartite,
+                         diameter, enumerate_k_cliques, girth, is_star,
                          max_clique, neighborhood_disjointness_check, z2p_prime)
 from .rings import GF, MatrixRing, Zn, is_prime, nilradical_quotient
 
@@ -160,10 +160,10 @@ class InvariantReport:
         if any(row >> n for row in graph.adjacency):
             raise ValueError("a row has a bit outside the carrier")
         self.cls, self.graph = classification, graph
-        self.component_sizes = sorted(c.bit_count() for c in components(graph))
+        parts, self.is_bipartite = components_and_bipartite(graph)
+        self.component_sizes = sorted(c.bit_count() for c in parts)
         self.diameter = diameter(graph)  # int or INFINITE
         self.girth = girth(graph)  # int or INFINITE
-        self.is_bipartite = is_bipartite(graph)
         self.max_degree = max_degree(graph)
         self.budgets = {name: Budget(name, nodes) for name, nodes in (
             ("clique", CLIQUE_NODES), ("four-cliques", CENSUS_NODES))}

@@ -27,12 +27,15 @@ from wnc.bitsets import bit_list
 
 
 def naive_nilpotent(ring, x) -> bool:
-    y = x
-    for _ in range(ring.size):
+    """Whether some power of x is 0: the powers x, x^2, ... are walked
+    until one is 0, or one repeats, after which they cycle without 0."""
+    seen, y = set(), x
+    while y not in seen:
         if y == ring.zero:
             return True
+        seen.add(y)
         y = ring.mul(y, x)
-    return y == ring.zero
+    return False
 
 
 def naive_idempotent_list(ring):

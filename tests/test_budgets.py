@@ -56,8 +56,9 @@ def m2_z5():
 
 def test_m2_z5_clique_number_is_decided(m2_z5):
     # the id-order search needs more than one dive, so a second search in
-    # triangle-count order proves omega, well inside the clique budget. The
-    # period of WNC(M2(Z5)) is 0 alone, so the twin quotient is the graph
+    # triangle-count order, branching once per orbit of M2(Z5)'s
+    # conjugations and x -> -x, proves omega well inside the clique budget.
+    # The period of WNC(M2(Z5)) is 0 alone, so the twin quotient is the graph
     _, _, graph = realize("M2(Z5)")
     assert m2_z5["clique_number"] == 67
     assert "clique_search" not in m2_z5
@@ -65,7 +66,7 @@ def test_m2_z5_clique_number_is_decided(m2_z5):
     clique, omega = wnc.max_clique(graph, budget)
     assert omega == len(clique) == 67 and list(clique) == sorted(clique)
     assert is_clique(graph, clique)
-    assert budget.used == 559 and not budget.exhausted
+    assert budget.used == 285 and not budget.exhausted
     # no clique verdict applies to M2(Z5), and nothing disagrees
     assert all(v["status"] != "DISAGREE" for v in m2_z5["theorem_verdicts"])
 
@@ -87,17 +88,19 @@ def test_m2_z5_clique_search_stops_with_bounds(monkeypatch):
 
 
 @pytest.mark.parametrize("expr,omega,nodes", [
-    ("Z1000", 400, 5), ("M2(GF(4))", 16, 700), ("M2(GF(4)) x Z3", 48, 700)])
+    ("Z1000", 400, 5), ("M2(GF(4))", 16, 62), ("M2(GF(4)) x Z3", 48, 62)])
 def test_twin_quotients_decide_omega_in_few_nodes(expr, omega, nodes):
     # one node for the graph's own root coloring, then the search on the
     # twin quotient: 5 classes for Z1000, and 128 for M2(GF(4)) and
     # M2(GF(4)) x Z3, where a search of the graph itself takes 400, 3,794
-    # on the neighborhood of 0, and more than 15,000 nodes
+    # on the neighborhood of 0, and more than 15,000 nodes. On the last
+    # two, the search on the neighborhood of the class of 0 branches once
+    # per orbit of the conjugations: 62 nodes where once per class took 644
     _, _, graph = realize(expr)
     budget = wnc.Budget("clique", wnc.CLIQUE_NODES)
     clique, found = wnc.max_clique(graph, budget)
     assert found == omega == len(clique) and is_clique(graph, clique)
-    assert budget.used <= nodes and not budget.exhausted
+    assert budget.used == nodes and not budget.exhausted
 
 
 def test_m2_gf4_x_z3_clique_number_is_decided():
@@ -106,8 +109,20 @@ def test_m2_gf4_x_z3_clique_number_is_decided():
     assert all(v["status"] != "DISAGREE" for v in doc["theorem_verdicts"])
 
 
-def test_m2_z5_colors_one_frame_per_node(monkeypatch):
-    _, _, graph = realize("M2(Z5)")
+def test_m2_gf8_clique_number_is_decided():
+    # M2(GF(8)), at the size cap, has 2,048 twin classes of 2; once per
+    # class the search ran out of its 15,000 nodes, once per orbit of the
+    # conjugations it takes 327
+    doc = _report("M2(GF(8))")
+    assert doc["clique_number"] == 32 and "clique_search" not in doc
+    _, _, graph = realize("M2(GF(8))")
+    budget = wnc.Budget("clique", wnc.CLIQUE_NODES)
+    clique, omega = wnc.max_clique(graph, budget)
+    assert omega == len(clique) == 32 and is_clique(graph, clique)
+    assert budget.used == 327 and not budget.exhausted
+
+
+def _count_colorings(monkeypatch):
     colorings = []
     color = invariants._greedy_color_order
 
@@ -116,6 +131,12 @@ def test_m2_z5_colors_one_frame_per_node(monkeypatch):
         return color(rest, cand, *args)
 
     monkeypatch.setattr(invariants, "_greedy_color_order", counted)
+    return colorings
+
+
+def test_m2_z5_colors_one_frame_per_node(monkeypatch):
+    _, _, graph = realize("M2(Z5)")
+    colorings = _count_colorings(monkeypatch)
     budget = wnc.Budget("clique", 100)
     clique, omega = wnc.max_clique(graph, budget)
     assert omega is wnc.UNKNOWN and budget.exhausted
@@ -124,34 +145,65 @@ def test_m2_z5_colors_one_frame_per_node(monkeypatch):
     assert is_clique(graph, clique)
 
 
+@pytest.mark.parametrize("nodes", [200, wnc.CLIQUE_NODES])
+def test_m2_z5_orbit_search_colors_one_frame_per_node(nodes, monkeypatch):
+    # 200 nodes stop inside the search that branches once per orbit, after
+    # the id-order dive, and the default budget decides omega in 285
+    _, _, graph = realize("M2(Z5)")
+    colorings = _count_colorings(monkeypatch)
+    budget = wnc.Budget("clique", nodes)
+    clique, omega = wnc.max_clique(graph, budget)
+    assert (omega is wnc.UNKNOWN) == budget.exhausted == (nodes < 285)
+    assert len(colorings) == budget.used == min(nodes, 285)
+    assert is_clique(graph, clique)
+    if budget.exhausted:
+        assert len(clique) <= 67 <= budget.bound
+
+
 def test_complement_table_is_built_once_per_search(monkeypatch):
     # M2(Z3)'s greedy clique has 9 vertices and omega is 31. Its period is
     # 0 alone, so the quotient is the graph. The id-order search needs 57
     # nodes, more than one dive can take (the 32 colors of its root
     # coloring), so it stops there and one more search runs in
-    # triangle-count order, from a root on a table of its own
+    # triangle-count order, on a table of its own, once per orbit of the
+    # conjugations and x -> -x: node 33 colors the whole graph, the search
+    # through the first orbit's vertex, floored at omega - 1 = 30, starts
+    # after it, and the last node colors what is left of the graph
     _, _, graph = realize("M2(Z3)")
-    tables, searches, bounds = [], [], []
+    tables, searches, bounds, colorings = [], [], [], []
     build, search = invariants._complement_table, invariants._clique_root
+    color = invariants._greedy_color_order
+    budget = wnc.Budget("clique", wnc.CLIQUE_NODES)
 
     def built(adj):
         tables.append(build(adj))
         return tables[-1]
 
     def searched(adj, rest, cand, floor, budget, *args, **kwargs):
-        searches.append((rest, budget.used))
+        searches.append((rest, budget.used, floor))
         result = search(adj, rest, cand, floor, budget, *args, **kwargs)
         bounds.append(budget.bound)
         return result
 
+    def colored(rest, cand, *args):
+        colorings.append((rest, cand, budget.used))
+        return color(rest, cand, *args)
+
     monkeypatch.setattr(invariants, "_complement_table", built)
     monkeypatch.setattr(invariants, "_clique_root", searched)
-    clique, omega = wnc.max_clique(graph)
-    assert (len(clique), omega) == (31, 31)
+    monkeypatch.setattr(invariants, "_greedy_color_order", colored)
+    clique, omega = wnc.max_clique(graph, budget)
+    assert (len(clique), omega, budget.used) == (31, 31, 41)
     assert len(searches) == len(tables) == 2
-    assert [rest for rest, _ in searches] == tables
-    # the second search starts once the first has spent its k nodes
-    assert [used for _, used in searches] == [0, bounds[0]] == [0, 32]
+    assert [rest for rest, _, _ in searches] == tables
+    # the dive spends the k = 32 nodes of its root coloring on the first
+    # table, and the orbit search the other 9 on the second
+    assert [used for _, _, used in colorings] == list(range(1, 42))
+    assert [rest is tables[1] for rest, _, _ in colorings] == [False] * 32 + [True] * 9
+    assert [(used, floor) for _, used, floor in searches] == [(0, 0), (33, 30)]
+    assert bounds[0] == 32
+    whole = (1 << graph.vertex_count) - 1
+    assert colorings[32][1] == whole and colorings[-1][1] != whole
 
 
 def test_every_report_search_runs_under_a_policy_budget(monkeypatch):
