@@ -97,15 +97,10 @@ def _bfs_levels(adj, source: int, bound: int):
         visited |= frontier
 
 
-def _odd(adj, level) -> bool:
-    """Whether an edge lies inside a BFS level, closing an odd cycle."""
-    return level & (level - 1) != 0 and any(adj[v] & level
-                                            for v in iter_bits(level))
-
-
 def components_and_bipartite(graph: WncGraph) -> tuple[list[int], bool]:
     """`components` and `is_bipartite` from one walk per component, which
-    ORs its levels and tests them for inner edges until one has one."""
+    ORs its levels and tests them for inner edges until one has one: an
+    edge inside a BFS level closes an odd cycle."""
     adj = graph.adjacency
     unseen = (1 << graph.vertex_count) - 1
     parts, odd = [], False
@@ -114,7 +109,8 @@ def components_and_bipartite(graph: WncGraph) -> tuple[list[int], bool]:
         levels, comp = _bfs_levels(adj, start, unseen), 0
         for level in levels if not odd else ():
             comp |= level
-            if _odd(adj, level):
+            if level & (level - 1) and any(adj[v] & level
+                                           for v in iter_bits(level)):
                 odd = True
                 break
         comp = reduce(or_, levels, comp)  # the levels left, untested
@@ -227,15 +223,7 @@ def girth(graph: WncGraph):
 def is_bipartite(graph: WncGraph) -> bool:
     """True iff the graph has no odd cycle, that is, no component has an
     edge inside one of its BFS levels from its least vertex."""
-    adj = graph.adjacency
-    unseen = (1 << graph.vertex_count) - 1
-    while unseen:
-        start = (unseen & -unseen).bit_length() - 1
-        for level in _bfs_levels(adj, start, unseen):
-            unseen &= ~level
-            if _odd(adj, level):
-                return False
-    return True
+    return components_and_bipartite(graph)[1]
 
 
 def is_star(graph: WncGraph) -> bool:
@@ -335,32 +323,24 @@ def _clique_root(adj, rest, cand, floor, budget, weight=None):
     return best, clique, (cand, order, bounds) if best < budget.bound else None
 
 
-def _clique_branch(adj, rest, root, best, clique, budget, dive=False,
-                   weight=None):
-    """(best, clique, cut): the heaviest clique in the root frame's
-    candidates and its vertices if it outweighs best, else best and
-    clique, and whether a dive was cut (below). Branch and bound on an
-    explicit stack: a frame holds a greedily colored candidate set and the
-    weight of the path to it, is tried from its last colored vertex, and is
-    dropped once that weight plus that vertex's bound cannot beat the best
-    weight; `path` holds the vertex tried at each depth. A frame lists only
-    the vertices whose bound could beat the best weight when it is pushed,
-    as it never tries the others. The search stops once the best weight
-    reaches the root coloring's bound.
+def _clique_branch(adj, rest, root, best, clique, budget, weight=None):
+    """(best, clique): the heaviest clique in the root frame's candidates
+    and its vertices if it outweighs best, else best and clique. Branch
+    and bound on an explicit stack: a frame holds a greedily colored
+    candidate set and the weight of the path to it, is tried from its last
+    colored vertex, and is dropped once that weight plus that vertex's
+    bound cannot beat the best weight; `path` holds the vertex tried at
+    each depth. A frame lists only the vertices whose bound could beat the
+    best weight when it is pushed, as it never tries the others. The
+    search stops once the best weight reaches the root coloring's bound.
 
     Each colored frame spends one node of the budget. When one is refused
     the search stops with the heaviest clique found; budget.bound is then
-    the root coloring's bound.
-
-    A `dive` search is allowed as many nodes as the root coloring's bound.
-    One dive never takes more: it pushes one frame per depth, and a depth
-    is the size of a clique. A search that needs more stops with the best
-    clique found so far and cut True, without exhausting the budget."""
+    the root coloring's bound."""
     if root is None:
-        return best, clique, False
+        return best, clique
     cand, order, bounds = root
     goal = bounds[-1]  # no clique in cand is heavier
-    stop = budget.used - 1 + goal if dive else math.inf
     stack = [(cand, order, bounds, 0)]
     path = []
     while stack and best < goal:
@@ -379,14 +359,12 @@ def _clique_branch(adj, rest, root, best, clique, budget, dive=False,
         if not sub:
             if size > best:
                 best, clique = size, path[:]
-        elif budget.used == stop:
-            return best, clique, True
         elif budget.spend():
             order, bounds, _ = _greedy_color_order(rest, sub, best - size, weight)
             stack.append((sub, order, bounds, size))
         else:
             break
-    return best, clique, False
+    return best, clique
 
 
 def _twin_classes(graph: WncGraph):
@@ -425,12 +403,12 @@ def _symmetric(graph: WncGraph) -> bool:
 
 
 def _triangle_counts(graph: WncGraph) -> list[int]:
-    """The number of triangles through each vertex.
+    """The number of triangles through each vertex of a graph built from
+    a ring.
 
-    A graph built from a ring is the sum graph of S over (R,+). A triangle
-    {x, y, z} is then a pair of distinct a = x + y and b = x + z in S,
-    neither equal to w = 2x, with a + b - w in S, so the count at x
-    depends on w alone:
+    The graph is the sum graph of S over (R,+). A triangle {x, y, z} is
+    a pair of distinct a = x + y and b = x + z in S, neither equal to
+    w = 2x, with a + b - w in S, so the count at x depends on w alone:
 
         2 t(x) = Q(w) - E(w) - 2 [w in S] (|S| - 1),
 
@@ -440,13 +418,8 @@ def _triangle_counts(graph: WncGraph) -> list[int]:
     AND per vertex. Q(w) is one AND per distinct value of A, and E(w) one
     per distinct number of a in S with the same 2a. An automorphism of the
     ring that keeps S keeps A and t, so when the ring's generators do
-    (`_symmetric`), A and t are computed once per orbit. Synthetic graphs
-    take one AND per edge."""
-    adj = graph.adjacency
-    ring, clean = graph.ring, graph.clean_set
-    if ring is None or clean is None:
-        return [sum((adj[u] & row).bit_count() for u in iter_bits(row)) // 2
-                for row in adj]
+    (`_symmetric`), A and t are computed once per orbit."""
+    adj, ring, clean = graph.adjacency, graph.ring, graph.clean_set
     n = graph.vertex_count
     doubles = ring.doubles
     orbits = ring.orbits if _symmetric(graph) else [[v] for v in range(n)]
@@ -511,8 +484,7 @@ def _clique_search(adj, rest, cand, floor, budget, weight=None, orbits=None):
     when no node is left for the first."""
     if orbits is None:
         best, clique, root = _clique_root(adj, rest, cand, floor, budget, weight)
-        return _clique_branch(adj, rest, root, best, clique, budget,
-                              weight=weight)[:2]
+        return _clique_branch(adj, rest, root, best, clique, budget, weight)
     best, clique = floor, None
     for orbit in sorted((m for m in orbits if m & cand),
                         key=lambda m: (-m.bit_count(), m & -m)):
@@ -562,23 +534,22 @@ def max_clique(graph: WncGraph, budget: Budget | None = None):
     (characteristic 2, for one), the graph is vertex-transitive, some
     heaviest clique of H holds the class of 0, and omega is its weight
     plus the heaviest clique in its neighborhood. Otherwise H is searched
-    whole. It is G on one member of each class, weighted, with no rows of
-    its own: a clique class is its least member and an independent class
-    its greatest, so that in id order, which the search follows, the
-    clique classes tend to come first and fill the first color classes.
-    That search is allowed one dive: as many nodes as its root coloring's
-    bound. A search that needs more is served badly by the id order
-    (M2(Z5) runs past 15,000 nodes in it), so it stops there, and one more
-    search, floored at the best clique so far, takes H's vertices by
-    triangle count, most first, ties by id, on G's own rows when that is
-    the id order. Twins lie on equal counts, which are paid only then; on
-    a ring they are a few ANDs per distinct 2x, or per orbit. Synthetic
-    graphs take this search on G itself.
+    whole, in one search floored at the greedy clique. It is G on one
+    member of each class, weighted, with no rows of its own: a clique
+    class is its least member and an independent class its greatest, so
+    that in id order the clique classes tend to come first and fill the
+    first color classes. The order is chosen from the ring. When it lists
+    generators (a matrix ring, or a product with one), the id order serves
+    badly (M2(Z5) runs past 15,000 nodes in it), so H's vertices are taken
+    by triangle count, most first, ties by id, on G's own rows when that
+    is the id order; the counts are a few ANDs per distinct 2x, or per
+    orbit. Every other ring, and a synthetic graph, is searched in id
+    order on G's rows.
 
     When the ring's generators keep S (`_class_orbits`), they and x -> -x
-    fix 0 and act on the classes, and the neighborhood search and the
-    search after a cut dive branch once per orbit (`_clique_search`)
-    instead of once per vertex.
+    fix 0 and act on the classes, and both the neighborhood search and the
+    triangle-order search branch once per orbit (`_clique_search`) instead
+    of once per vertex.
 
     The witness is the heaviest clique found, expanded to G (all of a
     clique class, the least member of an independent one) and sorted. The
@@ -625,27 +596,28 @@ def max_clique(graph: WncGraph, budget: Budget | None = None):
         omega, better = w0 + size, better and [first, *better]
         if budget.exhausted:
             budget.bound += w0
-    else:
+    elif classes is not None and graph.ring.generators:
+        # a matrix ring or a product with one: triangle-count order
+        triangles = _triangle_counts(graph)
+        ids = bit_list(cand)
+        order = sorted(ids, key=lambda v: (-triangles[v], v))
+        sub, table, top, label, heavy = adj, rest, cand, range(n), weight
+        if order != ids:  # else search G's own rows, in the same order
+            sub = _relabel(adj, order)
+            table, top = _complement_table(sub), (1 << len(order)) - 1
+            label = dict(zip(order, range(len(order))))
+            heavy = weight and [weight[v] for v in order]
+        omega, better = _clique_search(sub, table, top, omega, budget, heavy,
+                                       _class_orbits(graph, classes,
+                                                     [label[v] for v in heads]))
+        if better and sub is not adj:
+            better = [order[v] for v in better]
+    else:  # id order
         if weight is not None:
             omega, better, root = _clique_root(adj, rest, cand, omega, budget,
                                                weight)
-        omega, better, cut = _clique_branch(adj, rest, root, omega, better,
-                                            budget, dive=True, weight=weight)
-        if cut:
-            triangles = _triangle_counts(graph)
-            ids = bit_list(cand)
-            order = sorted(ids, key=lambda v: (-triangles[v], v))
-            sub, table, top, label, heavy = adj, rest, cand, range(n), weight
-            if order != ids:  # else search G's own rows, in the same order
-                sub = _relabel(adj, order)
-                table, top = _complement_table(sub), (1 << len(order)) - 1
-                label = dict(zip(order, range(len(order))))
-                heavy = weight and [weight[v] for v in order]
-            omega, later = _clique_search(
-                sub, table, top, omega, budget, heavy, classes and _class_orbits(
-                    graph, classes, [label[v] for v in heads]))
-            if later:
-                better = later if sub is adj else [order[v] for v in later]
+        omega, better = _clique_branch(adj, rest, root, omega, better, budget,
+                                       weight)
     if better:
         found = better if weight is None else [
             u for v in better for u in members[v][:weight[v]]]

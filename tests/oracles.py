@@ -5,8 +5,8 @@ route than the library takes (per-element membership search instead of
 set sums, double-loop edge tests and one addition per edge instead of
 bitsets translated digit by digit, Floyd-style distances and per-vertex
 BFS instead of the sum-graph distance formula, subset enumeration instead
-of branch and bound, pairs of neighbors instead of triangle counts read
-off the clean set, polynomial arithmetic instead of exp/log tables, a
+of branch and bound, pairs of neighbors or one AND of rows per edge
+instead of triangle counts read off the clean set, polynomial arithmetic instead of exp/log tables, a
 full greedy coloring instead of the clique search's complement-table
 kernel that lists only the vertices it may branch on, a queue BFS across
 each removed edge instead of per-root BFS levels for the girth, and
@@ -226,6 +226,14 @@ def triangle_counts(graph) -> list[int]:
     adj = graph.adjacency
     return [sum(adj[y] >> z & 1
                 for y, z in itertools.combinations(bit_list(row), 2))
+            for row in adj]
+
+
+def triangle_counts_by_rows(graph) -> list[int]:
+    """The triangles through each vertex, one AND of rows per edge: each
+    triangle at v is a common neighbor of v and u, counted from both u."""
+    adj = graph.adjacency
+    return [sum((adj[u] & row).bit_count() for u in bit_list(row)) // 2
             for row in adj]
 
 

@@ -55,10 +55,10 @@ def m2_z5():
 
 
 def test_m2_z5_clique_number_is_decided(m2_z5):
-    # the id-order search needs more than one dive, so a second search in
-    # triangle-count order, branching once per orbit of M2(Z5)'s
-    # conjugations and x -> -x, proves omega well inside the clique budget.
-    # The period of WNC(M2(Z5)) is 0 alone, so the twin quotient is the graph
+    # M2(Z5) lists generators, so one search in triangle-count order,
+    # branching once per orbit of its conjugations and x -> -x, proves
+    # omega well inside the clique budget. The period of WNC(M2(Z5)) is 0
+    # alone, so the twin quotient is the graph
     _, _, graph = realize("M2(Z5)")
     assert m2_z5["clique_number"] == 67
     assert "clique_search" not in m2_z5
@@ -66,7 +66,7 @@ def test_m2_z5_clique_number_is_decided(m2_z5):
     clique, omega = wnc.max_clique(graph, budget)
     assert omega == len(clique) == 67 and list(clique) == sorted(clique)
     assert is_clique(graph, clique)
-    assert budget.used == 285 and not budget.exhausted
+    assert budget.used == 185 and not budget.exhausted
     # no clique verdict applies to M2(Z5), and nothing disagrees
     assert all(v["status"] != "DISAGREE" for v in m2_z5["theorem_verdicts"])
 
@@ -122,6 +122,22 @@ def test_m2_gf8_clique_number_is_decided():
     assert budget.used == 327 and not budget.exhausted
 
 
+def test_no_report_leaves_the_clique_number_unknown():
+    # every Z_n of `batch --zn 2..399`, searched in id order, the acceptance
+    # corpus, and matrix rings and a product with one, searched in
+    # triangle-count order or on the neighborhood of 0
+    code, out, _ = _run("batch", "--zn", "2..399")
+    lines = out.splitlines()
+    assert code == 0 and len(lines) == 399
+    column = lines[0].split(",").index("clique_number")
+    assert all(line.split(",")[column].isdigit() for line in lines[1:])
+    for expr in ACCEPTANCE_CORPUS + ("M2(Z3)", "M2(Z5)", "M2(Z6)", "M2(GF(4))",
+                                     "M2(GF(4)) x Z3"):
+        doc = _report(expr)
+        assert isinstance(doc["clique_number"], int), expr
+        assert "clique_search" not in doc, expr
+
+
 def _count_colorings(monkeypatch):
     colorings = []
     color = invariants._greedy_color_order
@@ -145,16 +161,16 @@ def test_m2_z5_colors_one_frame_per_node(monkeypatch):
     assert is_clique(graph, clique)
 
 
-@pytest.mark.parametrize("nodes", [200, wnc.CLIQUE_NODES])
+@pytest.mark.parametrize("nodes", [150, 200, wnc.CLIQUE_NODES])
 def test_m2_z5_orbit_search_colors_one_frame_per_node(nodes, monkeypatch):
-    # 200 nodes stop inside the search that branches once per orbit, after
-    # the id-order dive, and the default budget decides omega in 285
+    # 150 nodes stop inside the search that branches once per orbit, and
+    # 200 and the default budget decide omega in 185
     _, _, graph = realize("M2(Z5)")
     colorings = _count_colorings(monkeypatch)
     budget = wnc.Budget("clique", nodes)
     clique, omega = wnc.max_clique(graph, budget)
-    assert (omega is wnc.UNKNOWN) == budget.exhausted == (nodes < 285)
-    assert len(colorings) == budget.used == min(nodes, 285)
+    assert (omega is wnc.UNKNOWN) == budget.exhausted == (nodes < 185)
+    assert len(colorings) == budget.used == min(nodes, 185)
     assert is_clique(graph, clique)
     if budget.exhausted:
         assert len(clique) <= 67 <= budget.bound
@@ -162,13 +178,13 @@ def test_m2_z5_orbit_search_colors_one_frame_per_node(nodes, monkeypatch):
 
 def test_complement_table_is_built_once_per_search(monkeypatch):
     # M2(Z3)'s greedy clique has 9 vertices and omega is 31. Its period is
-    # 0 alone, so the quotient is the graph. The id-order search needs 57
-    # nodes, more than one dive can take (the 32 colors of its root
-    # coloring), so it stops there and one more search runs in
+    # 0 alone, so the quotient is the graph. After the root coloring on the
+    # graph's own table, M2(Z3) lists generators, so one search runs in
     # triangle-count order, on a table of its own, once per orbit of the
-    # conjugations and x -> -x: node 33 colors the whole graph, the search
-    # through the first orbit's vertex, floored at omega - 1 = 30, starts
-    # after it, and the last node colors what is left of the graph
+    # conjugations and x -> -x: node 2 colors the whole graph, the search
+    # through the first orbit's vertex, floored at 9 - 1 = 8, starts after
+    # it and proves omega, and the last node colors what is left of the
+    # graph, which cannot beat it
     _, _, graph = realize("M2(Z3)")
     tables, searches, bounds, colorings = [], [], [], []
     build, search = invariants._complement_table, invariants._clique_root
@@ -193,17 +209,18 @@ def test_complement_table_is_built_once_per_search(monkeypatch):
     monkeypatch.setattr(invariants, "_clique_root", searched)
     monkeypatch.setattr(invariants, "_greedy_color_order", colored)
     clique, omega = wnc.max_clique(graph, budget)
-    assert (len(clique), omega, budget.used) == (31, 31, 41)
+    assert (len(clique), omega, budget.used) == (31, 31, 38)
     assert len(searches) == len(tables) == 2
     assert [rest for rest, _, _ in searches] == tables
-    # the dive spends the k = 32 nodes of its root coloring on the first
-    # table, and the orbit search the other 9 on the second
-    assert [used for _, _, used in colorings] == list(range(1, 42))
-    assert [rest is tables[1] for rest, _, _ in colorings] == [False] * 32 + [True] * 9
-    assert [(used, floor) for _, used, floor in searches] == [(0, 0), (33, 30)]
-    assert bounds[0] == 32
+    # the root coloring spends the first node on the first table, and the
+    # orbit search the other 37 on the second
+    assert [used for _, _, used in colorings] == list(range(1, 39))
+    assert [rest is tables[1] for rest, _, _ in colorings] == [False] + [True] * 37
+    assert [(used, floor) for _, used, floor in searches] == [(0, 0), (2, 8)]
+    assert bounds == [32, 32]
     whole = (1 << graph.vertex_count) - 1
-    assert colorings[32][1] == whole and colorings[-1][1] != whole
+    assert colorings[0][1] == colorings[1][1] == whole
+    assert colorings[-1][1] != whole
 
 
 def test_every_report_search_runs_under_a_policy_budget(monkeypatch):

@@ -45,8 +45,8 @@ FOUR_CLIQUE_EXPRS = ("Z10", "Z14", "Z22", "Z26", "Z34")
 EXPORT_EXPRS = ("Z16 x Z36", "Z4 x Z144", "GF(16)", "M2(Z2)", "Z12/nil")
 # the DOT and CSV writers list the same edges under element names
 NAMED_EXPORT_EXPRS = ("Z16 x Z36", "Z4 x Z144", "Z12/nil")
-# budgeted searches: the clique search on M2(Z5), which needs a second
-# vertex order to finish, the census of K512, refused on its count bound,
+# budgeted searches: the clique search on M2(Z5), which finishes only in
+# triangle-count order (the id order runs past its budget), the census of K512, refused on its count bound,
 # and M2(GF(4)) x Z3, whose clique number is searched on its twin quotient
 # and whose chromatic index the period construction decides
 BUDGET_COMMANDS = [("report", "M2(Z5)", "--json"), ("report", "M2(Z5)"),

@@ -17,7 +17,7 @@ from oracles import (bfs_diameter, bfs_distances, bipartite_by_double_cover,
                      exists_clique_of_size, floyd_diameter, floyd_distances,
                      girth_by_edge_removal, greedy_coloring, has_square,
                      has_triangle, is_clique, max_clique_size,
-                     triangle_counts)
+                     triangle_counts, triangle_counts_by_rows)
 
 
 def _component_sizes(graph):
@@ -203,8 +203,11 @@ def test_girth_and_bipartiteness_start_only_the_bfses_they_need(monkeypatch):
     assert wnc.girth(graph) == 3
     assert [(source, len(levels)) for source, levels in started] == [(0, 2)]
     started.clear()
+    # is_bipartite reads the walk of `components_and_bipartite`: one BFS,
+    # whose level 1 holds the triangle, and which then runs on through all
+    # 496 levels of the component to list it
     assert wnc.is_bipartite(graph) is False
-    assert [(source, len(levels)) for source, levels in started] == [(0, 2)]
+    assert [(source, len(levels)) for source, levels in started] == [(0, 496)]
 
 
 def test_star_recognition():
@@ -447,8 +450,7 @@ def test_triangle_counts_read_off_the_sum_structure(expr):
     ring, cls, graph = realize(expr)
     for kind, g in _both_graphs(ring, cls, graph):
         counts = invariants._triangle_counts(g)
-        synthetic = dataclasses.replace(g, ring=None)
-        assert counts == invariants._triangle_counts(synthetic), kind
+        assert counts == triangle_counts_by_rows(g), kind
         if g.vertex_count <= 64:
             assert counts == triangle_counts(g), kind
 
@@ -464,62 +466,53 @@ def test_triangle_counts_of_sum_graphs_of_any_set(expr):
         clean = wnc.bitsets.mask_of(rng.sample(range(n), rng.randrange(1, n // 2)))
         graph = wnc.graph._build(ring, clean)
         counts = invariants._triangle_counts(graph)
-        assert counts == invariants._triangle_counts(
-            dataclasses.replace(graph, ring=None)), clean
+        assert counts == triangle_counts_by_rows(graph), clean
         assert counts == triangle_counts(graph), clean
 
 
-@pytest.mark.parametrize("expr", ["Z1000", "M2(Z6)", "Z27 x Z27", "Z16 x Z48",
-                                  "M2(GF(4))"])
-def test_searches_that_finish_in_one_dive_never_count_triangles(expr, monkeypatch):
-    def refuse(graph):
-        raise AssertionError("counted triangles")
+@pytest.mark.parametrize("expr", (
+    "Z1000", "M2(Z6)", "Z27 x Z27", "Z16 x Z48", "M2(GF(4))",
+    *(f"Z{n}" for n in range(2, 152))))
+def test_only_rings_with_generators_count_triangles(expr, monkeypatch):
+    # the census rings Z2..Z151 and the products of Z_n list no generators
+    # and are searched in id order; M2(Z6) counts once, for the search in
+    # triangle-count order, and M2(GF(4)) not at all, as its graph is
+    # vertex-transitive
+    counted = []
+    count = invariants._triangle_counts
 
-    monkeypatch.setattr(invariants, "_triangle_counts", refuse)
-    _, _, graph = realize(expr)
+    def counting(graph):
+        counted.append(graph)
+        return count(graph)
+
+    monkeypatch.setattr(invariants, "_triangle_counts", counting)
+    ring, _, graph = realize(expr)
     clique, omega = wnc.max_clique(graph)
     assert omega == len(clique) and is_clique(graph, clique)
+    assert len(counted) == (expr == "M2(Z6)")
+    assert bool(ring.generators) == expr.startswith("M2")
 
 
-def test_a_cut_dive_is_never_reported_exact(monkeypatch):
-    # with every count equal the triangle order is the id order, and the
-    # search after a cut dive repeats it: omega still comes from a search
-    # that finished, never from the clique the cut dive found. The sets are
-    # those of the GF(64) split test above, whose split search counts no
-    # triangles, and the graphs are read without the ring
-    cuts = []
-
-    def uniform(graph):
-        cuts.append(graph)
-        return [0] * graph.vertex_count
-
-    monkeypatch.setattr(invariants, "_triangle_counts", uniform)
-    ring = wnc.build_ring(wnc.parse_ring_expr("GF(64)"))
-    rng = random.Random("GF(64)")
-    cases = [(realize("M2(Z3)")[2], 31)]
-    for _ in range(40):
-        clean = wnc.bitsets.mask_of(rng.sample(range(64), rng.randrange(2, 32)))
-        graph = wnc.graph._build(ring, clean)
-        cases.append((dataclasses.replace(graph, ring=None),
-                      wnc.max_clique(graph)[1]))
-    for graph, want in cases:
-        clique, omega = wnc.max_clique(graph)
-        assert omega == want == len(clique) and is_clique(graph, clique)
-        if cuts and cuts[-1] is graph:
-            # budgets that run out at the second search's root or just
-            # after it: the bound is still the id root coloring's k
-            n = graph.vertex_count
-            rest = invariants._complement_table(graph.adjacency)
-            k = invariants._greedy_color_order(rest, (1 << n) - 1)[2]
-            for nodes in (k, k + 1):
-                budget = wnc.Budget("clique", nodes)
-                clique, omega = wnc.max_clique(graph, budget)
-                assert is_clique(graph, clique)
-                if omega is wnc.UNKNOWN:
-                    assert len(clique) <= want <= budget.bound <= k
-                else:
-                    assert omega == want == len(clique)
-    assert len(cuts) > 2
+def test_a_stopped_clique_search_is_never_reported_exact():
+    # M2(Z3) needs 38 nodes: one for the root coloring of the graph, whose
+    # bound is k = 32, and 37 in triangle-count order. Every smaller budget
+    # stops inside that search, budgets of k and k + 1 nodes among them:
+    # omega is then unknown, and the clique found and the bound left
+    # bracket it
+    _, _, graph = realize("M2(Z3)")
+    n = graph.vertex_count
+    rest = invariants._complement_table(graph.adjacency)
+    k = invariants._greedy_color_order(rest, (1 << n) - 1)[2]
+    assert k == 32
+    for nodes in range(1, 39):
+        budget = wnc.Budget("clique", nodes)
+        clique, omega = wnc.max_clique(graph, budget)
+        assert is_clique(graph, clique)
+        if nodes < 38:
+            assert omega is wnc.UNKNOWN and budget.exhausted, nodes
+            assert len(clique) <= 31 <= budget.bound <= k, nodes
+        else:
+            assert omega == len(clique) == 31
 
 
 def test_max_clique_leaves_the_recursion_limit_alone(monkeypatch):
