@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from .bitsets import bit_list, iter_bits
 from .graph import WncGraph, max_degree, ring_of
-from .invariants import UNKNOWN, components, period
+from .invariants import UNKNOWN, components
 
 
 def sum_sets(graph: WncGraph):
@@ -96,7 +96,7 @@ def chromatic_index_exact(graph: WncGraph):
         return delta
     if graph.ring is not None and _sum_coloring_fits(graph, delta):
         return delta  # construction 1
-    found = period(graph)
+    found = graph.period
     if found is not None and found[1] and len(found[0]) % 2 == 0:
         return delta  # construction 2
     return UNKNOWN

@@ -25,7 +25,7 @@ from itertools import accumulate, compress
 from operator import itemgetter, mul
 from typing import Optional
 
-from .bitsets import iter_bits
+from .bitsets import iter_bits, mask_of
 from .classify import Classification
 from .rings import FiniteRing, translate
 
@@ -53,6 +53,46 @@ class WncGraph:
         """`certify_rows` of this graph, computed on first read: the sum
         pass, the chromatic index and the clique search all read it."""
         return certify_rows(self)
+
+    def toggled(self, v: int) -> int:
+        """T_v: row v with bit v toggled when 2v is in the clean set S. On
+        certified rows, T_v = S - v."""
+        return self.adjacency[v] ^ (
+            self.clean_set >> self.ring.doubles[v] & 1) << v
+
+    @cached_property
+    def twin_classes(self) -> Optional[list[list[int]]]:
+        """The vertices with equal T_v (`toggled`), in classes ordered by
+        least member; None for a synthetic graph, whose rows have no 2v to
+        read."""
+        ring, clean = self.ring, self.clean_set
+        if ring is None or clean is None:
+            return None
+        doubles, classes = ring.doubles, {}
+        for v, row in enumerate(self.adjacency):  # T_v, inline for speed
+            classes.setdefault(row ^ (clean >> doubles[v] & 1) << v, []).append(v)
+        return list(classes.values())
+
+    @cached_property
+    def period(self) -> Optional[tuple[list[int], bool]]:
+        """(K, whether every 2x lies in K) for certified rows, else None.
+        Row v is then S - v minus v, so T_v = S - v and K = {k : S + k = S},
+        the period of the clean set S, is a subgroup: the class of 0 in
+        `twin_classes`."""
+        if self.ring is None or not self.certified:
+            return None
+        k = self.twin_classes[0]
+        return k, set(self.ring.doubles) <= set(k)
+
+    @cached_property
+    def generators_keep_clean(self) -> bool:
+        """Whether the graph's ring lists generators
+        (`FiniteRing.generators`) and each keeps the clean set, as ring
+        automorphisms keep WNC and NC."""
+        ring, clean = self.ring, self.clean_set
+        return bool(ring and clean and ring.generators) and all(
+            mask_of(map(g.__getitem__, iter_bits(clean))) == clean
+            for g in ring.generators)
 
 
 def ring_of(graph: WncGraph) -> FiniteRing:
@@ -98,12 +138,8 @@ def certify_rows(graph: WncGraph) -> bool:
     ring, rows, clean = ring_of(graph), graph.adjacency, graph.clean_set
     if ring.radices is None or not rows_translated(ring, clean):
         return False
-    n, add, doubles = len(rows), ring.add, ring.doubles
-    full, ids = (1 << n) - 1, tuple(range(n))
-
-    def toggled(u):  # T_u: row u with bit u toggled when 2u is in S
-        return rows[u] ^ (clean >> doubles[u] & 1) << u
-
+    n, add = len(rows), ring.add
+    full, ids, toggled = (1 << n) - 1, tuple(range(n)), graph.toggled
     places = [1, *accumulate(ring.radices, mul)]  # of the digits, and n
     # each bit slice B_j as the string whose character y is bit j of y
     slices = [(("0" * h + "1" * h) * (n // h + 1))[:n]

@@ -367,41 +367,6 @@ def _clique_branch(adj, rest, root, best, clique, budget, weight=None):
     return best, clique
 
 
-def _twin_classes(graph: WncGraph):
-    """The vertices with equal T_v, row v with bit v toggled when 2v is in
-    the clean set, in classes ordered by least member; None for a
-    synthetic graph, whose rows have no 2v to read."""
-    ring, clean, adj = graph.ring, graph.clean_set, graph.adjacency
-    if ring is None or clean is None:
-        return None
-    doubles = ring.doubles
-    classes = {}
-    for v, row in enumerate(adj):
-        classes.setdefault(row ^ (clean >> doubles[v] & 1) << v, []).append(v)
-    return list(classes.values())
-
-
-def period(graph: WncGraph, classes=None):
-    """(K, whether every 2x lies in K) for certified rows
-    (`WncGraph.certified`), else None. Row v is then S - v minus v, so
-    T_v = S - v and K = {k : S + k = S}, the period of the clean set S, is
-    a subgroup: the class of 0 in `_twin_classes`, read from `classes`
-    when they are given."""
-    if graph.ring is None or not graph.certified:
-        return None
-    k = (classes or _twin_classes(graph))[0]
-    return k, set(graph.ring.doubles) <= set(k)
-
-
-def _symmetric(graph: WncGraph) -> bool:
-    """Whether the graph's ring lists generators (`FiniteRing.generators`)
-    and each keeps the clean set, as ring automorphisms keep WNC and NC."""
-    ring, clean = graph.ring, graph.clean_set
-    return bool(ring and clean and ring.generators) and all(
-        mask_of(map(g.__getitem__, iter_bits(clean))) == clean
-        for g in ring.generators)
-
-
 def _triangle_counts(graph: WncGraph) -> list[int]:
     """The number of triangles through each vertex of a graph built from
     a ring.
@@ -418,15 +383,13 @@ def _triangle_counts(graph: WncGraph) -> list[int]:
     AND per vertex. Q(w) is one AND per distinct value of A, and E(w) one
     per distinct number of a in S with the same 2a. An automorphism of the
     ring that keeps S keeps A and t, so when the ring's generators do
-    (`_symmetric`), A and t are computed once per orbit."""
-    adj, ring, clean = graph.adjacency, graph.ring, graph.clean_set
+    (`WncGraph.generators_keep_clean`), A and t are computed once per
+    orbit."""
+    ring, clean, minus = graph.ring, graph.clean_set, graph.toggled  # S - v
     n = graph.vertex_count
     doubles = ring.doubles
-    orbits = ring.orbits if _symmetric(graph) else [[v] for v in range(n)]
-
-    def minus(v):  # S - v
-        return adj[v] | (clean >> doubles[v] & 1) << v
-
+    orbits = (ring.orbits if graph.generators_keep_clean
+              else [[v] for v in range(n)])
     # the d with A(d) = k, and the u = 2a for k elements a of S, by k
     by_overlap, by_halves = defaultdict(int), defaultdict(int)
     for orbit in orbits:
@@ -455,37 +418,41 @@ def _relabel(adj, order):
     return [int("".join(pick(f"{adj[v]:0{n}b}")), 2) for v in order]
 
 
-def _class_orbits(graph: WncGraph, classes, heads):
+def _class_orbits(graph: WncGraph, heads):
     """The orbits on the twin classes of the ring's generators, and of
     x -> -x when S = -S, as bitsets of the classes' `heads`; None unless
-    the rows are certified and `_symmetric`. Each map is additive and
-    keeps S, so it maps row v onto row f(v) and cosets of K to cosets."""
-    ring, clean, n = graph.ring, graph.clean_set, graph.vertex_count
-    if not _symmetric(graph) or not graph.certified:
+    the rows are certified and `WncGraph.generators_keep_clean`. Each map
+    is additive and keeps S, so it maps row v onto row f(v) and cosets of
+    K to cosets, and one member of a class tells where the class goes."""
+    ring, clean, classes = graph.ring, graph.clean_set, graph.twin_classes
+    if not graph.generators_keep_clean or not graph.certified:
         return None
-    perms, negated = ring.generators, list(map(ring.neg, range(n)))
-    if mask_of(map(negated.__getitem__, iter_bits(clean))) == clean:
-        perms = [*perms, negated]
     index = {v: i for i, c in enumerate(classes) for v in c}
-    found = orbits(len(classes), [[index[p[c[0]]] for c in classes]
-                                  for p in perms])
-    return [mask_of(map(heads.__getitem__, orbit)) for orbit in found]
+    moves = [[index[p[c[0]]] for c in classes] for p in ring.generators]
+    if mask_of(map(ring.neg, iter_bits(clean))) == clean:
+        moves.append([index[ring.neg(c[0])] for c in classes])
+    return [mask_of(map(heads.__getitem__, orbit))
+            for orbit in orbits(len(classes), moves)]
 
 
-def _clique_search(adj, rest, cand, floor, budget, weight=None, orbits=None):
-    """(best, clique): `_clique_branch` from the root that `_clique_root`
-    colors in cand, when `orbits` is None. Otherwise automorphisms of the
-    graph that keep cand map any vertex of an orbit, a bitset in or
-    outside cand, to any other, so the heaviest clique through it is one
-    through its least vertex r. Largest orbit first, one node colors
-    cand; once that bound cannot beat the best the search stops, else it
-    searches r's neighbors in cand, floored at the best, and drops the
-    orbit. budget.bound is left the last bound of cand, or as it came
-    when no node is left for the first."""
-    if orbits is None:
-        best, clique, root = _clique_root(adj, rest, cand, floor, budget, weight)
-        return _clique_branch(adj, rest, root, best, clique, budget, weight)
+def _clique_search(adj, rest, cand, floor, budget, weight=None, orbits=None,
+                   root=None):
+    """(best, clique): `_clique_branch` from `root`, a frame already
+    colored on cand, or else from the root that `_clique_root` colors in
+    cand, when `orbits` is None. Otherwise automorphisms of the graph that
+    keep cand map any vertex of an orbit, a bitset in or outside cand, to
+    any other, so the heaviest clique through it is one through its least
+    vertex r. Largest orbit first, one node colors cand; once that bound
+    cannot beat the best the search stops, else it searches r's neighbors
+    in cand, floored at the best, and drops the orbit. budget.bound is
+    left the last bound of cand, or as it came when no node is left for
+    the first."""
     best, clique = floor, None
+    if orbits is None:
+        if root is None:
+            best, clique, root = _clique_root(adj, rest, cand, floor, budget,
+                                              weight)
+        return _clique_branch(adj, rest, root, best, clique, budget, weight)
     for orbit in sorted((m for m in orbits if m & cand),
                         key=lambda m: (-m.bit_count(), m & -m)):
         if not budget.spend():
@@ -518,38 +485,43 @@ def max_clique(graph: WncGraph, budget: Budget | None = None):
 
     When it does not, a graph built from a ring is searched on its twin
     quotient H. Let T_v be row v with bit v toggled when 2v is in the clean
-    set S, and let the vertices with equal T_v be one class. If T_u = T_v,
-    rows u and v agree off {u, v}, so every vertex of one class sees every
-    vertex of another or none of it, and u ~ v iff 2u is in S (bit u of
-    T_v, which is bit u of T_u). So each class is a clique or an independent set, and
-    a clique of G takes at most all of a clique class and one vertex of an
-    independent class: omega is the heaviest clique of H, a clique class
-    weighing its size and an independent class 1. This reads the rows
-    alone. On a ring, row v is S - v minus v, so T_v = S - v and the
-    classes are the cosets of the period K = {k : S + k = S}, the class of
-    0, of m = |K| elements each. When every class is one vertex, H is G.
-
-    On certified rows (`period`), translation by h maps x + y to
-    x + y + 2h, so it is an automorphism when 2h is in K. When every 2h is
-    (characteristic 2, for one), the graph is vertex-transitive, some
-    heaviest clique of H holds the class of 0, and omega is its weight
-    plus the heaviest clique in its neighborhood. Otherwise H is searched
-    whole, in one search floored at the greedy clique. It is G on one
+    set S (`WncGraph.toggled`), and let the vertices with equal T_v be one
+    class (`WncGraph.twin_classes`). If T_u = T_v, rows u and v agree off
+    {u, v}, so every vertex of one class sees every vertex of another or
+    none of it, and u ~ v iff 2u is in S (bit u of T_v, which is bit u of
+    T_u). So each class is a clique or an independent set, and a clique of
+    G takes at most all of a clique class and one vertex of an independent
+    class: omega is the heaviest clique of H, a clique class weighing its
+    size and an independent class 1. This reads the rows alone. On a ring,
+    row v is S - v minus v, so T_v = S - v and the classes are the cosets
+    of the period K = {k : S + k = S}, the class of 0, of m = |K| elements
+    each. When every class is one vertex, H is G; else it is G on one
     member of each class, weighted, with no rows of its own: a clique
     class is its least member and an independent class its greatest, so
     that in id order the clique classes tend to come first and fill the
-    first color classes. The order is chosen from the ring. When it lists
-    generators (a matrix ring, or a product with one), the id order serves
-    badly (M2(Z5) runs past 15,000 nodes in it), so H's vertices are taken
-    by triangle count, most first, ties by id, on G's own rows when that
-    is the id order; the counts are a few ANDs per distinct 2x, or per
-    orbit. Every other ring, and a synthetic graph, is searched in id
-    order on G's rows.
+    first color classes.
 
-    When the ring's generators keep S (`_class_orbits`), they and x -> -x
-    fix 0 and act on the classes, and both the neighborhood search and the
-    triangle-order search branch once per orbit (`_clique_search`) instead
-    of once per vertex.
+    Then one search (`_clique_search`), floored at the greedy clique, runs
+    on one candidate set in one vertex order:
+
+    - The candidates are all of H. On certified rows (`WncGraph.period`),
+      translation by h maps x + y to x + y + 2h, so it is an automorphism
+      when 2h is in K. When every 2h is (characteristic 2, for one), the
+      graph is vertex-transitive, some heaviest clique of H holds the
+      class of 0, and the candidates are its neighborhood instead; omega
+      is then the class's weight plus the heaviest clique found there.
+    - The order is chosen from the ring. When it lists generators (a
+      matrix ring, or a product with one) and the graph is not
+      vertex-transitive, the id order serves badly (M2(Z5) runs past
+      15,000 nodes in it), so the candidates are taken by triangle count,
+      most first, ties by id, on rows relabeled in that order; the counts
+      are a few ANDs per distinct 2x, or per orbit. Every other graph is
+      searched in id order on G's own rows, and when the candidates are
+      G's vertices themselves, the search branches from G's root frame,
+      colored once.
+    - When the ring's generators keep S (`_class_orbits`), they and
+      x -> -x fix 0 and act on the classes, and the search branches once
+      per orbit instead of once per vertex.
 
     The witness is the heaviest clique found, expanded to G (all of a
     clique class, the least member of an independent one) and sorted. The
@@ -557,11 +529,11 @@ def max_clique(graph: WncGraph, budget: Budget | None = None):
     It is deterministic but not in general the lexicographically least
     maximum clique.
 
-    The searches share `budget`, by default CLIQUE_NODES nodes. When it
-    runs out, the clique number is UNKNOWN, the tuple is the largest clique
-    found, and budget.bound bounds omega: the least bound of the root
-    colorings and of the last candidates of a search once per orbit, with
-    the class of 0 added to that of its neighborhood."""
+    G's root and the search share `budget`, by default CLIQUE_NODES nodes.
+    When it runs out, the clique number is UNKNOWN, the tuple is the
+    largest clique found, and budget.bound bounds omega: the least bound
+    of the root colorings and of the last candidates of a search once per
+    orbit, with the class of 0 added to that of its neighborhood."""
     n = graph.vertex_count
     if n == 0:
         return (), 0
@@ -569,12 +541,12 @@ def max_clique(graph: WncGraph, budget: Budget | None = None):
         budget = Budget("clique", CLIQUE_NODES)
     adj = graph.adjacency
     rest = _complement_table(adj)
-    omega, found, root = _clique_root(adj, rest, (1 << n) - 1, 0, budget)
+    full = (1 << n) - 1
+    omega, found, root = _clique_root(adj, rest, full, 0, budget)
     if root is None:
         return tuple(found), UNKNOWN if budget.exhausted else omega
-    bound, weight, better = budget.bound, None, None
-    classes = _twin_classes(graph)
-    cand, first, heads = (1 << n) - 1, 0, range(n)
+    bound, weight, cand, heads = budget.bound, None, full, range(n)
+    classes = graph.twin_classes
     if classes is not None and len(classes) < n:
         # H: the least member of a clique class, weighing the class, and
         # the greatest of an independent one, weighing 1
@@ -584,41 +556,32 @@ def max_clique(graph: WncGraph, budget: Budget | None = None):
             v = c[0] if clique else c[-1]
             members[v], weight[v] = c, len(c) if clique else 1
         cand, heads = mask_of(members), list(members)
-        first = heads[0]  # the class of 0
-    kernel = period(graph, classes)
-    if kernel is not None and kernel[1]:
-        # every 2h lies in K, the class of 0: every translation is an
-        # automorphism
-        w0 = 1 if weight is None else weight[first]
-        size, better = _clique_search(adj, rest, adj[first] & cand, omega - w0,
-                                      budget, weight,
-                                      _class_orbits(graph, classes, heads))
-        omega, better = w0 + size, better and [first, *better]
-        if budget.exhausted:
-            budget.bound += w0
-    elif classes is not None and graph.ring.generators:
+    first, w0, back = heads[0], 0, range(n)  # the class of 0; H's ids
+    if graph.period is not None and graph.period[1]:
+        # every 2h lies in K, the class of 0: translations are automorphisms
+        w0, cand = 1 if weight is None else weight[first], adj[first] & cand
+    sub, table, top, heavy = adj, rest, cand, weight
+    if not w0 and classes is not None and graph.ring.generators:
         # a matrix ring or a product with one: triangle-count order
         triangles = _triangle_counts(graph)
         ids = bit_list(cand)
         order = sorted(ids, key=lambda v: (-triangles[v], v))
-        sub, table, top, label, heavy = adj, rest, cand, range(n), weight
         if order != ids:  # else search G's own rows, in the same order
-            sub = _relabel(adj, order)
+            sub, back = _relabel(adj, order), order
             table, top = _complement_table(sub), (1 << len(order)) - 1
             label = dict(zip(order, range(len(order))))
-            heavy = weight and [weight[v] for v in order]
-        omega, better = _clique_search(sub, table, top, omega, budget, heavy,
-                                       _class_orbits(graph, classes,
-                                                     [label[v] for v in heads]))
-        if better and sub is not adj:
-            better = [order[v] for v in better]
-    else:  # id order
-        if weight is not None:
-            omega, better, root = _clique_root(adj, rest, cand, omega, budget,
-                                               weight)
-        omega, better = _clique_branch(adj, rest, root, omega, better, budget,
-                                       weight)
+            heads, heavy = [label[v] for v in heads], weight and [
+                weight[v] for v in order]
+    size, better = _clique_search(sub, table, top, omega - w0, budget, heavy,
+                                  _class_orbits(graph, heads),
+                                  root if sub is adj and cand == full else None)
+    omega = w0 + size
+    if budget.exhausted:
+        budget.bound += w0
     if better:
+        better = [back[v] for v in better]
+        if w0:  # the class of 0, whose neighborhood was searched
+            better.append(first)
         found = better if weight is None else [
             u for v in better for u in members[v][:weight[v]]]
     budget.bound = min(bound, budget.bound)

@@ -103,6 +103,35 @@ def test_twin_quotients_decide_omega_in_few_nodes(expr, omega, nodes):
     assert budget.used == nodes and not budget.exhausted
 
 
+def test_the_id_order_search_branches_from_the_root_frame(monkeypatch):
+    # every class of Z15's graph is one vertex and Z15 lists no generators,
+    # so the search runs on G's own vertices in id order and branches from
+    # the root frame that G's first greedy coloring left: 5 nodes, with
+    # one root colored. Recoloring that root would take 6 here and 500 in
+    # all over the graphs of the `census` rings Z2..Z151, where 10 take
+    # this path
+    roots = []
+    root = invariants._clique_root
+
+    def counted(*args, **kwargs):
+        roots.append(args[2])
+        return root(*args, **kwargs)
+
+    monkeypatch.setattr(invariants, "_clique_root", counted)
+    used = {}
+    for n in range(2, 152):
+        _, _, graph = realize(f"Z{n}")
+        budget = wnc.Budget("clique", wnc.CLIQUE_NODES)
+        del roots[:]
+        clique, omega = wnc.max_clique(graph, budget)
+        assert omega == len(clique) and is_clique(graph, clique)
+        assert not budget.exhausted
+        used[n] = budget.used
+        if n == 15:
+            assert roots == [(1 << 15) - 1]
+    assert used[15] == 5 and sum(used.values()) == 490
+
+
 def test_m2_gf4_x_z3_clique_number_is_decided():
     doc = _report("M2(GF(4)) x Z3")
     assert doc["clique_number"] == 48 and "clique_search" not in doc

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import wnc
-from wnc import coloring, invariants
+from wnc import coloring
 from wnc.bitsets import bit_list, mask_of
 from wnc.cli import main
 
@@ -229,14 +229,14 @@ def test_a_component_no_rule_decides_is_unknown():
     ring = wnc.build_ring(wnc.parse_ring_expr("Z3 x Z2 x Z2"))
     graph = wnc.graph._build(ring, mask_of(k + p for k in (0, 4, 8)
                                            for p in (0, 1, 2)))
-    assert invariants.period(graph) == ([0, 4, 8], True)
+    assert graph.period == ([0, 4, 8], True)
     assert wnc.max_degree(graph) == 8
     assert wnc.chromatic_index_exact(graph) is wnc.UNKNOWN
     # the sum graph over Z8 of {0, 1, 2, 4, 5, 6}: K = {0, 4} is even, but
     # 2 and 6 are doubles outside it
     ring = wnc.build_ring(wnc.parse_ring_expr("Z8"))
     graph = wnc.graph._build(ring, mask_of((0, 1, 2, 4, 5, 6)))
-    assert invariants.period(graph) == ([0, 4], False)
+    assert graph.period == ([0, 4], False)
     assert wnc.chromatic_index_exact(graph) is wnc.UNKNOWN
     # Z10 under a constant add: one color, but not a proper coloring
     _, _, graph = realize("Z10")
@@ -351,7 +351,7 @@ def period_coloring(ring, graph, k):
 @pytest.mark.parametrize("expr", PERIOD_EXPRS)
 def test_the_period_construction_uses_delta_colors(expr, monkeypatch):
     ring, _, graph = realize(expr)
-    k, doubled = invariants.period(graph)
+    k, doubled = graph.period
     assert graph.certified and doubled and graph.clean_set & 1
     assert len(k) % 2 == 0
     colors = period_coloring(ring, graph, k)
@@ -370,13 +370,13 @@ def test_a_cleared_coset_edge_is_not_colored_from_the_period():
     # 0 and the next member of K share a coset: without that edge the rows
     # fail the certificate, so the period construction does not apply
     _, _, graph = realize("M2(GF(4)) x Z3")
-    k, _ = invariants.period(graph)
+    k, _ = graph.period
     assert wnc.chromatic_index_exact(graph) == wnc.max_degree(graph) == 287
     rows = list(graph.adjacency)
     rows[k[0]] &= ~(1 << k[1])
     rows[k[1]] &= ~(1 << k[0])
     cut = dataclasses.replace(graph, adjacency=rows)
-    assert not cut.certified and invariants.period(cut) is None
+    assert not cut.certified and cut.period is None
     assert wnc.max_degree(cut) == 287
     assert wnc.chromatic_index_exact(cut) is wnc.UNKNOWN
 

@@ -1,6 +1,8 @@
 """Graph construction: edge law, degrees, neighborhoods, subgraph and
 lifting facts."""
 
+import collections
+import functools
 import os
 import pathlib
 import subprocess
@@ -203,3 +205,32 @@ def test_edges_list_upper_neighbors_in_order(graph):
 def test_edges_of_ring_graphs(expr):
     _, _, graph = realize(expr)
     assert list(wnc.edges(graph)) == _edges_by_bit_walk(graph)
+
+
+@pytest.mark.parametrize("expr", ["M2(Z5)", "M2(GF(4)) x Z3"])
+def test_a_report_derives_each_fact_of_the_sum_graph_once(expr, monkeypatch):
+    # M2(Z5) is searched in triangle-count order, once per orbit, and
+    # M2(GF(4)) x Z3 on the neighborhood of the class of 0, with its chi'
+    # from the period construction: the clique search, the triangle counts
+    # and the chromatic index read the twin classes and the generators'
+    # check of S from the graph, each computed on first read
+    calls = collections.defaultdict(list)
+    for name in ("twin_classes", "generators_keep_clean"):
+        compute = getattr(wnc.WncGraph, name).func
+
+        def counted(graph, name=name, compute=compute):
+            calls[name].append(graph)  # held, so no id is reused
+            return compute(graph)
+
+        fact = functools.cached_property(counted)
+        fact.__set_name__(wnc.WncGraph, name)
+        monkeypatch.setattr(wnc.WncGraph, name, fact)
+    ring = wnc.build_ring(wnc.parse_ring_expr(expr))
+    cls = wnc.weakly_nil_clean_set(ring)
+    graph = wnc.build_wnc_graph(ring, cls)
+    report = wnc.compute_report(cls, graph)
+    assert report.clique_number == len(report.clique)
+    assert report.vizing_class == 1 and report.theorem_verdicts
+    for name in ("twin_classes", "generators_keep_clean"):
+        assert sum(g is graph for g in calls[name]) == 1, name
+        assert len(calls[name]) == len(set(map(id, calls[name]))), name

@@ -301,7 +301,7 @@ def test_twin_classes_are_cliques_or_independent_sets(expr):
     ring, cls, graph = realize(expr)
     for kind, g in _both_graphs(ring, cls, graph):
         adj, n = g.adjacency, g.vertex_count
-        classes = invariants._twin_classes(g)
+        classes = g.twin_classes
         assert sorted(v for c in classes for v in c) == list(range(n)), kind
         period = _period(ring, g.clean_set)
         assert classes[0] == period, kind
@@ -317,7 +317,7 @@ def test_twin_classes_are_cliques_or_independent_sets(expr):
 def test_period_is_read_off_certified_rows_only(expr):
     # K from the ring's addition, and whether every x + x lies in it
     ring, cls, graph = realize(expr)
-    found = invariants.period(graph)
+    found = graph.period
     if not graph.certified:
         assert found is None
         return
@@ -337,7 +337,7 @@ def test_the_vertex_transitive_shortcut_needs_certified_rows():
         rows[0] &= ~(1 << v)
         rows[v] &= ~1
     cut = dataclasses.replace(graph, adjacency=rows)
-    assert not cut.certified and invariants.period(cut) is None
+    assert not cut.certified and cut.period is None
     assert max_clique_size(cut) == 7
     assert wnc.max_clique(cut) == ((1, 2, 3, 4, 5, 6, 7), 7)
     assert wnc.compute_report(cls, cut).clique_number == 7
@@ -353,7 +353,7 @@ def test_blow_ups_are_m_times_the_clique_number_of_the_quotient(expr, omega):
     # omega(H) from the plain search on H's rows
     ring, _, graph = realize(expr)
     adj = graph.adjacency
-    classes = invariants._twin_classes(graph)
+    classes = graph.twin_classes
     m = len(classes[0])
     assert len(classes) == 128 and {len(c) for c in classes} == {m}
     assert all(adj[c[0]] >> c[1] & 1 for c in classes)

@@ -140,9 +140,8 @@ def test_the_orbit_search_is_skipped_where_a_generator_moves_the_clean_set():
     ring, _, _ = realize("M2(Z3)")
     clean = mask_of(range(0, ring.size, 3))
     graph = wnc.graph._build(ring, clean)
-    assert graph.certified and not invariants._symmetric(graph)
-    assert invariants._class_orbits(graph, invariants._twin_classes(graph),
-                                    list(range(ring.size))) is None
+    assert graph.certified and not graph.generators_keep_clean
+    assert invariants._class_orbits(graph, list(range(ring.size))) is None
     synthetic = dataclasses.replace(graph, ring=None)
     assert wnc.max_clique(graph)[1] == wnc.max_clique(synthetic)[1]
 
@@ -159,7 +158,7 @@ def test_unions_of_orbits_without_negation_keep_the_clique_number(expr):
         clean = mask_of(x for orbit in ring.orbits if rng.random() < 0.4
                         for x in orbit)
         graph = wnc.graph._build(ring, clean)
-        assert invariants._symmetric(graph)
+        assert graph.generators_keep_clean
         lost += mask_of(map(ring.neg, wnc.bitsets.iter_bits(clean))) != clean
         synthetic = dataclasses.replace(graph, ring=None)
         clique, omega = wnc.max_clique(graph, wnc.Budget("clique", 10**6))
@@ -178,9 +177,8 @@ def test_uncertified_rows_read_no_orbit():
         rows[0] &= ~(1 << v)
         rows[v] &= ~1
     cut = dataclasses.replace(graph, adjacency=rows)
-    assert not cut.certified and invariants._symmetric(cut)
-    assert invariants._class_orbits(cut, invariants._twin_classes(cut),
-                                    range(ring.size)) is None
+    assert not cut.certified and cut.generators_keep_clean
+    assert invariants._class_orbits(cut, range(ring.size)) is None
     synthetic = dataclasses.replace(cut, ring=None)
     clique, omega = wnc.max_clique(cut)
     assert omega == len(clique) == wnc.max_clique(synthetic)[1]
