@@ -85,6 +85,26 @@ class WncGraph:
         return k, set(self.ring.doubles) <= set(k)
 
     @cached_property
+    def sum_coloring(self) -> tuple[bool, int, int]:
+        """(proper, colors, covered) of the sum coloring, folded from one
+        pass of `sum_sets`: whether |sums(x)| = deg(x) at every x, the
+        union of the sums(x), and the meet over x of sums(x) and {2x}."""
+        doubles, proper, colors, covered = ring_of(self).doubles, True, 0, -1
+        for x, degree, sums in sum_sets(self):
+            proper &= sums.bit_count() == degree
+            colors |= sums
+            covered &= sums | 1 << doubles[x]
+        return proper, colors, covered
+
+    @cached_property
+    def components(self) -> tuple[list[int], bool]:
+        """`invariants.components_and_bipartite` of this graph, walked on
+        first read: the components, ordered by least vertex, and whether
+        the graph is bipartite."""
+        from .invariants import components_and_bipartite
+        return components_and_bipartite(self)
+
+    @cached_property
     def generators_keep_clean(self) -> bool:
         """Whether the graph's ring lists generators
         (`FiniteRing.generators`) and each keeps the clean set, as ring
@@ -100,6 +120,26 @@ def ring_of(graph: WncGraph) -> FiniteRing:
     if graph.ring is None:
         raise ValueError("the graph was not built from a ring")
     return graph.ring
+
+
+def sum_sets(graph: WncGraph):
+    """Yield (x, deg(x), sums(x)) for every vertex x, where sums(x) is the
+    bitset of x + y over the neighbors y of x, the colors of the sum
+    coloring at x. Certified rows give sums(x) = S minus 2x; other rows
+    make one `add` per neighbor, so a non-injective addition still yields
+    its true image."""
+    ring, rows = ring_of(graph), graph.adjacency
+    if graph.certified:
+        clean, doubles = graph.clean_set, ring.doubles
+        for x, row in enumerate(rows):
+            yield x, row.bit_count(), clean & ~(1 << doubles[x])
+        return
+    add = ring.add
+    for x, row in enumerate(rows):
+        sums = 0
+        for y in iter_bits(row):
+            sums |= 1 << add(x, y)
+        yield x, row.bit_count(), sums
 
 
 def rows_translated(ring: FiniteRing, clean: int) -> bool:
@@ -131,10 +171,36 @@ def _build(ring: FiniteRing, clean: int) -> WncGraph:
 
 
 def certify_rows(graph: WncGraph) -> bool:
-    """Whether checks (a) to (c) of the `theorems` module docstring prove
-    each row v (S - v) minus v, S the clean set, for rows translated from
-    the graph's ring (`graph.rows_translated`): at most n * (digits + 2)
-    additions."""
+    """Whether checks (a) to (c) prove each row v (S - v) minus v, S the
+    clean set, from the ring's own `add`, `neg` and `doubles`, for rows
+    translated from the graph's ring (`rows_translated`): at most
+    n * (digits + 2) additions and O(n) word moves. Sums read off the
+    translates unproved would make the report's verdicts hold by
+    construction. Row v is (S - v) minus v iff T_v (`WncGraph.toggled`)
+    = S - v; each digit's unit is a generator g.
+
+    (a) T_0 = S, the ring's zero being the id 0.
+    (b) The addition row L: y -> add(g, y) is a permutation, and
+        translate(., g) maps the full mask, each bit slice
+        B_j = {y : bit j of y is 1} and its complement onto their images
+        under L. translate is made of shifts, ANDs with constants and ORs,
+        so it distributes over OR, and the image I_p of bit p lies in the
+        image of each slice or complement holding p; these meet in
+        L({p}) = {g + p}, and the full mask leaves no I_p empty. So
+        translate(M, g) = g + M for every mask M.
+    (c) For v > 0 in id order, g the generator of v's lowest nonzero digit
+        and p = v + (-g): p < v, add(p, g) = v, T_v lies below bit n, and
+        translate(T_v, g) = T_p. By (b) and induction from (a),
+        g + T_v = S - p, so T_v = S - (p + g) = S - v.
+
+    Then y -> x + y maps row x one to one onto S minus 2x, which is
+    sums(x) (`sum_sets`). A `translate` misrouting a bit on a generator's
+    move fails (b); one misrouting a bit on a move of two or more units,
+    which the certificate never makes, builds a row that (a) or (c)
+    refuses, as is one flipped row bit, and the per-neighbor sums show it
+    as a DISAGREE. An `add` shifted by h with 2h = 0, or not injective, at
+    a generator fails (b), and the per-neighbor sums show a subgraph or
+    sum-coloring DISAGREE."""
     ring, rows, clean = ring_of(graph), graph.adjacency, graph.clean_set
     if ring.radices is None or not rows_translated(ring, clean):
         return False

@@ -98,9 +98,10 @@ def _bfs_levels(adj, source: int, bound: int):
 
 
 def components_and_bipartite(graph: WncGraph) -> tuple[list[int], bool]:
-    """`components` and `is_bipartite` from one walk per component, which
-    ORs its levels and tests them for inner edges until one has one: an
-    edge inside a BFS level closes an odd cycle."""
+    """The components and bipartiteness that `WncGraph.components` keeps,
+    from one walk per component, which ORs its levels and tests them for
+    inner edges until one has one: an edge inside a BFS level closes an
+    odd cycle."""
     adj = graph.adjacency
     unseen = (1 << graph.vertex_count) - 1
     parts, odd = [], False
@@ -120,8 +121,9 @@ def components_and_bipartite(graph: WncGraph) -> tuple[list[int], bool]:
 
 
 def components(graph: WncGraph) -> list[int]:
-    """Connected components as vertex bitsets, ordered by least vertex."""
-    return components_and_bipartite(graph)[0]
+    """Connected components as vertex bitsets, ordered by least vertex,
+    from the graph's one walk (`WncGraph.components`)."""
+    return graph.components[0]
 
 
 def diameter(graph: WncGraph):
@@ -222,8 +224,9 @@ def girth(graph: WncGraph):
 
 def is_bipartite(graph: WncGraph) -> bool:
     """True iff the graph has no odd cycle, that is, no component has an
-    edge inside one of its BFS levels from its least vertex."""
-    return components_and_bipartite(graph)[1]
+    edge inside one of its BFS levels from its least vertex; read off the
+    graph's one walk (`WncGraph.components`)."""
+    return graph.components[1]
 
 
 def is_star(graph: WncGraph) -> bool:

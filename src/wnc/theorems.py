@@ -17,52 +17,28 @@ number), and rings where 2x is always weakly nil clean have max degree
 
 The report reads the graph it is given, and the ring R that graph was
 built from, so it cannot mix two rings. It builds no graph of its own, bar
-the quotient's graph when Nil(R) != 0. One pass over the rows gives each
-vertex's sum set sums(x) = {x + y : y ~ x}. sum-coloring checks
-|sums(x)| = deg(x), degree-lemma checks deg(x) = |WNC| - [2x in WNC], and
-subgraph checks that NC(R) minus {2x} lies in sums(x): y is a nil clean
+the quotient's graph when Nil(R) != 0. Two verdicts read the graph's one
+sum pass (`WncGraph.sum_coloring`) over the sum sets
+sums(x) = {x + y : y ~ x}. sum-coloring checks |sums(x)| = deg(x), and
+subgraph checks that NC(R) lies in the meet over x of sums(x) and {2x},
+that is, that NC(R) minus {2x} lies in every sums(x): y is a nil clean
 neighbor of x iff y != x and x + y is nil clean, and by cancellation in
 (R,+) that y is a neighbor in the given graph iff x + y is in sums(x).
-This never assumes NC(R) inside WNC(R).
+This never assumes NC(R) inside WNC(R). degree-lemma checks
+deg(x) = |WNC| - [2x in WNC] on the rows.
 
-Most rows are built by translating S = WNC(R) over the digit layout
-(`rings.translate`); sums read off those translates would make the three
-verdicts hold by construction. So where the build translated
-(`graph.rows_translated`), the pass first proves the rows from the ring's
-own `add`, `neg` and `doubles` (`graph.certify_rows`), in
-O(n * digits) additions and O(n) word moves; other rows get one `add` per
-neighbor. Let T_v be row v with bit v toggled when 2v is in S, so row v
-is (S - v) minus v iff T_v = S - v; each digit's unit is a generator g.
+Where the build translated the rows, the pass first proves them from the
+ring's own arithmetic (`graph.certify_rows`, whose docstring gives the
+argument and what each kind of wrong row or addition shows); other rows
+get one `add` per neighbor. So each verdict compares the real row's
+popcount, or NC(R), with sums proved from the ring's arithmetic, never
+from the lemma it checks. The report assumes `add` is an abelian group
+operation, as the paper's proofs do; the tests check the ring axioms on
+the corpus.
 
-(a) T_0 = S, the ring's zero being the id 0.
-(b) The addition row L: y -> add(g, y) is a permutation, and translate(., g)
-    maps the full mask, each bit slice B_j = {y : bit j of y is 1} and
-    its complement onto their images under L. translate is made of
-    shifts, ANDs with constants and ORs, so it distributes over OR, and
-    the image I_p of bit p lies in the image of each slice or complement
-    holding p; these meet in L({p}) = {g + p}, and the full mask leaves
-    no I_p empty. So translate(M, g) = g + M for every mask M.
-(c) For v > 0 in id order, g the generator of v's lowest nonzero digit
-    and p = v + (-g): p < v, add(p, g) = v, T_v lies below bit n, and
-    translate(T_v, g) = T_p. By (b) and induction from (a),
-    g + T_v = S - p, so T_v = S - (p + g) = S - v.
-
-Then y -> x + y maps row x one to one onto S minus 2x, which is sums(x).
-Each verdict compares the real row's popcount, or NC(R), with sums the
-certificate proved from the ring's arithmetic, never from the lemma it
-checks. The report assumes `add` is an abelian group operation, as the
-paper's proofs do; the tests check the ring axioms on the corpus. A
-`translate` misrouting a bit on a generator's move fails (b); one
-misrouting a bit on a move of two or more units, which the certificate
-never makes, builds a row that (a) or (c) refuses, as is one flipped row
-bit, and the per-neighbor sums show it as a DISAGREE. An `add` shifted by
-h with 2h = 0, or not injective, at a generator fails (b), and the
-per-neighbor sums show a subgraph or sum-coloring DISAGREE.
-
-The class-1 verdict reads chi' = Delta off the same pass when the sum
-coloring is proper with at most Delta colors. Otherwise
-`coloring.chromatic_index_exact` decides it by a bound or a construction
-that it proves, or answers unknown; it makes no search and has no budget.
+The class-1 verdict reads `coloring.chromatic_index_exact`, which decides
+chi' from the same pass, a bound or a construction that it proves, or
+answers unknown; it makes no search and has no budget.
 """
 
 from __future__ import annotations
@@ -72,12 +48,12 @@ from functools import cached_property
 
 from .bitsets import iter_bits
 from .classify import Classification, weakly_nil_clean_set
-from .coloring import chromatic_index_exact, sum_sets
+from .coloring import chromatic_index_exact
 from .graph import WncGraph, build_wnc_graph, is_complete, max_degree, ring_of
 from .invariants import (CENSUS_NODES, CLIQUE_NODES, INFINITE, UNKNOWN, Budget,
-                         clique_count_bound, components_and_bipartite,
-                         diameter, enumerate_k_cliques, girth, is_star,
-                         max_clique, neighborhood_disjointness_check, z2p_prime)
+                         clique_count_bound, diameter, enumerate_k_cliques,
+                         girth, is_star, max_clique,
+                         neighborhood_disjointness_check, z2p_prime)
 from .rings import GF, MatrixRing, Zn, is_prime, nilradical_quotient
 
 AGREE = "AGREE"
@@ -154,13 +130,14 @@ class InvariantReport:
     """
 
     def __init__(self, classification: Classification, graph: WncGraph):
-        ring, n = ring_of(graph), graph.vertex_count
+        ring_of(graph)  # refuses a graph without a ring before any work
+        n = graph.vertex_count
         if classification.size != n or graph.clean_set != classification.wnc:
             raise ValueError("graph was not built from this classification")
         if any(row >> n for row in graph.adjacency):
             raise ValueError("a row has a bit outside the carrier")
         self.cls, self.graph = classification, graph
-        parts, self.is_bipartite = components_and_bipartite(graph)
+        parts, self.is_bipartite = graph.components
         self.component_sizes = sorted(c.bit_count() for c in parts)
         self.diameter = diameter(graph)  # int or INFINITE
         self.girth = girth(graph)  # int or INFINITE
@@ -171,24 +148,8 @@ class InvariantReport:
         # clique_number is UNKNOWN
         self.clique, self.clique_number = max_clique(graph,
                                                      self.budgets["clique"])
-        # one pass over the rows for three verdicts (module docstring)
-        nc, wnc = classification.nc, classification.wnc
-        size_wnc = wnc.bit_count()
-        self.sum_proper = self.subgraph = self.degree_lemma = True
-        self.sum_colors = 0
-        doubles = ring.doubles
-        for x, degree, sums in sum_sets(graph):
-            two_x = doubles[x]
-            self.sum_proper &= sums.bit_count() == degree
-            self.subgraph &= nc & ~(1 << two_x) & ~sums == 0
-            self.degree_lemma &= degree == size_wnc - (wnc >> two_x & 1)
-            self.sum_colors |= sums
-        self.sum_coloring_colors = self.sum_colors.bit_count()
-        if self.sum_proper and self.sum_coloring_colors <= self.max_degree:
-            # the sum coloring itself is a proper Delta-edge-coloring
-            self.chromatic_index = self.max_degree
-        else:
-            self.chromatic_index = chromatic_index_exact(graph)
+        self.sum_coloring_colors = graph.sum_coloring[1].bit_count()
+        self.chromatic_index = chromatic_index_exact(graph)
         chi = self.chromatic_index
         self.vizing_class = (UNKNOWN if chi is UNKNOWN
                              else 1 if chi == self.max_degree else 2)
@@ -260,8 +221,9 @@ def _verdicts(a: InvariantReport) -> list[TheoremVerdict]:
     computed = "complete" if is_complete(graph) else "incomplete"
     emit("completeness", predicted, computed, predicted == computed)
 
-    # the nil clean graph is always a subgraph
-    ok = a.subgraph
+    # the nil clean graph is always a subgraph (module docstring)
+    proper, colors, covered = graph.sum_coloring
+    ok = a.cls.nc & ~covered == 0
     emit("subgraph", "nil clean graph is a subgraph",
          "subgraph" if ok else "edge outside the weakly nil clean graph", ok)
 
@@ -274,7 +236,9 @@ def _verdicts(a: InvariantReport) -> list[TheoremVerdict]:
         skip("quotient-lifting", "noncommutative ring")
 
     # degree formula deg(x) = |WNC| - [2x in WNC]
-    ok = a.degree_lemma
+    clean, size = a.cls.wnc, a.cls.wnc.bit_count()
+    ok = all(row.bit_count() == size - (clean >> d & 1)
+             for row, d in zip(graph.adjacency, ring.doubles))
     emit("degree-lemma", "deg(x) = |WNC| - [2x weakly nil clean]",
          "holds" if ok else "fails", ok)
 
@@ -379,11 +343,11 @@ def _verdicts(a: InvariantReport) -> list[TheoremVerdict]:
         skip("diameter-product", "not a product spec")
 
     # sum coloring: proper, colors inside WNC(R)
-    inside = a.sum_colors & ~a.cls.wnc == 0
+    inside = colors & ~a.cls.wnc == 0
     emit("sum-coloring", "proper with colors among the weakly nil clean sums",
-         ("proper" if a.sum_proper else "improper") + ", "
+         ("proper" if proper else "improper") + ", "
          + f"{a.sum_coloring_colors} colors"
-         + ("" if inside else " outside the set"), a.sum_proper and inside)
+         + ("" if inside else " outside the set"), proper and inside)
 
     # class 1: chi' = max degree; the degree-lemma premise Delta = |WNC|
     # fails exactly when Delta = |WNC| - 1

@@ -416,18 +416,6 @@ def sum_edge_coloring(ring, graph):
     return {(u, v): ring.add(u, v) for u, v in wnc.edges(graph)}
 
 
-def check_sum_coloring(graph):
-    """(proper, colors) for the sum coloring in the graph's ring, folded
-    over the library's `sum_sets`: the colors at x are distinct iff
-    |sums(x)| = deg(x), and `colors` is the bitset of every color used."""
-    proper = True
-    colors = 0
-    for _, degree, sums in wnc.coloring.sum_sets(graph):
-        proper = proper and sums.bit_count() == degree
-        colors |= sums
-    return proper, colors
-
-
 def verify_proper_edge_coloring(graph, coloring) -> bool:
     """True iff the coloring is total on the edge set and no two edges
     sharing a vertex share a color. A partial coloring is an error."""

@@ -10,13 +10,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import wnc
-from wnc import coloring
 from wnc.bitsets import bit_list, mask_of
 from wnc.cli import main
 
 from corpus import ACCEPTANCE_CORPUS, realize
-from oracles import (check_sum_coloring, chromatic_index_with_hints,
-                     edge_colorable, round_robin_coloring, sum_edge_coloring,
+from oracles import (chromatic_index_with_hints, edge_colorable,
+                     round_robin_coloring, sum_edge_coloring,
                      verify_proper_edge_coloring)
 
 PETERSEN_EDGES = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0),
@@ -52,11 +51,17 @@ def test_sum_coloring_is_proper_with_colors_in_wnc(expr):
 
 @pytest.mark.parametrize("expr", ACCEPTANCE_CORPUS + ("Z12/nil", "Z2 x Z7"))
 def test_check_sum_coloring_matches_the_dict_reference(expr):
+    # the graph's one sum pass against one add per edge: proper, the colors
+    # used, and the colors at every x together with 2x
     ring, _, graph = realize(expr)
     coloring = sum_edge_coloring(ring, graph)
-    assert check_sum_coloring(graph) == (
+    at = [{ring.add(x, x)} for x in range(ring.size)]
+    for (u, v), c in coloring.items():
+        at[u].add(c)
+        at[v].add(c)
+    assert graph.sum_coloring == (
         verify_proper_edge_coloring(graph, coloring),
-        mask_of(coloring.values()))
+        mask_of(coloring.values()), mask_of(set.intersection(*at)))
 
 
 @pytest.mark.parametrize("add", [lambda a, b: 0, lambda a, b: a * b % 6],
@@ -65,10 +70,11 @@ def test_check_sum_coloring_flags_a_non_cancellative_add(add):
     # a stub "ring" whose add is not cancellative: edges at a shared vertex
     # can get the same color, which only a computed check notices
     _, _, graph = realize("Z6")
-    stub = types.SimpleNamespace(size=graph.vertex_count, add=add, radices=None)
+    stub = types.SimpleNamespace(size=graph.vertex_count, add=add,
+                                 radices=None, doubles=[0] * 6)
     coloring = sum_edge_coloring(stub, graph)
     assert not verify_proper_edge_coloring(graph, coloring)
-    assert check_sum_coloring(dataclasses.replace(graph, ring=stub)) == (
+    assert dataclasses.replace(graph, ring=stub).sum_coloring[:2] == (
         False, mask_of(coloring.values()))
 
 
@@ -95,7 +101,7 @@ def test_sum_sets_are_the_images_under_add(expr, mode, monkeypatch):
     if mode != "shipped":
         assert translated == (mode == "rows" and ring.radices is not None)
     assert wnc.graph.certify_rows(graph) == translated
-    for x, degree, sums in coloring.sum_sets(graph):
+    for x, degree, sums in wnc.graph.sum_sets(graph):
         row = graph.adjacency[x]
         assert degree == row.bit_count()
         assert sums == mask_of(ring.add(x, y) for y in bit_list(row))
@@ -111,7 +117,7 @@ def test_certified_rows_make_at_most_n_digits_plus_two_adds(expr):
     counted = copy.copy(ring)
     counted.add = lambda a, b: calls.append((a, b)) or ring.add(a, b)
     counted_graph = dataclasses.replace(graph, ring=counted)
-    assert list(coloring.sum_sets(counted_graph)) == list(coloring.sum_sets(graph))
+    assert list(wnc.graph.sum_sets(counted_graph)) == list(wnc.graph.sum_sets(graph))
     assert wnc.graph.certify_rows(graph)
     assert 0 < len(calls) <= ring.size * (len(ring.radices) + 2)
 
@@ -140,9 +146,9 @@ def test_a_refused_add_row_falls_back_to_add(expr, bad_row):
     assert wnc.graph.certify_rows(twin_graph) == true_rows
     if bad_row(n, 1) is None:
         with pytest.raises(TypeError):
-            list(coloring.sum_sets(twin_graph))
+            list(wnc.graph.sum_sets(twin_graph))
         return
-    assert list(coloring.sum_sets(twin_graph)) == [
+    assert list(wnc.graph.sum_sets(twin_graph)) == [
         (x, row.bit_count(), mask_of(twin.add(x, y) for y in bit_list(row)))
         for x, row in enumerate(graph.adjacency)]
 
@@ -150,7 +156,7 @@ def test_a_refused_add_row_falls_back_to_add(expr, bad_row):
 def test_check_sum_coloring_refuses_a_graph_without_a_ring():
     _, _, graph = realize("Z6")
     with pytest.raises(ValueError):
-        check_sum_coloring(dataclasses.replace(graph, ring=None))
+        dataclasses.replace(graph, ring=None).sum_coloring
 
 
 @pytest.mark.parametrize("m", range(2, 65))
@@ -240,10 +246,15 @@ def test_a_component_no_rule_decides_is_unknown():
     assert wnc.chromatic_index_exact(graph) is wnc.UNKNOWN
     # Z10 under a constant add: one color, but not a proper coloring
     _, _, graph = realize("Z10")
-    stub = types.SimpleNamespace(size=10, add=lambda a, b: 0, radices=None)
+    stub = types.SimpleNamespace(size=10, add=lambda a, b: 0, radices=None,
+                                 doubles=[0] * 10)
     assert wnc.chromatic_index_exact(graph) == 6
     assert wnc.chromatic_index_exact(
         dataclasses.replace(graph, ring=stub)) is wnc.UNKNOWN
+
+
+# the sum coloring as an improper one, so that steps 2 and 3 decide
+REFUSED = property(lambda graph: (False, 0, 0))
 
 
 @settings(max_examples=300, deadline=None)
@@ -267,8 +278,7 @@ def test_decided_chromatic_indices_of_sum_graphs_are_exact(expr, sums,
     # with and without the sum coloring; "period-only" leaves the sum
     # graphs that the bounds do not settle to the period construction
     if not sums:
-        monkeypatch.setattr(coloring, "_sum_coloring_fits",
-                            lambda *args: False)
+        monkeypatch.setattr(wnc.WncGraph, "sum_coloring", REFUSED)
     ring = wnc.build_ring(wnc.parse_ring_expr(expr))
     decided = set()
     for clean in range(1 << ring.size):
@@ -328,6 +338,35 @@ def without_zero_one(expr):
     return dataclasses.replace(graph, adjacency=rows)
 
 
+def shifted_generator_row(expr):
+    """The ring's graph under an add that is off by h, 2h = 0, on the row
+    of its last digit unit g: add(g, y) = g + y + h, and true elsewhere."""
+    ring, _, graph = realize(expr)
+    h = next(v for v in range(1, ring.size) if ring.add(v, v) == ring.zero)
+    g = list(itertools.accumulate((1, *ring.radices[:-1]), operator.mul))[-1]
+    ring.doubles  # read from the true add, and kept by the copy
+    shifted = copy.copy(ring)
+    shifted.add = lambda a, b: ring.add(ring.add(a, h) if a == g else a, b)
+    return dataclasses.replace(graph, ring=shifted)
+
+
+@pytest.mark.parametrize("tamper", [without_zero_one, shifted_generator_row])
+@pytest.mark.parametrize("expr", ["Z4 x Z9", "Z12", "M2(Z2)"])
+def test_covered_is_the_per_vertex_subgraph_test(expr, tamper):
+    # a set lies in the meet of the sets sums(x) and {2x} iff it lies in
+    # sums(x) after 2x is taken out, at every x: on uncertified rows too,
+    # for NC, WNC and each single element
+    graph, cls = tamper(expr), realize(expr)[1]
+    assert not graph.certified
+    doubles = graph.ring.doubles
+    passes = list(wnc.graph.sum_sets(graph))
+    covered = graph.sum_coloring[2]
+    for clean in [cls.nc, cls.wnc, *(1 << c for c in range(graph.vertex_count))]:
+        assert (clean & ~covered == 0) == all(
+            clean & ~(1 << doubles[x]) & ~sums == 0 for x, _, sums in passes)
+    assert passes != list(wnc.graph.sum_sets(realize(expr)[2]))  # tampered
+
+
 # certified rings whose period K of the clean set S holds every 2x and
 # has even order: the hypotheses of the period construction
 PERIOD_EXPRS = ("Z4", "Z12", "M2(Z2)", "Z2 x Z4", "Z4 x Z6", "M2(GF(4)) x Z3")
@@ -361,8 +400,7 @@ def test_the_period_construction_uses_delta_colors(expr, monkeypatch):
     delta = wnc.max_degree(graph)
     assert len(set(colors.values())) == delta
     # with the sum coloring refused, the bounds or the construction decide
-    monkeypatch.setattr(coloring, "_sum_coloring_fits",
-                        lambda *args: False)
+    monkeypatch.setattr(wnc.WncGraph, "sum_coloring", REFUSED)
     assert wnc.chromatic_index_exact(graph) == delta
 
 

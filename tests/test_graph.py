@@ -207,15 +207,22 @@ def test_edges_of_ring_graphs(expr):
     assert list(wnc.edges(graph)) == _edges_by_bit_walk(graph)
 
 
-@pytest.mark.parametrize("expr", ["M2(Z5)", "M2(GF(4)) x Z3"])
+FACTS = ("twin_classes", "generators_keep_clean", "sum_coloring",
+         "components")
+
+
+@pytest.mark.parametrize("expr", ["M2(Z5)", "M2(GF(4)) x Z3", "Z16 x Z48"])
 def test_a_report_derives_each_fact_of_the_sum_graph_once(expr, monkeypatch):
     # M2(Z5) is searched in triangle-count order, once per orbit, and
     # M2(GF(4)) x Z3 on the neighborhood of the class of 0, with its chi'
-    # from the period construction: the clique search, the triangle counts
-    # and the chromatic index read the twin classes and the generators'
-    # check of S from the graph, each computed on first read
+    # from the period construction; Z16 x Z48 is K768, whose sum coloring
+    # takes one color too many, so chi' comes from its one component: the
+    # clique search, the triangle counts, the verdicts and the chromatic
+    # index read the twin classes, the generators' check of S, the sum
+    # pass and the component walk from the graph, each computed on first
+    # read
     calls = collections.defaultdict(list)
-    for name in ("twin_classes", "generators_keep_clean"):
+    for name in FACTS:
         compute = getattr(wnc.WncGraph, name).func
 
         def counted(graph, name=name, compute=compute):
@@ -225,12 +232,21 @@ def test_a_report_derives_each_fact_of_the_sum_graph_once(expr, monkeypatch):
         fact = functools.cached_property(counted)
         fact.__set_name__(wnc.WncGraph, name)
         monkeypatch.setattr(wnc.WncGraph, name, fact)
+    decided = []
+    real = wnc.theorems.chromatic_index_exact
+    monkeypatch.setattr(wnc.theorems, "chromatic_index_exact",
+                        lambda graph: decided.append(graph) or real(graph))
     ring = wnc.build_ring(wnc.parse_ring_expr(expr))
     cls = wnc.weakly_nil_clean_set(ring)
     graph = wnc.build_wnc_graph(ring, cls)
     report = wnc.compute_report(cls, graph)
     assert report.clique_number == len(report.clique)
     assert report.vizing_class == 1 and report.theorem_verdicts
-    for name in ("twin_classes", "generators_keep_clean"):
-        assert sum(g is graph for g in calls[name]) == 1, name
+    assert len(decided) == 1 and decided[0] is graph  # chi' decided once
+    # K768's clique is the whole graph, found without the twin quotient
+    once = {name: int(expr != "Z16 x Z48" or name in FACTS[2:])
+            for name in FACTS}
+    assert {name: sum(g is graph for g in calls[name])
+            for name in FACTS} == once
+    for name in FACTS:
         assert len(calls[name]) == len(set(map(id, calls[name]))), name

@@ -9,7 +9,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import wnc
-from wnc import coloring
 from wnc.errors import InvalidSpecError, UnsupportedOperationError
 
 from corpus import ACCEPTANCE_CORPUS, realize
@@ -361,7 +360,7 @@ def test_the_cap_is_not_a_parameter(function):
     (wnc.make_graph, {"kind"}),
     (wnc.compute_report, {"ring"}),
     (wnc.InvariantReport, {"ring"}),
-    (coloring.sum_sets, {"ring"}),
+    (wnc.graph.sum_sets, {"ring"}),
     (wnc.graph.certify_rows, {"ring"}),
     (wnc.neighborhood_disjointness_check, {"ring"}),
 ], ids=lambda f: getattr(f, "__name__", None))
