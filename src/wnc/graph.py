@@ -14,7 +14,8 @@ per digit instead of one addition per element of S. Otherwise, as for
 the three-element clean sets of fields or a quotient without a layout,
 each row is |S| additions; `rows_translated` decides, and `certify_rows`
 proves translated rows from the ring's own addition, once per graph
-(`WncGraph.certified`).
+(`WncGraph.certified`). The sum coloring of proved rows is read off S
+and the doubles; other rows make one `add` per neighbor (`sum_sets`).
 """
 
 from __future__ import annotations
@@ -54,23 +55,24 @@ class WncGraph:
         pass, the chromatic index and the clique search all read it."""
         return certify_rows(self)
 
-    def toggled(self, v: int) -> int:
-        """T_v: row v with bit v toggled when 2v is in the clean set S. On
-        certified rows, T_v = S - v."""
-        return self.adjacency[v] ^ (
-            self.clean_set >> self.ring.doubles[v] & 1) << v
+    @cached_property
+    def translates(self) -> list[int]:
+        """T_v for each v: row v with bit v toggled when 2v is in S, which is
+        S - v on certified rows; untoggled rows and equal T_v share objects."""
+        clean, doubles, shared = self.clean_set, ring_of(self).doubles, {}
+        return [shared.setdefault(t, t) for t in (
+            row ^ 1 << v if clean >> doubles[v] & 1 else row
+            for v, row in enumerate(self.adjacency))]
 
     @cached_property
     def twin_classes(self) -> Optional[list[list[int]]]:
-        """The vertices with equal T_v (`toggled`), in classes ordered by
-        least member; None for a synthetic graph, whose rows have no 2v to
-        read."""
-        ring, clean = self.ring, self.clean_set
-        if ring is None or clean is None:
+        """The classes of vertices with equal T_v (`translates`), ordered by
+        least member; None for a synthetic graph, which has no 2v to read."""
+        if self.ring is None or self.clean_set is None:
             return None
-        doubles, classes = ring.doubles, {}
-        for v, row in enumerate(self.adjacency):  # T_v, inline for speed
-            classes.setdefault(row ^ (clean >> doubles[v] & 1) << v, []).append(v)
+        classes = {}
+        for v, t in enumerate(self.translates):
+            classes.setdefault(t, []).append(v)
         return list(classes.values())
 
     @cached_property
@@ -86,10 +88,14 @@ class WncGraph:
 
     @cached_property
     def sum_coloring(self) -> tuple[bool, int, int]:
-        """(proper, colors, covered) of the sum coloring, folded from one
-        pass of `sum_sets`: whether |sums(x)| = deg(x) at every x, the
-        union of the sums(x), and the meet over x of sums(x) and {2x}."""
+        """(proper, colors, covered): whether |sums(x)| = deg(x) at every x,
+        the union of the sums(x), and the meet over x of sums(x) | {2x},
+        folded from `sum_sets`. Certified rows have sums(x) = S minus 2x
+        (`certify_rows`): (True, S minus c, S plus c), c the common 2x, if any."""
         doubles, proper, colors, covered = ring_of(self).doubles, True, 0, -1
+        if self.certified:  # no addition: c is the bit of the one 2x, or 0
+            c = 1 << doubles[0] if doubles.count(doubles[0]) == len(doubles) else 0
+            return True, self.clean_set & ~c, self.clean_set | c
         for x, degree, sums in sum_sets(self):
             proper &= sums.bit_count() == degree
             colors |= sums
@@ -125,17 +131,10 @@ def ring_of(graph: WncGraph) -> FiniteRing:
 def sum_sets(graph: WncGraph):
     """Yield (x, deg(x), sums(x)) for every vertex x, where sums(x) is the
     bitset of x + y over the neighbors y of x, the colors of the sum
-    coloring at x. Certified rows give sums(x) = S minus 2x; other rows
-    make one `add` per neighbor, so a non-injective addition still yields
-    its true image."""
-    ring, rows = ring_of(graph), graph.adjacency
-    if graph.certified:
-        clean, doubles = graph.clean_set, ring.doubles
-        for x, row in enumerate(rows):
-            yield x, row.bit_count(), clean & ~(1 << doubles[x])
-        return
-    add = ring.add
-    for x, row in enumerate(rows):
+    coloring at x, from one `add` per neighbor, so a non-injective addition
+    still yields its true image: the sum pass of rows not certified."""
+    add = ring_of(graph).add
+    for x, row in enumerate(graph.adjacency):
         sums = 0
         for y in iter_bits(row):
             sums |= 1 << add(x, y)
@@ -176,10 +175,11 @@ def certify_rows(graph: WncGraph) -> bool:
     translated from the graph's ring (`rows_translated`): at most
     n * (digits + 2) additions and O(n) word moves. Sums read off the
     translates unproved would make the report's verdicts hold by
-    construction. Row v is (S - v) minus v iff T_v (`WncGraph.toggled`)
-    = S - v; each digit's unit is a generator g.
+    construction. Row v is (S - v) minus v iff it lacks bit v and T_v
+    (`WncGraph.translates`) = S - v (T_v alone passes a row holding v with
+    2v not in S but `doubles[v]` in it); each digit's unit is a generator g.
 
-    (a) T_0 = S, the ring's zero being the id 0.
+    (a) Row 0 lacks bit 0, and T_0 = S, the ring's zero being the id 0.
     (b) The addition row L: y -> add(g, y) is a permutation, and
         translate(., g) maps the full mask, each bit slice
         B_j = {y : bit j of y is 1} and its complement onto their images
@@ -189,23 +189,23 @@ def certify_rows(graph: WncGraph) -> bool:
         L({p}) = {g + p}, and the full mask leaves no I_p empty. So
         translate(M, g) = g + M for every mask M.
     (c) For v > 0 in id order, g the generator of v's lowest nonzero digit
-        and p = v + (-g): p < v, add(p, g) = v, T_v lies below bit n, and
-        translate(T_v, g) = T_p. By (b) and induction from (a),
-        g + T_v = S - p, so T_v = S - (p + g) = S - v.
+        and p = v + (-g): p < v, add(p, g) = v, row v lacks bit v, T_v lies
+        below bit n, and translate(T_v, g) = T_p. By (b) and induction
+        from (a), g + T_v = S - p, so T_v = S - (p + g) = S - v.
 
     Then y -> x + y maps row x one to one onto S minus 2x, which is
-    sums(x) (`sum_sets`). A `translate` misrouting a bit on a generator's
-    move fails (b); one misrouting a bit on a move of two or more units,
-    which the certificate never makes, builds a row that (a) or (c)
-    refuses, as is one flipped row bit, and the per-neighbor sums show it
-    as a DISAGREE. An `add` shifted by h with 2h = 0, or not injective, at
-    a generator fails (b), and the per-neighbor sums show a subgraph or
-    sum-coloring DISAGREE."""
+    sums(x), as `WncGraph.sum_coloring` reads it. A `translate` misrouting
+    a bit on a generator's move fails (b); one misrouting a bit on a move
+    of two or more units, which the certificate never makes, builds a row
+    that (a) or (c) refuses, as is one flipped row bit, and the
+    per-neighbor sums show it as a DISAGREE. An `add` shifted by h with
+    2h = 0, or not injective, at a generator fails (b), and the
+    per-neighbor sums show a subgraph or sum-coloring DISAGREE."""
     ring, rows, clean = ring_of(graph), graph.adjacency, graph.clean_set
     if ring.radices is None or not rows_translated(ring, clean):
         return False
     n, add = len(rows), ring.add
-    full, ids, toggled = (1 << n) - 1, tuple(range(n)), graph.toggled
+    full, ids = (1 << n) - 1, tuple(range(n))
     places = [1, *accumulate(ring.radices, mul)]  # of the digits, and n
     # each bit slice B_j as the string whose character y is bit j of y
     slices = [(("0" * h + "1" * h) * (n // h + 1))[:n]
@@ -221,16 +221,16 @@ def certify_rows(graph: WncGraph) -> bool:
         if pick(row) != ids or any(translate(ring, mask, g) != image or translate(
                 ring, full ^ mask, g) != full ^ image for mask, image in images):
             return False
-    minus = [ring.neg(g) for g in places[:-1]]
+    minus, ts = [ring.neg(g) for g in places[:-1]], graph.translates
     for v in range(1, n):  # (c)
         i = 0
         while v % places[i + 1] == 0:  # digits 0..i of v are zero
             i += 1
         p = add(v, minus[i])
-        if not 0 <= p < v or add(p, places[i]) != v or rows[v] > full or (
-                translate(ring, toggled(v), places[i]) != toggled(p)):
+        if not 0 <= p < v or add(p, places[i]) != v or rows[v] >> v & 1 or (
+                rows[v] > full or translate(ring, ts[v], places[i]) != ts[p]):
             return False
-    return toggled(0) == clean  # (a)
+    return not rows[0] & 1 and ts[0] == clean  # (a)
 
 
 def build_wnc_graph(ring: FiniteRing, classification: Classification) -> WncGraph:

@@ -388,7 +388,7 @@ def _triangle_counts(graph: WncGraph) -> list[int]:
     ring that keeps S keeps A and t, so when the ring's generators do
     (`WncGraph.generators_keep_clean`), A and t are computed once per
     orbit."""
-    ring, clean, minus = graph.ring, graph.clean_set, graph.toggled  # S - v
+    ring, clean, minus = graph.ring, graph.clean_set, graph.translates  # S - v
     n = graph.vertex_count
     doubles = ring.doubles
     orbits = (ring.orbits if graph.generators_keep_clean
@@ -396,7 +396,7 @@ def _triangle_counts(graph: WncGraph) -> list[int]:
     # the d with A(d) = k, and the u = 2a for k elements a of S, by k
     by_overlap, by_halves = defaultdict(int), defaultdict(int)
     for orbit in orbits:
-        by_overlap[(clean & minus(orbit[0])).bit_count()] |= mask_of(orbit)
+        by_overlap[(clean & minus[orbit[0]]).bit_count()] |= mask_of(orbit)
     for u, k in Counter(doubles[a] for a in iter_bits(clean)).items():
         by_halves[k] |= 1 << u
     size = clean.bit_count()
@@ -404,7 +404,7 @@ def _triangle_counts(graph: WncGraph) -> list[int]:
     for orbit in orbits:
         w = doubles[orbit[0]]
         if w not in twice:
-            near, far = minus(w), minus(ring.neg(w))  # S - w and S + w
+            near, far = minus[w], minus[ring.neg(w)]  # S - w and S + w
             q = sum(k * (ds & near).bit_count() for k, ds in by_overlap.items())
             e = sum(k * (us & far).bit_count() for k, us in by_halves.items())
             twice[w] = q - e - 2 * (clean >> w & 1) * (size - 1)
@@ -488,7 +488,7 @@ def max_clique(graph: WncGraph, budget: Budget | None = None):
 
     When it does not, a graph built from a ring is searched on its twin
     quotient H. Let T_v be row v with bit v toggled when 2v is in the clean
-    set S (`WncGraph.toggled`), and let the vertices with equal T_v be one
+    set S (`WncGraph.translates`), and let the vertices with equal T_v be one
     class (`WncGraph.twin_classes`). If T_u = T_v, rows u and v agree off
     {u, v}, so every vertex of one class sees every vertex of another or
     none of it, and u ~ v iff 2u is in S (bit u of T_v, which is bit u of

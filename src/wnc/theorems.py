@@ -27,14 +27,14 @@ neighbor of x iff y != x and x + y is nil clean, and by cancellation in
 This never assumes NC(R) inside WNC(R). degree-lemma checks
 deg(x) = |WNC| - [2x in WNC] on the rows.
 
-Where the build translated the rows, the pass first proves them from the
-ring's own arithmetic (`graph.certify_rows`, whose docstring gives the
-argument and what each kind of wrong row or addition shows); other rows
-get one `add` per neighbor. So each verdict compares the real row's
-popcount, or NC(R), with sums proved from the ring's arithmetic, never
-from the lemma it checks. The report assumes `add` is an abelian group
-operation, as the paper's proofs do; the tests check the ring axioms on
-the corpus.
+Where the build translated the rows, the pass proves each row x (S - x)
+minus x from the ring's own arithmetic (`graph.certify_rows`, whose
+docstring gives the argument and what each wrong row or addition shows)
+and reads sums(x) = S minus 2x off S and the doubles; other rows get one
+`add` per neighbor. So each verdict compares the real row's popcount, or
+NC(R), with sums proved from the ring's arithmetic, never from the lemma
+it checks. The report assumes `add` is an abelian group operation, as the
+paper's proofs do; the tests check the ring axioms on the corpus.
 
 The class-1 verdict reads `coloring.chromatic_index_exact`, which decides
 chi' from the same pass, a bound or a construction that it proves, or

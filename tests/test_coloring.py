@@ -2,6 +2,7 @@
 
 import copy
 import dataclasses
+import functools
 import itertools
 import operator
 import types
@@ -110,16 +111,39 @@ def test_sum_sets_are_the_images_under_add(expr, mode, monkeypatch):
 @pytest.mark.parametrize("expr", ["Z12", "Z16 x Z3", "M2(Z3)", "Z2 x Z2 x Z2"])
 def test_certified_rows_make_at_most_n_digits_plus_two_adds(expr):
     # the certificate reads one addition row per digit and makes two adds
-    # per vertex; the report has read ring.doubles before the pass
+    # per vertex, and the sum coloring of certified rows makes none; the
+    # report has read ring.doubles before the pass
     ring, _, graph = realize(expr)
     ring.doubles
     calls = []
     counted = copy.copy(ring)
     counted.add = lambda a, b: calls.append((a, b)) or ring.add(a, b)
     counted_graph = dataclasses.replace(graph, ring=counted)
-    assert list(wnc.graph.sum_sets(counted_graph)) == list(wnc.graph.sum_sets(graph))
+    assert counted_graph.sum_coloring == graph.sum_coloring
     assert wnc.graph.certify_rows(graph)
     assert 0 < len(calls) <= ring.size * (len(ring.radices) + 2)
+
+
+def _folded_sum_sets(graph):
+    """(proper, colors, covered) folded from the per-neighbor pass."""
+    doubles, passes = graph.ring.doubles, list(wnc.graph.sum_sets(graph))
+    return (all(sums.bit_count() == degree for _, degree, sums in passes),
+            functools.reduce(operator.or_, (sums for _, _, sums in passes), 0),
+            functools.reduce(operator.and_, (
+                sums | 1 << doubles[x] for x, _, sums in passes), -1))
+
+
+@pytest.mark.parametrize("expr", dict.fromkeys(
+    SUM_EXPRS + tuple(f"Z{k}" for k in range(2, 152))
+    + ("M2(GF(4)) x Z3", "M2(GF(4)) x Z6")))
+def test_the_certified_sum_coloring_is_the_per_neighbor_fold(expr):
+    # on certified rows the sum coloring is read off S and the doubles,
+    # with no addition; the characteristic-2 rings, where every 2x is 0,
+    # drop 0 from the colors and add it to the covered set
+    ring, cls, graph = realize(expr)
+    for g in (graph, wnc.build_nc_graph(ring, cls)):
+        if g.certified:
+            assert g.sum_coloring == _folded_sum_sets(g)
 
 
 @pytest.mark.parametrize("bad_row", [

@@ -208,7 +208,7 @@ def test_edges_of_ring_graphs(expr):
 
 
 FACTS = ("twin_classes", "generators_keep_clean", "sum_coloring",
-         "components")
+         "components", "translates")
 
 
 @pytest.mark.parametrize("expr", ["M2(Z5)", "M2(GF(4)) x Z3", "Z16 x Z48"])
@@ -219,8 +219,8 @@ def test_a_report_derives_each_fact_of_the_sum_graph_once(expr, monkeypatch):
     # takes one color too many, so chi' comes from its one component: the
     # clique search, the triangle counts, the verdicts and the chromatic
     # index read the twin classes, the generators' check of S, the sum
-    # pass and the component walk from the graph, each computed on first
-    # read
+    # pass, the component walk and the T_v of every vertex from the graph,
+    # each computed on first read
     calls = collections.defaultdict(list)
     for name in FACTS:
         compute = getattr(wnc.WncGraph, name).func

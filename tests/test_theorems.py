@@ -287,6 +287,25 @@ def test_one_flipped_row_bit_is_refused(expr, v):
     assert DISAGREE in {verdicts[t].status for t in ROW_VERDICTS}
 
 
+@pytest.mark.parametrize("expr", ["Z10", "Z14", "Z15"])
+def test_a_row_holding_its_own_vertex_is_refused(expr):
+    # row v gains bit v where 2v is not in S, and a copy of the ring says
+    # 2v is in S, with add unchanged: T_v is S - v all the same, but the
+    # row is not (S - v) minus v, so the certificate refuses it, and the
+    # per-neighbor sums show the loop's color 2v, which is not in S
+    ring, cls, graph = realize(expr)
+    v = next(v for v in range(ring.size) if not cls.wnc >> ring.doubles[v] & 1)
+    lying = copy.copy(ring)
+    lying.doubles = list(ring.doubles)
+    lying.doubles[v] = bit_list(cls.wnc)[0]
+    rows = list(graph.adjacency)
+    rows[v] |= 1 << v
+    looped = dataclasses.replace(graph, adjacency=rows, ring=lying)
+    assert graph_module.certify_rows(graph)
+    assert not graph_module.certify_rows(looped)
+    assert looped.sum_coloring[1] == cls.wnc | 1 << ring.doubles[v]
+
+
 @pytest.mark.parametrize("expr", ["Z12", "Z2 x Z2 x Z2", "M2(Z2)", "Z4 x Z9"])
 def test_a_shifted_generator_row_is_refused(expr):
     # add(g, y) is g + y + h with 2h = 0 for one generator g, and add is
@@ -403,9 +422,10 @@ def test_mismatched_inputs_are_rejected():
     lambda cls, graph: wnc.InvariantReport(cls, graph),
     lambda cls, graph: list(graph_module.sum_sets(graph)),
     lambda cls, graph: graph_module.certify_rows(graph),
+    lambda cls, graph: graph.translates,
     lambda cls, graph: wnc.neighborhood_disjointness_check(graph)],
     ids=["compute_report", "InvariantReport", "sum_sets", "certify_rows",
-         "neighborhood_disjointness_check"])
+         "translates", "neighborhood_disjointness_check"])
 def test_a_graph_without_a_ring_is_refused(reader):
     # each of these reads the ring from the graph; a synthetic graph, or a
     # ring graph with its ring dropped, has none to read
