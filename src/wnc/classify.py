@@ -4,8 +4,8 @@
 An element x is nil clean when x = n + e and weakly nil clean when
 x = n + e or x = n - e, for some nilpotent n and idempotent e. The
 classification keeps the four sets, not the decompositions: no caller
-reads which n and e give an element. Each -e is computed once, and every
-sum is the ring's own `add`.
+reads which n and e give an element. Each -e is computed once, and the
+sums are translates (`rings.translate`), or `add` without a layout.
 
 A ring automorphism keeps x * x = x and x^m = 0, so on a ring with
 generators (`FiniteRing.generators`) `idempotents` and `nilpotents` test
@@ -15,10 +15,12 @@ one representative of each orbit and copy its answer to the rest.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import repeat
+from functools import reduce
+from itertools import product, starmap
+from operator import or_
 
-from .bitsets import bit_list, iter_bits, mask_of
-from .rings import FiniteRing
+from .bitsets import iter_bits, mask_of
+from .rings import FiniteRing, translate
 
 
 @dataclass(frozen=True)
@@ -75,18 +77,23 @@ def nilpotents(ring: FiniteRing) -> int:
     return _members(ring, passing)
 
 
+def _sumset(ring: FiniteRing, a: int, b: int) -> int:
+    """{x + y : x in a, y in b}: the larger set translated by each member
+    of the smaller, or one `add` per pair on a ring without a layout."""
+    if ring.radices is None:
+        return mask_of(starmap(ring.add, product(iter_bits(a), iter_bits(b))))
+    small, large = sorted((a, b), key=int.bit_count)
+    return reduce(or_, (translate(ring, large, s) for s in iter_bits(small)))
+
+
 def weakly_nil_clean_set(ring: FiniteRing) -> Classification:
-    """Classify every element by enumerating Nil(R) x Idem(R): n + e is
-    nil clean, and n + e and n - e are weakly nil clean. Each idempotent
-    is negated once, and each nilpotent's sums are one map of `ring.add`
-    over the idempotents and one over their negations."""
+    """Classify every element by the sumsets of Nil(R) and Idem(R):
+    NC = Nil + Idem and WNC = NC | (Nil + (-Idem)). Each idempotent is
+    negated once, and each sumset is min(|Nil|, |Idem|) translates on a
+    ring with a layout (`_sumset`)."""
     idem = idempotents(ring)
     nil = nilpotents(ring)
-    idems = bit_list(idem)
-    negated = list(map(ring.neg, idems))
-    plus, minus = set(), set()
-    for n in iter_bits(nil):
-        plus.update(map(ring.add, repeat(n), idems))
-        minus.update(map(ring.add, repeat(n), negated))
-    return Classification(size=ring.size, idem=idem, nil=nil,
-                          nc=mask_of(plus), wnc=mask_of(plus | minus))
+    nc = _sumset(ring, nil, idem)
+    minus = mask_of(map(ring.neg, iter_bits(idem)))
+    return Classification(size=ring.size, idem=idem, nil=nil, nc=nc,
+                          wnc=nc | _sumset(ring, nil, minus))

@@ -13,9 +13,9 @@ When the ring has an additive layout and S is large enough to pay for it,
 per digit instead of one addition per element of S. Otherwise, as for
 the three-element clean sets of fields or a quotient without a layout,
 each row is |S| additions; `rows_translated` decides, and `certify_rows`
-proves translated rows from the ring's own addition, once per graph
-(`WncGraph.certified`). The sum coloring of proved rows is read off S
-and the doubles; other rows make one `add` per neighbor (`sum_sets`).
+proves translated rows once per graph (`WncGraph.certified`) from
+n * digits additions. The sum coloring of proved rows is read off S and
+the doubles; other rows make one `add` per neighbor (`sum_sets`).
 """
 
 from __future__ import annotations
@@ -171,11 +171,11 @@ def _build(ring: FiniteRing, clean: int) -> WncGraph:
 
 def certify_rows(graph: WncGraph) -> bool:
     """Whether checks (a) to (c) prove each row v (S - v) minus v, S the
-    clean set, from the ring's own `add`, `neg` and `doubles`, for rows
-    translated from the graph's ring (`rows_translated`): at most
-    n * (digits + 2) additions and O(n) word moves. Sums read off the
-    translates unproved would make the report's verdicts hold by
-    construction. Row v is (S - v) minus v iff it lacks bit v and T_v
+    clean set, from the ring's own `add` and `doubles`, for rows
+    translated from the graph's ring (`rows_translated`): n * digits
+    additions, those of (b)'s addition rows, and O(n) word moves. Sums
+    read off the translates unproved would make the report's verdicts
+    hold by construction. Row v is (S - v) minus v iff it lacks bit v and T_v
     (`WncGraph.translates`) = S - v (T_v alone passes a row holding v with
     2v not in S but `doubles[v]` in it); each digit's unit is a generator g.
 
@@ -189,9 +189,10 @@ def certify_rows(graph: WncGraph) -> bool:
         L({p}) = {g + p}, and the full mask leaves no I_p empty. So
         translate(M, g) = g + M for every mask M.
     (c) For v > 0 in id order, g the generator of v's lowest nonzero digit
-        and p = v + (-g): p < v, add(p, g) = v, row v lacks bit v, T_v lies
-        below bit n, and translate(T_v, g) = T_p. By (b) and induction
-        from (a), g + T_v = S - p, so T_v = S - (p + g) = S - v.
+        and p the id that L sends to v, read off (b)'s inverse of L, so
+        g + p = v: p < v, row v lacks bit v, T_v lies below bit n, and
+        translate(T_v, g) = T_p. By (b) and induction from (a),
+        g + T_v = S - p, so T_v = S - (g + p) = S - v.
 
     Then y -> x + y maps row x one to one onto S minus 2x, which is
     sums(x), as `WncGraph.sum_coloring` reads it. A `translate` misrouting
@@ -204,7 +205,7 @@ def certify_rows(graph: WncGraph) -> bool:
     ring, rows, clean = ring_of(graph), graph.adjacency, graph.clean_set
     if ring.radices is None or not rows_translated(ring, clean):
         return False
-    n, add = len(rows), ring.add
+    n, add, inverses = len(rows), ring.add, []
     full, ids = (1 << n) - 1, tuple(range(n))
     places = [1, *accumulate(ring.radices, mul)]  # of the digits, and n
     # each bit slice B_j as the string whose character y is bit j of y
@@ -213,7 +214,8 @@ def certify_rows(graph: WncGraph) -> bool:
     for g in places[:-1]:  # (b)
         try:  # sorted by image, the ids list the inverse of a permutation
             row = list(map(add, [g] * n, ids))
-            pick = itemgetter(*sorted(ids, key=row.__getitem__))
+            inverses.append(sorted(ids, key=row.__getitem__))
+            pick = itemgetter(*inverses[-1])
         except TypeError:
             return False
         images = [(full, full)] + [(int(bits[::-1], 2), int(
@@ -221,14 +223,14 @@ def certify_rows(graph: WncGraph) -> bool:
         if pick(row) != ids or any(translate(ring, mask, g) != image or translate(
                 ring, full ^ mask, g) != full ^ image for mask, image in images):
             return False
-    minus, ts = [ring.neg(g) for g in places[:-1]], graph.translates
+    ts = graph.translates
     for v in range(1, n):  # (c)
         i = 0
         while v % places[i + 1] == 0:  # digits 0..i of v are zero
             i += 1
-        p = add(v, minus[i])
-        if not 0 <= p < v or add(p, places[i]) != v or rows[v] >> v & 1 or (
-                rows[v] > full or translate(ring, ts[v], places[i]) != ts[p]):
+        p = inverses[i][v]
+        if p >= v or rows[v] >> v & 1 or rows[v] > full or (
+                translate(ring, ts[v], places[i]) != ts[p]):
             return False
     return not rows[0] & 1 and ts[0] == clean  # (a)
 

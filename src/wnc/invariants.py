@@ -15,10 +15,10 @@ import math
 from collections import Counter, defaultdict
 from enum import Enum
 from functools import reduce
-from operator import itemgetter, or_
+from operator import or_
 
 from .bitsets import bit_list, iter_bits, mask_of
-from .graph import WncGraph, neighborhood, ring_of
+from .graph import WncGraph, ring_of
 from .rings import RingSpec, Zn, is_prime, orbits
 
 
@@ -414,11 +414,12 @@ def _triangle_counts(graph: WncGraph) -> list[int]:
 
 
 def _relabel(adj, order):
-    """The rows of adj with vertex order[i] renamed i. Each row's bit
-    string, most significant bit first, is permuted at C speed."""
+    """The rows of adj with vertex order[i] renamed i. Bit j of row i is bit
+    order[i] of row order[j], adj being symmetric: one strided slice of the
+    rows' bit strings, least significant first, joined from order's last."""
     n = len(adj)
-    pick = itemgetter(*(n - 1 - v for v in reversed(order)))
-    return [int("".join(pick(f"{adj[v]:0{n}b}")), 2) for v in order]
+    block = "".join([f"{adj[v]:0{n}b}"[::-1] for v in reversed(order)])
+    return [int(block[v::n], 2) for v in order]
 
 
 def _class_orbits(graph: WncGraph, heads):
@@ -650,12 +651,8 @@ def neighborhood_disjointness_check(graph: WncGraph):
     p = z2p_prime(ring_of(graph).spec)
     if p is None:
         raise ValueError("neighborhood lemma check needs Z_2p with p >= 5 prime")
-    n = 2 * p
+    n, adj = 2 * p, graph.adjacency
     verdicts = []
-
-    def disjoint(a, b):
-        return (neighborhood(graph, a) & neighborhood(graph, b)) == 0
-
     # (clause, b as a function of a, exclusion set); the sets of clauses 2
     # and 3 are closed under a -> b, and clause 1 lists each pair once
     clauses = (
@@ -671,5 +668,5 @@ def neighborhood_disjointness_check(graph: WncGraph):
             b = partner(a) % n
             if a in excl or b in excl or clause == 1 and a >= b:
                 continue
-            verdicts.append((clause, a, b, disjoint(a, b)))
+            verdicts.append((clause, a, b, not adj[a] & adj[b]))
     return verdicts

@@ -8,9 +8,10 @@ BFS instead of the sum-graph distance formula, subset enumeration instead
 of branch and bound, pairs of neighbors or one AND of rows per edge
 instead of triangle counts read off the clean set, polynomial arithmetic instead of exp/log tables, a
 full greedy coloring instead of the clique search's complement-table
-kernel that lists only the vertices it may branch on, a queue BFS across
-each removed edge instead of per-root BFS levels for the girth, and
-union-find on the double cover instead of BFS levels for
+kernel that lists only the vertices it may branch on, a character
+gather instead of strided slices for the relabeled rows, a queue BFS
+across each removed edge instead of per-root BFS levels for the girth,
+and union-find on the double cover instead of BFS levels for
 bipartiteness), so agreement
 between the two is meaningful evidence of correctness. The edge-coloring
 helpers, `bfs_distances` and `operation_tables` serve only the tests, so
@@ -19,6 +20,7 @@ they live here rather than in the library.
 
 import itertools
 from collections import deque
+from operator import itemgetter
 
 import numpy as np
 
@@ -42,25 +44,28 @@ def naive_idempotent_list(ring):
     return [x for x in range(ring.size) if ring.mul(x, x) == x]
 
 
+def _naive_tables(ring):
+    """The nilpotents, by naive_nilpotent, their negations, and the set of
+    idempotents: the membership searches below walk the nilpotents."""
+    nil = [x for x in range(ring.size) if naive_nilpotent(ring, x)]
+    return nil, list(map(ring.neg, nil)), set(naive_idempotent_list(ring))
+
+
 def naive_wnc_members(ring):
-    """Per-element membership: x is weakly nil clean iff some idempotent e
-    makes x - e or x + e nilpotent."""
-    idem = naive_idempotent_list(ring)
-    members = []
-    for x in range(ring.size):
-        for e in idem:
-            if naive_nilpotent(ring, ring.add(x, ring.neg(e))) or \
-                    naive_nilpotent(ring, ring.add(x, e)):
-                members.append(x)
-                break
-    return members
+    """Per-element membership: x is weakly nil clean iff some nilpotent n
+    makes x - n or n - x idempotent (x = n + e or x = n - e)."""
+    nil, minus, idem = _naive_tables(ring)
+    return [x for x in range(ring.size) if any(
+        ring.add(x, m) in idem or ring.add(n, ring.neg(x)) in idem
+        for n, m in zip(nil, minus))]
 
 
 def naive_nc_members(ring):
-    idem = naive_idempotent_list(ring)
+    """Per-element membership: x is nil clean iff some nilpotent n makes
+    x - n idempotent."""
+    nil, minus, idem = _naive_tables(ring)
     return [x for x in range(ring.size)
-            if any(naive_nilpotent(ring, ring.add(x, ring.neg(e)))
-                   for e in idem)]
+            if any(ring.add(x, m) in idem for m in minus)]
 
 
 def naive_decompositions(ring):
@@ -235,6 +240,15 @@ def triangle_counts_by_rows(graph) -> list[int]:
     adj = graph.adjacency
     return [sum((adj[u] & row).bit_count() for u in bit_list(row)) // 2
             for row in adj]
+
+
+def relabel_by_characters(adj, order):
+    """The rows of adj with vertex order[i] renamed i, each row's bit
+    string, most significant bit first, gathered character by character:
+    the reference for `invariants._relabel`, which reads strided slices."""
+    n = len(adj)
+    pick = itemgetter(*(n - 1 - v for v in reversed(order)))
+    return [int("".join(pick(f"{adj[v]:0{n}b}")), 2) for v in order]
 
 
 def has_square(graph) -> bool:

@@ -1,6 +1,8 @@
 """Element classes: idempotents, nilpotents, NC(R), WNC(R), and the
 decompositions x = n + e and x = n - e behind them."""
 
+import copy
+
 import pytest
 
 import wnc
@@ -138,8 +140,30 @@ def test_wnc_ring_predicates():
     assert bit_list(cls3.nc) == [0, 1]
 
 
-@pytest.mark.parametrize("expr", ACCEPTANCE_CORPUS)
+# rings without a layout, whose sums are one add per pair, and products
+# and matrix rings whose sums translate by moves of many digits and units,
+# which the row certificate does not check
+NO_LAYOUT_EXPRS = ("Z12/nil", "(Z4 x Z9)/nil x Z3", "Z2 x Z12/nil")
+SUMSET_EXPRS = NO_LAYOUT_EXPRS + ("M2(Z2 x Z2 x Z2)", "M2(Z2 x Z2)", "M2(GF(4))",
+                                  "M2(Z5)", "Z4 x Z9", "Z2 x Z2 x Z2")
+
+
+@pytest.mark.parametrize("expr", ACCEPTANCE_CORPUS + SUMSET_EXPRS)
 def test_agreement_with_membership_oracle(expr):
     ring, cls, _ = realize(expr)
+    assert (ring.radices is None) == (expr in NO_LAYOUT_EXPRS)
     assert bit_list(cls.wnc) == naive_wnc_members(ring)
     assert bit_list(cls.nc) == naive_nc_members(ring)
+
+
+@pytest.mark.parametrize("expr", ("Z12", "GF(9)", "Z3 x Z3", "M2(Z2)",
+                                  "M2(Z2 x Z2)") + NO_LAYOUT_EXPRS)
+def test_sums_on_a_layout_make_no_add(expr):
+    # with a layout NC and WNC are unions of translates; without one each
+    # sum is the ring's own add
+    ring, cls, _ = realize(expr)
+    calls = []
+    counted = copy.copy(ring)
+    counted.add = lambda a, b: calls.append((a, b)) or ring.add(a, b)
+    assert wnc.weakly_nil_clean_set(counted) == cls
+    assert bool(calls) == (ring.radices is None)

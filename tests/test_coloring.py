@@ -109,10 +109,10 @@ def test_sum_sets_are_the_images_under_add(expr, mode, monkeypatch):
 
 
 @pytest.mark.parametrize("expr", ["Z12", "Z16 x Z3", "M2(Z3)", "Z2 x Z2 x Z2"])
-def test_certified_rows_make_at_most_n_digits_plus_two_adds(expr):
-    # the certificate reads one addition row per digit and makes two adds
-    # per vertex, and the sum coloring of certified rows makes none; the
-    # report has read ring.doubles before the pass
+def test_certified_rows_make_at_most_n_digits_adds(expr):
+    # the certificate reads one addition row per digit and (c) reads its
+    # steps off their inverses, and the sum coloring of certified rows
+    # makes no add; the report has read ring.doubles before the pass
     ring, _, graph = realize(expr)
     ring.doubles
     calls = []
@@ -121,7 +121,7 @@ def test_certified_rows_make_at_most_n_digits_plus_two_adds(expr):
     counted_graph = dataclasses.replace(graph, ring=counted)
     assert counted_graph.sum_coloring == graph.sum_coloring
     assert wnc.graph.certify_rows(graph)
-    assert 0 < len(calls) <= ring.size * (len(ring.radices) + 2)
+    assert 0 < len(calls) <= ring.size * len(ring.radices)
 
 
 def _folded_sum_sets(graph):

@@ -17,7 +17,8 @@ from oracles import (bfs_diameter, bfs_distances, bipartite_by_double_cover,
                      exists_clique_of_size, floyd_diameter, floyd_distances,
                      girth_by_edge_removal, greedy_coloring, has_square,
                      has_triangle, is_clique, max_clique_size,
-                     triangle_counts, triangle_counts_by_rows)
+                     relabel_by_characters, triangle_counts,
+                     triangle_counts_by_rows)
 
 
 def _component_sizes(graph):
@@ -491,6 +492,39 @@ def test_only_rings_with_generators_count_triangles(expr, monkeypatch):
     assert omega == len(clique) and is_clique(graph, clique)
     assert len(counted) == (expr == "M2(Z6)")
     assert bool(ring.generators) == expr.startswith("M2")
+
+
+# the rings of the corpus and of test_symmetry's SYMMETRIC_EXPRS that list
+# generators, whose clique search relabels its rows into triangle order
+RELABEL_EXPRS = ("M2(Z2)", "M2(Z3)", "M2(GF(4))", "M3(Z2)", "M2(GF(4)) x Z3",
+                 "M2(Z5)", "M2(Z6)", "M2(Z5) x Z3")
+
+
+@pytest.mark.parametrize("expr", RELABEL_EXPRS)
+def test_relabel_by_strided_slices_is_the_character_gather(expr):
+    # the full triangle order, H's heads in that order (the least member of
+    # a clique class, the greatest of an independent one, as max_clique
+    # picks them) and the first half of it: each a strict subset unless H
+    # is G
+    _, _, graph = realize(expr)
+    adj, triangles = graph.adjacency, invariants._triangle_counts(graph)
+    order = sorted(range(len(adj)), key=lambda v: (-triangles[v], v))
+    heads = {c[0] if adj[c[0]] >> c[-1] & 1 else c[-1]
+             for c in graph.twin_classes}
+    for sub in (order, [v for v in order if v in heads], order[:len(order) // 2]):
+        assert invariants._relabel(adj, sub) == relabel_by_characters(adj, sub)
+
+
+def test_relabel_of_a_random_graph_and_of_an_empty_order():
+    rng = random.Random("relabel")
+    n = 300
+    graph = wnc.make_graph([(u, v) for u, v in itertools.combinations(range(n), 2)
+                            if rng.random() < 0.5], n)
+    adj = graph.adjacency
+    for size in (n, n // 3, 1):
+        order = rng.sample(range(n), size)
+        assert invariants._relabel(adj, order) == relabel_by_characters(adj, order)
+    assert invariants._relabel(adj, []) == []
 
 
 def test_a_stopped_clique_search_is_never_reported_exact():
