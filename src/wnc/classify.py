@@ -14,7 +14,7 @@ one representative of each orbit and copy its answer to the rest.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import reduce
 from itertools import product, starmap
 from operator import or_
@@ -23,15 +23,8 @@ from .bitsets import iter_bits, mask_of
 from .rings import FiniteRing, translate
 
 
-@dataclass(frozen=True)
-class Classification:
-    """Idem(R), Nil(R), NC(R) and WNC(R) as bitsets over element ids."""
-
-    size: int
-    idem: int
-    nil: int
-    nc: int
-    wnc: int
+# Idem(R), Nil(R), NC(R) and WNC(R) as bitsets over element ids
+Classification = namedtuple("Classification", "size idem nil nc wnc")
 
 
 def _members(ring: FiniteRing, passing) -> int:
@@ -59,7 +52,9 @@ def nilpotents(ring: FiniteRing) -> int:
     and m <= floor(log2 |R|). Hence x is nilpotent iff x^(2^c) = 0 with
     c = ceil(log2 floor(log2 |R|)), and c squarings compute that power:
     4 multiplications per element at |R| = 4096. Powers of one element
-    commute, so this holds in noncommutative rings too.
+    commute, so this holds in noncommutative rings too. The squaring stops
+    at 0, or at a square y * y = y != 0: all powers of that idempotent are
+    y, so x is not nilpotent.
     """
     zero = ring.zero
     squarings = (ring.size.bit_length() - 2).bit_length()
@@ -70,7 +65,9 @@ def nilpotents(ring: FiniteRing) -> int:
             for _ in range(squarings):
                 if y == zero:
                     break
-                y = ring.mul(y, y)
+                y, last = ring.mul(y, y), y
+                if y == last:
+                    break
             if y == zero:
                 yield x
 

@@ -15,7 +15,6 @@ import json
 import os
 import sys
 import time
-from dataclasses import asdict
 
 from . import __version__
 from .bitsets import bit_list
@@ -76,7 +75,7 @@ def cmd_report(args) -> int:
         "sum_coloring_colors": report.sum_coloring_colors,
         "chromatic_index": plain(report.chromatic_index),
         "vizing_class": plain(report.vizing_class),
-        "theorem_verdicts": [asdict(v) for v in verdicts],
+        "theorem_verdicts": [v._asdict() for v in verdicts],
         "tool_version": __version__,
         "wall_time_seconds": round(time.perf_counter() - started, 6),
     }

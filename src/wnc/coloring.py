@@ -33,8 +33,7 @@ from .invariants import UNKNOWN, components
 def chromatic_index_exact(graph: WncGraph):
     """Exact chromatic index, or UNKNOWN when no step of the module
     docstring decides it."""
-    adj = graph.adjacency
-    delta = max_degree(graph)
+    degrees, delta = graph.degrees, max_degree(graph)
     if delta == 0:
         return 0
     if graph.ring is not None:
@@ -47,7 +46,7 @@ def chromatic_index_exact(graph: WncGraph):
             continue  # an isolated vertex
         vertices = bit_list(comp)
         m = len(vertices)
-        ecount = sum(adj[u].bit_count() for u in vertices) // 2
+        ecount = sum(map(degrees.__getitem__, vertices)) // 2
         if ecount == m * (m - 1) // 2:
             # complete component: chi'(K_m) is m - 1 for even m (round-robin
             # construction) and m for odd m (matching counting bound)

@@ -20,11 +20,9 @@ the doubles; other rows make one `add` per neighbor (`sum_sets`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate, compress
 from operator import itemgetter, mul
-from typing import Optional
 
 from .bitsets import iter_bits, mask_of
 from .classify import Classification
@@ -38,16 +36,37 @@ ADDS_PER_DIGIT = 2
 _BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
 
 
-@dataclass
 class WncGraph:
-    adjacency: list[int]  # bitset row per vertex
-    # the clean set and ring the rows come from; None for synthetic graphs
-    clean_set: Optional[int] = None
-    ring: Optional[FiniteRing] = field(default=None, repr=False)
+    """A bitset row per vertex (`adjacency`), and the clean set and ring the
+    rows come from, None for a synthetic graph. Two graphs are equal when
+    these three are; the facts below are computed on first read, so a graph
+    built anew from another's fields carries none of its facts."""
+
+    def __init__(self, adjacency: list[int], clean_set: int | None = None,
+                 ring: FiniteRing | None = None):
+        self.adjacency, self.clean_set, self.ring = adjacency, clean_set, ring
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.adjacency, self.clean_set, self.ring) == (
+            other.adjacency, other.clean_set, other.ring)
+
+    __hash__ = None  # the rows may change, as a list's
+
+    def __repr__(self):
+        return f"WncGraph(adjacency={self.adjacency!r}, clean_set={self.clean_set!r})"
 
     @property
     def vertex_count(self) -> int:
         return len(self.adjacency)
+
+    @cached_property
+    def degrees(self) -> list[int]:
+        """deg(v), the popcount of row v, for each vertex v: the maximum
+        degree, the edge count, the star test, the clique-count bound, the
+        sum pass and the degree lemma read it."""
+        return [row.bit_count() for row in self.adjacency]
 
     @cached_property
     def certified(self) -> bool:
@@ -65,7 +84,7 @@ class WncGraph:
             for v, row in enumerate(self.adjacency))]
 
     @cached_property
-    def twin_classes(self) -> Optional[list[list[int]]]:
+    def twin_classes(self) -> list[list[int]] | None:
         """The classes of vertices with equal T_v (`translates`), ordered by
         least member; None for a synthetic graph, which has no 2v to read."""
         if self.ring is None or self.clean_set is None:
@@ -76,7 +95,7 @@ class WncGraph:
         return list(classes.values())
 
     @cached_property
-    def period(self) -> Optional[tuple[list[int], bool]]:
+    def period(self) -> tuple[list[int], bool] | None:
         """(K, whether every 2x lies in K) for certified rows, else None.
         Row v is then S - v minus v, so T_v = S - v and K = {k : S + k = S},
         the period of the clean set S, is a subgroup: the class of 0 in
@@ -134,11 +153,11 @@ def sum_sets(graph: WncGraph):
     coloring at x, from one `add` per neighbor, so a non-injective addition
     still yields its true image: the sum pass of rows not certified."""
     add = ring_of(graph).add
-    for x, row in enumerate(graph.adjacency):
+    for x, (row, degree) in enumerate(zip(graph.adjacency, graph.degrees)):
         sums = 0
         for y in iter_bits(row):
             sums |= 1 << add(x, y)
-        yield x, row.bit_count(), sums
+        yield x, degree, sums
 
 
 def rows_translated(ring: FiniteRing, clean: int) -> bool:
@@ -257,9 +276,7 @@ def neighborhood(graph: WncGraph, v: int) -> int:
 
 
 def max_degree(graph: WncGraph) -> int:
-    if graph.vertex_count == 0:
-        return 0
-    return max(row.bit_count() for row in graph.adjacency)
+    return max(graph.degrees, default=0)
 
 
 def upper_neighbors(graph: WncGraph, vertices=None, labels=None):
@@ -283,7 +300,7 @@ def edges(graph: WncGraph):
 
 
 def edge_count(graph: WncGraph) -> int:
-    return sum(row.bit_count() for row in graph.adjacency) // 2
+    return sum(graph.degrees) // 2
 
 
 def is_complete(graph: WncGraph) -> bool:

@@ -233,8 +233,7 @@ def is_star(graph: WncGraph) -> bool:
     """True iff the graph is a star K_{1,n}: one center adjacent to every
     other vertex, all other vertices of degree 1 (K_1 and K_2 count too).
     That is n - 1 edges, all at one vertex of degree n - 1."""
-    n = graph.vertex_count
-    degrees = [row.bit_count() for row in graph.adjacency]
+    n, degrees = graph.vertex_count, graph.degrees
     return n > 0 and sum(degrees) == 2 * (n - 1) == 2 * max(degrees)
 
 
@@ -601,7 +600,7 @@ def clique_count_bound(graph: WncGraph, k: int) -> int:
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    return sum(math.comb(row.bit_count(), k - 1) for row in graph.adjacency) // k
+    return sum(math.comb(d, k - 1) for d in graph.degrees) // k
 
 
 def enumerate_k_cliques(graph: WncGraph, k: int) -> list[tuple[int, ...]]:

@@ -29,9 +29,9 @@ from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Callable
 from functools import cached_property
-from typing import Callable, Union
 
 from .bitsets import iter_bits
 from .errors import InvalidSpecError, UnsupportedOperationError
@@ -41,38 +41,16 @@ SIZE_CAP = 4096
 
 
 # ---------------------------------------------------------------------------
-# Ring specs (abstract syntax describing how a ring is constructed)
+# Ring specs (abstract syntax describing how a ring is constructed): named
+# tuples, so read-only, and equal and hashed alike by their fields. Specs of
+# two kinds never compare equal, since their fields differ in type.
 
-
-@dataclass(frozen=True)
-class Zn:
-    n: int
-
-
-@dataclass(frozen=True)
-class GF:
-    p: int
-    k: int
-
-
-@dataclass(frozen=True)
-class Product:
-    left: "RingSpec"
-    right: "RingSpec"
-
-
-@dataclass(frozen=True)
-class MatrixRing:
-    k: int
-    inner: "RingSpec"
-
-
-@dataclass(frozen=True)
-class NilQuotient:
-    inner: "RingSpec"
-
-
-RingSpec = Union[Zn, GF, Product, MatrixRing, NilQuotient]
+Zn = namedtuple("Zn", "n")
+GF = namedtuple("GF", "p k")
+Product = namedtuple("Product", "left right")
+MatrixRing = namedtuple("MatrixRing", "k inner")
+NilQuotient = namedtuple("NilQuotient", "inner")
+RingSpec = Zn | GF | Product | MatrixRing | NilQuotient
 
 
 def format_spec(spec: RingSpec) -> str:

@@ -43,7 +43,7 @@ answers unknown; it makes no search and has no budget.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
 
 from .bitsets import iter_bits
@@ -85,13 +85,10 @@ THEOREM_IDS = (
 )
 
 
-@dataclass(frozen=True)
-class TheoremVerdict:
-    theorem: str
-    predicted: str
-    computed: str
-    status: str  # AGREE | DISAGREE | N-A | UNKNOWN
-    known_discrepancy: bool = False
+# status is AGREE, DISAGREE, N-A or UNKNOWN; `_asdict` gives the JSON object
+TheoremVerdict = namedtuple(
+    "TheoremVerdict", "theorem predicted computed status known_discrepancy",
+    defaults=(False,))
 
 
 def _is_2k3l(n: int) -> bool:
@@ -237,8 +234,8 @@ def _verdicts(a: InvariantReport) -> list[TheoremVerdict]:
 
     # degree formula deg(x) = |WNC| - [2x in WNC]
     clean, size = a.cls.wnc, a.cls.wnc.bit_count()
-    ok = all(row.bit_count() == size - (clean >> d & 1)
-             for row, d in zip(graph.adjacency, ring.doubles))
+    ok = all(degree == size - (clean >> d & 1)
+             for degree, d in zip(graph.degrees, ring.doubles))
     emit("degree-lemma", "deg(x) = |WNC| - [2x weakly nil clean]",
          "holds" if ok else "fails", ok)
 

@@ -527,3 +527,13 @@ def max_clique_size(graph) -> int:
 def count_k_cliques(graph, k) -> int:
     return sum(is_clique(graph, c)
                for c in itertools.combinations(range(graph.vertex_count), k))
+
+
+def rebuilt(graph, **fields):
+    """A new WncGraph from the graph's adjacency, clean set and ring, with
+    `fields` in place of some: it is built by the constructor, so no fact
+    the graph computed on first read (`certified`, `translates`,
+    `sum_coloring`, ...) carries over."""
+    return wnc.WncGraph(**{"adjacency": graph.adjacency,
+                           "clean_set": graph.clean_set,
+                           "ring": graph.ring, **fields})

@@ -27,9 +27,10 @@ def test_nilpotents_examples():
 
 
 # M2(Z4) is noncommutative; Z256, Z243 and Z625 hold elements of
-# nilpotency index 8, 5 and 4
-@pytest.mark.parametrize("expr", ACCEPTANCE_CORPUS + ("M2(Z4)", "Z256", "Z243",
-                                                      "Z625"))
+# nilpotency index 8, 5 and 4; in Z2^12 every element is idempotent, and
+# M2(Z2 x Z2) holds idempotents, nilpotents and elements that are neither
+@pytest.mark.parametrize("expr", ACCEPTANCE_CORPUS + (
+    "M2(Z4)", "Z256", "Z243", "Z625", " x ".join(["Z2"] * 12), "M2(Z2 x Z2)"))
 def test_nilpotents_match_power_walk(expr):
     ring = wnc.build_ring(wnc.parse_ring_expr(expr))
     expected = mask_of(x for x in range(ring.size) if naive_nilpotent(ring, x))
@@ -43,6 +44,16 @@ def test_nilpotents_square_each_element_at_most_four_times_in_z1000(monkeypatch)
     monkeypatch.setattr(ring, "mul", lambda a, b: calls.append(a) or mul(a, b))
     assert wnc.nilpotents(ring) == mask_of(range(0, 1000, 10))
     assert len(calls) <= 1000 * 4
+
+
+def test_nilpotents_stop_squaring_at_an_idempotent(monkeypatch):
+    # every element of Z2^12 is idempotent: 0 is nilpotent with no squaring,
+    # and one squaring shows y * y = y != 0 for each of the other 4,095
+    ring = wnc.build_ring(wnc.parse_ring_expr(" x ".join(["Z2"] * 12)))
+    mul, calls = ring.mul, []
+    monkeypatch.setattr(ring, "mul", lambda a, b: calls.append(a) or mul(a, b))
+    assert wnc.nilpotents(ring) == 1
+    assert len(calls) == 4095
 
 
 def test_wnc_gf25_matches_worked_example():

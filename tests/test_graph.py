@@ -11,6 +11,7 @@ import sys
 import pytest
 
 import wnc
+from wnc import graph as graph_module
 from wnc.bitsets import bit_list
 
 from corpus import ACCEPTANCE_CORPUS, SMALL_CORPUS, realize
@@ -96,6 +97,26 @@ def test_degree_examples():
     assert graph.adjacency[1].bit_count() == 6  # 2*1 not in WNC: |WNC|
     _, _, k2 = realize("Z2")
     assert k2.adjacency[0].bit_count() == 1
+
+
+def test_the_degree_readers_read_the_graph_s_degrees():
+    # each reader takes deg(v) from the one list `WncGraph.degrees`, so a
+    # graph whose list is doubled shows it in every reading
+    ring, cls, graph = realize("Z10")
+    assert graph.degrees == [row.bit_count() for row in graph.adjacency]
+    doubled = wnc.build_wnc_graph(ring, cls)
+    doubled.degrees = [2 * d for d in graph.degrees]
+    assert wnc.max_degree(doubled) == 2 * wnc.max_degree(graph) == 12
+    assert wnc.edge_count(doubled) == 2 * wnc.edge_count(graph)
+    assert wnc.clique_count_bound(doubled, 2) == wnc.edge_count(doubled)
+    assert [d for _, d, _ in graph_module.sum_sets(doubled)] == doubled.degrees
+    verdicts = {v.theorem: v.status
+                for v in wnc.compute_report(cls, doubled).theorem_verdicts}
+    assert verdicts["degree-lemma"] == "DISAGREE"
+    star = wnc.make_graph([(0, 1), (0, 2)], 3)
+    assert wnc.is_star(star)
+    star.degrees = [1, 1, 1]
+    assert not wnc.is_star(star)
 
 
 def test_neighborhood_range_check():
@@ -208,7 +229,7 @@ def test_edges_of_ring_graphs(expr):
 
 
 FACTS = ("twin_classes", "generators_keep_clean", "sum_coloring",
-         "components", "translates")
+         "components", "translates", "degrees")
 
 
 @pytest.mark.parametrize("expr", ["M2(Z5)", "M2(GF(4)) x Z3", "Z16 x Z48"])
@@ -219,8 +240,8 @@ def test_a_report_derives_each_fact_of_the_sum_graph_once(expr, monkeypatch):
     # takes one color too many, so chi' comes from its one component: the
     # clique search, the triangle counts, the verdicts and the chromatic
     # index read the twin classes, the generators' check of S, the sum
-    # pass, the component walk and the T_v of every vertex from the graph,
-    # each computed on first read
+    # pass, the component walk, the T_v of every vertex and the degrees
+    # from the graph, each computed on first read
     calls = collections.defaultdict(list)
     for name in FACTS:
         compute = getattr(wnc.WncGraph, name).func

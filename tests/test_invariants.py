@@ -1,7 +1,6 @@
 """Exact invariants: components, distances, girth, bipartite/star tests,
 cliques, and the Z_2p neighborhood clauses."""
 
-import dataclasses
 import itertools
 import random
 import sys
@@ -16,7 +15,7 @@ from corpus import ACCEPTANCE_CORPUS, SMALL_CORPUS, realize
 from oracles import (bfs_diameter, bfs_distances, bipartite_by_double_cover,
                      exists_clique_of_size, floyd_diameter, floyd_distances,
                      girth_by_edge_removal, greedy_coloring, has_square,
-                     has_triangle, is_clique, max_clique_size,
+                     has_triangle, is_clique, max_clique_size, rebuilt,
                      relabel_by_characters, triangle_counts,
                      triangle_counts_by_rows)
 
@@ -281,7 +280,7 @@ def test_coset_split_matches_the_plain_search(expr):
     # maximum cliques of each search's own order, and need not be the same
     ring, cls, graph = realize(expr)
     for kind, g in _both_graphs(ring, cls, graph):
-        synthetic = dataclasses.replace(g, ring=None)
+        synthetic = rebuilt(g, ring=None)
         _, omega = wnc.max_clique(synthetic, wnc.Budget("clique", 10**9))
         clique, found = wnc.max_clique(g)
         assert found == omega == len(clique), kind
@@ -337,7 +336,7 @@ def test_the_vertex_transitive_shortcut_needs_certified_rows():
     for v in (1, 2, 3):
         rows[0] &= ~(1 << v)
         rows[v] &= ~1
-    cut = dataclasses.replace(graph, adjacency=rows)
+    cut = rebuilt(graph, adjacency=rows)
     assert not cut.certified and cut.period is None
     assert max_clique_size(cut) == 7
     assert wnc.max_clique(cut) == ((1, 2, 3, 4, 5, 6, 7), 7)
@@ -437,7 +436,7 @@ def test_characteristic_two_split_on_sum_graphs_of_any_set(expr):
     for _ in range(40):
         clean = wnc.bitsets.mask_of(rng.sample(range(n), rng.randrange(2, n // 2)))
         graph = wnc.graph._build(ring, clean)
-        synthetic = dataclasses.replace(graph, ring=None)
+        synthetic = rebuilt(graph, ring=None)
         (split, omega), (whole, want) = (wnc.max_clique(graph),
                                          wnc.max_clique(synthetic))
         assert omega == want, clean
