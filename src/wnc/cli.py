@@ -3,18 +3,20 @@
 Carriers are capped at `rings.SIZE_CAP` (4096) elements. Exit codes: 0
 success, 1 tool error (bad expression, cap exceeded, unwritable path,
 unknown theorem id or none, stdout closed by its reader, which prints no
-traceback), 2 verify found a theorem disagreement. With
+traceback), 2 verify found a theorem disagreement, or the command line
+(read against `COMMANDS`) cannot be read. With
 --allow-known-discrepancies the charted characteristic-2 /
 degenerate-degree disagreements downgrade to warnings.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
+import re
 import sys
 import time
+import types
 
 from . import __version__
 from .bitsets import bit_list
@@ -242,44 +244,122 @@ def cmd_batch(args) -> int:
     return 0
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="wnc",
-        description="Weakly nil clean graphs of finite rings: reports, exports, "
-                    "theorem verification, and Z_n censuses.")
-    sub = parser.add_subparsers(dest="command", required=True)
+HELP = ("-h, --help", "show this help and exit", False)
+EXPR = ("expr", 'ring expression, e.g. "Z10", "GF(25)", "M2(Z2)"', ...)
+ABOUT = ("Weakly nil clean graphs of finite rings: reports, exports, theorem "
+         "verification, and Z_n censuses. `wnc COMMAND -h` lists its options.")
+# The command lines: per subcommand `cmd`, run by cmd_<cmd>, its help and
+# its arguments, each (usage, help, default). "expr" is the positional. An
+# option's usage names the value it takes, if any, and {a,b} its choices;
+# a flag defaults to False, and `...` marks a required argument.
+COMMANDS = {
+    "report": ("classes, invariants, and verdict summary", (
+        ("--json", "canonical JSON output", False),
+        ("--four-cliques", "include the 4-clique census", False), EXPR)),
+    "export": ("write the graph as DOT, JSON, or CSV", (
+        ("--format {dot,json,csv}", "", ...),
+        ("--out OUT", "output path ('-' for stdout)", ...), EXPR)),
+    "verify": ("theorem verdict table (exit 2 on disagreement)", (
+        ("--theorems THEOREMS", "comma-separated theorem ids to check", None),
+        ("--allow-known-discrepancies",
+         "downgrade charted char-2/small-ring disagreements to warnings", False), EXPR)),
+    "batch": ("CSV census over a Z_n range", (
+        ("--zn A..B", "inclusive modulus range, e.g. 2..100", ...),
+        ("--out OUT", "output path (default stdout)", "-"))),
+}
 
-    p = sub.add_parser("report", help="classes, invariants, and verdict summary")
-    p.add_argument("expr", help='ring expression, e.g. "Z10", "GF(25)", "M2(Z2)"')
-    p.add_argument("--json", action="store_true", help="canonical JSON output")
-    p.add_argument("--four-cliques", action="store_true",
-                   help="include the 4-clique census")
-    p.set_defaults(func=cmd_report)
 
-    p = sub.add_parser("export", help="write the graph as DOT, JSON, or CSV")
-    p.add_argument("expr")
-    p.add_argument("--format", choices=("dot", "json", "csv"), required=True)
-    p.add_argument("--out", required=True, help="output path ('-' for stdout)")
-    p.set_defaults(func=cmd_export)
+def _help(command) -> str:
+    """The help of `wnc`, or of one command, its usage line first."""
+    if command is None:
+        usage = "[-h] {" + ",".join(COMMANDS) + "} ..."
+        about, rows = ABOUT, [(name, entry[0]) for name, entry in COMMANDS.items()]
+    else:
+        about, arguments = COMMANDS[command]
+        usage = " ".join([command, "[-h]", *(
+            u if default is ... else f"[{u}]" for u, _, default in arguments)])
+        rows = [(u, text) for u, text, _ in (HELP, *arguments)]
+    width = max(len(u) for u, _ in rows) + 2
+    return "\n".join([f"usage: wnc {usage}", "", about, "",
+                      *(f"  {u:<{width}}{text}".rstrip() for u, text in rows)])
 
-    p = sub.add_parser("verify", help="theorem verdict table (exit 2 on disagreement)")
-    p.add_argument("expr")
-    p.add_argument("--theorems", help="comma-separated theorem ids to check")
-    p.add_argument("--allow-known-discrepancies", action="store_true",
-                   help="downgrade charted char-2/small-ring disagreements to warnings")
-    p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("batch", help="CSV census over a Z_n range")
-    p.add_argument("--zn", required=True, metavar="A..B",
-                   help="inclusive modulus range, e.g. 2..100")
-    p.add_argument("--out", default="-", help="output path (default stdout)")
-    p.set_defaults(func=cmd_batch)
-    return parser
+def _usage_error(command, message: str):
+    usage = _help(command).partition("\n")[0]
+    print(f"{usage}\nwnc{'' if command is None else ' ' + command}: error: {message}",
+          file=sys.stderr)
+    raise SystemExit(2)
+
+
+def _option(arg: str, names):
+    """How `arg` reads against the option `names`: None for a value, else
+    (name, the text after '=' or None), name "" for an unknown option. A
+    name may be cut to a unique prefix; "--" is an unknown option, not the
+    end of options; "-1" and "-a b" are values."""
+    if arg[:1] != "-" or arg == "-":
+        return None
+    name, eq, value = arg.partition("=")
+    found = [n for n in names if n == arg or eq and n == name] or [
+        n for n in names if arg[:2] == "--" and len(name) > 2 and n.startswith(name)]
+    if len(found) == 1:
+        return found[0], value if eq else None
+    return None if " " in arg or re.match(r"^-\d+$|^-\d*\.\d+$", arg) else ("", None)
+
+
+def parse_args(argv):
+    """The namespace of `argv` read against COMMANDS: options before or
+    after the positional, `--opt=value`, the last of a repeated option
+    winning. -h or --help prints help and exits 0; any other bad line
+    prints a usage line and an error to stderr and raises SystemExit(2)."""
+    command, names, values, extras = None, dict.fromkeys(("-h", "--help"), HELP), {}, []
+    rest = list(argv)
+    while rest:
+        arg = rest.pop(0)
+        option = _option(arg, names)
+        if option is None and command is None:
+            if arg not in COMMANDS:
+                _usage_error(None, f"argument command: invalid choice: {arg!r}")
+            command, arguments = arg, COMMANDS[arg][1]
+            names.update((a[0].split()[0], a) for a in arguments if a is not EXPR)
+            values = {a[0].split()[0]: a[2] for a in arguments}
+        elif option is None and values.get("expr") is ...:
+            values["expr"] = arg
+        elif option is None or not option[0]:  # a value with no place, an unknown option
+            extras.append(arg)
+        else:
+            name, value = option
+            usage, _, default = names[name]
+            if default is False and value is not None:  # a flag, or help
+                _usage_error(command, f"argument {name}: ignored explicit "
+                                      f"argument {value!r}")
+            if names[name] is HELP:  # one write, so `wnc -h | head -1` exits 0
+                sys.stdout.write(_help(command) + "\n")
+                raise SystemExit(0)
+            if default is False:
+                value = True
+            elif value is None:
+                if not rest or _option(rest[0], names) is not None:
+                    _usage_error(command, f"argument {name}: expected one argument")
+                value = rest.pop(0)
+            choices = usage.partition("{")[2].rstrip("}")
+            if choices and value not in choices.split(","):
+                _usage_error(command, f"argument {name}: invalid choice: {value!r}")
+            values[name] = value
+    missing = [name for name, value in values.items() if value is ...]
+    if command is None or missing:
+        _usage_error(command, "the following arguments are required: "
+                     + (", ".join(missing) or "command"))
+    if extras:
+        _usage_error(command, "unrecognized arguments: " + " ".join(extras))
+    # cmd_<cmd> is looked up now, so a wrapped or replaced one is what runs
+    func = globals()[f"cmd_{command}"]
+    return types.SimpleNamespace(command=command, func=func, **{
+        name.lstrip("-").replace("-", "_"): value for name, value in values.items()})
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = parse_args(sys.argv[1:] if argv is None else argv)
         code = args.func(args)
         sys.stdout.flush()
         return code

@@ -37,22 +37,24 @@ _BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
 
 
 class WncGraph:
-    """A bitset row per vertex (`adjacency`), and the clean set and ring the
-    rows come from, None for a synthetic graph. Two graphs are equal when
-    these three are; the facts below are computed on first read, so a graph
-    built anew from another's fields carries none of its facts."""
+    """A bitset row per vertex (`adjacency`, a tuple), and the clean set and
+    ring the rows come from, None for a synthetic graph. Two graphs are
+    equal when these three are, and unhashable. The facts below are computed
+    on first read; the three fields are read-only, so no fact outlives an
+    edit, and a graph built anew from another's fields carries none of them."""
 
-    def __init__(self, adjacency: list[int], clean_set: int | None = None,
+    def __init__(self, adjacency, clean_set: int | None = None,
                  ring: FiniteRing | None = None):
-        self.adjacency, self.clean_set, self.ring = adjacency, clean_set, ring
+        self._fields = tuple(adjacency), clean_set, ring
+
+    adjacency = property(lambda self: self._fields[0])
+    clean_set = property(lambda self: self._fields[1])
+    ring = property(lambda self: self._fields[2])
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return (self.adjacency, self.clean_set, self.ring) == (
-            other.adjacency, other.clean_set, other.ring)
-
-    __hash__ = None  # the rows may change, as a list's
+        return self._fields == other._fields
 
     def __repr__(self):
         return f"WncGraph(adjacency={self.adjacency!r}, clean_set={self.clean_set!r})"

@@ -158,7 +158,7 @@ def diameter(graph: WncGraph):
     unreached = 2 * n  # longer than any walk the BFS finds
     walks = ([unreached] * n, [unreached] * n)  # 2 L(d) and 2 M(z) + 1
     seen = [0, 0]
-    frontier = 1 << ring.zero
+    frontier, adj = 1 << ring.zero, graph.adjacency
     length = 0
     while frontier:
         parity = length & 1
@@ -166,7 +166,7 @@ def diameter(graph: WncGraph):
         nxt = frontier & loops
         for v in iter_bits(frontier):
             walks[parity][v] = length
-            nxt |= graph.adjacency[v]
+            nxt |= adj[v]
         length += 1
         frontier = nxt & ~seen[length & 1]
     even, odd = walks

@@ -11,13 +11,14 @@ full greedy coloring instead of the clique search's complement-table
 kernel that lists only the vertices it may branch on, a character
 gather instead of strided slices for the relabeled rows, a queue BFS
 across each removed edge instead of per-root BFS levels for the girth,
-and union-find on the double cover instead of BFS levels for
-bipartiteness), so agreement
+union-find on the double cover instead of BFS levels for
+bipartiteness, and argparse instead of the command table), so agreement
 between the two is meaningful evidence of correctness. The edge-coloring
 helpers, `bfs_distances` and `operation_tables` serve only the tests, so
 they live here rather than in the library.
 """
 
+import argparse
 import itertools
 from collections import deque
 from operator import itemgetter
@@ -25,6 +26,7 @@ from operator import itemgetter
 import numpy as np
 
 import wnc
+from wnc import cli
 from wnc.bitsets import bit_list
 
 
@@ -104,7 +106,7 @@ def sum_graph_rows(ring, clean):
                 u = ring.add(s, nv)
                 if u != v:
                     rows[v] |= 1 << u
-    return rows
+    return tuple(rows)
 
 
 def floyd_distances(graph):
@@ -537,3 +539,40 @@ def rebuilt(graph, **fields):
     return wnc.WncGraph(**{"adjacency": graph.adjacency,
                            "clean_set": graph.clean_set,
                            "ring": graph.ring, **fields})
+
+
+def reference_parser() -> argparse.ArgumentParser:
+    """The argparse parser `wnc` read its command lines with before
+    `cli.parse_args`: the same subcommands, options, defaults and help."""
+    parser = argparse.ArgumentParser(
+        prog="wnc",
+        description="Weakly nil clean graphs of finite rings: reports, exports, "
+                    "theorem verification, and Z_n censuses.")
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p = sub.add_parser("report", help="classes, invariants, and verdict summary")
+    p.add_argument("expr", help='ring expression, e.g. "Z10", "GF(25)", "M2(Z2)"')
+    p.add_argument("--json", action="store_true", help="canonical JSON output")
+    p.add_argument("--four-cliques", action="store_true",
+                   help="include the 4-clique census")
+    p.set_defaults(func=cli.cmd_report)
+
+    p = sub.add_parser("export", help="write the graph as DOT, JSON, or CSV")
+    p.add_argument("expr")
+    p.add_argument("--format", choices=("dot", "json", "csv"), required=True)
+    p.add_argument("--out", required=True, help="output path ('-' for stdout)")
+    p.set_defaults(func=cli.cmd_export)
+
+    p = sub.add_parser("verify", help="theorem verdict table (exit 2 on disagreement)")
+    p.add_argument("expr")
+    p.add_argument("--theorems", help="comma-separated theorem ids to check")
+    p.add_argument("--allow-known-discrepancies", action="store_true",
+                   help="downgrade charted char-2/small-ring disagreements to warnings")
+    p.set_defaults(func=cli.cmd_verify)
+
+    p = sub.add_parser("batch", help="CSV census over a Z_n range")
+    p.add_argument("--zn", required=True, metavar="A..B",
+                   help="inclusive modulus range, e.g. 2..100")
+    p.add_argument("--out", default="-", help="output path (default stdout)")
+    p.set_defaults(func=cli.cmd_batch)
+    return parser

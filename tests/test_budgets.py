@@ -22,7 +22,7 @@ from wnc import invariants, theorems
 from wnc.cli import main
 
 from corpus import ACCEPTANCE_CORPUS, realize
-from oracles import count_k_cliques, is_clique, max_clique_size
+from oracles import count_k_cliques, is_clique, max_clique_size, rebuilt
 
 
 def _run(*argv):
@@ -580,8 +580,7 @@ def test_an_undecided_chromatic_index_names_no_search(monkeypatch):
         rows = list(graph.adjacency)
         rows[0] &= ~(1 << 1)
         rows[1] &= ~1
-        graph.adjacency = rows
-        return graph
+        return rebuilt(graph, adjacency=rows)
 
     monkeypatch.setattr(wnc.cli, "build_wnc_graph", without_edge)
     doc = _report("Z4 x Z9")

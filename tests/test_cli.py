@@ -1,13 +1,14 @@
 """The command line surface: report, export, verify, batch."""
 
-import argparse
+import contextlib
+import io
 import json
 import os
 import pathlib
 import subprocess
 import sys
 import types
-from itertools import combinations, compress
+from itertools import chain, combinations, compress
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -17,7 +18,7 @@ from wnc import cli
 from wnc.cli import main
 
 from corpus import ACCEPTANCE_CORPUS, realize
-from oracles import naive_edge_set, naive_wnc_members
+from oracles import naive_edge_set, naive_wnc_members, reference_parser
 
 
 def run(capsys, *argv):
@@ -303,7 +304,7 @@ def test_color_budget_is_a_usage_error(argv, flag, capsys):
 
 
 class _Reads:
-    """An argparse namespace that records every attribute read from it."""
+    """A parsed namespace that records every attribute read from it."""
 
     def __init__(self, namespace):
         self._namespace = namespace
@@ -317,15 +318,147 @@ class _Reads:
 @pytest.mark.parametrize("argv", SUBCOMMANDS.values(), ids=SUBCOMMANDS)
 def test_every_option_is_read(argv, capsys):
     # an option its subcommand never reads is accepted and then ignored
-    parser = cli._build_parser()
-    subparsers = next(a for a in parser._actions
-                      if isinstance(a, argparse._SubParsersAction))
-    options = {a.dest for a in subparsers.choices[argv[0]]._actions
-               if a.dest != "help"}
-    args = _Reads(parser.parse_args(list(argv)))
+    options = {usage.split()[0].lstrip("-").replace("-", "_")
+               for usage, _, _ in cli.COMMANDS[argv[0]][1]}
+    args = _Reads(cli.parse_args(list(argv)))
     assert args.func(args) == 0
     capsys.readouterr()
     assert options - args.read == set()
+
+
+@pytest.mark.parametrize("command", [None, *cli.COMMANDS])
+@pytest.mark.parametrize("flag", ["-h", "--help", "--he"])
+def test_help_names_every_command_and_option_with_its_help(command, flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([flag] if command is None else [command, "Z10", flag, "--cap"])
+    assert exc.value.code == 0
+    out, err = capsys.readouterr()
+    assert err == "" and out.startswith("usage: wnc ")
+    if command is None:
+        for name, (text, _) in cli.COMMANDS.items():
+            assert f"  {name}  " in out and text in out
+        return
+    for usage, text, _ in cli.COMMANDS[command][1]:
+        assert usage in out and text in out
+    assert out.count("\n") == 5 + len(cli.COMMANDS[command][1])
+
+
+def test_help_read_up_to_its_usage_line_exits_zero():
+    # the help goes out in one write, so a reader that closes the pipe after
+    # the first line, as `wnc -h | head -1` does, leaves nothing to fail on,
+    # unbuffered too
+    env = {**os.environ, "PYTHONUNBUFFERED": "1",
+           "PYTHONPATH": str(pathlib.Path(wnc.__file__).resolve().parents[1])}
+    child = subprocess.Popen([sys.executable, "-m", "wnc.cli", "verify", "-h"],
+                             stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert child.stdout.readline().startswith(b"usage: wnc verify [-h]")
+    child.stdout.close()
+    err = child.stderr.read()
+    child.stderr.close()
+    assert (child.wait(timeout=60), err) == (0, b"")
+
+
+def test_the_command_function_is_looked_up_when_the_line_is_read(monkeypatch):
+    # a wrapped or replaced cmd_* (the benchmark's tracer rebinds them) runs
+    ran = []
+    monkeypatch.setattr(cli, "cmd_batch", lambda args: ran.append(args.zn) or 0)
+    assert main(["batch", "--zn", "2..3"]) == 0 and ran == ["2..3"]
+
+
+def _outcome(parse, argv):
+    """The namespace `parse` read from argv, as a dict, or its exit code."""
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()) as err:
+        try:
+            return vars(parse(list(argv)))
+        except SystemExit as exc:
+            lines = err.getvalue().splitlines()
+            assert exc.code == 0 or lines[0].startswith("usage: wnc") and (
+                lines[-1].startswith("wnc") and ": error: " in lines[-1])
+            return exc.code
+
+
+def _same_reading(argv):
+    ours = _outcome(cli.parse_args, argv)
+    assert ours == _outcome(reference_parser().parse_args, argv), argv
+    return ours
+
+
+@pytest.mark.parametrize("argv", [
+    ("report", "Z10", "--cap", "5"), ("verify", "Z10", "--theorems", "--json"),
+    ("export", "Z10", "--format", "xml", "--out", "-"),
+    ("export", "Z10", "--out", "-"), ("export", "Z10", "--format", "csv"),
+    ("batch",), ("batch", "--out", "-"), ("report",), ("report", "Z10", "Z12"),
+    ("batch", "Z10", "--zn", "2..4"), ("census", "Z10"), ("rep", "Z10"), (),
+    ("--json",), ("--json", "report", "Z10"), ("report", "Z10", "--json=yes"),
+    ("export", "Z10", "--format"), ("report", "-Z10"),
+    ("report", "Z10", "--j", "--j"), ("export", "--form=dot", "--o=", "Z10"),
+    ("export", "Z10", "--out", "-5", "--format", "dot"),
+    ("export", "Z10", "--out", "-a b", "--format", "dot"),
+    ("batch", "--zn", "2..100", "--out", "-", "--zn=2..4"), ("report", "-"),
+    ("report", "Z10", "-h"), ("-h",), ("--he", "report"), ("report", "--cap", "-h"),
+    ("export", "Z10", "--format", "xml", "-h"), ("export", "Z10", "-h", "--format", "xml"),
+])
+def test_the_table_reads_a_line_as_argparse_did(argv):
+    _same_reading(argv)
+
+
+def test_a_double_dash_is_a_usage_error(capsys):
+    # argparse read "--" as the end of options; the table reads no such mark
+    for argv in (["report", "Z10", "--"], ["report", "--", "Z10"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith(
+            "error: unrecognized arguments: --\n")
+
+
+# each command's own options, with the values drawn for them
+OPTIONS = {
+    "report": {"--json": None, "--four-cliques": None},
+    "export": {"--format": ("dot", "json", "csv", "xml", ""),
+               "--out": ("-", "out.csv", "", "-5")},
+    "verify": {"--theorems": ("girth", "girth,four-cliques", ","),
+               "--allow-known-discrepancies": None},
+    "batch": {"--zn": ("2..100", "2..4", "nope"), "--out": ("-", "census.csv")},
+}
+STRAYS = ("--cap", "--color-budget", "--zn", "--json", "-x")
+EXPRS = ("Z10", "GF(25)", "M2(Z2)", "Z2 x Z3", "M2(Z2)/nil", "-", "-5", "-a b")
+
+
+@st.composite
+def command_lines(draw):
+    command = draw(st.sampled_from([*OPTIONS] * 3 + ["census", "rep", "Z10", "--json"]))
+    options = OPTIONS.get(command, {})
+    names = [*options, "--help"]
+    pieces = []
+    if command != "batch" and draw(st.integers(0, 5)) > 0:  # mostly one expression
+        pieces.append([draw(st.sampled_from(EXPRS))])
+    for name, values in options.items():
+        for _ in range(draw(st.sampled_from([0, 1, 1, 1, 2]))):
+            # in full, or cut to a prefix that no other option, --help included, shares
+            spelled = draw(st.sampled_from([name[:k] for k in range(3, len(name) + 1) if [
+                n for n in names if n.startswith(name[:k])] == [name]]))
+            value = draw(st.sampled_from(values or ("yes",)))
+            pieces.append(draw(st.sampled_from(
+                [[spelled, value], [f"{spelled}={value}"], [spelled]] if values else
+                [[spelled]] * 4 + [[f"{spelled}={value}"]])))
+    if draw(st.integers(0, 3)) == 0:  # something out of place
+        pieces.append(draw(st.sampled_from([
+            [draw(st.sampled_from(STRAYS)), "5"], [draw(st.sampled_from(EXPRS))],
+            [draw(st.sampled_from(STRAYS))], ["--theorems", "--json"],
+            [draw(st.sampled_from(("-h", "--help", "--h")))]])))
+    pieces = draw(st.permutations(pieces))  # options on either side of the expression
+    head = [] if command == "Z10" and draw(st.booleans()) else [command]  # no command
+    return [*head, *chain.from_iterable(pieces)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(command_lines())
+def test_the_table_reads_every_drawn_line_as_argparse_did(argv):
+    ours = _same_reading(argv)
+    if isinstance(ours, dict):  # a line both accept runs the command's own function
+        assert ours["func"] is getattr(cli, "cmd_" + ours["command"])
 
 
 def test_a_closed_stdout_exits_one_without_a_traceback():

@@ -188,20 +188,25 @@ def test_build_graph_rejects_mismatched_classification():
 
 def test_degree_mismatch_disagrees_under_python_O():
     # `python -O` strips asserts, so the degree-lemma verdict must not rest
-    # on one; corrupt one row of a ring-built graph and ask for the verdicts
+    # on one; rebuild a ring-built graph with one row corrupted and ask for
+    # the verdicts
     script = (
         "import wnc\n"
+        "from oracles import rebuilt\n"
         "ring = wnc.make_zn(10)\n"
         "cls = wnc.weakly_nil_clean_set(ring)\n"
         "graph = wnc.build_wnc_graph(ring, cls)\n"
-        "graph.adjacency[3] &= ~(graph.adjacency[3] & -graph.adjacency[3])\n"
+        "rows = list(graph.adjacency)\n"
+        "rows[3] &= ~(rows[3] & -rows[3])\n"
+        "graph = rebuilt(graph, adjacency=rows)\n"
         "for v in wnc.compute_report(cls, graph).theorem_verdicts:\n"
         "    if v.theorem == 'degree-lemma':\n"
         "        print(v.status)\n"
     )
     src = str(pathlib.Path(wnc.__file__).resolve().parents[1])
+    path = os.pathsep.join([src, str(pathlib.Path(__file__).resolve().parent)])
     done = subprocess.run([sys.executable, "-O", "-c", script],
-                          env={**os.environ, "PYTHONPATH": src},
+                          env={**os.environ, "PYTHONPATH": path},
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout == "DISAGREE\n"

@@ -4,7 +4,8 @@
 Every `wnc` command imports the package before it builds a ring, so the
 package keeps to modules that are cheap to import: no `dataclasses`, which
 pulls in `inspect`, `ast` and `copy` and compiles code per class, and no
-`typing`.
+`typing`. It reads its command line from a table, with no argparse, which
+imports gettext and whose parser imports locale.
 """
 
 import json
@@ -22,18 +23,23 @@ from wnc.rings import GF, MatrixRing, NilQuotient, Product, Zn
 from corpus import realize
 
 HEAVY = ("dataclasses", "typing", "inspect", "ast")
+PARSER = ("argparse", "gettext", "locale")
 
 
 def test_the_cli_imports_no_dataclasses_typing_inspect_or_ast():
-    # -S keeps `site`, and any module a .pth file loads, out of the child
+    # -S keeps `site`, and any module a .pth file loads, out of the child;
+    # the child reads a command line and runs it, as `wnc` does
     script = ("import sys, wnc.cli\n"
-              f"print(*[m for m in {HEAVY!r} if m in sys.modules])\n")
+              "assert wnc.cli.main(['report', 'Z10', '--json']) == 0\n"
+              f"print(*[m for m in {HEAVY + PARSER!r} if m in sys.modules])\n")
     src = str(pathlib.Path(wnc.__file__).resolve().parents[1])
     done = subprocess.run([sys.executable, "-S", "-c", script],
                           env={**os.environ, "PYTHONPATH": src},
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
-    assert done.stdout == "\n"
+    report, loaded, end = done.stdout.split("\n")
+    assert json.loads(report)["ring"] == "Z10"
+    assert (loaded, end) == ("", "")
 
 
 SPECS = (Zn(2), GF(2, 1), NilQuotient(Zn(2)), Product(Zn(2), Zn(2)),
@@ -86,10 +92,23 @@ def test_a_graph_builds_from_keywords_with_no_clean_set_or_ring():
     assert same == built and same != graph
     assert wnc.WncGraph(adjacency=built.adjacency) != built
     assert wnc.WncGraph(built.adjacency, cls.nc, ring) != built
+    assert graph.adjacency == (0b10, 0b01)  # a tuple, whatever was given
     with pytest.raises(TypeError):
-        hash(graph)  # rows may change, as a list's
-    graph.adjacency = [0, 0]  # the fields are not read-only
-    assert graph == wnc.make_graph([], 2)
+        hash(graph)
+    for field in ("adjacency", "clean_set", "ring"):
+        with pytest.raises(AttributeError):  # build a new graph instead
+            setattr(graph, field, getattr(wnc.make_graph([], 2), field))
+    assert graph == wnc.make_graph([(0, 1)], 2)
+
+
+def test_a_graph_s_rows_cannot_change_under_its_facts():
+    # Z10: after max_degree has cached the degrees, clearing a bit of row 3
+    # in place would leave them stale, and the report would mix old and new
+    ring, cls, graph = realize("Z10")
+    assert wnc.max_degree(graph) == 6
+    with pytest.raises(TypeError):
+        graph.adjacency[3] &= ~(graph.adjacency[3] & -graph.adjacency[3])
+    assert graph.adjacency == wnc.build_wnc_graph(ring, cls).adjacency
 
 
 def test_a_verdict_defaults_to_no_known_discrepancy():
