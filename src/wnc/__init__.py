@@ -19,7 +19,7 @@ from .graph import (WncGraph, build_nc_graph, build_wnc_graph, edge_count,
 from .invariants import (CENSUS_NODES, CLIQUE_NODES, INFINITE, Budget,
                          clique_count_bound, components, diameter,
                          enumerate_k_cliques, girth, is_bipartite, is_star,
-                         max_clique, neighborhood_disjointness_check)
+                         max_clique)
 from .ringexpr import parse_ring_expr
 from .rings import (GF, SIZE_CAP, FiniteRing, MatrixRing, NilQuotient,
                     Product, RingSpec, Zn, build_ring,
@@ -27,4 +27,4 @@ from .rings import (GF, SIZE_CAP, FiniteRing, MatrixRing, NilQuotient,
                     make_matrix_ring, make_product, make_zn,
                     nilradical_quotient)
 from .theorems import (InvariantReport, THEOREM_IDS, TheoremVerdict,
-                       compute_report)
+                       compute_report, neighborhood_disjointness_check)

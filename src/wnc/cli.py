@@ -178,15 +178,13 @@ def _write(out: str, payload: str) -> None:
         raise WncError(f"cannot write {out}: {exc}") from exc
 
 
+# the writer of each `--format`, in the order its usage lists them
+EXPORTERS = {"dot": _export_dot, "json": _export_json, "csv": _export_csv}
+
+
 def cmd_export(args) -> int:
     ring, _, graph = _realize(args.expr)
-    if args.format == "dot":
-        payload = _export_dot(ring, graph)
-    elif args.format == "json":
-        payload = _export_json(ring, graph)
-    else:
-        payload = _export_csv(ring, graph)
-    _write(args.out, payload)
+    _write(args.out, EXPORTERS[args.format](ring, graph))
     return 0
 
 
@@ -257,7 +255,7 @@ COMMANDS = {
         ("--json", "canonical JSON output", False),
         ("--four-cliques", "include the 4-clique census", False), EXPR)),
     "export": ("write the graph as DOT, JSON, or CSV", (
-        ("--format {dot,json,csv}", "", ...),
+        ("--format {" + ",".join(EXPORTERS) + "}", "", ...),
         ("--out OUT", "output path ('-' for stdout)", ...), EXPR)),
     "verify": ("theorem verdict table (exit 2 on disagreement)", (
         ("--theorems THEOREMS", "comma-separated theorem ids to check", None),

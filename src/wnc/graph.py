@@ -256,18 +256,21 @@ def certify_rows(graph: WncGraph) -> bool:
     return not rows[0] & 1 and ts[0] == clean  # (a)
 
 
-def build_wnc_graph(ring: FiniteRing, classification: Classification) -> WncGraph:
-    """The weakly nil clean graph of the ring."""
+def _of_ring(ring: FiniteRing, classification: Classification) -> Classification:
+    """The classification, refused unless it has the ring's size."""
     if classification.size != ring.size:
         raise ValueError("classification does not match the ring")
-    return _build(ring, classification.wnc)
+    return classification
+
+
+def build_wnc_graph(ring: FiniteRing, classification: Classification) -> WncGraph:
+    """The weakly nil clean graph of the ring."""
+    return _build(ring, _of_ring(ring, classification).wnc)
 
 
 def build_nc_graph(ring: FiniteRing, classification: Classification) -> WncGraph:
     """The nil clean graph of the ring (a subgraph of the weakly nil clean one)."""
-    if classification.size != ring.size:
-        raise ValueError("classification does not match the ring")
-    return _build(ring, classification.nc)
+    return _build(ring, _of_ring(ring, classification).nc)
 
 
 def neighborhood(graph: WncGraph, v: int) -> int:

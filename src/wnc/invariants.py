@@ -1,5 +1,5 @@
-"""Exact graph invariants: components, distances, girth, bipartiteness,
-clique structure, and the neighborhood-disjointness checks for Z_2p.
+"""Exact graph invariants: components, distances, girth, bipartiteness
+and clique structure. They read the graph alone, never its ring's spec.
 
 Everything here is exact and deterministic; infinite values (diameter or
 girth of disconnected/acyclic graphs) are the distinct INFINITE sentinel,
@@ -18,8 +18,8 @@ from functools import reduce
 from operator import or_
 
 from .bitsets import bit_list, iter_bits, mask_of
-from .graph import WncGraph, ring_of
-from .rings import RingSpec, Zn, is_prime, orbits
+from .graph import WncGraph
+from .rings import orbits
 
 
 class Sentinel(Enum):
@@ -627,45 +627,3 @@ def enumerate_k_cliques(graph: WncGraph, k: int) -> list[tuple[int, ...]]:
 
     extend((1 << n) - 1, 0)
     return out
-
-
-# ---------------------------------------------------------------------------
-# Neighborhood disjointness in Z_2p
-
-
-def z2p_prime(spec: RingSpec) -> int | None:
-    """p when the ring spec is Z_2p with p >= 5 prime, else None."""
-    p = spec.n // 2 if isinstance(spec, Zn) and spec.n % 2 == 0 else 0
-    return p if p >= 5 and is_prime(p) else None
-
-
-def neighborhood_disjointness_check(graph: WncGraph):
-    """Check the three disjoint-neighborhood clauses for the graph of its
-    ring Z_2p, p >= 5 prime.
-
-    Clause 1 pairs a with -a, clause 2 pairs a + b = 1, clause 3 pairs
-    a + b = -1; each clause skips its stated exclusion set. Returns one
-    verdict tuple (clause, a, b, disjoint) per tested pair.
-    """
-    p = z2p_prime(ring_of(graph).spec)
-    if p is None:
-        raise ValueError("neighborhood lemma check needs Z_2p with p >= 5 prime")
-    n, adj = 2 * p, graph.adjacency
-    verdicts = []
-    # (clause, b as a function of a, exclusion set); the sets of clauses 2
-    # and 3 are closed under a -> b, and clause 1 lists each pair once
-    clauses = (
-        (1, lambda a: -a, {0, 1, p, p + 1, (p + 1) // 2, (p - 1) // 2}),
-        (2, lambda a: 1 - a, {0, 1, p, p + 1, (p - 1) // 2, (p + 1) // 2,
-                              (p + 3) // 2, (3 * p - 1) // 2, (3 * p + 1) // 2,
-                              (3 * p + 3) // 2}),
-        (3, lambda a: -1 - a, {0, n - 1, p, p - 1, (p - 1) // 2, (p + 1) // 2,
-                               (3 * p - 3) // 2, (p - 3) // 2, (3 * p - 1) // 2,
-                               (3 * p + 1) // 2}))
-    for clause, partner, excl in clauses:
-        for a in range(n):
-            b = partner(a) % n
-            if a in excl or b in excl or clause == 1 and a >= b:
-                continue
-            verdicts.append((clause, a, b, not adj[a] & adj[b]))
-    return verdicts

@@ -8,12 +8,15 @@ runs no census and formats no verdict.
 
 Each verdict compares a prediction derived from ring data against a value
 computed from the constructed graph. A ring that fails a fact's hypothesis
-gets NOT-APPLICABLE; a genuine mismatch is reported as DISAGREE, never
-silently corrected. Some mismatches are charted: characteristic-2 fields
-break the {0, 1, -1} triangle (girth, bipartite, star, field clique
-number), and rings where 2x is always weakly nil clean have max degree
-|WNC|-1, which breaks the class-1 argument (odd complete graphs are class
-2). The `known_discrepancy` flag marks exactly those.
+gets NOT-APPLICABLE, for the fact's reason in `THEOREMS`, which lists the
+facts in report order; each hypothesis is tested once, and the Z_2p one
+(`z2p_prime`) also gates the neighborhood lemma's check. A genuine
+mismatch is reported as DISAGREE, never silently corrected. Some
+mismatches are charted: characteristic-2 fields break the {0, 1, -1}
+triangle (girth, bipartite, star, field clique number), and rings where 2x
+is always weakly nil clean have max degree |WNC|-1, which breaks the
+class-1 argument (odd complete graphs are class 2). The
+`known_discrepancy` flag marks exactly those.
 
 The report reads the graph it is given, and the ring R that graph was
 built from, so it cannot mix two rings. It builds no graph of its own, bar
@@ -52,37 +55,41 @@ from .coloring import chromatic_index_exact
 from .graph import WncGraph, build_wnc_graph, is_complete, max_degree, ring_of
 from .invariants import (CENSUS_NODES, CLIQUE_NODES, INFINITE, UNKNOWN, Budget,
                          clique_count_bound, diameter, enumerate_k_cliques,
-                         girth, is_star, max_clique,
-                         neighborhood_disjointness_check, z2p_prime)
-from .rings import GF, MatrixRing, Zn, is_prime, nilradical_quotient
+                         girth, is_star, max_clique)
+from .rings import GF, MatrixRing, RingSpec, Zn, is_prime, nilradical_quotient
 
 AGREE = "AGREE"
 DISAGREE = "DISAGREE"
 NOT_APPLICABLE = "N-A"
 UNDECIDED = "UNKNOWN"
 
-THEOREM_IDS = (
-    "completeness",
-    "subgraph",
-    "quotient-lifting",
-    "degree-lemma",
-    "connectedness",
-    "girth",
-    "not-bipartite",
-    "not-star",
-    "clique-zp",
-    "clique-field",
-    "clique-z2p",
-    "four-cliques",
-    "neighborhood-lemma",
-    "diameter-2k3l",
-    "diameter-zp",
-    "diameter-z2p",
-    "diameter-field",
-    "diameter-product",
-    "sum-coloring",
-    "class-1",
-)
+_SMALL, _ODD_P, _FIELD, _Z2P = ("|R| < 3", "not Z_p for an odd prime p",
+                                "not a field spec", "not Z_2p with p >= 5 prime")
+# Each theorem id in report order, and the reason it is N-A on a ring
+# outside its hypothesis; None where it always applies.
+THEOREMS = {
+    "completeness": None,
+    "subgraph": None,
+    "quotient-lifting": "noncommutative ring",
+    "degree-lemma": None,
+    "connectedness": "stated for Z_n and M_n(Z_n) only",
+    "girth": _SMALL,
+    "not-bipartite": _SMALL,
+    "not-star": _SMALL,
+    "clique-zp": _ODD_P,
+    "clique-field": _FIELD,
+    "clique-z2p": _Z2P,
+    "four-cliques": _Z2P,
+    "neighborhood-lemma": _Z2P,
+    "diameter-2k3l": "n is not of the form 2^k 3^l",
+    "diameter-zp": _ODD_P,
+    "diameter-z2p": _Z2P,
+    "diameter-field": _FIELD,
+    "diameter-product": "not a product spec",
+    "sum-coloring": None,
+    "class-1": None,
+}
+THEOREM_IDS = tuple(THEOREMS)
 
 
 # status is AGREE, DISAGREE, N-A or UNKNOWN; `_asdict` gives the JSON object
@@ -114,6 +121,44 @@ def _expected_four_cliques(p: int) -> list[tuple[int, ...]]:
         {(p - 1) // 2, (p + 1) // 2, (3 * p - 1) // 2, (3 * p + 1) // 2},
     ]
     return sorted(tuple(sorted(s)) for s in raw)
+
+
+def z2p_prime(spec: RingSpec) -> int | None:
+    """p when the ring spec is Z_2p with p >= 5 prime, else None."""
+    p = spec.n // 2 if isinstance(spec, Zn) and spec.n % 2 == 0 else 0
+    return p if p >= 5 and is_prime(p) else None
+
+
+def neighborhood_disjointness_check(graph: WncGraph):
+    """Check the three disjoint-neighborhood clauses for the graph of its
+    ring Z_2p, p >= 5 prime.
+
+    Clause 1 pairs a with -a, clause 2 pairs a + b = 1, clause 3 pairs
+    a + b = -1; each clause skips its stated exclusion set. Returns one
+    verdict tuple (clause, a, b, disjoint) per tested pair.
+    """
+    p = z2p_prime(ring_of(graph).spec)
+    if p is None:
+        raise ValueError("neighborhood lemma check needs Z_2p with p >= 5 prime")
+    n, adj = 2 * p, graph.adjacency
+    verdicts = []
+    # (clause, b as a function of a, exclusion set); the sets of clauses 2
+    # and 3 are closed under a -> b, and clause 1 lists each pair once
+    clauses = (
+        (1, lambda a: -a, {0, 1, p, p + 1, (p + 1) // 2, (p - 1) // 2}),
+        (2, lambda a: 1 - a, {0, 1, p, p + 1, (p - 1) // 2, (p + 1) // 2,
+                              (p + 3) // 2, (3 * p - 1) // 2, (3 * p + 1) // 2,
+                              (3 * p + 3) // 2}),
+        (3, lambda a: -1 - a, {0, n - 1, p, p - 1, (p - 1) // 2, (p + 1) // 2,
+                               (3 * p - 3) // 2, (p - 3) // 2, (3 * p - 1) // 2,
+                               (3 * p + 1) // 2}))
+    for clause, partner, excl in clauses:
+        for a in range(n):
+            b = partner(a) % n
+            if a in excl or b in excl or clause == 1 and a >= b:
+                continue
+            verdicts.append((clause, a, b, not adj[a] & adj[b]))
+    return verdicts
 
 
 class InvariantReport:
@@ -196,22 +241,20 @@ def _check_quotient_lifting(a: InvariantReport) -> bool:
 
 
 def _verdicts(a: InvariantReport) -> list[TheoremVerdict]:
-    """Evaluate every applicable fact against the analysed ring and graph."""
+    """Evaluate every applicable fact against the analysed ring and graph,
+    in `THEOREMS` order; a fact not evaluated is N-A for its reason."""
     graph, ring = a.graph, a.graph.ring
     spec = ring.spec
     n = ring.size
     char2 = ring.doubles[ring.one] == ring.zero
-    out = []
+    out, reasons = {}, dict(THEOREMS)
 
     def emit(theorem, predicted, computed, agree, known=False, why="budget"):
         if agree is UNKNOWN:  # a search the value needs ran out of budget
             computed = f"unknown ({why})"
         status = UNDECIDED if agree is UNKNOWN else AGREE if agree else DISAGREE
-        out.append(TheoremVerdict(theorem, predicted, computed, status,
-                                  known_discrepancy=known and not agree))
-
-    def skip(theorem, reason):
-        out.append(TheoremVerdict(theorem, "-", reason, NOT_APPLICABLE))
+        out[theorem] = TheoremVerdict(theorem, predicted, computed, status,
+                                      known_discrepancy=known and not agree)
 
     # completeness <=> weakly nil clean ring
     predicted = "complete" if a.cls.wnc == (1 << n) - 1 else "incomplete"
@@ -229,8 +272,6 @@ def _verdicts(a: InvariantReport) -> list[TheoremVerdict]:
         ok = _check_quotient_lifting(a)
         emit("quotient-lifting", "adjacent cosets lift to all element pairs",
              "holds" if ok else "fails", ok)
-    else:
-        skip("quotient-lifting", "noncommutative ring")
 
     # degree formula deg(x) = |WNC| - [2x in WNC]
     clean, size = a.cls.wnc, a.cls.wnc.bit_count()
@@ -240,16 +281,13 @@ def _verdicts(a: InvariantReport) -> list[TheoremVerdict]:
          "holds" if ok else "fails", ok)
 
     # connectedness for Z_n and M_n(Z_n)
-    applies = isinstance(spec, Zn) or (
-        isinstance(spec, MatrixRing) and isinstance(spec.inner, Zn)
-        and spec.k == spec.inner.n)
-    if applies:
+    if isinstance(spec, Zn) or (
+            isinstance(spec, MatrixRing) and isinstance(spec.inner, Zn)
+            and spec.k == spec.inner.n):
         connected = len(a.component_sizes) == 1
         emit("connectedness", "connected",
              "connected" if connected else f"{len(a.component_sizes)} components",
              connected)
-    else:
-        skip("connectedness", "stated for Z_n and M_n(Z_n) only")
 
     # girth 3 and its corollaries need |R| >= 3
     if n >= 3:
@@ -260,22 +298,19 @@ def _verdicts(a: InvariantReport) -> list[TheoremVerdict]:
         star = is_star(graph)
         emit("not-star", "not a star", "star" if star else "not a star",
              not star, known=char2)
-    else:
-        skip("girth", "|R| < 3")
-        skip("not-bipartite", "|R| < 3")
-        skip("not-star", "|R| < 3")
 
-    # clique numbers
+    # clique numbers and diameters, each hypothesis tested once
     zn = spec.n if isinstance(spec, Zn) else None
-    if zn is not None and zn >= 3 and is_prime(zn):
+    if zn is not None and zn % 2 == 1 and is_prime(zn):
         emit("clique-zp", "3", str(a.clique_number), _agrees(a.clique_number, 3))
-    else:
-        skip("clique-zp", "not Z_p for an odd prime p")
+        want = (zn - 1) // 2
+        emit("diameter-zp", str(want), str(a.diameter), a.diameter == want)
     if isinstance(spec, GF):
         emit("clique-field", "3", str(a.clique_number),
              _agrees(a.clique_number, 3), known=char2)
-    else:
-        skip("clique-field", "not a field spec")
+        want_inf = spec.k > 1
+        emit("diameter-field", "inf" if want_inf else "finite",
+             str(a.diameter), want_inf == (a.diameter is INFINITE))
     p2 = z2p_prime(spec)
     if p2 is not None:
         emit("clique-z2p", "4", str(a.clique_number), _agrees(a.clique_number, 4))
@@ -293,34 +328,13 @@ def _verdicts(a: InvariantReport) -> list[TheoremVerdict]:
              f"all {len(verdicts)} pairs disjoint" if not bad
              else f"{len(bad)} of {len(verdicts)} pairs intersect",
              not bad)
-    else:
-        skip("clique-z2p", "not Z_2p with p >= 5 prime")
-        skip("four-cliques", "not Z_2p with p >= 5 prime")
-        skip("neighborhood-lemma", "not Z_2p with p >= 5 prime")
-
-    # diameters
-    if zn is not None and _is_2k3l(zn):
-        emit("diameter-2k3l", "1", str(a.diameter), a.diameter == 1)
-    else:
-        skip("diameter-2k3l", "n is not of the form 2^k 3^l")
-    if zn is not None and zn % 2 == 1 and is_prime(zn):
-        want = (zn - 1) // 2
-        emit("diameter-zp", str(want), str(a.diameter), a.diameter == want)
-    else:
-        skip("diameter-zp", "not Z_p for an odd prime p")
-    if p2 is not None:
         want = (p2 - 1) // 2
         emit("diameter-z2p", str(want), str(a.diameter), a.diameter == want)
-    else:
-        skip("diameter-z2p", "not Z_2p with p >= 5 prime")
-    if isinstance(spec, GF):
-        want_inf = spec.k > 1
-        got_inf = a.diameter is INFINITE
-        emit("diameter-field", "inf" if want_inf else "finite",
-             str(a.diameter), want_inf == got_inf)
-    else:
-        skip("diameter-field", "not a field spec")
+    if zn is not None and _is_2k3l(zn):
+        emit("diameter-2k3l", "1", str(a.diameter), a.diameter == 1)
     if ring.factor_sizes is not None:
+        reasons["diameter-product"] = (
+            "factors are not both weakly nil clean non nil clean")
         # x = a * |B| + b is the pair (a, b); WNC(A x B) and NC(A x B)
         # project onto WNC and NC of each factor, since the other factor
         # can take n = e = 0
@@ -328,16 +342,10 @@ def _verdicts(a: InvariantReport) -> list[TheoremVerdict]:
         wnc = [divmod(x, right_size) for x in iter_bits(a.cls.wnc)]
         nc = [divmod(x, right_size) for x in iter_bits(a.cls.nc)]
         # each factor is weakly nil clean and not nil clean
-        hyp = all(len({p[i] for p in wnc}) == size != len({p[i] for p in nc})
-                  for i, size in enumerate(ring.factor_sizes))
-        if hyp:
+        if all(len({p[i] for p in wnc}) == size != len({p[i] for p in nc})
+               for i, size in enumerate(ring.factor_sizes)):
             emit("diameter-product", "2 or 3", str(a.diameter),
                  a.diameter in (2, 3))
-        else:
-            skip("diameter-product",
-                 "factors are not both weakly nil clean non nil clean")
-    else:
-        skip("diameter-product", "not a product spec")
 
     # sum coloring: proper, colors inside WNC(R)
     inside = colors & ~a.cls.wnc == 0
@@ -351,7 +359,8 @@ def _verdicts(a: InvariantReport) -> list[TheoremVerdict]:
     emit("class-1", "class 1", f"class {a.vizing_class}",
          _agrees(a.vizing_class, 1),
          known=a.max_degree == a.cls.wnc.bit_count() - 1, why="no rule")
-    return out
+    return [out[t] if t in out else TheoremVerdict(t, "-", reasons[t], NOT_APPLICABLE)
+            for t in THEOREM_IDS]
 
 
 def compute_report(classification: Classification,

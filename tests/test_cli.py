@@ -27,6 +27,12 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def test_the_export_formats_are_the_writers_keys():
+    # the --format usage lists the writers' keys, in their order
+    assert list(cli.EXPORTERS) == ["dot", "json", "csv"]
+    assert cli.COMMANDS["export"][1][0][0] == "--format {dot,json,csv}"
+
+
 def test_report_json_z10(capsys):
     code, out, _ = run(capsys, "report", "Z10", "--json")
     assert code == 0

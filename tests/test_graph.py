@@ -186,6 +186,14 @@ def test_build_graph_rejects_mismatched_classification():
         wnc.build_wnc_graph(other, cls)
 
 
+@pytest.mark.parametrize("build", [wnc.build_wnc_graph, wnc.build_nc_graph])
+def test_both_graph_constructors_refuse_a_classification_of_another_size(build):
+    _, cls, _ = realize("Z10")
+    with pytest.raises(ValueError,
+                       match="^classification does not match the ring$"):
+        build(wnc.make_zn(12), cls)
+
+
 def test_degree_mismatch_disagrees_under_python_O():
     # `python -O` strips asserts, so the degree-lemma verdict must not rest
     # on one; rebuild a ring-built graph with one row corrupted and ask for

@@ -123,6 +123,42 @@ PRODUCT_VERDICTS = {
 }
 
 
+FACTOR_REASON = "factors are not both weakly nil clean non nil clean"
+
+
+def test_one_table_names_each_theorem_and_its_reason():
+    assert THEOREM_IDS == tuple(theorems.THEOREMS)
+    assert [t for t, why in theorems.THEOREMS.items() if why is None] == [
+        "completeness", "subgraph", "degree-lemma", "sum-coloring", "class-1"]
+
+
+@pytest.mark.parametrize("expr", ACCEPTANCE_CORPUS + tuple(PRODUCT_VERDICTS)
+                         + ("Z12/nil", "(Z4 x Z9)/nil"))
+def test_each_not_applicable_verdict_gives_its_table_reason(expr):
+    # a product's diameter-product reason is the one computed from its
+    # factors; and theorems that share a reason share a hypothesis, so they
+    # apply together or not at all
+    ring = realize(expr)[0]
+    verdicts = suite_for(expr).values()
+    for v in verdicts:
+        if v.status == NOT_APPLICABLE:
+            want = (FACTOR_REASON if v.theorem == "diameter-product"
+                    and ring.factor_sizes is not None
+                    else theorems.THEOREMS[v.theorem])
+            assert want is not None and (v.predicted, v.computed) == ("-", want)
+    for why in set(theorems.THEOREMS.values()) - {None}:
+        statuses = {v.status == NOT_APPLICABLE for v in verdicts
+                    if theorems.THEOREMS[v.theorem] == why}
+        assert len(statuses) == 1, (expr, why)
+
+
+def test_the_z2p_lemma_lives_beside_the_verdicts():
+    assert wnc.neighborhood_disjointness_check is (
+        theorems.neighborhood_disjointness_check)
+    assert not hasattr(wnc.invariants, "z2p_prime")
+    assert theorems.z2p_prime(realize("Z14")[0].spec) == 7
+
+
 @pytest.mark.parametrize("expr", PRODUCT_VERDICTS)
 def test_product_report_classifies_only_the_ring(monkeypatch, expr):
     classified = []
