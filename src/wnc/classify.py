@@ -7,9 +7,10 @@ classification keeps the four sets, not the decompositions: no caller
 reads which n and e give an element. Each -e is computed once, and the
 sums are translates (`rings.translate`), or `add` without a layout.
 
-A ring automorphism keeps x * x = x and x^m = 0, so on a ring with
-generators (`FiniteRing.generators`) `idempotents` and `nilpotents` test
-one representative of each orbit and copy its answer to the rest.
+Idem(A x B) = Idem(A) x Idem(B) and Nil(A x B) = Nil(A) x Nil(B), so a
+product pairs its factors' sets (NC and WNC are sums, never paired). Other
+rings test each element, or, with generators (`FiniteRing.generators`),
+one representative of each orbit, as automorphisms keep x * x = x, x^m = 0.
 """
 
 from __future__ import annotations
@@ -27,10 +28,13 @@ from .rings import FiniteRing, translate
 Classification = namedtuple("Classification", "size idem nil nc wnc")
 
 
-def _members(ring: FiniteRing, passing) -> int:
+def _members(ring: FiniteRing, passing, members) -> int:
     """Bitset of the elements that `passing` yields of those it is given,
     for a property every ring automorphism keeps: with generators, it is
     given one representative per orbit, and the orbit shares its answer."""
+    if ring.factors:  # B's `members` shifted to a * |B| for each a of A's
+        a, b = map(members, ring.factors)
+        return mask_of(x * ring.factor_sizes[1] for x in iter_bits(a)) * b
     if not ring.generators:
         return mask_of(passing(range(ring.size)))
     orbits = {orbit[0]: orbit for orbit in ring.orbits}
@@ -39,7 +43,8 @@ def _members(ring: FiniteRing, passing) -> int:
 
 def idempotents(ring: FiniteRing) -> int:
     """Bitset of elements with x*x = x; always contains zero and one."""
-    return _members(ring, lambda xs: (x for x in xs if ring.mul(x, x) == x))
+    return _members(ring, lambda xs: (x for x in xs if ring.mul(x, x) == x),
+                    idempotents)
 
 
 def nilpotents(ring: FiniteRing) -> int:
@@ -71,7 +76,7 @@ def nilpotents(ring: FiniteRing) -> int:
             if y == zero:
                 yield x
 
-    return _members(ring, passing)
+    return _members(ring, passing, nilpotents)
 
 
 def _sumset(ring: FiniteRing, a: int, b: int) -> int:

@@ -13,8 +13,8 @@ When the ring has an additive layout and S is large enough to pay for it,
 per digit instead of one addition per element of S. Otherwise, as for
 the three-element clean sets of fields or a quotient without a layout,
 each row is |S| additions; `rows_translated` decides, and `certify_rows`
-proves translated rows once per graph (`WncGraph.certified`) from
-n * digits additions. The sum coloring of proved rows is read off S and
+proves translated rows once per graph (`WncGraph.certified`) from one
+`add_row` per digit. The sum coloring of proved rows is read off S and
 the doubles; other rows make one `add` per neighbor (`sum_sets`).
 """
 
@@ -192,16 +192,16 @@ def _build(ring: FiniteRing, clean: int) -> WncGraph:
 
 def certify_rows(graph: WncGraph) -> bool:
     """Whether checks (a) to (c) prove each row v (S - v) minus v, S the
-    clean set, from the ring's own `add` and `doubles`, for rows
-    translated from the graph's ring (`rows_translated`): n * digits
-    additions, those of (b)'s addition rows, and O(n) word moves. Sums
+    clean set, from the ring's own `add_row` and `doubles`, for rows
+    translated from the graph's ring (`rows_translated`): one addition row
+    per digit, composed by the constructor, and O(n) word moves. Sums
     read off the translates unproved would make the report's verdicts
     hold by construction. Row v is (S - v) minus v iff it lacks bit v and T_v
     (`WncGraph.translates`) = S - v (T_v alone passes a row holding v with
     2v not in S but `doubles[v]` in it); each digit's unit is a generator g.
 
     (a) Row 0 lacks bit 0, and T_0 = S, the ring's zero being the id 0.
-    (b) The addition row L: y -> add(g, y) is a permutation, and
+    (b) The addition row L = add_row(g), y -> g + y, is a permutation, and
         translate(., g) maps the full mask, each bit slice
         B_j = {y : bit j of y is 1} and its complement onto their images
         under L. translate is made of shifts, ANDs with constants and ORs,
@@ -220,13 +220,14 @@ def certify_rows(graph: WncGraph) -> bool:
     a bit on a generator's move fails (b); one misrouting a bit on a move
     of two or more units, which the certificate never makes, builds a row
     that (a) or (c) refuses, as is one flipped row bit, and the
-    per-neighbor sums show it as a DISAGREE. An `add` shifted by h with
-    2h = 0, or not injective, at a generator fails (b), and the
-    per-neighbor sums show a subgraph or sum-coloring DISAGREE."""
+    per-neighbor sums show it as a DISAGREE. An `add_row` shifted by h with
+    2h = 0, or not injective, at a generator fails (b), as does an `add`
+    wrong there with its rows, whose per-neighbor sums then show a subgraph
+    or sum-coloring DISAGREE."""
     ring, rows, clean = ring_of(graph), graph.adjacency, graph.clean_set
     if ring.radices is None or not rows_translated(ring, clean):
         return False
-    n, add, inverses = len(rows), ring.add, []
+    n, inverses = len(rows), []
     full, ids = (1 << n) - 1, tuple(range(n))
     places = [1, *accumulate(ring.radices, mul)]  # of the digits, and n
     # each bit slice B_j as the string whose character y is bit j of y
@@ -234,7 +235,7 @@ def certify_rows(graph: WncGraph) -> bool:
               for h in (1 << j for j in range((n - 1).bit_length()))]
     for g in places[:-1]:  # (b)
         try:  # sorted by image, the ids list the inverse of a permutation
-            row = list(map(add, [g] * n, ids))
+            row = ring.add_row(g)
             inverses.append(sorted(ids, key=row.__getitem__))
             pick = itemgetter(*inverses[-1])
         except TypeError:

@@ -170,16 +170,20 @@ def diameter(graph: WncGraph):
         length += 1
         frontier = nxt & ~seen[length & 1]
     even, odd = walks
-    # the worst odd walk over each coset of 2R; labelling every coset once
-    # touches each element once
-    two_r = set(doubles)
-    worst_odd = [-1] * n
-    for d in range(n):
-        if worst_odd[d] < 0:
-            coset = [ring.add(d, t) for t in two_r]
-            worst = max(odd[z] for z in coset)
-            for z in coset:
-                worst_odd[z] = worst
+    # the worst odd walk over each coset d + 2R, read off the addition rows
+    # of 2R's members or of each coset's least, whichever are fewer
+    two_r = [*set(doubles)]
+    if len(two_r) ** 2 < n:  # the max over t in 2R of odd[d + t]
+        worst_odd = [*map(max, zip(*[map(odd.__getitem__, ring.add_row(t))
+                                     for t in two_r]))]
+    else:  # each coset once, from its least member d
+        worst_odd = [-1] * n
+        for d in range(n):
+            if worst_odd[d] < 0:
+                coset = [*map(ring.add_row(d).__getitem__, two_r)]
+                worst = max(map(odd.__getitem__, coset))
+                for z in coset:
+                    worst_odd[z] = worst
     best = max(min(even[d], worst_odd[d]) for d in range(n) if d != ring.zero)
     return INFINITE if best >= unreached else best
 

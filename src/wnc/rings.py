@@ -12,8 +12,8 @@ polynomial, direct products, k x k matrix rings over a commutative base,
 and quotients by the nilradical. GF(p^k) for k >= 2 computes through
 exp/log tables of O(p^k) entries, one lookup per operation.
 
-`add` never reads the digit layout below, so the addition rows of the
-digits' units check `translate` independently (`graph.certify_rows`).
+Neither `add` nor `add_row` reads the digit layout below, so the addition
+rows of the digits' units check `translate` independently (`certify_rows`).
 
 Every construction but the quotient encodes (R,+) in its element ids as
 a direct sum of cyclic groups: the id is a mixed-radix number whose
@@ -31,7 +31,7 @@ import itertools
 import operator
 from collections import namedtuple
 from collections.abc import Callable
-from functools import cached_property
+from functools import cached_property, reduce
 
 from .bitsets import iter_bits
 from .errors import InvalidSpecError, UnsupportedOperationError
@@ -90,10 +90,11 @@ class FiniteRing:
     Immutable after construction: `add`, `mul` and `neg` are total pure
     functions on the carrier, safe for any number of concurrent readers.
     `size` is the number of names, one per element; every constructor
-    numbers its zero 0, so `zero` is that constant. `doubles` is the list
-    of x + x over every x, computed once on first use.
-    `factor_sizes` is (|A|, |B|) for a direct product A x B, whose element
-    a * |B| + b is the pair (a, b), and None for every other ring.
+    numbers its zero 0, so `zero` is that constant. `add_row(g)` lists
+    g + y over every id y, and `doubles` x + x over every x (computed once);
+    constructors compose both (`_compose`), else each makes one `add` per id.
+    `factors` is (A, B) and `factor_sizes` (|A|, |B|) for a product A x B,
+    whose element a * |B| + b is (a, b), and both are None for other rings.
     `radices` is the additive layout of the ids (module docstring), or None
     when the ids have none, as in a quotient. `generators` lists ring
     automorphisms as permutations of the ids, computed on first read by the
@@ -107,22 +108,25 @@ class FiniteRing:
     def __init__(self, one: int, add: Callable[[int, int], int],
                  mul: Callable[[int, int], int], neg: Callable[[int], int],
                  names, is_commutative: bool, spec: RingSpec, radices=None,
-                 factor_sizes=None, generators=None):
+                 factors=None, generators=None, add_row=None, doubles=None):
         self._names = tuple(names)
-        self.size = len(self._names)
+        self.size = n = len(self._names)
         self.one = one
         self.is_commutative = is_commutative
         self.spec = spec
-        self.factor_sizes = factor_sizes
+        self.factors = factors
+        self.factor_sizes = factors and (factors[0].size, factors[1].size)
         self.radices = radices
         self.add = add
+        self.add_row = add_row or (lambda g: [*map(add, [g] * n, range(n))])
         self.mul = mul
         self.neg = neg
         self._generate = generators
+        self._double = doubles or (lambda: [*map(self.add, range(n), range(n))])
 
     @cached_property
     def doubles(self) -> list[int]:
-        return [self.add(x, x) for x in range(self.size)]
+        return self._double()
 
     @cached_property
     def generators(self) -> list[list[int]]:
@@ -226,6 +230,9 @@ def _integers_mod(n: int, spec: RingSpec) -> FiniteRing:
         is_commutative=True,
         spec=spec,
         radices=(n,),
+        # g + y wraps to 0 after n - 1; 2x wraps to the evens or the odds
+        add_row=lambda g: [*range(g, n), *range(g)],
+        doubles=lambda: [*range(0, n, 2), *range(n % 2, n, 2)],
     )
 
 
@@ -252,27 +259,6 @@ def factor_prime_power(q: int):
 
 def is_prime(n: int) -> bool:
     return factor_prime_power(n) == (n, 1)
-
-
-def _digit_table(base: int, count: int) -> list[list[int]]:
-    """The `count` base-`base` digits of every id below base ** count,
-    least significant first."""
-    return [[*reversed(d)] for d in itertools.product(range(base), repeat=count)]
-
-
-def _poly_str(coeffs) -> str:
-    terms = []
-    for i in range(len(coeffs) - 1, -1, -1):
-        c = coeffs[i]
-        if c == 0:
-            continue
-        if i == 0:
-            terms.append(str(c))
-        elif i == 1:
-            terms.append("a" if c == 1 else f"{c}a")
-        else:
-            terms.append(f"a^{i}" if c == 1 else f"{c}a^{i}")
-    return "+".join(terms) if terms else "0"
 
 
 def _poly_rem(num, den, p):
@@ -329,7 +315,8 @@ def make_gf(p: int, k: int) -> FiniteRing:
     Element i has base-p digits of i as coefficients, constant term least
     significant. Arithmetic runs on exp/log tables of the least primitive
     element g (Lidl-Niederreiter, Finite Fields, section 9): mul and neg add
-    logarithms, and add uses the Zech logarithms log(1 + g^m).
+    logarithms, and add uses the Zech logarithms log(1 + g^m). The walk
+    over each candidate g's powers takes one linear step per power.
     """
     if k < 1:
         raise InvalidSpecError("GF needs k >= 1")
@@ -344,34 +331,36 @@ def make_gf(p: int, k: int) -> FiniteRing:
         return _integers_mod(p, GF(p, 1))
 
     low = find_least_irreducible(p, k)[:k]  # x^k = -(low) modulo the modulus
-    place = [p ** i for i in range(k)]
     order = size - 1  # of the multiplicative group, which is cyclic
-    digits = _digit_table(p, k)  # digits[e][i] = coefficient of x^i
+    # g * e is Z_p-linear in e: g times e's low digits plus g times its high
+    # ones, from two tables of about sqrt(q) entries with `bits` bits a digit,
+    # so that one integer sum adds them; its halves index their ids mod p
+    bits, h = (2 * p - 2).bit_length(), k // 2
+    half, cut = p ** h, bits * h
+    mods = [d % p for d in range(1 << bits)]
+    low_id = _compose([mods] * h, p)
+    high_id = [half * i for i in _compose([mods] * (k - h), p)]
 
-    def times(a, b):
-        # product of two digit vectors: sum of a_i * (b * x^i), reduced
-        acc = [0] * k
-        for c in a:
-            if c:
-                acc = [(s + c * t) % p for s, t in zip(acc, b)]
-            top = b[-1]
-            b = [0] + b[:-1]
-            if top:
-                b = [(t - top * m) % p for t, m in zip(b, low)]
-        return acc
+    def span(columns):  # sum(c_j * column j) over every id, packed
+        out = [[0] * k]
+        for column in columns:
+            out = [[(s + d * c) % p for s, c in zip(v, column)]
+                   for d in range(p) for v in out]
+        return [sum(c << bits * i for i, c in enumerate(v)) for v in out]
 
     # exp[i] = g^i for the least primitive element g: the first candidate
     # whose powers run through all `order` nonzero elements before 1 recurs
-    one = digits[1]
     for g in range(2, size):
-        generator = digits[g]
-        exp = []
-        power = one
-        while True:
-            exp.append(sum(d * v for d, v in zip(power, place)))
-            power = times(generator, power)
-            if power == one:
-                break
+        columns = [[g // p ** i % p for i in range(k)]]  # g * x^j
+        for _ in range(1, k):  # times x: shift up, then reduce x^k
+            b = columns[-1]
+            columns.append([(t - b[-1] * m) % p for t, m in zip([0, *b], low)])
+        lo, hi = span(columns[:h]), span(columns[h:])
+        exp, power = [], 1
+        while not exp or power != 1:
+            exp.append(power)
+            packed = lo[power % half] + hi[power // half]
+            power = low_id[packed & (1 << cut) - 1] + high_id[packed >> cut]
         if len(exp) == order:
             break
     log = [0] * size
@@ -406,7 +395,12 @@ def make_gf(p: int, k: int) -> FiniteRing:
     def neg(a):
         return exp[log[a] + minus_one]
 
-    names = [_poly_str(d) for d in digits]
+    def term(i, c):  # "2a^3", "a", "5"
+        return f"{c}" if i == 0 else f"{c if c > 1 else ''}a" + f"^{i}" * (i > 1)
+
+    # each name lists its nonzero terms, highest degree first
+    names = ["+".join(filter(None, t)) or "0" for t in itertools.product(
+        *[["", *(term(i, c) for c in range(1, p))] for i in reversed(range(k))])]
     # the coefficients add digit by digit, so the layout is k digits of p
     return FiniteRing(one=1, add=add, mul=mul, neg=neg, names=names,
                       is_commutative=True, spec=GF(p, k), radices=(p,) * k)
@@ -414,6 +408,14 @@ def make_gf(p: int, k: int) -> FiniteRing:
 
 # ---------------------------------------------------------------------------
 # Direct products
+
+
+def _compose(rows, size: int) -> list[int]:
+    """The ids sum(r_i * size^i), r_i in rows[-1 - i], in the order the last
+    row runs fastest: a row of A x B from a row of A and one of B, or of a
+    matrix ring from its cells' rows, the last cell's first."""
+    return reduce(lambda high, low: [a * size + b for a in high for b in low],
+                  rows, [0])
 
 
 def make_product(left: FiniteRing, right: FiniteRing) -> FiniteRing:
@@ -455,7 +457,10 @@ def make_product(left: FiniteRing, right: FiniteRing) -> FiniteRing:
         one=left.one * rs + right.one, add=add, mul=mul, neg=neg, names=names,
         is_commutative=left.is_commutative and right.is_commutative,
         spec=Product(left.spec, right.spec), radices=radices,
-        factor_sizes=(left.size, rs), generators=generators,
+        factors=(left, right), generators=generators,
+        add_row=lambda g: _compose(
+            [left.add_row(g // rs), right.add_row(g % rs)], rs),
+        doubles=lambda: _compose([left.doubles, right.doubles], rs),
     )
 
 
@@ -483,7 +488,7 @@ def make_matrix_ring(k: int, base: FiniteRing) -> FiniteRing:
 
     # each element's row-major entries: entries[e][i*k + j] is row i,
     # column j of matrix e
-    entries = _digit_table(bs, cells)
+    entries = [[*reversed(d)] for d in itertools.product(range(bs), repeat=cells)]
 
     # the place value of each cell: an element is the sum of its cells'
     # entries times their places
@@ -559,6 +564,8 @@ def make_matrix_ring(k: int, base: FiniteRing) -> FiniteRing:
         # entries add cell by cell, each with the base's digits
         radices=None if base.radices is None else base.radices * cells,
         generators=generators if k > 1 else None,
+        add_row=lambda g: _compose([*map(base.add_row, entries[g][::-1])], bs),
+        doubles=lambda: _compose([base.doubles] * cells, bs),
     )
 
 

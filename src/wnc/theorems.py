@@ -37,7 +37,8 @@ and reads sums(x) = S minus 2x off S and the doubles; other rows get one
 `add` per neighbor. So each verdict compares the real row's popcount, or
 NC(R), with sums proved from the ring's arithmetic, never from the lemma
 it checks. The report assumes `add` is an abelian group operation, as the
-paper's proofs do; the tests check the ring axioms on the corpus.
+paper's proofs do, and `add_row` its rows; the tests check both on the
+corpus.
 
 The class-1 verdict reads `coloring.chromatic_index_exact`, which decides
 chi' from the same pass, a bound or a construction that it proves, or

@@ -14,11 +14,13 @@ across each removed edge instead of per-root BFS levels for the girth,
 union-find on the double cover instead of BFS levels for
 bipartiteness, and argparse instead of the command table), so agreement
 between the two is meaningful evidence of correctness. The edge-coloring
-helpers, `bfs_distances` and `operation_tables` serve only the tests, so
-they live here rather than in the library.
+helpers, `bfs_distances`, `operation_tables` and the ring copies of
+`with_add` serve only the tests, so they live here rather than in the
+library.
 """
 
 import argparse
+import copy
 import itertools
 from collections import deque
 from operator import itemgetter
@@ -539,6 +541,17 @@ def rebuilt(graph, **fields):
     return wnc.WncGraph(**{"adjacency": graph.adjacency,
                            "clean_set": graph.clean_set,
                            "ring": graph.ring, **fields})
+
+
+def with_add(ring, add):
+    """A copy of the ring whose `add` is the one given and whose addition
+    rows (`FiniteRing.add_row`) are made of it, one call per id: a test
+    that breaks the ring's addition breaks both, as the constructors build
+    them alike. The copy keeps `doubles` if the ring has read them."""
+    twin = copy.copy(ring)
+    twin.add = add
+    twin.add_row = lambda g: [add(g, y) for y in range(ring.size)]
+    return twin
 
 
 def reference_parser() -> argparse.ArgumentParser:

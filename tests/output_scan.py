@@ -22,6 +22,8 @@ import sys
 
 from wnc import cli
 
+from corpus import LEADERS
+
 SHORT = 4096
 
 SMALL = [f"Z{n}" for n in range(2, 10)] + ["GF(4)"]
@@ -45,10 +47,12 @@ QUOTIENTS_AND_LARGE = [
     "Z7 x GF(4) x Z7"]
 REFUSED = ["Z8192", "Z1", "GF(10)", "GF(8192)", "M2(Z9)", "M99999(Z2)",
            "M2(Z2 x Z3) x Z2 x Z2 x Z2 x Z2 x Z2", "Z4 x (", "Q5"]
-RINGS = ([f"Z{n}" for n in range(2, 301)]
-         + [f"{a} x {b}" for a in SMALL for b in SMALL]
-         + FIELDS + MATRIX + BLOW_UPS + BUDGET_STOPS + QUOTIENTS_AND_LARGE
-         + REFUSED)
+# each ring once: four of the leaders are on the lists above
+RINGS = list(dict.fromkeys(
+    [f"Z{n}" for n in range(2, 301)]
+    + [f"{a} x {b}" for a in SMALL for b in SMALL]
+    + FIELDS + MATRIX + BLOW_UPS + BUDGET_STOPS + QUOTIENTS_AND_LARGE
+    + REFUSED + list(LEADERS)))
 
 
 def run(argv):

@@ -1,16 +1,17 @@
 """Element classes: idempotents, nilpotents, NC(R), WNC(R), and the
 decompositions x = n + e and x = n - e behind them."""
 
-import copy
-
 import pytest
 
 import wnc
 from wnc.bitsets import bit_list, mask_of
+from wnc.rings import Product
 
+import output_scan
 from corpus import ACCEPTANCE_CORPUS, realize
-from oracles import (naive_decompositions, naive_nc_members, naive_nilpotent,
-                     naive_wnc_members)
+from oracles import (naive_decompositions, naive_idempotent_list,
+                     naive_nc_members, naive_nilpotent, naive_wnc_members,
+                     with_add)
 
 
 def test_idempotents_examples():
@@ -48,12 +49,44 @@ def test_nilpotents_square_each_element_at_most_four_times_in_z1000(monkeypatch)
 
 def test_nilpotents_stop_squaring_at_an_idempotent(monkeypatch):
     # every element of Z2^12 is idempotent: 0 is nilpotent with no squaring,
-    # and one squaring shows y * y = y != 0 for each of the other 4,095
+    # and one squaring shows y * y = y != 0 for each of the other 4,095,
+    # once the ring is tested element by element, as if it were no product
     ring = wnc.build_ring(wnc.parse_ring_expr(" x ".join(["Z2"] * 12)))
     mul, calls = ring.mul, []
     monkeypatch.setattr(ring, "mul", lambda a, b: calls.append(a) or mul(a, b))
+    monkeypatch.setattr(ring, "factors", None)
     assert wnc.nilpotents(ring) == 1
     assert len(calls) == 4095
+
+
+# every product on the output scan's list, the leaders included
+PRODUCT_EXPRS = [e for e in output_scan.RINGS if e not in output_scan.REFUSED
+                 and isinstance(wnc.parse_ring_expr(e), Product)]
+
+
+@pytest.mark.parametrize("expr", PRODUCT_EXPRS)
+def test_product_classes_are_the_element_wise_enumeration(expr):
+    # Idem(A x B) = Idem(A) x Idem(B), and the same for Nil: the composed
+    # bitsets equal the oracle's walk over every element of the product
+    ring = wnc.build_ring(wnc.parse_ring_expr(expr))
+    assert ring.factors is not None
+    assert wnc.idempotents(ring) == mask_of(naive_idempotent_list(ring))
+    assert wnc.nilpotents(ring) == mask_of(
+        x for x in range(ring.size) if naive_nilpotent(ring, x))
+
+
+@pytest.mark.parametrize("expr", ["Z2 x Z2 x Z2 x Z2", "M2(Z2) x Z3",
+                                  "Z3 x M2(Z2)", "(Z4 x Z9)/nil x Z3"])
+def test_a_product_classifies_no_element_through_its_own_mul(expr, monkeypatch):
+    # the factors test their elements, and the product composes their sets
+    ring = wnc.build_ring(wnc.parse_ring_expr(expr))
+    cls = wnc.weakly_nil_clean_set(ring)
+
+    def refuse(a, b):
+        raise AssertionError("the product's mul was called")
+
+    monkeypatch.setattr(ring, "mul", refuse)
+    assert wnc.weakly_nil_clean_set(ring) == cls
 
 
 def test_wnc_gf25_matches_worked_example():
@@ -174,7 +207,6 @@ def test_sums_on_a_layout_make_no_add(expr):
     # sum is the ring's own add
     ring, cls, _ = realize(expr)
     calls = []
-    counted = copy.copy(ring)
-    counted.add = lambda a, b: calls.append((a, b)) or ring.add(a, b)
+    counted = with_add(ring, lambda a, b: calls.append((a, b)) or ring.add(a, b))
     assert wnc.weakly_nil_clean_set(counted) == cls
     assert bool(calls) == (ring.radices is None)

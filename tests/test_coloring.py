@@ -13,10 +13,10 @@ import wnc
 from wnc.bitsets import bit_list, mask_of
 from wnc.cli import main
 
-from corpus import ACCEPTANCE_CORPUS, realize
+from corpus import ACCEPTANCE_CORPUS, LEADERS, realize
 from oracles import (chromatic_index_with_hints, edge_colorable, rebuilt,
                      round_robin_coloring, sum_edge_coloring,
-                     verify_proper_edge_coloring)
+                     verify_proper_edge_coloring, with_add)
 
 PETERSEN_EDGES = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0),
                   (0, 5), (1, 6), (2, 7), (3, 8), (4, 9),
@@ -109,18 +109,33 @@ def test_sum_sets_are_the_images_under_add(expr, mode, monkeypatch):
 
 @pytest.mark.parametrize("expr", ["Z12", "Z16 x Z3", "M2(Z3)", "Z2 x Z2 x Z2"])
 def test_certified_rows_make_at_most_n_digits_adds(expr):
-    # the certificate reads one addition row per digit and (c) reads its
-    # steps off their inverses, and the sum coloring of certified rows
-    # makes no add; the report has read ring.doubles before the pass
+    # on a copy whose rows are made of its add (`with_add`), the
+    # certificate reads one addition row per digit and (c) reads its steps
+    # off their inverses, and the sum coloring of certified rows makes no
+    # add; the report has read ring.doubles before the pass
     ring, _, graph = realize(expr)
     ring.doubles
     calls = []
-    counted = copy.copy(ring)
-    counted.add = lambda a, b: calls.append((a, b)) or ring.add(a, b)
+    counted = with_add(ring, lambda a, b: calls.append((a, b)) or ring.add(a, b))
     counted_graph = rebuilt(graph, ring=counted)
     assert counted_graph.sum_coloring == graph.sum_coloring
     assert wnc.graph.certify_rows(graph)
     assert 0 < len(calls) <= ring.size * len(ring.radices)
+
+
+@pytest.mark.parametrize("expr", ["Z12", "Z16 x Z3", "M2(Z3)", "Z2 x Z2 x Z2",
+                                  "M2(GF(4))"] + list(LEADERS[:3]))
+def test_the_certificate_reads_one_add_row_per_digit_and_no_add(expr):
+    # the constructors compose each row, so the certificate makes no
+    # per-element add: one `add_row` per digit's unit, and nothing else
+    ring, _, graph = realize(expr)
+    rows, calls = [], []
+    counted = copy.copy(ring)
+    counted.add = lambda a, b: calls.append((a, b)) or ring.add(a, b)
+    counted.add_row = lambda g: rows.append(g) or ring.add_row(g)
+    assert wnc.graph.certify_rows(rebuilt(graph, ring=counted))
+    assert rows == list(itertools.accumulate((1, *ring.radices[:-1]), operator.mul))
+    assert calls == []
 
 
 def _folded_sum_sets(graph):
@@ -161,8 +176,8 @@ def test_a_refused_add_row_falls_back_to_add(expr, bad_row):
     ring, _, graph = realize(expr)
     n = ring.size
     gens = set(itertools.accumulate((1, *ring.radices[:-1]), operator.mul))
-    twin = copy.copy(ring)
-    twin.add = lambda a, b: bad_row(n, a)[b] if a in gens else ring.add(a, b)
+    twin = with_add(
+        ring, lambda a, b: bad_row(n, a)[b] if a in gens else ring.add(a, b))
     twin_graph = rebuilt(graph, ring=twin)
     true_rows = all(bad_row(n, g) == [ring.add(g, y) for y in range(n)]
                     for g in gens)
@@ -368,8 +383,8 @@ def shifted_generator_row(expr):
     h = next(v for v in range(1, ring.size) if ring.add(v, v) == ring.zero)
     g = list(itertools.accumulate((1, *ring.radices[:-1]), operator.mul))[-1]
     ring.doubles  # read from the true add, and kept by the copy
-    shifted = copy.copy(ring)
-    shifted.add = lambda a, b: ring.add(ring.add(a, h) if a == g else a, b)
+    shifted = with_add(
+        ring, lambda a, b: ring.add(ring.add(a, h) if a == g else a, b))
     return rebuilt(graph, ring=shifted)
 
 

@@ -19,7 +19,7 @@ import pytest
 
 from wnc.cli import main
 
-from corpus import ACCEPTANCE_CORPUS
+from corpus import ACCEPTANCE_CORPUS, LEADERS
 
 GOLDEN = pathlib.Path(__file__).with_name("golden_outputs.json")
 
@@ -35,7 +35,7 @@ REPORT_EXPRS = ACCEPTANCE_CORPUS + (
     # greedy cliques far short of omega: the clique search branches
     "M2(Z6)", "Z27 x Z27",
     # a product over a quotient, which has no digit layout
-    "(Z4 x Z9)/nil x Z3")
+    "(Z4 x Z9)/nil x Z3") + LEADERS
 # Z_2p with p >= 5 prime: the rings whose reports run the 4-clique census
 FOUR_CLIQUE_EXPRS = ("Z10", "Z14", "Z22", "Z26", "Z34")
 # export reads the graph's rows alone, so these pin the graph build

@@ -68,10 +68,12 @@ def _both_graphs(ring, cls, graph):
 
 
 # char-2 fields, a product with one, a ring whose 2R is not all of R, the
-# noncommutative rings, and a quotient
+# noncommutative rings, a quotient, and rings whose 2R has more than one
+# member but fewer than its cosets, so that the cosets are read off the
+# addition rows of 2R's members
 DIAMETER_EXPRS = ACCEPTANCE_CORPUS + (
     "GF(8)", "GF(16)", "GF(32)", "GF(64)", "Z2 x GF(4)", "Z4 x Z9",
-    "M2(Z3)", "Z12/nil")
+    "M2(Z3)", "Z12/nil", "Z2 x Z6", "M2(Z2) x Z3")
 
 
 @pytest.mark.parametrize("expr", DIAMETER_EXPRS)

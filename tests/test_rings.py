@@ -3,6 +3,7 @@
 import functools
 import inspect
 import itertools
+import operator
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 import wnc
 from wnc.errors import InvalidSpecError, UnsupportedOperationError
 
-from corpus import ACCEPTANCE_CORPUS, realize
+from corpus import ACCEPTANCE_CORPUS, LEADERS, realize
 from oracles import (gf_poly_add, gf_poly_mul, gf_poly_name, gf_poly_neg,
                      naive_nilpotent, operation_tables, ring_axiom_violations,
                      rings_isomorphic)
@@ -194,6 +195,28 @@ def test_gf_arithmetic_matches_polynomials_on_sampled_pairs(data):
     assert [field.add(x, y) for x, y in pairs] == gf_poly_add(p, k, a, b).tolist()
 
 
+# every field p^k <= 4096 with k >= 2
+ALL_GF = [(p, k) for p in range(2, 64) if wnc.rings.is_prime(p)
+          for k in range(2, 13) if p ** k <= 4096]
+
+
+@pytest.mark.parametrize("p,k", ALL_GF)
+def test_gf_walk_lists_every_nonzero_element(p, k):
+    # the exp table is the linear walk of g = exp[1]: q - 1 distinct nonzero
+    # elements, each g times the one before by polynomial arithmetic; add,
+    # mul and neg, which read it, agree with polynomials on 200 fixed pairs
+    field, q = gf_field(p, k), p ** k
+    exp = inspect.getclosurevars(field.mul).nonlocals["exp"][:q - 1]
+    assert sorted(exp) == list(range(1, q))
+    assert exp[1:] + exp[:1] == gf_poly_mul(
+        p, k, np.array(exp), np.full(q - 1, exp[1])).tolist()
+    a, b = np.random.default_rng(q).integers(0, q, (2, 200))
+    pairs = list(zip(a.tolist(), b.tolist()))
+    assert [field.add(x, y) for x, y in pairs] == gf_poly_add(p, k, a, b).tolist()
+    assert [field.mul(x, y) for x, y in pairs] == gf_poly_mul(p, k, a, b).tolist()
+    assert list(map(field.neg, a.tolist())) == gf_poly_neg(p, k, a).tolist()
+
+
 def test_product_cap_boundary():
     z64 = wnc.make_zn(64)
     assert wnc.make_product(z64, z64).size == 4096  # exactly at the cap
@@ -355,7 +378,7 @@ def test_the_cap_is_not_a_parameter(function):
 
 
 @pytest.mark.parametrize("function,derived", [
-    (wnc.FiniteRing, {"size", "zero"}),
+    (wnc.FiniteRing, {"size", "zero", "factor_sizes"}),
     (wnc.WncGraph, {"vertex_count", "kind"}),
     (wnc.make_graph, {"kind"}),
     (wnc.compute_report, {"ring"}),
@@ -448,8 +471,21 @@ def test_add_row_is_the_row_of_add(expr):
     ring = wnc.build_ring(wnc.parse_ring_expr(expr))
     ids = list(range(ring.size))
     for x in ids:
-        assert sorted(map(ring.add, [x] * ring.size, ids)) == ids
+        row = list(map(ring.add, [x] * ring.size, ids))
+        assert sorted(row) == ids
+        assert ring.add_row(x) == row
     assert ring.doubles == [ring.add(x, x) for x in ids]
+
+
+@pytest.mark.parametrize("expr", LEADERS)
+def test_the_leaders_rows_are_the_rows_of_add(expr):
+    # the composed addition row of each digit's unit, the rows that the
+    # certificate reads, and the composed doubles, against add
+    ring = wnc.build_ring(wnc.parse_ring_expr(expr))
+    ids = range(ring.size)
+    for g in itertools.accumulate((1, *ring.radices[:-1]), operator.mul):
+        assert ring.add_row(g) == list(map(ring.add, [g] * ring.size, ids))
+    assert ring.doubles == list(map(ring.add, ids, ids))
 
 
 @pytest.mark.parametrize("expr", ["Z12", "Z2 x Z3", "M2(Z2)", "Z2 x Z12/nil"])
@@ -467,4 +503,5 @@ def test_add_row_never_reads_the_layout(expr, monkeypatch):
     monkeypatch.setattr(type(ring), "_wrap_masks", property(refuse))
     ring.radices = None
     assert [[ring.add(x, y) for y in ids] for x in ids] == rows
+    assert [ring.add_row(x) for x in ids] == rows
     assert ring.doubles == [rows[x][x] for x in ids]

@@ -12,7 +12,7 @@ from wnc.rings import NilQuotient
 from wnc.theorems import AGREE, DISAGREE, NOT_APPLICABLE, THEOREM_IDS
 
 from corpus import ACCEPTANCE_CORPUS, realize
-from oracles import rebuilt
+from oracles import rebuilt, with_add
 
 
 def suite_for(expr):
@@ -246,8 +246,7 @@ def test_a_non_injective_addition_breaks_the_sum_coloring(expr):
     def add(a, b):
         return real(x, y1) if (a, b) in ((x, y2), (y2, x)) else real(a, b)
 
-    broken = copy.copy(ring)
-    broken.add = add
+    broken = with_add(ring, add)
     broken_graph = rebuilt(graph, ring=broken)
     assert graph_module.certify_rows(graph)
     assert not graph_module.certify_rows(broken_graph)
@@ -265,8 +264,7 @@ def test_a_shifted_add_row_breaks_the_subgraph_check(expr):
     ring, cls, graph = realize(expr)
     h = next(v for v in range(1, ring.size) if ring.add(v, v) == ring.zero)
     ring.doubles
-    shifted = copy.copy(ring)
-    shifted.add = lambda a, b: ring.add(ring.add(a, b), h)
+    shifted = with_add(ring, lambda a, b: ring.add(ring.add(a, b), h))
     shifted_graph = rebuilt(graph, ring=shifted)
     assert not graph_module.certify_rows(shifted_graph)
     assert _verdict_map(cls, graph)["subgraph"].status == AGREE
@@ -350,14 +348,34 @@ def test_a_shifted_generator_row_is_refused(expr):
     ring, _, graph = realize(expr)
     h = next(v for v in range(1, ring.size) if ring.add(v, v) == ring.zero)
     g = _generators(ring)[-1]
-    shifted = copy.copy(ring)
-    shifted.add = lambda a, b: ring.add(ring.add(a, h) if a == g else a, b)
+    shifted = with_add(
+        ring, lambda a, b: ring.add(ring.add(a, h) if a == g else a, b))
     shifted_graph = rebuilt(graph, ring=shifted)
     assert graph_module.certify_rows(graph)
     assert not graph_module.certify_rows(shifted_graph)
     assert list(graph_module.sum_sets(shifted_graph)) == [
         (x, row.bit_count(), mask_of(shifted.add(x, y) for y in bit_list(row)))
         for x, row in enumerate(graph.adjacency)]
+
+
+@pytest.mark.parametrize("wrong", ["shifted", "not-injective"])
+@pytest.mark.parametrize("expr", ["Z12", "Z2 x Z2 x Z2", "M2(Z2)", "Z4 x Z9"])
+def test_a_wrong_add_row_alone_is_refused(expr, wrong):
+    # add is true, and the addition row of the last generator g is off by h
+    # with 2h = 0, or sends two ids to one sum: (b) refuses it, and the
+    # per-neighbor pass, which reads add, gives the true sum coloring
+    ring, _, graph = realize(expr)
+    g = _generators(ring)[-1]
+    h = next(v for v in range(1, ring.size) if ring.add(v, v) == ring.zero)
+    true_row = ring.add_row(g)
+    bad_row = ([ring.add(z, h) for z in true_row] if wrong == "shifted"
+               else [true_row[0], *true_row[:-1]])
+    twin = copy.copy(ring)
+    twin.add_row = lambda x: bad_row if x == g else ring.add_row(x)
+    twin_graph = rebuilt(graph, ring=twin)
+    assert graph_module.certify_rows(graph)
+    assert not graph_module.certify_rows(twin_graph)
+    assert twin_graph.sum_coloring == graph.sum_coloring
 
 
 @pytest.mark.parametrize("expr", ["Z12", "Z16 x Z12", "Z2 x Z2 x Z2 x Z2",
