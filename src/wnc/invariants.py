@@ -170,17 +170,18 @@ def diameter(graph: WncGraph):
         length += 1
         frontier = nxt & ~seen[length & 1]
     even, odd = walks
-    # the worst odd walk over each coset d + 2R, read off the addition rows
-    # of 2R's members or of each coset's least, whichever are fewer
+    # the worst odd walk over each coset d + 2R: read off the addition rows
+    # of 2R's members when they are few, else each coset labelled once from
+    # the |2R| sums of its least member d, n additions in all
     two_r = [*set(doubles)]
     if len(two_r) ** 2 < n:  # the max over t in 2R of odd[d + t]
         worst_odd = [*map(max, zip(*[map(odd.__getitem__, ring.add_row(t))
                                      for t in two_r]))]
-    else:  # each coset once, from its least member d
+    else:
         worst_odd = [-1] * n
         for d in range(n):
             if worst_odd[d] < 0:
-                coset = [*map(ring.add_row(d).__getitem__, two_r)]
+                coset = [*map(ring.add, [d] * len(two_r), two_r)]
                 worst = max(map(odd.__getitem__, coset))
                 for z in coset:
                     worst_odd[z] = worst

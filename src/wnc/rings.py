@@ -92,7 +92,7 @@ class FiniteRing:
     `size` is the number of names, one per element; every constructor
     numbers its zero 0, so `zero` is that constant. `add_row(g)` lists
     g + y over every id y, and `doubles` x + x over every x (computed once);
-    constructors compose both (`_compose`), else each makes one `add` per id.
+    constructors compose both, else each calls the ring's `add` once per id.
     `factors` is (A, B) and `factor_sizes` (|A|, |B|) for a product A x B,
     whose element a * |B| + b is (a, b), and both are None for other rings.
     `radices` is the additive layout of the ids (module docstring), or None
@@ -118,7 +118,7 @@ class FiniteRing:
         self.factor_sizes = factors and (factors[0].size, factors[1].size)
         self.radices = radices
         self.add = add
-        self.add_row = add_row or (lambda g: [*map(add, [g] * n, range(n))])
+        self.add_row = add_row or (lambda g: [*map(self.add, [g] * n, range(n))])
         self.mul = mul
         self.neg = neg
         self._generate = generators
@@ -332,9 +332,9 @@ def make_gf(p: int, k: int) -> FiniteRing:
 
     low = find_least_irreducible(p, k)[:k]  # x^k = -(low) modulo the modulus
     order = size - 1  # of the multiplicative group, which is cyclic
-    # g * e is Z_p-linear in e: g times e's low digits plus g times its high
-    # ones, from two tables of about sqrt(q) entries with `bits` bits a digit,
-    # so that one integer sum adds them; its halves index their ids mod p
+    # g * e is Z_p-linear in e: span tables of p^h and p^(k-h) entries give g
+    # times e's h low and k - h high digits, `bits` bits a digit, one integer
+    # sum adds them, and tables of 2^(bits h) and 2^(bits (k-h)) read the ids
     bits, h = (2 * p - 2).bit_length(), k // 2
     half, cut = p ** h, bits * h
     mods = [d % p for d in range(1 << bits)]
@@ -607,11 +607,16 @@ def nilradical_quotient(ring: FiniteRing, nil: int | None = None):
     def q_neg(i):
         return projection[ring.neg(reps[i])]
 
+    def pick(row):  # the cosets of a row of R's sums with the reps
+        return [*map(projection.__getitem__, map(row.__getitem__, reps))]
+
     quotient = FiniteRing(
         one=projection[ring.one], add=q_add, mul=q_mul, neg=q_neg,
         names=[ring.name(r) for r in reps],
         is_commutative=True,
         spec=NilQuotient(ring.spec),
+        add_row=lambda i: pick(ring.add_row(reps[i])),
+        doubles=lambda: pick(ring.doubles),
     )
     return quotient, projection
 

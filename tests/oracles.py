@@ -547,7 +547,8 @@ def with_add(ring, add):
     """A copy of the ring whose `add` is the one given and whose addition
     rows (`FiniteRing.add_row`) are made of it, one call per id: a test
     that breaks the ring's addition breaks both, as the constructors build
-    them alike. The copy keeps `doubles` if the ring has read them."""
+    them alike. The copy's `doubles` always come from the ring's own
+    arithmetic, never from the `add` given."""
     twin = copy.copy(ring)
     twin.add = add
     twin.add_row = lambda g: [add(g, y) for y in range(ring.size)]

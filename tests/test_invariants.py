@@ -1,6 +1,7 @@
 """Exact invariants: components, distances, girth, bipartite/star tests,
 cliques, and the Z_2p neighborhood clauses."""
 
+import copy
 import itertools
 import random
 import sys
@@ -86,6 +87,29 @@ def test_diameter_agrees_with_per_vertex_bfs(expr):
             assert got is wnc.INFINITE, kind
         else:
             assert got == expected, kind
+
+
+@pytest.mark.parametrize("expr", ["Z12/nil", "(Z4 x Z9)/nil",
+                                  "(Z2 x Z2 x Z2 x Z31)/nil",
+                                  "(Z2 x Z2 x Z2 x Z2 x Z3)/nil"])
+def test_a_quotient_diameter_makes_at_most_n_additions(expr):
+    # a quotient's addition rows are composed from its ring's rows; the
+    # diameter reads the rows of 2R's members when |2R|^2 < n, with no add,
+    # and else labels each coset of 2R from the |2R| sums of its least
+    # member: one add per element, and no row of n sums per coset
+    ring, _, graph = realize(expr)
+    adds, rows = [], []
+    counted = copy.copy(ring)
+    counted.add = lambda a, b: adds.append(a) or ring.add(a, b)
+    counted.add_row = lambda g: rows.append(g) or ring.add_row(g)
+    expected = bfs_diameter(graph)
+    got = wnc.diameter(rebuilt(graph, ring=counted))
+    assert got == (wnc.INFINITE if expected is None else expected)
+    two_r = set(ring.doubles)
+    if len(two_r) ** 2 < ring.size:
+        assert (adds, sorted(rows)) == ([], sorted(two_r))
+    else:
+        assert (len(adds), rows) == (ring.size, [])
 
 
 def test_bfs_distances_match_floyd_rowwise():

@@ -477,6 +477,18 @@ def test_add_row_is_the_row_of_add(expr):
     assert ring.doubles == [ring.add(x, x) for x in ids]
 
 
+@pytest.mark.parametrize("expr", ["GF(9)", "GF(8)"])
+def test_a_field_row_calls_the_add_bound_on_the_ring(expr):
+    # a field's rows and doubles fall back to one `add` per id, the one the
+    # ring holds when they run, as a counting hook rebinds it
+    ring = wnc.build_ring(wnc.parse_ring_expr(expr))
+    add, calls, ids = ring.add, [], range(ring.size)
+    ring.add = lambda a, b: calls.append((a, b)) or add(a, b)
+    assert ring.add_row(1) == list(map(add, [1] * ring.size, ids))
+    assert ring.doubles == list(map(add, ids, ids))
+    assert calls == [*zip([1] * ring.size, ids), *zip(ids, ids)]
+
+
 @pytest.mark.parametrize("expr", LEADERS)
 def test_the_leaders_rows_are_the_rows_of_add(expr):
     # the composed addition row of each digit's unit, the rows that the
