@@ -5,7 +5,7 @@ An element x is nil clean when x = n + e and weakly nil clean when
 x = n + e or x = n - e, for some nilpotent n and idempotent e. The
 classification keeps the four sets, not the decompositions: no caller
 reads which n and e give an element. Each -e is computed once, and the
-sums are translates (`rings.translate`), or `add` without a layout.
+sums are translates (`rings.translate`).
 
 Idem(A x B) = Idem(A) x Idem(B) and Nil(A x B) = Nil(A) x Nil(B), so a
 product pairs its factors' sets (NC and WNC are sums, never paired). Other
@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from collections import namedtuple
 from functools import reduce
-from itertools import product, starmap
 from operator import or_
 
 from .bitsets import iter_bits, mask_of
@@ -81,9 +80,7 @@ def nilpotents(ring: FiniteRing) -> int:
 
 def _sumset(ring: FiniteRing, a: int, b: int) -> int:
     """{x + y : x in a, y in b}: the larger set translated by each member
-    of the smaller, or one `add` per pair on a ring without a layout."""
-    if ring.radices is None:
-        return mask_of(starmap(ring.add, product(iter_bits(a), iter_bits(b))))
+    of the smaller."""
     small, large = sorted((a, b), key=int.bit_count)
     return reduce(or_, (translate(ring, large, s) for s in iter_bits(small)))
 
@@ -91,8 +88,7 @@ def _sumset(ring: FiniteRing, a: int, b: int) -> int:
 def weakly_nil_clean_set(ring: FiniteRing) -> Classification:
     """Classify every element by the sumsets of Nil(R) and Idem(R):
     NC = Nil + Idem and WNC = NC | (Nil + (-Idem)). Each idempotent is
-    negated once, and each sumset is min(|Nil|, |Idem|) translates on a
-    ring with a layout (`_sumset`)."""
+    negated once, and each `_sumset` is min(|Nil|, |Idem|) translates."""
     idem = idempotents(ring)
     nil = nilpotents(ring)
     nc = _sumset(ring, nil, idem)

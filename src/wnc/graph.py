@@ -8,14 +8,14 @@ neighborhood intersections and clique search are single AND operations.
 
 Both are sum graphs over (R,+): the neighbors of v are the u with
 u + v in S, so row v is the translate S - v of the clean set S, minus v.
-When the ring has an additive layout and S is large enough to pay for it,
-`rings.translate` builds each row from S as a whole, with a few shifts
-per digit instead of one addition per element of S. Otherwise, as for
-the three-element clean sets of fields or a quotient without a layout,
-each row is |S| additions; `rows_translated` decides, and `certify_rows`
-proves translated rows once per graph (`WncGraph.certified`) from one
-`add_row` per digit. The sum coloring of proved rows is read off S and
-the doubles; other rows make one `add` per neighbor (`sum_sets`).
+When S is large enough to pay for it, `rings.translate` builds each row
+from S as a whole, with a few shifts per digit of the ring's additive
+layout instead of one addition per element of S. Otherwise, as for the
+three-element clean sets of fields, each row is |S| additions;
+`rows_translated` decides, and `certify_rows` proves translated rows once
+per graph (`WncGraph.certified`) from one `add_row` per digit. The sum
+coloring of proved rows is read off S and the doubles; other rows make
+one `add` per neighbor (`sum_sets`).
 """
 
 from __future__ import annotations
@@ -164,8 +164,7 @@ def sum_sets(graph: WncGraph):
 
 def rows_translated(ring: FiniteRing, clean: int) -> bool:
     """Whether `translate` builds the rows of the graph of `clean`."""
-    return ring.radices is not None and clean.bit_count() > (
-        ADDS_PER_CALL + ADDS_PER_DIGIT * len(ring.radices))
+    return clean.bit_count() > ADDS_PER_CALL + ADDS_PER_DIGIT * len(ring.radices)
 
 
 def _build(ring: FiniteRing, clean: int) -> WncGraph:
@@ -225,7 +224,7 @@ def certify_rows(graph: WncGraph) -> bool:
     wrong there with its rows, whose per-neighbor sums then show a subgraph
     or sum-coloring DISAGREE."""
     ring, rows, clean = ring_of(graph), graph.adjacency, graph.clean_set
-    if ring.radices is None or not rows_translated(ring, clean):
+    if not rows_translated(ring, clean):
         return False
     n, inverses = len(rows), []
     full, ids = (1 << n) - 1, tuple(range(n))

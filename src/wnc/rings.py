@@ -15,14 +15,14 @@ exp/log tables of O(p^k) entries, one lookup per operation.
 Neither `add` nor `add_row` reads the digit layout below, so the addition
 rows of the digits' units check `translate` independently (`certify_rows`).
 
-Every construction but the quotient encodes (R,+) in its element ids as
-a direct sum of cyclic groups: the id is a mixed-radix number whose
-digits add independently, each modulo its radix, with no carry.
-`FiniteRing.radices` records those radices, least significant first:
-(n,) for Z_n, (p,) * k for GF(p^k), B's radices then A's for A x B, and
-the base's radices once per cell for a matrix ring. With the layout,
-`translate` moves a whole bitset of elements by g with a few shifts and
-masks per digit instead of one `add` per element.
+Every construction encodes (R,+) in its element ids as a direct sum of
+cyclic groups: the id is a mixed-radix number whose digits add
+independently, each modulo its radix, with no carry. `FiniteRing.radices`
+records those radices, least significant first: (n,) for Z_n, (p,) * k
+for GF(p^k), B's radices then A's for A x B, the base's radices once per
+cell for a matrix ring, and R's cut by Nil(R) for R/Nil(R). With the
+layout, `translate` moves a whole bitset of elements by g with a few
+shifts and masks per digit instead of one `add` per element.
 """
 
 from __future__ import annotations
@@ -95,19 +95,18 @@ class FiniteRing:
     constructors compose both, else each calls the ring's `add` once per id.
     `factors` is (A, B) and `factor_sizes` (|A|, |B|) for a product A x B,
     whose element a * |B| + b is (a, b), and both are None for other rings.
-    `radices` is the additive layout of the ids (module docstring), or None
-    when the ids have none, as in a quotient. `generators` lists ring
-    automorphisms as permutations of the ids, computed on first read by the
-    function given: conjugation by I + E_ij (i != j) and by
-    diag(u, 1, ..., 1), u != 1 a unit, in M_k(B), k >= 2, and each
-    factor's own in A x B. Other rings list none. `orbits` are theirs.
+    `radices` is the additive layout of the ids (module docstring).
+    `generators` lists ring automorphisms as permutations of the ids,
+    computed on first read by the function given: conjugation by I + E_ij
+    (i != j) and by diag(u, 1, ..., 1), u != 1 a unit, in M_k(B), k >= 2,
+    and each factor's own in A x B. Other rings list none. `orbits` are theirs.
     """
 
     zero = 0
 
     def __init__(self, one: int, add: Callable[[int, int], int],
                  mul: Callable[[int, int], int], neg: Callable[[int], int],
-                 names, is_commutative: bool, spec: RingSpec, radices=None,
+                 names, is_commutative: bool, spec: RingSpec, radices,
                  factors=None, generators=None, add_row=None, doubles=None):
         self._names = tuple(names)
         self.size = n = len(self._names)
@@ -168,13 +167,12 @@ class FiniteRing:
 def translate(ring: FiniteRing, mask: int, g: int) -> int:
     """The bitset {m + g : m in mask}.
 
-    With a layout, g adds its digits one at a time. Adding t to digit i,
-    whose place value is P, rotates each block of elements that agree on
-    the higher digits: those whose digit i is below radix - t move up by
-    t * P bits, the others wrap down by (radix - t) * P bits. The top
-    digit's block is the whole carrier, so its move is a plain rotation;
-    the other digits read their wrap masks from the ring, which computes
-    them once. The ring must have a layout (`FiniteRing.radices`).
+    g adds its digits one at a time. Adding t to digit i, whose place
+    value is P, rotates each block of elements that agree on the higher
+    digits: those whose digit i is below radix - t move up by t * P bits,
+    the others wrap down by (radix - t) * P bits. The top digit's block is
+    the whole carrier, so its move is a plain rotation; the other digits
+    read their wrap masks from the ring, which computes them once.
     """
     place = 1
     for radix, wraps in zip(ring.radices, ring._wrap_masks):
@@ -442,11 +440,6 @@ def make_product(left: FiniteRing, right: FiniteRing) -> FiniteRing:
 
     names = [f"({left.name(a1)};{right.name(a2)})"
              for a1 in range(left.size) for a2 in range(right.size)]
-    # b is the low part of a * |B| + b, so B's digits come first
-    radices = None
-    if left.radices is not None and right.radices is not None:
-        radices = right.radices + left.radices
-
     def generators():  # each factor's, acting on its own coordinate
         return ([[a * rs + b for a in g for b in range(rs)]
                  for g in left.generators]
@@ -456,7 +449,8 @@ def make_product(left: FiniteRing, right: FiniteRing) -> FiniteRing:
     return FiniteRing(
         one=left.one * rs + right.one, add=add, mul=mul, neg=neg, names=names,
         is_commutative=left.is_commutative and right.is_commutative,
-        spec=Product(left.spec, right.spec), radices=radices,
+        spec=Product(left.spec, right.spec),
+        radices=right.radices + left.radices,  # b is low in a * |B| + b
         factors=(left, right), generators=generators,
         add_row=lambda g: _compose(
             [left.add_row(g // rs), right.add_row(g % rs)], rs),
@@ -562,7 +556,7 @@ def make_matrix_ring(k: int, base: FiniteRing) -> FiniteRing:
         is_commutative=(k == 1 and base.is_commutative),
         spec=MatrixRing(k, base.spec),
         # entries add cell by cell, each with the base's digits
-        radices=None if base.radices is None else base.radices * cells,
+        radices=base.radices * cells,
         generators=generators if k > 1 else None,
         add_row=lambda g: _compose([*map(base.add_row, entries[g][::-1])], bs),
         doubles=lambda: _compose([base.doubles] * cells, bs),
@@ -582,6 +576,13 @@ def nilradical_quotient(ring: FiniteRing, nil: int | None = None):
     coset, in ascending order, so zero's coset is the quotient's zero, 0.
     `nil` is the bitset of R's nilpotents when the caller has already
     computed it; by default it is computed here.
+
+    In each digit of R's layout, Nil(R) holds the multiples of t, the
+    least t > 0 whose t units (the id t times the digit's place) lie in
+    it, or of the radix: rad(n) for Z_n, per factor for a product. So each
+    coset's least member keeps each digit modulo its t, and those t are
+    the quotient's layout. The cosets come from `add`: the projection,
+    `add` and `add_row` read no layout.
     """
     if not ring.is_commutative:
         raise UnsupportedOperationError(
@@ -610,11 +611,15 @@ def nilradical_quotient(ring: FiniteRing, nil: int | None = None):
     def pick(row):  # the cosets of a row of R's sums with the reps
         return [*map(projection.__getitem__, map(row.__getitem__, reps))]
 
+    places = itertools.accumulate((1, *ring.radices), operator.mul)
+    radices = tuple(next((t for t in range(1, r) if nil >> t * p & 1), r)
+                    for r, p in zip(ring.radices, places))
+
     quotient = FiniteRing(
         one=projection[ring.one], add=q_add, mul=q_mul, neg=q_neg,
         names=[ring.name(r) for r in reps],
         is_commutative=True,
-        spec=NilQuotient(ring.spec),
+        spec=NilQuotient(ring.spec), radices=radices,
         add_row=lambda i: pick(ring.add_row(reps[i])),
         doubles=lambda: pick(ring.doubles),
     )

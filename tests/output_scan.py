@@ -44,7 +44,8 @@ QUOTIENTS_AND_LARGE = [
     "(Z8 x Z27)/nil", "Z2 x Z4/nil", "Z1000/nil", "Z1000", "Z1009",
     "Z2 x Z1021", "Z4093", "Z4094", "Z4095", "Z3 x Z5 x Z7 x Z13",
     "Z2 x Z2 x Z2 x Z2 x Z2 x Z2", "Z16 x Z48", "Z27 x Z27",
-    "Z7 x GF(4) x Z7"]
+    "Z7 x GF(4) x Z7", "M2(Z12/nil)", "M2(Z2 x Z4/nil)",
+    "Z2 x Z2 x Z2 x Z2 x Z2 x Z2 x Z63", "Z4 x Z1020"]
 REFUSED = ["Z8192", "Z1", "GF(10)", "GF(8192)", "M2(Z9)", "M99999(Z2)",
            "M2(Z2 x Z3) x Z2 x Z2 x Z2 x Z2 x Z2", "Z4 x (", "Q5"]
 # each ring once: four of the leaders are on the lists above

@@ -4,7 +4,6 @@ import copy
 import functools
 import itertools
 import operator
-import types
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -68,12 +67,15 @@ def test_check_sum_coloring_matches_the_dict_reference(expr):
                          ids=["constant", "product"])
 def test_check_sum_coloring_flags_a_non_cancellative_add(add):
     # a stub "ring" whose add is not cancellative: edges at a shared vertex
-    # can get the same color, which only a computed check notices
-    _, _, graph = realize("Z6")
-    stub = types.SimpleNamespace(size=graph.vertex_count, add=add,
-                                 radices=None, doubles=[0] * 6)
+    # can get the same color, which only a computed check notices; it has
+    # Z6's layout and addition rows made of its add, which step (b) of the
+    # row certificate refuses
+    ring, _, graph = realize("Z6")
+    stub = with_add(ring, add)
+    stub.doubles = [0] * 6
     coloring = sum_edge_coloring(stub, graph)
     assert not verify_proper_edge_coloring(graph, coloring)
+    assert not wnc.graph.certify_rows(rebuilt(graph, ring=stub))
     assert rebuilt(graph, ring=stub).sum_coloring[:2] == (
         False, mask_of(coloring.values()))
 
@@ -85,21 +87,21 @@ SUM_EXPRS = ACCEPTANCE_CORPUS + ("Z12/nil", "Z2 x Z2 x Z2", "Z4 x Z9",
 @pytest.mark.parametrize("mode", ["adds", "shipped", "rows"])
 @pytest.mark.parametrize("expr", SUM_EXPRS)
 def test_sum_sets_are_the_images_under_add(expr, mode, monkeypatch):
-    # adds: the layout removed, so every row makes one add per neighbor;
-    # shipped: the pass as shipped, certified wherever the rows were
-    # translated; rows: every ring with a layout translates its rows and
-    # has them certified
+    # adds: no row translated, so the rows are built, and their sums
+    # taken, by one add per neighbor; shipped: the pass as shipped,
+    # certified wherever the rows were translated; rows: every ring
+    # translates its rows and has them certified
     ring, cls, graph = realize(expr)
     if mode == "adds":
-        ring = copy.copy(ring)
-        ring.radices = None
-        graph = rebuilt(graph, ring=ring)
+        monkeypatch.setattr(wnc.graph, "rows_translated", lambda *_: False)
+        graph, shipped = wnc.build_wnc_graph(ring, cls), graph
+        assert graph.adjacency == shipped.adjacency
     elif mode == "rows":
         monkeypatch.setattr(wnc.graph, "ADDS_PER_DIGIT", 0)
         graph = wnc.build_wnc_graph(ring, cls)
     translated = wnc.graph.rows_translated(ring, cls.wnc)
     if mode != "shipped":
-        assert translated == (mode == "rows" and ring.radices is not None)
+        assert translated == (mode == "rows")
     assert wnc.graph.certify_rows(graph) == translated
     for x, degree, sums in wnc.graph.sum_sets(graph):
         row = graph.adjacency[x]
@@ -283,9 +285,9 @@ def test_a_component_no_rule_decides_is_unknown():
     assert graph.period == ([0, 4], False)
     assert wnc.chromatic_index_exact(graph) is wnc.UNKNOWN
     # Z10 under a constant add: one color, but not a proper coloring
-    _, _, graph = realize("Z10")
-    stub = types.SimpleNamespace(size=10, add=lambda a, b: 0, radices=None,
-                                 doubles=[0] * 10)
+    ring, _, graph = realize("Z10")
+    stub = with_add(ring, lambda a, b: 0)
+    stub.doubles = [0] * 10
     assert wnc.chromatic_index_exact(graph) == 6
     assert wnc.chromatic_index_exact(
         rebuilt(graph, ring=stub)) is wnc.UNKNOWN

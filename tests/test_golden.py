@@ -34,14 +34,18 @@ REPORT_EXPRS = ACCEPTANCE_CORPUS + (
     "Z16 x Z48", "Z2 x Z2 x Z2 x Z2 x Z2 x Z2 x Z2 x Z2",
     # greedy cliques far short of omega: the clique search branches
     "M2(Z6)", "Z27 x Z27",
-    # a product over a quotient, which has no digit layout
-    "(Z4 x Z9)/nil x Z3") + LEADERS
+    # a product over a quotient
+    "(Z4 x Z9)/nil x Z3",
+    # matrix rings over a quotient, and rings whose quotient-lifting
+    # verdict builds a quotient of 1,020 to 1,365 elements
+    "M2(Z12/nil)", "M2(Z2 x Z4/nil)", "Z2 x Z2 x Z2 x Z2 x Z2 x Z2 x Z63",
+    "Z4 x Z1020", "Z4095") + LEADERS
 # Z_2p with p >= 5 prime: the rings whose reports run the 4-clique census
 FOUR_CLIQUE_EXPRS = ("Z10", "Z14", "Z22", "Z26", "Z34")
 # export reads the graph's rows alone, so these pin the graph build
 # directly: products of cyclic groups (Z4 x Z144 is K576, the largest
-# export), a field's base-p digits, matrix cells and a quotient, which has
-# no digit layout
+# export), a field's base-p digits, matrix cells and a quotient, whose
+# digits R/Nil(R) takes from Nil(R)
 EXPORT_EXPRS = ("Z16 x Z36", "Z4 x Z144", "GF(16)", "M2(Z2)", "Z12/nil")
 # the DOT and CSV writers list the same edges under element names
 NAMED_EXPORT_EXPRS = ("Z16 x Z36", "Z4 x Z144", "Z12/nil")

@@ -52,7 +52,7 @@ def test_edge_law_against_double_loop_oracle(expr):
 
 
 # char-2 fields, nested products on either side, matrix rings over a
-# product and a field, and a quotient, which has no digit layout
+# product and a field, and a quotient, whose layout is read off Nil(R)
 ROW_EXPRS = ACCEPTANCE_CORPUS + (
     "GF(8)", "GF(16)", "GF(64)", "Z2 x GF(4)", "GF(4) x Z3",
     "(Z2 x Z3) x Z4", "Z4 x (Z2 x Z3)", "M2(Z2 x Z2)", "M2(GF(4))",
@@ -63,8 +63,7 @@ ROW_EXPRS = ACCEPTANCE_CORPUS + (
                          ids=["translate", "default", "add"])
 @pytest.mark.parametrize("expr", ROW_EXPRS)
 def test_rows_match_the_addition_oracle(expr, adds_per_digit, monkeypatch):
-    # 0 sends every ring with a layout and |S| > 1 through `translate`,
-    # 10**9 none
+    # 0 sends every ring with |S| > 1 through `translate`, 10**9 none
     monkeypatch.setattr(wnc.graph, "ADDS_PER_DIGIT", adds_per_digit)
     ring, cls, _ = realize(expr)
     assert wnc.build_wnc_graph(ring, cls).adjacency == sum_graph_rows(ring, cls.wnc)

@@ -3,6 +3,7 @@
 import functools
 import inspect
 import itertools
+import math
 import operator
 
 import numpy as np
@@ -404,6 +405,7 @@ def test_every_built_ring_has_zero_0_a_nonzero_one_and_injective_names(expr):
     # the facts FiniteRing takes on trust: no constructor checks them
     ring = wnc.build_ring(wnc.parse_ring_expr(expr))
     assert ring.size >= 2
+    assert math.prod(ring.radices) == ring.size
     assert ring.one != ring.zero == 0
     assert len(set(ring.names())) == ring.size
     assert [ring.add(0, x) for x in range(ring.size)] == list(range(ring.size))
@@ -414,30 +416,30 @@ def test_every_built_ring_has_zero_0_a_nonzero_one_and_injective_names(expr):
     ("Z2 x Z3", (3, 2)), ("(Z2 x Z3) x Z4", (4, 3, 2)),
     ("Z4 x (Z2 x Z3)", (3, 2, 4)), ("Z2 x GF(4)", (2, 2, 2)),
     ("M2(Z3)", (3, 3, 3, 3)), ("M2(Z2 x Z3)", (3, 2) * 4),
-    ("Z12/nil", None), ("Z2 x Z12/nil", None), ("M2(Z12/nil)", None)])
+    ("Z12/nil", (6,)), ("Z2 x Z12/nil", (6, 2)), ("M2(Z4/nil)", (2,) * 4)])
 def test_additive_layout(expr, radices):
     ring = wnc.build_ring(wnc.parse_ring_expr(expr))
     assert ring.radices == radices
-    if radices is not None:
-        # the ids are mixed-radix numbers whose digits add without carry:
-        # the digit sums of every pair, broadcast over the n x n grid, are
-        # ring.add of that pair
-        n = ring.size
-        assert int(np.prod(radices)) == n
-        places = np.cumprod((1,) + radices[:-1])
-        ids = np.arange(n)
-        want = np.zeros((n, n), dtype=np.int64)
-        for place, radix in zip(places, radices):
-            digit = ids // place % radix
-            want += (digit[:, None] + digit[None, :]) % radix * place
-        got = np.array([list(map(ring.add, itertools.repeat(a), range(n)))
-                        for a in range(n)])
-        assert np.array_equal(got, want)
+    # the ids are mixed-radix numbers whose digits add without carry: the
+    # digit sums of every pair, broadcast over the n x n grid, are
+    # ring.add of that pair, which a quotient reads off its cosets
+    n = ring.size
+    assert int(np.prod(radices)) == n
+    places = np.cumprod((1,) + radices[:-1])
+    ids = np.arange(n)
+    want = np.zeros((n, n), dtype=np.int64)
+    for place, radix in zip(places, radices):
+        digit = ids // place % radix
+        want += (digit[:, None] + digit[None, :]) % radix * place
+    got = np.array([list(map(ring.add, itertools.repeat(a), range(n)))
+                    for a in range(n)])
+    assert np.array_equal(got, want)
 
 
 TRANSLATE_EXPRS = ("Z2", "Z12", "Z64", "GF(4)", "GF(8)", "GF(27)", "GF(64)",
                    "Z2 x GF(4)", "Z4 x Z9", "(Z2 x Z3) x Z4", "Z4 x (Z2 x Z3)",
-                   "Z2 x Z2 x Z2 x Z2", "M2(Z2)", "Z3 x M2(Z2)")
+                   "Z2 x Z2 x Z2 x Z2", "M2(Z2)", "Z3 x M2(Z2)",
+                   "Z2 x Z12/nil", "(Z8 x Z27)/nil", "(Z4 x Z9)/nil x Z3")
 
 
 @pytest.mark.parametrize("expr", TRANSLATE_EXPRS)

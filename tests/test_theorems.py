@@ -12,7 +12,8 @@ from wnc.rings import NilQuotient
 from wnc.theorems import AGREE, DISAGREE, NOT_APPLICABLE, THEOREM_IDS
 
 from corpus import ACCEPTANCE_CORPUS, realize
-from oracles import rebuilt, with_add
+from oracles import (naive_idempotent_list, naive_nc_members, naive_nilpotent,
+                     naive_wnc_members, rebuilt, with_add)
 
 
 def suite_for(expr):
@@ -381,8 +382,10 @@ def test_a_wrong_add_row_alone_is_refused(expr, wrong):
 @pytest.mark.parametrize("expr", ["Z12", "Z16 x Z12", "Z2 x Z2 x Z2 x Z2",
                                   "M2(Z4)", "M2(GF(4))", "GF(16)"])
 def test_the_report_does_not_read_the_layout(expr, monkeypatch):
-    # without the layout the pass makes one add per neighbor, and gives
-    # the values that the certified rows gave
+    # with no row translated, and so none certified, the pass makes one
+    # add per neighbor, and it gives the values that the certified rows
+    # gave; the quotient-lifting verdict classifies R/Nil(R) by the
+    # per-element oracles, so that no ring's layout is read
     ring = wnc.build_ring(wnc.parse_ring_expr(expr))
     cls = wnc.weakly_nil_clean_set(ring)
     graph = wnc.build_wnc_graph(ring, cls)
@@ -394,9 +397,19 @@ def test_the_report_does_not_read_the_layout(expr, monkeypatch):
     monkeypatch.setattr(wnc.rings, "translate", refuse)
     monkeypatch.setattr(graph_module, "translate", refuse)
     monkeypatch.setattr(type(ring), "_wrap_masks", property(refuse))
-    ring.radices = None
+    monkeypatch.setattr(graph_module, "rows_translated", lambda *_: False)
+    monkeypatch.setattr(theorems, "weakly_nil_clean_set", _naive_classification)
     fresh = rebuilt(graph)  # none of the facts read above
     assert _report_values(wnc.compute_report(cls, fresh)) == before
+
+
+def _naive_classification(ring):
+    """The classification read off the per-element oracles, which make
+    one add per pair and read no layout."""
+    return wnc.Classification(
+        ring.size, mask_of(naive_idempotent_list(ring)),
+        mask_of(x for x in range(ring.size) if naive_nilpotent(ring, x)),
+        mask_of(naive_nc_members(ring)), mask_of(naive_wnc_members(ring)))
 
 
 def _report_values(report):
