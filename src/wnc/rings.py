@@ -297,7 +297,8 @@ def find_least_irreducible(p: int, k: int) -> tuple[int, ...]:
         raise InvalidSpecError(f"{p} is not prime")
     if k < 2:
         raise InvalidSpecError("irreducible search needs degree k >= 2")
-    for tail in itertools.product(range(p), repeat=k):
+    # a constant term of 0 makes x a factor, so the search starts at 1
+    for tail in itertools.product(range(1, p), *[range(p)] * (k - 1)):
         coeffs = (*tail, 1)
         if _is_irreducible(coeffs, p):
             return coeffs

@@ -19,16 +19,17 @@ class-1 argument (odd complete graphs are class 2). The
 `known_discrepancy` flag marks exactly those.
 
 The report reads the graph it is given, and the ring R that graph was
-built from, so it cannot mix two rings. It builds no graph of its own, bar
-the quotient's graph when Nil(R) != 0. Two verdicts read the graph's one
-sum pass (`WncGraph.sum_coloring`) over the sum sets
-sums(x) = {x + y : y ~ x}. sum-coloring checks |sums(x)| = deg(x), and
-subgraph checks that NC(R) lies in the meet over x of sums(x) and {2x},
-that is, that NC(R) minus {2x} lies in every sums(x): y is a nil clean
-neighbor of x iff y != x and x + y is nil clean, and by cancellation in
-(R,+) that y is a neighbor in the given graph iff x + y is in sums(x).
-This never assumes NC(R) inside WNC(R). degree-lemma checks
-deg(x) = |WNC| - [2x in WNC] on the rows.
+built from, so it cannot mix two rings. It builds no graph of its own:
+quotient-lifting lifts WNC(R/Nil(R)) to L, the union of its cosets in R,
+and each x must see L - x outside its coset, one translate of L by the
+least member of each coset. Two verdicts read the graph's one sum pass
+(`WncGraph.sum_coloring`) over the sum sets sums(x) = {x + y : y ~ x}.
+sum-coloring checks |sums(x)| = deg(x), and subgraph checks that NC(R)
+lies in the meet over x of sums(x) and {2x}, that is, that NC(R) minus
+{2x} lies in every sums(x): y is a nil clean neighbor of x iff y != x and
+x + y is nil clean, and by cancellation in (R,+) that y is a neighbor in
+the given graph iff x + y is in sums(x). This never assumes NC(R) inside
+WNC(R). degree-lemma checks deg(x) = |WNC| - [2x in WNC] on the rows.
 
 Where the build translated the rows, the pass proves each row x (S - x)
 minus x from the ring's own arithmetic (`graph.certify_rows`, whose
@@ -53,11 +54,12 @@ from functools import cached_property
 from .bitsets import iter_bits
 from .classify import Classification, weakly_nil_clean_set
 from .coloring import chromatic_index_exact
-from .graph import WncGraph, build_wnc_graph, is_complete, max_degree, ring_of
+from .graph import WncGraph, is_complete, max_degree, ring_of
 from .invariants import (CENSUS_NODES, CLIQUE_NODES, INFINITE, UNKNOWN, Budget,
                          clique_count_bound, diameter, enumerate_k_cliques,
                          girth, is_star, max_clique)
-from .rings import GF, MatrixRing, RingSpec, Zn, is_prime, nilradical_quotient
+from .rings import (GF, MatrixRing, RingSpec, Zn, is_prime,
+                    nilradical_quotient, translate)
 
 AGREE = "AGREE"
 DISAGREE = "DISAGREE"
@@ -218,25 +220,21 @@ class InvariantReport:
 
 
 def _check_quotient_lifting(a: InvariantReport) -> bool:
-    if a.cls.nil == 1:
-        # Nil(R) = 0, the bitset of id 0: every coset is one element and
-        # the projection is the identity, so the quotient's graph is R's
-        # own and lifting holds
+    if a.cls.nil == 1:  # Nil(R) = 0: R is its own quotient
         return True
-    quotient, projection = nilradical_quotient(a.graph.ring, a.cls.nil)
-    q_cls = weakly_nil_clean_set(quotient)
-    q_graph = build_wnc_graph(quotient, q_cls)
+    ring = a.graph.ring
+    quotient, projection = nilradical_quotient(ring, a.cls.nil)
+    q_wnc = weakly_nil_clean_set(quotient).wnc
     cosets = [0] * quotient.size
     for x, q in enumerate(projection):
         cosets[q] |= 1 << x
-    # need[q]: every element of every coset adjacent to q, none of q's own
-    # since the quotient's graph has no loops
-    need = []
-    for q_row in q_graph.adjacency:
-        union = 0
-        for q in iter_bits(q_row):
-            union |= cosets[q]
-        need.append(union)
+    # L, the union of the weakly nil clean cosets, which are disjoint
+    lifted = sum(cosets[q] for q in iter_bits(q_wnc))
+    # pi(x) ~ pi(y) iff pi(y) != pi(x) and pi(x + y) in WNC(R/Nil(R)), that
+    # is y in L - x outside x's coset; L - x is L - r for the coset's
+    # least member r, since L is a union of cosets
+    need = [translate(ring, lifted, ring.neg((c & -c).bit_length() - 1)) & ~c
+            for c in cosets]
     return all(need[q] & ~row == 0
                for q, row in zip(projection, a.graph.adjacency))
 

@@ -12,11 +12,14 @@ kernel that lists only the vertices it may branch on, a character
 gather instead of strided slices for the relabeled rows, a queue BFS
 across each removed edge instead of per-root BFS levels for the girth,
 union-find on the double cover instead of BFS levels for
-bipartiteness, and argparse instead of the command table), so agreement
-between the two is meaningful evidence of correctness. The edge-coloring
-helpers, `bfs_distances`, `operation_tables` and the ring copies of
-`with_add` serve only the tests, so they live here rather than in the
-library.
+bipartiteness, the graph of R/Nil(R) with one coset per neighbor instead
+of WNC(R/Nil(R)) lifted to R and translated once per coset, one `add` per
+member instead of a translate digit by digit, trial division of every
+candidate instead of a search from constant term 1, and argparse instead
+of the command table), so agreement between the two is meaningful
+evidence of correctness. The edge-coloring helpers, `bfs_distances`,
+`operation_tables` and the ring copies of `with_add` serve only the
+tests, so they live here rather than in the library.
 """
 
 import argparse
@@ -29,7 +32,7 @@ import numpy as np
 
 import wnc
 from wnc import cli
-from wnc.bitsets import bit_list
+from wnc.bitsets import bit_list, mask_of
 
 
 def naive_nilpotent(ring, x) -> bool:
@@ -553,6 +556,58 @@ def with_add(ring, add):
     twin.add = add
     twin.add_row = lambda g: [add(g, y) for y in range(ring.size)]
     return twin
+
+
+def translate_by_add(ring, mask, g):
+    """The bitset {m + g : m in mask}, one `add` per member, reading no
+    digit layout."""
+    return mask_of(ring.add(m, g) for m in bit_list(mask))
+
+
+def quotient_lifting_by_graph(cls, graph) -> bool:
+    """The quotient-lifting fact checked on the graph of R/Nil(R): every
+    element of every coset adjacent to pi(x) there must be a neighbor of
+    x in the graph of R. One coset is OR-ed in per bit of each quotient
+    row."""
+    ring = graph.ring
+    if cls.nil == 1:
+        return True
+    quotient, projection = wnc.nilradical_quotient(ring, cls.nil)
+    q_graph = wnc.build_wnc_graph(quotient, wnc.weakly_nil_clean_set(quotient))
+    cosets = [0] * quotient.size
+    for x, q in enumerate(projection):
+        cosets[q] |= 1 << x
+    need = []
+    for q_row in q_graph.adjacency:
+        union = 0
+        for q in bit_list(q_row):
+            union |= cosets[q]
+        need.append(union)
+    return all(need[q] & ~row == 0
+               for q, row in zip(projection, graph.adjacency))
+
+
+def least_irreducible_by_trial(p, k):
+    """The least monic irreducible polynomial of degree k over Z_p,
+    constant term first, found by trial-dividing every candidate in
+    order (constant term most significant), those with constant term 0
+    included, by every monic polynomial of degree 1 to k // 2."""
+    def divides(den, num):
+        num = list(num)
+        for i in range(len(num) - 1, len(den) - 2, -1):
+            c = num[i]
+            for j, d in enumerate(den):
+                num[i - len(den) + 1 + j] = (num[i - len(den) + 1 + j]
+                                             - c * d) % p
+        return not any(num)
+
+    for tail in itertools.product(range(p), repeat=k):
+        coeffs = (*tail, 1)
+        if not any(divides((*low, 1), coeffs)
+                   for d in range(1, k // 2 + 1)
+                   for low in itertools.product(range(p), repeat=d)):
+            return coeffs
+    raise AssertionError("no irreducible polynomial")
 
 
 def reference_parser() -> argparse.ArgumentParser:

@@ -11,7 +11,8 @@ command, its exit code, its stderr and its stdout; a stdout longer than
 `SHORT` characters is kept as its length and SHA-256 digest. Refused
 expressions are on the list too: their line is the exit code and the
 error. The name does not match `test_*.py`, so pytest does not collect
-this file. The whole scan takes about half a minute on one core.
+this file; `test_output_scan.py` checks its line shape and ring list. The
+whole scan takes about half a minute on one core.
 """
 
 import contextlib

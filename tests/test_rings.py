@@ -15,8 +15,8 @@ from wnc.errors import InvalidSpecError, UnsupportedOperationError
 
 from corpus import ACCEPTANCE_CORPUS, LEADERS, realize
 from oracles import (gf_poly_add, gf_poly_mul, gf_poly_name, gf_poly_neg,
-                     naive_nilpotent, operation_tables, ring_axiom_violations,
-                     rings_isomorphic)
+                     least_irreducible_by_trial, naive_nilpotent,
+                     operation_tables, ring_axiom_violations, rings_isomorphic)
 
 
 def test_make_zn_examples():
@@ -73,6 +73,27 @@ def test_find_least_irreducible_rejects_degree_one():
         wnc.find_least_irreducible(3, 1)
     with pytest.raises(InvalidSpecError):
         wnc.find_least_irreducible(4, 2)  # base not prime
+
+
+# every field p^k <= 4096 with k >= 2
+ALL_GF = [(p, k) for p in range(2, 64) if wnc.rings.is_prime(p)
+          for k in range(2, 13) if p ** k <= 4096]
+
+
+@pytest.mark.parametrize("p,k", ALL_GF)
+def test_least_irreducible_is_the_trial_search(p, k, monkeypatch):
+    # x divides every candidate with constant term 0, so none of them is
+    # trial-divided
+    seen = []
+    real = wnc.rings._poly_rem
+
+    def spy(num, den, q):
+        seen.append(num[0])
+        return real(num, den, q)
+
+    monkeypatch.setattr(wnc.rings, "_poly_rem", spy)
+    assert wnc.find_least_irreducible(p, k) == least_irreducible_by_trial(p, k)
+    assert seen and 0 not in seen
 
 
 def _sieve(limit):
@@ -194,11 +215,6 @@ def test_gf_arithmetic_matches_polynomials_on_sampled_pairs(data):
     a, b = np.array(pairs).T
     assert [field.mul(x, y) for x, y in pairs] == gf_poly_mul(p, k, a, b).tolist()
     assert [field.add(x, y) for x, y in pairs] == gf_poly_add(p, k, a, b).tolist()
-
-
-# every field p^k <= 4096 with k >= 2
-ALL_GF = [(p, k) for p in range(2, 64) if wnc.rings.is_prime(p)
-          for k in range(2, 13) if p ** k <= 4096]
 
 
 @pytest.mark.parametrize("p,k", ALL_GF)

@@ -13,7 +13,9 @@ from wnc.theorems import AGREE, DISAGREE, NOT_APPLICABLE, THEOREM_IDS
 
 from corpus import ACCEPTANCE_CORPUS, realize
 from oracles import (naive_idempotent_list, naive_nc_members, naive_nilpotent,
-                     naive_wnc_members, rebuilt, with_add)
+                     naive_wnc_members, quotient_lifting_by_graph, rebuilt,
+                     translate_by_add, with_add)
+from output_scan import QUOTIENTS_AND_LARGE
 
 
 def suite_for(expr):
@@ -385,7 +387,8 @@ def test_the_report_does_not_read_the_layout(expr, monkeypatch):
     # with no row translated, and so none certified, the pass makes one
     # add per neighbor, and it gives the values that the certified rows
     # gave; the quotient-lifting verdict classifies R/Nil(R) by the
-    # per-element oracles, so that no ring's layout is read
+    # per-element oracles and translates L by add, so that no ring's
+    # layout is read
     ring = wnc.build_ring(wnc.parse_ring_expr(expr))
     cls = wnc.weakly_nil_clean_set(ring)
     graph = wnc.build_wnc_graph(ring, cls)
@@ -399,6 +402,7 @@ def test_the_report_does_not_read_the_layout(expr, monkeypatch):
     monkeypatch.setattr(type(ring), "_wrap_masks", property(refuse))
     monkeypatch.setattr(graph_module, "rows_translated", lambda *_: False)
     monkeypatch.setattr(theorems, "weakly_nil_clean_set", _naive_classification)
+    monkeypatch.setattr(theorems, "translate", translate_by_add)
     fresh = rebuilt(graph)  # none of the facts read above
     assert _report_values(wnc.compute_report(cls, fresh)) == before
 
@@ -440,8 +444,60 @@ def test_a_missing_lifted_edge_breaks_quotient_lifting(expr, both_rows):
     assert verdicts["quotient-lifting"].status == DISAGREE
 
 
-def test_the_report_builds_only_the_quotient_graph(monkeypatch):
-    exprs = ("Z10", "GF(25)", "Z3 x Z3", "Z12")
+# (ring, x, y): x + y lies in a weakly nil clean coset of R/Nil(R), and
+# neither x nor y is the least member of its coset
+NON_LEAST_EDGES = [("Z12", 6, 7), ("Z72", 6, 7), ("Z8 x Z27", 3, 4),
+                   ("Z4 x Z9", 3, 4)]
+
+
+@pytest.mark.parametrize("expr,x,y", NON_LEAST_EDGES)
+@pytest.mark.parametrize("both_rows", [True, False], ids=["edge", "one-row"])
+def test_a_missing_edge_between_non_least_members_breaks_lifting(
+        expr, x, y, both_rows):
+    # a lifting check that read each coset at its least member alone
+    # would miss these edges
+    ring, cls, graph = realize(expr)
+    projection = wnc.nilradical_quotient(ring, cls.nil)[1]
+    assert projection[x] != projection[y]
+    assert projection.index(projection[x]) < x
+    assert projection.index(projection[y]) < y
+    if both_rows:
+        tampered = _without_edge(graph, x, y)
+    else:
+        rows = list(graph.adjacency)
+        rows[x] &= ~(1 << y)
+        tampered = rebuilt(graph, adjacency=rows)
+    assert not quotient_lifting_by_graph(cls, tampered)
+    assert _verdict_map(cls, tampered)["quotient-lifting"].status == DISAGREE
+
+
+@pytest.mark.parametrize("expr", ["Z12", "Z8", "Z2 x Z4", "Z18", "Z4 x Z9"])
+def test_lifting_without_any_one_edge_is_the_quotient_graph_check(expr):
+    # each edge removed in turn, whichever cosets its ends and its sum lie in
+    ring, cls, graph = realize(expr)
+    for x in range(ring.size):
+        for y in bit_list(graph.adjacency[x] >> x + 1 << x + 1):
+            tampered = _without_edge(graph, x, y)
+            want = AGREE if quotient_lifting_by_graph(cls, tampered) else DISAGREE
+            verdicts = _verdict_map(cls, tampered)
+            assert verdicts["quotient-lifting"].status == want, (x, y)
+
+
+COMMUTATIVE_LIFTS = [e for e in ACCEPTANCE_CORPUS + tuple(QUOTIENTS_AND_LARGE)
+                     if wnc.build_ring(wnc.parse_ring_expr(e)).is_commutative]
+
+
+@pytest.mark.parametrize("expr", COMMUTATIVE_LIFTS)
+def test_quotient_lifting_is_the_quotient_graph_check(expr):
+    # the verdict reads WNC(R/Nil(R)) lifted to R; the reference builds
+    # the quotient's graph and ORs in the coset of each neighbor
+    _, cls, graph = realize(expr)
+    want = AGREE if quotient_lifting_by_graph(cls, graph) else DISAGREE
+    assert _verdict_map(cls, graph)["quotient-lifting"].status == want
+
+
+def test_the_report_builds_no_graph(monkeypatch):
+    exprs = ("Z10", "GF(25)", "Z3 x Z3", "Z12", "Z72", "Z4 x Z9")
     realized = [realize(e) for e in exprs]  # built before the spy
     built = []
     real = graph_module._build
@@ -453,8 +509,8 @@ def test_the_report_builds_only_the_quotient_graph(monkeypatch):
     monkeypatch.setattr(graph_module, "_build", spy)
     for _, cls, graph in realized:
         wnc.compute_report(cls, graph).theorem_verdicts
-    # the reduced rings are their own quotient; Z12 lifts from Z12/nil
-    assert built == [NilQuotient(realize("Z12")[0].spec)]
+    # Z12, Z72 and Z4 x Z9 lift from their quotients' classifications
+    assert built == []
 
 
 def test_four_clique_verdict_lists_the_sets():
